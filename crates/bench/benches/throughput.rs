@@ -1,12 +1,4 @@
-//! Scheduler throughput: the work-stealing runtime vs the centralized
-//! ready queue, on the native engine.
-//!
-//! [`SchedPolicy::Default`] dispatches to the work-stealing path
-//! (per-worker deques + event-count parking); [`SchedPolicy::Fifo`]
-//! replays the pre-work-stealing engine exactly (one mutex-protected
-//! queue, `pop_front`, condvar broadcast on every completion). Running
-//! both in the same binary gives an apples-to-apples before/after
-//! comparison without checking out old code.
+//! Scheduler throughput of the native engine across worker counts.
 //!
 //! Two workloads:
 //!
@@ -14,6 +6,9 @@
 //!   per-job scheduling overhead dominates. Reported as jobs/sec.
 //! * **end-to-end apps** — PiP-1, Blur-3×3 and JPiP-1 (unfused and
 //!   tile-fused) at small scale, reported as frames/sec.
+//!
+//! The yardstick for these numbers is not a second engine but the
+//! simulator's prediction (`hinch.speedup_vs_sim` in `benchmark/`).
 //!
 //! Harness-free (`harness = false`, own `main`): emits one JSON document
 //! to `$THROUGHPUT_OUT` (or stdout) for `scripts/bench.sh` to fold into
@@ -24,7 +19,7 @@ use apps::experiment::{build, build_fused, App, AppConfig};
 use hinch::component::{Component, Params, RunCtx};
 use hinch::engine::{run_native, RunConfig};
 use hinch::graph::factory;
-use hinch::{ComponentSpec, GraphSpec, RunReport, SchedPolicy};
+use hinch::{ComponentSpec, GraphSpec, RunReport};
 use std::fmt::Write as _;
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -67,16 +62,10 @@ fn micro_spec() -> GraphSpec {
 
 /// Best-of-`repeats` run; returns the report with the shortest elapsed
 /// time (least scheduler noise).
-fn run_best(
-    spec: &GraphSpec,
-    iters: u64,
-    workers: usize,
-    policy: SchedPolicy,
-    repeats: usize,
-) -> RunReport {
+fn run_best(spec: &GraphSpec, iters: u64, workers: usize, repeats: usize) -> RunReport {
     let mut best: Option<RunReport> = None;
     for _ in 0..repeats {
-        let cfg = RunConfig::new(iters).workers(workers).sched(policy);
+        let cfg = RunConfig::new(iters).workers(workers);
         let r = run_native(spec, &cfg).expect("bench run");
         assert_eq!(r.iterations, iters, "bench run retired too few iterations");
         if best.as_ref().is_none_or(|b| r.elapsed < b.elapsed) {
@@ -100,7 +89,6 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str("    \"generated_by\": \"cargo bench -p bench --bench throughput\",\n");
-    json.push_str("    \"note\": \"work_stealing = SchedPolicy::Default (per-worker deques); centralized = SchedPolicy::Fifo (the pre-work-stealing single-lock engine, byte-identical schedule semantics)\",\n");
     let _ = writeln!(json, "    \"quick\": {quick},");
 
     // ---- glue micro-benchmark -------------------------------------------
@@ -111,19 +99,12 @@ fn main() {
     json.push_str("    \"micro_jobs_per_sec\": {\n");
     let _ = writeln!(json, "        \"width\": {MICRO_WIDTH},");
     let _ = writeln!(json, "        \"iterations\": {micro_iters},");
-    let mut speedups: Vec<(usize, f64)> = Vec::new();
     for (wi, &workers) in WORKERS.iter().enumerate() {
-        let fifo = run_best(&spec, micro_iters, workers, SchedPolicy::Fifo, repeats);
-        let ws = run_best(&spec, micro_iters, workers, SchedPolicy::Default, repeats);
-        let (jf, jw) = (jobs_per_sec(&fifo), jobs_per_sec(&ws));
-        let speedup = jw / jf;
-        speedups.push((workers, speedup));
-        eprintln!(
-            "  workers={workers}: centralized {jf:>12.0} jobs/s | work-stealing {jw:>12.0} jobs/s | {speedup:.2}x"
-        );
+        let jobs = jobs_per_sec(&run_best(&spec, micro_iters, workers, repeats));
+        eprintln!("  workers={workers}: {jobs:>12.0} jobs/s");
         let _ = writeln!(
             json,
-            "        \"workers_{workers}\": {{ \"centralized\": {jf:.0}, \"work_stealing\": {jw:.0}, \"speedup\": {speedup:.3} }}{}",
+            "        \"workers_{workers}\": {jobs:.0}{}",
             if wi + 1 < WORKERS.len() { "," } else { "" }
         );
     }
@@ -146,15 +127,11 @@ fn main() {
         let built = if fused { build_fused(cfg) } else { build(cfg) };
         let _ = writeln!(json, "        \"{name}\": {{");
         for (wi, &workers) in WORKERS.iter().enumerate() {
-            let fifo = run_best(&built.spec, frames, workers, SchedPolicy::Fifo, repeats);
-            let ws = run_best(&built.spec, frames, workers, SchedPolicy::Default, repeats);
-            let (ff, fw) = (frames_per_sec(&fifo), frames_per_sec(&ws));
-            eprintln!(
-                "  workers={workers}: centralized {ff:>8.1} fps | work-stealing {fw:>8.1} fps"
-            );
+            let fps = frames_per_sec(&run_best(&built.spec, frames, workers, repeats));
+            eprintln!("  workers={workers}: {fps:>8.1} fps");
             let _ = writeln!(
                 json,
-                "            \"workers_{workers}\": {{ \"centralized\": {ff:.1}, \"work_stealing\": {fw:.1} }}{}",
+                "            \"workers_{workers}\": {fps:.1}{}",
                 if wi + 1 < WORKERS.len() { "," } else { "" }
             );
         }
@@ -172,11 +149,5 @@ fn main() {
             eprintln!("throughput: wrote {path}");
         }
         Err(_) => print!("{json}"),
-    }
-
-    // The acceptance bar lives in scripts/bench.sh; echo the headline here
-    // so an interactive `cargo bench` run shows it too.
-    for (workers, speedup) in speedups {
-        eprintln!("throughput: micro speedup at {workers} worker(s): {speedup:.2}x");
     }
 }

@@ -556,15 +556,18 @@ fn run_app(cfg: &MatrixConfig, app: ConfApp) -> AppSummary {
         }
     }
 
-    // 4. The native sweep. A seeded pop-order policy biases each cell
-    // into a different schedule-space corner (thread interleaving adds
-    // its own nondeterminism on top — outputs must still conform), and a
-    // `Default` run per cell covers the work-stealing fast path, which
-    // must stay fingerprint-equal to the oracle like any other schedule.
+    // 4. The native sweep. The seeded policies steer the production
+    // worker loop's pick hook (handoff choice and publish order of every
+    // readied batch), biasing each cell into a different schedule-space
+    // corner — `Shuffle` ignores iteration age, `Perturb` keeps
+    // oldest-first and permutes within an iteration. Thread interleaving
+    // adds its own nondeterminism on top; outputs must still conform.
+    // The `Default` run per cell is the order production runs walk.
     for &workers in &cfg.workers {
         for &depth in &cfg.depths {
-            let policy = SchedPolicy::Shuffle(cfg.base_seed ^ depth as u64);
-            runner.native_run(workers, depth, policy);
+            let seed = cfg.base_seed ^ depth as u64;
+            runner.native_run(workers, depth, SchedPolicy::Shuffle(seed));
+            runner.native_run(workers, depth, SchedPolicy::Perturb(seed));
             runner.native_run(workers, depth, SchedPolicy::Default);
         }
     }

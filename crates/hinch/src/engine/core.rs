@@ -1,15 +1,15 @@
 //! Per-graph scheduling core: the atomic iteration window and the
 //! admission / completion / retirement state machine.
 //!
-//! Extracted from the single-run work-stealing engine so that one graph
-//! instance's dependency tracking is self-contained: [`super::ws`] drives
-//! exactly one [`GraphCore`] to completion, the serving runtime
-//! ([`super::multi`]) multiplexes many long-lived cores over one worker
-//! pool. The core is queue-agnostic — every operation that readies jobs
-//! pushes bare [`JobRef`]s into a caller-provided vector, and the caller
-//! publishes them (tagged with a graph id, in the serving case) after the
-//! admit lock is released. Publishing late is safe: a readied job is
-//! unknown to every other thread until it reaches a queue.
+//! One graph instance's dependency tracking is self-contained here; the
+//! native runtime ([`super::multi`]) multiplexes any number of long-lived
+//! cores — one, for [`super::native::run_native`] — over one worker pool.
+//! The core is queue-agnostic — every operation that readies jobs pushes
+//! bare [`JobRef`]s into a caller-provided vector, and the caller
+//! publishes them (tagged with a graph id) after the admit lock is
+//! released. Publishing late is safe: a readied job is unknown to every
+//! other thread until it reaches a queue. (Its sequential counterpart,
+//! kept apart on purpose as the oracle's tracker: [`crate::sched::Tracker`].)
 //!
 //! # Ordering protocol (why the lock-free part is correct)
 //!
@@ -113,10 +113,11 @@ pub(super) struct AdmitState {
 }
 
 /// Called under the admit lock after each in-order retirement, with the
-/// retired iteration index. The serving runtime hooks frame-latency
-/// recording and drain wake-ups here; it must be cheap and must not
-/// re-enter the core.
-pub(super) type RetireHook = Box<dyn Fn(u64) + Send + Sync>;
+/// retired iteration index, whether that retirement left the graph
+/// drained (every requested iteration retired) and the worker applying
+/// it. The runtime hooks frame-latency recording and the drain wake-up
+/// here; it must be cheap and must not re-enter the core.
+pub(super) type RetireHook = Box<dyn Fn(u64, bool, u32) + Send + Sync>;
 
 /// One graph instance's complete scheduling state: window, watermarks,
 /// admission machinery and the live instance tree it executes.
@@ -134,16 +135,17 @@ pub(super) struct GraphCore {
     pub(super) halted: AtomicBool,
     pub(super) aborted: AtomicBool,
     pub(super) jobs_executed: AtomicU64,
-    /// Iterations requested so far. Fixed for a single run; the serving
-    /// runtime grows it per accepted frame (under the admit lock).
+    /// Iterations requested so far; the runtime grows it per accepted
+    /// frame (under the admit lock).
     pub(super) total: AtomicU64,
     pub(super) depth: u64,
     pub(super) admit: Mutex<AdmitState>,
     pub(super) inst: InstanceGraph,
     pub(super) trace: Option<Arc<dyn TraceSink>>,
     pub(super) metrics: Option<Arc<trace::metrics::EngineMetrics>>,
-    pub(super) epoch: Instant,
-    retire_hook: Option<RetireHook>,
+    /// Trace timestamps are nanoseconds since this instant (the pool's).
+    epoch: Instant,
+    retire_hook: RetireHook,
 }
 
 // SAFETY: every field but `window` is synchronized by its own type; the
@@ -158,10 +160,10 @@ impl GraphCore {
         inst: InstanceGraph,
         dag: Arc<Dag>,
         depth: u64,
-        total: u64,
+        epoch: Instant,
         trace: Option<Arc<dyn TraceSink>>,
         metrics: Option<Arc<trace::metrics::EngineMetrics>>,
-        retire_hook: Option<RetireHook>,
+        retire_hook: RetireHook,
     ) -> Self {
         let window = Arc::new(Window::new(dag, 0, depth as usize));
         Self {
@@ -172,7 +174,7 @@ impl GraphCore {
             halted: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             jobs_executed: AtomicU64::new(0),
-            total: AtomicU64::new(total),
+            total: AtomicU64::new(0),
             depth,
             admit: Mutex::new(AdmitState {
                 pending: Vec::new(),
@@ -184,7 +186,7 @@ impl GraphCore {
             inst,
             trace,
             metrics,
-            epoch: Instant::now(),
+            epoch,
             retire_hook,
         }
     }
@@ -204,7 +206,9 @@ impl GraphCore {
     }
 
     /// Classify what an idle worker is blocked on, from the atomic
-    /// counters (mirrors the centralized engine's `wait_cause`).
+    /// counters: a drain window means quiesce; every requested iteration
+    /// admitted means the graph is tailing off; a full pipeline means
+    /// admission backpressure; otherwise a dependency has yet to complete.
     pub(super) fn wait_cause(&self) -> StallCause {
         // Load order matters: `completed` first, so the subtraction below
         // cannot see a `completed` newer than `admitted`.
@@ -331,7 +335,7 @@ impl GraphCore {
     /// wait their turn in `pending_retires`). Readied follow-up jobs
     /// (fresh admissions, or a quiesce resume) are pushed into `seeded` so
     /// the caller publishes and wakes only when there is work to take.
-    pub(super) fn retire(&self, iter: u64, seeded: &mut Vec<JobRef>) {
+    pub(super) fn retire(&self, iter: u64, worker: u32, seeded: &mut Vec<JobRef>) {
         let mut st = self.admit.lock();
         st.pending_retires.push(iter);
         loop {
@@ -340,24 +344,30 @@ impl GraphCore {
                 break;
             };
             st.pending_retires.swap_remove(pos);
-            self.process_retire(&mut st, next, seeded);
+            self.process_retire(&mut st, next, worker, seeded);
         }
     }
 
     /// Apply one in-order retirement. Under the admit lock.
-    fn process_retire(&self, st: &mut AdmitState, iter: u64, seeded: &mut Vec<JobRef>) {
+    fn process_retire(
+        &self,
+        st: &mut AdmitState,
+        iter: u64,
+        worker: u32,
+        seeded: &mut Vec<JobRef>,
+    ) {
         // SAFETY: admit lock held.
         let window = unsafe { self.load_window() };
         for s in &window.dag.streams {
             s.clear(iter);
         }
-        self.completed.fetch_add(1, Ordering::SeqCst);
+        let completed = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(m) = &self.metrics {
             m.iterations.inc();
         }
-        if let Some(hook) = &self.retire_hook {
-            hook(iter);
-        }
+        // `total` only moves under the admit lock, which we hold.
+        let drained = completed >= self.total.load(Ordering::Relaxed);
+        (self.retire_hook)(iter, drained, worker);
         if let Some(sink) = &self.trace {
             let at = self.now();
             sink.record(TraceEvent::IterationRetired { iter, at });
@@ -435,10 +445,11 @@ impl GraphCore {
         window: &Window,
         job: JobRef,
         core: u32,
-        // The caller's per-job stopwatch, reused here so the hot component
-        // path pays one clock read (the `elapsed` below), not two.
+        // The caller's per-job stopwatch, reused here so an observed
+        // component job pays one clock read (the `elapsed` below), not two.
         started: Instant,
-        per_node: &mut HashMap<String, (u64, Duration)>,
+        // Per-node busy time, when the graph's owner reads it.
+        per_node: Option<&mut HashMap<String, (u64, Duration)>>,
         ready: &mut Vec<JobRef>,
     ) -> Option<u64> {
         match &window.dag.jobs[job.idx as usize].kind {
@@ -454,27 +465,33 @@ impl GraphCore {
                         .expect("per-node mutual exclusion violated (scheduler bug)")
                         .run(&mut ctx);
                 }
-                let busy = started.elapsed();
-                if let Some(sink) = &self.trace {
-                    let end = self.now();
-                    sink.record(TraceEvent::JobSpan {
-                        label: leaf.name.clone(),
-                        kind: SpanKind::Component,
-                        iter: job.iter,
-                        core,
-                        start: end.saturating_sub(busy.as_nanos() as u64),
-                        end,
-                        cycles: 0,
-                        cache: None,
-                    });
-                }
-                match per_node.get_mut(&leaf.name) {
-                    Some(e) => {
-                        e.0 += 1;
-                        e.1 += busy;
+                // Timed only for an observer: a serving tenant (no sink, no
+                // per-node map) skips the clock read.
+                if self.trace.is_some() || per_node.is_some() {
+                    let busy = started.elapsed();
+                    if let Some(sink) = &self.trace {
+                        let end = self.now();
+                        sink.record(TraceEvent::JobSpan {
+                            label: leaf.name.clone(),
+                            kind: SpanKind::Component,
+                            iter: job.iter,
+                            core,
+                            start: end.saturating_sub(busy.as_nanos() as u64),
+                            end,
+                            cycles: 0,
+                            cache: None,
+                        });
                     }
-                    None => {
-                        per_node.insert(leaf.name.clone(), (1, busy));
+                    if let Some(per_node) = per_node {
+                        match per_node.get_mut(&leaf.name) {
+                            Some(e) => {
+                                e.0 += 1;
+                                e.1 += busy;
+                            }
+                            None => {
+                                per_node.insert(leaf.name.clone(), (1, busy));
+                            }
+                        }
                     }
                 }
             }

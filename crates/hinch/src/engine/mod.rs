@@ -1,13 +1,22 @@
 //! Execution engines.
 //!
-//! Both engines share the scheduler core ([`crate::sched::Tracker`]) and
-//! the manager/reconfiguration machinery in this module; they differ only
-//! in *where* jobs run:
+//! Every engine runs the same instance tree and shares the
+//! manager/reconfiguration machinery in this module; they differ in
+//! *where* jobs run and in who tracks their dependencies:
 //!
-//! * [`native`] — a pool of worker threads pulling from a central ready
-//!   queue (automatic load balancing), measured in wall-clock time;
-//! * [`sim`] — a deterministic discrete-event loop placing jobs on the
-//!   virtual cores of a [`crate::meter::Platform`], measured in cycles.
+//! * [`native`] — [`run_native`], real worker threads, wall-clock time.
+//!   There is one native engine, the work-stealing multi-graph
+//!   [`Runtime`] of [`multi`]: `run_native` is that runtime with a single
+//!   tenant, `hinch-serve` the same runtime with many.
+//! * [`sim`] — a deterministic discrete-event loop placing jobs from a
+//!   central ready queue (the paper's policy) on the virtual cores of a
+//!   [`crate::meter::Platform`], measured in cycles.
+//! * [`reference`] — the single-threaded oracle both are held against.
+//!
+//! [`crate::sched::Tracker`] is the sequential specification of the
+//! dependency rules; `sim` and `reference` run it. The native runtime
+//! deliberately has its own lock-free tracker (`core::GraphCore`), so the
+//! oracle and the engine under test share no dependency-tracking code.
 
 mod core;
 pub mod multi;
@@ -20,7 +29,6 @@ pub mod pool;
 mod pool;
 pub mod reference;
 pub mod sim;
-mod ws;
 
 pub use multi::{
     GraphId, GraphStats, PoolTelemetry, Runtime, RuntimeConfig, ServeError, SpawnOpts,
@@ -83,7 +91,7 @@ impl Default for OverheadModel {
     }
 }
 
-/// Execution configuration shared by both engines.
+/// Execution configuration shared by the engines.
 #[derive(Clone)]
 pub struct RunConfig {
     /// Worker threads (native engine). The simulation engine takes its
@@ -103,8 +111,8 @@ pub struct RunConfig {
     /// relaxed atomic per event (see `trace::metrics`). `None` costs one
     /// branch per would-be update.
     pub metrics: Option<Arc<trace::metrics::EngineMetrics>>,
-    /// Ready-queue tie-break policy. [`SchedPolicy::Default`] is the
-    /// engines' historical order; the other variants explore alternative
+    /// Tie-break policy among ready jobs. [`SchedPolicy::Default`] is the
+    /// engines' production order; the other variants explore alternative
     /// (but equally valid) schedules for conformance testing.
     pub sched: SchedPolicy,
 }
@@ -165,7 +173,7 @@ impl RunConfig {
         self
     }
 
-    /// Select the ready-queue tie-break policy (schedule exploration).
+    /// Select the ready-job tie-break policy (schedule exploration).
     pub fn sched(mut self, policy: SchedPolicy) -> Self {
         self.sched = policy;
         self

@@ -1,10 +1,10 @@
-//! Long-lived multi-graph serving runtime ("hinch-as-a-service").
+//! The native engine: a long-lived multi-graph runtime on one shared
+//! work-stealing pool ("hinch-as-a-service").
 //!
-//! [`super::ws`] runs exactly one graph to a fixed iteration count and
-//! tears its worker pool down afterwards. A serving front-end needs the
-//! opposite shape: one **shared, long-lived worker pool** multiplexing
-//! many concurrent graph instances, each with its own lifecycle. This
-//! module provides it:
+//! This is the only native worker loop. A serving front-end multiplexes
+//! many concurrent graph instances over it, each with its own lifecycle;
+//! [`super::native::run_native`] is the same runtime with one tenant
+//! (spawn → submit → drain → shutdown). The module provides:
 //!
 //! * **graph lifecycle** — [`Runtime::spawn`] instantiates a graph and
 //!   registers it as a tenant, [`Runtime::submit`] feeds it frames,
@@ -23,35 +23,37 @@
 //! * **reconfiguration over the wire** — [`Runtime::inject`] drops an
 //!   [`Event`] into a named manager queue of a tenant; the manager's next
 //!   entry invocation polls it and the quiesce/re-flatten machinery of
-//!   [`super::core::GraphCore`] applies the reconfiguration exactly as in
-//!   a single run;
+//!   [`super::core::GraphCore`] applies the reconfiguration;
 //! * **failure isolation** — a panicking component marks *its* graph
 //!   failed (structured lease-conflict reporting included); queued jobs of
 //!   the failed graph are discarded and every other tenant keeps running.
 //!
-//! Scheduling inside one graph is identical to the single-run driver —
-//! same [`super::core::GraphCore`] protocol, same direct handoff, same
-//! event-count parking — so a lone tenant on the shared pool performs
-//! like a dedicated `run_native` call (the `serve` bench gates this at
-//! ≥ 0.9× aggregate).
+//! Scheduling (the protocols are in `docs/PERFORMANCE.md`): per-worker
+//! bounded deques with a global overflow injector and oldest-first
+//! stealing ([`super::pool`]); lock-free dependency tracking
+//! ([`super::core::GraphCore`]); event-count parking with one throttled
+//! wake-up per published job ([`MultiShared::wake`]); and direct handoff —
+//! a completion keeps one component job it readied as its own next job,
+//! so the steady-state hot path touches no queue. Which job that is, and
+//! the order the rest are published in, is the loop's one pick hook
+//! ([`pick_handoff`]).
 
 use super::core::{GraphCore, RetireHook, Window};
 use super::pool::{EventCount, Injector, LocalQueue};
 use crate::event::Event;
-use crate::graph::flatten::flatten;
-use crate::graph::instance::instantiate_graph_sized;
+use crate::graph::flatten::{flatten, Dag, JobKind};
+use crate::graph::instance::{instantiate_graph_sized, InstanceGraph};
 use crate::graph::GraphSpec;
-use crate::sched::JobRef;
+use crate::sched::{JobRef, SchedPolicy};
 use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{thread, Condvar, Mutex, RwLock};
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::metrics::{EngineMetrics, GraphLabel, LabeledMetrics, LogHistogram};
-use trace::ring::{Ring, RingEvent, RingSet};
-use trace::StallCause;
+use trace::ring::{RingEvent, RingSet};
+use trace::{StallCause, TraceEvent, TraceSink};
 
 /// Handle to a spawned graph instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,13 +315,31 @@ pub struct PoolTelemetry {
     pub uptime_ns: u64,
 }
 
+/// What [`super::native::run_native`] asks of the pool it owns and a
+/// serving pool never pays for: its tenant's trace sink and metrics, the
+/// pick hook's exploration policy, per-node busy time, and a component's
+/// panic payload (to re-raise, or return as a structured lease conflict).
+pub(super) struct RunProbe {
+    pub(super) trace: Option<Arc<dyn TraceSink>>,
+    pub(super) metrics: Option<Arc<EngineMetrics>>,
+    pub(super) sched: SchedPolicy,
+    /// Keyed by the owner; each worker adds its private map when it
+    /// exits, so it is complete once [`Runtime::shutdown`] joined the pool.
+    pub(super) per_node: Mutex<HashMap<String, (u64, Duration)>>,
+    /// First panic payload caught from a component of the run.
+    pub(super) panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
 struct MultiShared {
     graphs: RwLock<HashMap<u32, Arc<Tenant>>>,
     locals: Box<[LocalQueue<MJob>]>,
     injector: Injector<MJob>,
     ec: EventCount,
-    /// Workers not parked — the wake-up throttle (see `ws::WsShared`).
+    /// Workers not parked. Producers wake sleepers only while this is
+    /// below `parallelism` — an oversubscribed wake-up buys no
+    /// concurrency, it just burns a futex round-trip and a context switch.
     active: AtomicUsize,
+    /// `min(workers, hardware threads)` — the wake-up throttle ceiling.
     parallelism: usize,
     shutdown: AtomicBool,
     /// Per-tenant metrics registry (graph id + app label), for
@@ -332,30 +352,8 @@ struct MultiShared {
     rings: Option<Arc<RingSet>>,
     /// Per-worker busy/idle/steal/park counters (one slot per worker).
     wstats: Box<[WorkerStats]>,
-}
-
-impl MultiShared {
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-}
-
-thread_local! {
-    /// The flight-recorder ring owned by the current worker thread, set
-    /// on `worker_loop` entry. The per-frame retire hook runs on
-    /// whichever worker performs the retirement; routing its events
-    /// through this cell upholds the ring's single-writer contract.
-    static WORKER_RING: RefCell<Option<Arc<Ring>>> = const { RefCell::new(None) };
-}
-
-/// Record into the current worker's ring, if this thread is a
-/// telemetry-enabled worker (no-op on client threads).
-fn ring_record(ev: RingEvent) {
-    WORKER_RING.with(|cell| {
-        if let Some(ring) = cell.borrow().as_ref() {
-            ring.record(ev);
-        }
-    });
+    /// Set when the pool belongs to one `run_native` call.
+    probe: Option<Arc<RunProbe>>,
 }
 
 /// Classify why a worker is about to park, from the tenants' admission
@@ -434,36 +432,75 @@ fn find_work(shared: &MultiShared, wid: usize) -> Option<MJob> {
 }
 
 /// Render a panic payload for failure reporting.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<crate::sharedbuf::LeaseConflict>() {
-        Ok(conflict) => format!("{conflict}"),
-        Err(payload) => {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "component panicked".to_string()
-            }
-        }
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(conflict) = payload.downcast_ref::<crate::sharedbuf::LeaseConflict>() {
+        format!("{conflict}")
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "component panicked".to_string()
     }
+}
+
+/// The loop's pick hook: of the jobs a completion just readied, which one
+/// does the completing worker keep as its direct handoff, and in what
+/// order are the rest published? Any answer is a valid schedule — the
+/// core already satisfied every dependency.
+///
+/// [`SchedPolicy::Default`] leaves the batch in readied order and lets
+/// [`Dag::handoff_pick`] choose (slice-affine first, else oldest). The
+/// exploration policies order the batch by [`SchedPolicy::key`] — `seq`
+/// is this worker's readiness sequence number — and hand off its head.
+/// Manager jobs never ride the handoff under any policy (see
+/// `Dag::handoff_pick`).
+fn pick_handoff(
+    dag: &Dag,
+    sched: SchedPolicy,
+    seq: &mut u64,
+    completed: u32,
+    ready: &mut Vec<JobRef>,
+) -> Option<JobRef> {
+    if sched == SchedPolicy::Default {
+        let pos = dag.handoff_pick(completed, ready)?;
+        return Some(ready.remove(pos));
+    }
+    let base = *seq;
+    *seq += ready.len() as u64;
+    let mut keyed: Vec<_> = (base..)
+        .zip(ready.drain(..))
+        .map(|(n, job)| (sched.key(job, n), job))
+        .collect();
+    keyed.sort_by_key(|&(key, _)| key);
+    ready.extend(keyed.into_iter().map(|(_, job)| job));
+    let head = &dag.jobs[ready.first()?.idx as usize];
+    matches!(head.kind, JobKind::Comp(_)).then(|| ready.remove(0))
+}
+
+/// A worker's memo of the tenant it last ran a job for. Borrowed per job,
+/// dropped before parking so an idle pool holds no tenant references
+/// (deterministic teardown — see [`Runtime::drain`]).
+struct Cached {
+    tenant: Arc<Tenant>,
+    /// `window` is the tenant's window as of this version.
+    version: u64,
+    window: Arc<Window>,
 }
 
 fn worker_loop(shared: &MultiShared, wid: u32) {
     let me = &shared.locals[wid as usize];
     let ws = &shared.wstats[wid as usize];
+    let probe = shared.probe.as_deref();
+    let sched = probe.map_or(SchedPolicy::Default, |p| p.sched);
     let ring = shared.rings.as_ref().map(|rs| rs.ring(wid as usize));
-    if let Some(r) = &ring {
-        WORKER_RING.with(|cell| *cell.borrow_mut() = Some(Arc::clone(r)));
-    }
-    let mut per_node: HashMap<String, (u64, Duration)> = HashMap::new();
+    // Per-node busy time is kept only for a run whose owner reads it.
+    let mut per_node = probe.map(|_| HashMap::new());
     let mut ready: Vec<JobRef> = Vec::new();
-    // Per-worker caches, dropped before parking so an idle pool holds no
-    // tenant references (deterministic teardown — see `Runtime::drain`).
-    let mut tcache: Option<(u32, Arc<Tenant>)> = None;
-    let mut wcache: Option<(u32, u64, Arc<Window>)> = None;
+    let mut seq = 0u64;
+    let mut cache: Option<Cached> = None;
     let mut handoff: Option<MJob> = None;
-    loop {
+    'pool: loop {
         let mj = if let Some(mj) = handoff.take() {
             mj
         } else {
@@ -472,7 +509,7 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                     break mj;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
-                    return;
+                    break 'pool;
                 }
                 // Park: register interest, re-check everything, sleep.
                 let epoch = shared.ec.prepare();
@@ -480,14 +517,12 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                     break mj;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
-                    return;
+                    break 'pool;
                 }
-                tcache = None;
-                wcache = None;
-                // Telemetry: classify the stall *at park time* (the
-                // tenants' admission state explains why there is no
-                // work), time the sleep, and record it on this worker's
-                // ring when it ends.
+                cache = None;
+                // Classify the stall *at park time* (the tenants'
+                // admission state explains why there is no work), time
+                // the sleep, and record it when it ends.
                 let cause = classify_park(shared);
                 let parked = Instant::now();
                 shared.active.fetch_sub(1, Ordering::Relaxed);
@@ -496,48 +531,60 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                 let idle = parked.elapsed().as_nanos() as u64;
                 ws.parks.fetch_add(1, Ordering::Relaxed);
                 ws.idle_ns.fetch_add(idle, Ordering::Relaxed);
+                let start = parked.duration_since(shared.epoch).as_nanos() as u64;
                 if let Some(r) = &ring {
-                    let end = shared.now_ns();
                     r.record(RingEvent::Stall {
                         worker: wid,
                         cause,
-                        start: end.saturating_sub(idle),
-                        end,
+                        start,
+                        end: start + idle,
                     });
+                }
+                if let Some(p) = probe {
+                    if let Some(sink) = &p.trace {
+                        sink.record(TraceEvent::CoreStall {
+                            core: wid,
+                            cause,
+                            start,
+                            end: start + idle,
+                        });
+                    }
+                    if let Some(m) = &p.metrics {
+                        m.on_stall(cause, idle);
+                    }
                 }
             }
         };
-        let tenant = match &tcache {
-            Some((id, t)) if *id == mj.graph => t.clone(),
-            _ => match shared.graphs.read().get(&mj.graph) {
-                Some(t) => {
-                    let t = t.clone();
-                    tcache = Some((mj.graph, t.clone()));
-                    t
-                }
-                // Graph already torn down (failed + drained): discard.
-                None => continue,
-            },
-        };
-        let g = &tenant.core;
+        if cache.as_ref().is_none_or(|c| c.tenant.id != mj.graph) {
+            let Some(tenant) = shared.graphs.read().get(&mj.graph).cloned() else {
+                continue; // graph already torn down (failed + drained): discard
+            };
+            let version = tenant.core.window_version.load(Ordering::Acquire);
+            // SAFETY: holding an in-flight job popped after the last swap.
+            let window = unsafe { tenant.core.load_window() };
+            cache = Some(Cached {
+                tenant,
+                version,
+                window,
+            });
+        }
+        let c = cache.as_mut().expect("tenant cached above");
+        let g = &c.tenant.core;
         if g.aborted.load(Ordering::Acquire) {
             continue; // failed graph: discard its queued jobs
         }
         // The in-flight job pins its graph's window; re-validate the
-        // cached Arc against the per-graph version.
+        // cached one against the per-graph version.
         let version = g.window_version.load(Ordering::Acquire);
-        let window = match &wcache {
-            Some((id, v, w)) if *id == mj.graph && *v == version => w.clone(),
-            _ => {
-                // SAFETY: holding an in-flight job popped after the swap.
-                let w = unsafe { g.load_window() };
-                wcache = Some((mj.graph, version, w.clone()));
-                w
-            }
-        };
+        if version != c.version {
+            // SAFETY: holding an in-flight job popped after the swap.
+            c.window = unsafe { g.load_window() };
+            c.version = version;
+        }
+        let window: &Window = &c.window;
         let started = Instant::now();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            g.execute(&window, mj.job, wid, started, &mut per_node, &mut ready)
+            g.execute(window, mj.job, wid, started, per_node.as_mut(), &mut ready)
         }));
         match result {
             Ok(retired) => {
@@ -556,51 +603,53 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                         end: start + busy,
                     });
                 }
-                // Direct handoff of a readied component job — slice-
-                // affine first, else oldest, as in the single-run driver
-                // (policy in `Dag::handoff_pick`); the handoff never
-                // crosses a graph boundary (successors share the
-                // completer's graph).
-                handoff = window.dag.handoff_pick(mj.job.idx, &ready).map(|pos| MJob {
+                // The handoff never crosses a graph boundary (successors
+                // share the completer's graph). The rest are published
+                // with one targeted wake-up each.
+                let tag = |job| MJob {
                     graph: mj.graph,
-                    job: ready.remove(pos),
-                });
-                let mut published = 0;
+                    job,
+                };
+                handoff =
+                    pick_handoff(&window.dag, sched, &mut seq, mj.job.idx, &mut ready).map(tag);
+                let published = ready.len();
                 for job in ready.drain(..) {
-                    me.push(
-                        MJob {
-                            graph: mj.graph,
-                            job,
-                        },
-                        &shared.injector,
-                    );
-                    published += 1;
+                    me.push(tag(job), &shared.injector);
                 }
                 if published > 0 {
                     shared.wake(published);
                 }
                 if let Some(iter) = retired {
+                    // Admission (or a quiesce resume) may publish fresh
+                    // source jobs. At steady state nothing is seeded —
+                    // admitted jobs wait on self-dependencies that
+                    // completers deliver — so retirement stays silent.
                     let mut seeded = Vec::new();
-                    g.retire(iter, &mut seeded);
+                    g.retire(iter, wid, &mut seeded);
                     if !seeded.is_empty() {
                         let n = seeded.len();
-                        shared
-                            .injector
-                            .push_many(seeded.into_iter().map(|job| MJob {
-                                graph: mj.graph,
-                                job,
-                            }));
+                        shared.injector.push_many(seeded.into_iter().map(tag));
                         shared.wake(n);
                     }
                 }
             }
             Err(payload) => {
-                // Unlike the single-run driver, a panic does not take the
-                // pool down: the graph is marked failed and isolated.
+                // A panic does not take the pool down: the graph is
+                // marked failed and isolated.
                 ready.clear();
-                handoff = None;
-                tenant.fail(panic_message(payload));
+                c.tenant.fail(panic_message(&*payload));
+                if let Some(p) = probe {
+                    p.panic.lock().get_or_insert(payload);
+                }
             }
+        }
+    }
+    if let (Some(p), Some(mine)) = (probe, per_node) {
+        let mut all = p.per_node.lock();
+        for (name, (jobs, busy)) in mine {
+            let e = all.entry(name).or_default();
+            e.0 += jobs;
+            e.1 += busy;
         }
     }
 }
@@ -616,6 +665,12 @@ impl Runtime {
     /// Start a pool of `cfg.workers` threads. The pool idles (parked, no
     /// CPU) until the first submission.
     pub fn new(cfg: RuntimeConfig) -> Self {
+        Self::start(cfg, None)
+    }
+
+    /// [`Runtime::new`]; with a `probe`, a pool owned by one `run_native`
+    /// call and reporting to it.
+    pub(super) fn start(cfg: RuntimeConfig, probe: Option<Arc<RunProbe>>) -> Self {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(MultiShared {
             graphs: RwLock::new(HashMap::new()),
@@ -630,6 +685,7 @@ impl Runtime {
             rings: (cfg.ring_capacity > 0)
                 .then(|| Arc::new(RingSet::new(workers, cfg.ring_capacity))),
             wstats: (0..workers).map(|_| WorkerStats::default()).collect(),
+            probe,
         });
         let handles = (0..workers)
             .map(|i| {
@@ -662,40 +718,59 @@ impl Runtime {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
+        let inst = instantiate_graph_sized(spec, opts.pipeline_depth.max(1));
+        Ok(self.install(inst, opts))
+    }
+
+    /// Register an instantiated graph (stream rings sized for
+    /// `opts.pipeline_depth`) as a tenant.
+    pub(super) fn install(&self, inst: InstanceGraph, opts: SpawnOpts) -> GraphId {
         let depth = opts.pipeline_depth.max(1);
-        let inst = instantiate_graph_sized(spec, depth);
         let dag = Arc::new(flatten(&inst.root, &inst.streams, 0));
-        let metrics = Arc::new(EngineMetrics::new());
+        // A serving tenant always carries a labeled metrics registry; a
+        // `run_native` tenant carries what its caller asked for.
+        let (trace, metrics) = match &self.shared.probe {
+            Some(p) => (p.trace.clone(), p.metrics.clone()),
+            None => (None, Some(Arc::new(EngineMetrics::new()))),
+        };
         let clock = Arc::new(FrameClock::new());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let hook: RetireHook = {
             let clock = Arc::clone(&clock);
             let epoch = self.shared.epoch;
-            Box::new(move |iter| {
+            let rings = self.shared.rings.clone();
+            Box::new(move |iter, drained, worker| {
                 let accepted = clock.times.lock().pop_front();
                 if let Some(at) = accepted {
                     let latency = at.elapsed().as_nanos() as u64;
                     clock.latency.record(latency);
-                    // The hook runs on the retiring worker's thread, so
-                    // this lands on that worker's single-writer ring.
-                    ring_record(RingEvent::Retire {
-                        graph: id,
-                        iter: iter as u32,
-                        at: epoch.elapsed().as_nanos() as u64,
-                        latency,
-                    });
+                    // Retirements are applied on worker threads only, so
+                    // the applying worker's ring stays single-writer.
+                    if let Some(rs) = &rings {
+                        rs.ring(worker as usize).record(RingEvent::Retire {
+                            graph: id,
+                            iter: iter as u32,
+                            at: epoch.elapsed().as_nanos() as u64,
+                            latency,
+                        });
+                    }
                 }
-                clock.notify();
+                // Only a drained tenant can release a `Runtime::drain`
+                // waiter; waking it per frame just has it re-check and
+                // go back to sleep.
+                if drained {
+                    clock.notify();
+                }
             })
         };
         let core = GraphCore::new(
             inst,
             dag,
             depth as u64,
-            0,
-            None,
-            Some(Arc::clone(&metrics)),
-            Some(hook),
+            self.shared.epoch,
+            trace,
+            metrics.clone(),
+            hook,
         );
         let tenant = Arc::new(Tenant {
             id,
@@ -707,15 +782,17 @@ impl Runtime {
             shed: AtomicU64::new(0),
             draining: AtomicBool::new(false),
         });
-        self.shared.labels.register(
-            GraphLabel {
-                graph_id: id as u64,
-                app: opts.label,
-            },
-            metrics,
-        );
+        if let (None, Some(metrics)) = (&self.shared.probe, metrics) {
+            self.shared.labels.register(
+                GraphLabel {
+                    graph_id: id as u64,
+                    app: opts.label,
+                },
+                metrics,
+            );
+        }
         self.shared.graphs.write().insert(id, tenant);
-        Ok(GraphId(id))
+        GraphId(id)
     }
 
     /// Offer `n` frames to graph `id`. Accepts at most the tenant's spare
@@ -946,7 +1023,7 @@ impl Runtime {
                 .collect(),
             queued_jobs: self.queued_jobs(),
             idle_workers: self.idle_workers(),
-            uptime_ns: self.shared.now_ns(),
+            uptime_ns: self.shared.epoch.elapsed().as_nanos() as u64,
         }
     }
 

@@ -1,483 +1,120 @@
-//! Native engine: worker threads against a central job queue.
+//! Native engine driver: one run of one graph on real worker threads.
 //!
-//! This is Hinch's production execution mode: `workers` threads repeatedly
-//! take a ready job from the central queue, execute it, and feed the
-//! completion back into the shared [`Tracker`]. Load balancing is automatic
-//! — whichever worker is idle takes the next job, exactly the central-job-
-//! queue policy of the paper.
+//! There is one native engine, the work-stealing multi-graph [`Runtime`]
+//! of [`super::multi`]; [`run_native`] is that runtime with one tenant.
+//! The paper's central-job-queue policy is not executed here: it is the
+//! policy of the simulator ([`super::sim`], where every reproduced figure
+//! comes from) and of the oracle ([`super::reference`]).
 
-use super::{apply_plans, exec_manager_entry, PreparedReconfig, RunConfig};
-use crate::component::RunCtx;
+use super::multi::{RunProbe, Runtime, RuntimeConfig, SpawnOpts, WorkerTelemetry};
+use super::RunConfig;
 use crate::error::HinchError;
-use crate::graph::flatten::{flatten, JobKind};
-use crate::graph::instance::{instantiate_graph_sized, InstanceGraph};
+use crate::graph::instance::instantiate_graph_sized;
 use crate::graph::GraphSpec;
-use crate::meter::NullMeter;
 use crate::report::RunReport;
-use crate::sched::{splitmix64, Effect, JobRef, SchedPolicy, Tracker};
-use crate::sync::{thread, Condvar, Mutex};
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
+use crate::sync::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trace::{SpanKind, StallCause, TraceEvent, TraceSink};
 
-struct State {
-    tracker: Tracker,
-    inst: InstanceGraph,
-    ready: VecDeque<JobRef>,
-    /// Ready-queue tie-break policy (schedule exploration).
-    sched: SchedPolicy,
-    /// Pops so far, seeding the shuffle policy's pick.
-    pops: u64,
-    pending: Vec<PreparedReconfig>,
-    version: u64,
-    reconfigs: u64,
-    per_node: std::collections::HashMap<String, (u64, std::time::Duration)>,
-    /// Busy / blocked wall-clock time per worker.
-    core_busy: Vec<Duration>,
-    core_idle: Vec<Duration>,
-    /// When the open quiesce window (drain) started, for the metrics
-    /// registry's quiesce accounting.
-    quiesce_open: Option<Instant>,
-    /// Set when a worker panicked; remaining workers drain out.
-    aborted: bool,
-    /// A lease conflict caught by a worker, surfaced as a structured
-    /// error from [`run_native`] instead of a panic.
-    failure: Option<HinchError>,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    cv: Condvar,
-    /// Flight-recorder sink; `None` costs one branch per would-be event.
-    trace: Option<Arc<dyn TraceSink>>,
-    /// Always-on metrics registry; `None` costs one branch per update.
-    metrics: Option<Arc<trace::metrics::EngineMetrics>>,
-    /// Trace timestamps are nanoseconds since this instant.
-    epoch: Instant,
-    /// Run bounds, for classifying what an idle worker is blocked on.
-    iterations: u64,
-    pipeline_depth: u64,
-}
-
-impl Shared {
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-}
-
-impl State {
-    /// Take the next ready job according to the scheduling policy. Any
-    /// pick is a valid schedule (dependencies are already satisfied); the
-    /// policy only decides which one this run walks. Thread interleaving
-    /// keeps the native engine nondeterministic either way — the policies
-    /// simply bias it towards different corners of the schedule space.
-    fn pop_ready(&mut self) -> Option<JobRef> {
-        let job = match self.sched {
-            SchedPolicy::Default | SchedPolicy::Fifo => self.ready.pop_front(),
-            SchedPolicy::Lifo => self.ready.pop_back(),
-            SchedPolicy::Shuffle(seed) => {
-                if self.ready.is_empty() {
-                    None
-                } else {
-                    let pick = splitmix64(seed ^ splitmix64(self.pops)) as usize % self.ready.len();
-                    self.ready.remove(pick)
-                }
-            }
-            SchedPolicy::Perturb(seed) => {
-                // Oldest iteration first, seeded hash of the node index
-                // as the tie-break — mirrors the sim engine's key.
-                self.ready
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, j)| (j.iter, splitmix64(seed ^ splitmix64(j.idx as u64 + 1))))
-                    .map(|(i, _)| i)
-                    .and_then(|i| self.ready.remove(i))
-            }
-        };
-        if job.is_some() {
-            self.pops += 1;
-        }
-        job
-    }
-}
-
-/// Classify what a worker finding the ready queue empty is blocked on.
-/// Snapshot taken at wait entry (under the engine lock): a drain window
-/// means quiesce; all iterations admitted means the run is tailing off;
-/// a full pipeline means admission backpressure; otherwise the worker
-/// starves for a dependency to complete.
-fn wait_cause(shared: &Shared, state: &State) -> StallCause {
-    if state.tracker.is_halted() {
-        StallCause::Quiesce
-    } else if state.tracker.next_admit() >= shared.iterations {
-        StallCause::JobQueueEmpty
-    } else if state.tracker.next_admit() - state.tracker.completed_iterations()
-        >= shared.pipeline_depth
-    {
-        StallCause::Backpressure
-    } else {
-        StallCause::Starvation
-    }
-}
-
-/// Run `spec` for `cfg.iterations` iterations on `cfg.workers` threads.
+/// Run `spec` for `cfg.iterations` iterations on `cfg.workers` threads:
+/// start a pool, spawn the graph, submit every iteration (admission then
+/// proceeds `cfg.pipeline_depth` at a time), drain, join, report.
 ///
 /// Returns once every iteration completed. Component panics propagate to
 /// the caller, except shared-buffer lease conflicts, which return as
-/// [`HinchError::LeaseConflict`].
+/// [`HinchError::LeaseConflict`]. A non-default `cfg.sched` steers the
+/// worker loop's pick hook (which readied job a completion hands off, and
+/// the order the rest are queued in); every policy walks a valid schedule.
 pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchError> {
     spec.validate()?;
     cfg.validate()?;
-    if matches!(cfg.sched, crate::sched::SchedPolicy::Default) {
-        // Fast path: the work-stealing runtime. The seeded exploration
-        // policies (fifo/lifo/shuffle/perturb) need a centralized queue to
-        // replay deterministically, so they stay on the engine below.
-        return super::ws::run_ws(spec, cfg);
-    }
     let inst = instantiate_graph_sized(spec, cfg.pipeline_depth);
-    let dag = Arc::new(flatten(&inst.root, &inst.streams, 0));
-    let mut tracker = Tracker::new(dag, cfg.pipeline_depth, cfg.iterations);
-    let mut ready = Vec::new();
-    tracker.admit(&mut ready);
-
-    let admitted = tracker.next_admit();
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            tracker,
-            inst,
-            ready: ready.into_iter().collect(),
-            sched: cfg.sched,
-            pops: 0,
-            pending: Vec::new(),
-            version: 0,
-            reconfigs: 0,
-            per_node: std::collections::HashMap::new(),
-            core_busy: vec![Duration::ZERO; cfg.workers],
-            core_idle: vec![Duration::ZERO; cfg.workers],
-            quiesce_open: None,
-            aborted: false,
-            failure: None,
-        }),
-        cv: Condvar::new(),
+    // The report's map, keyed on this thread with every leaf (each runs in
+    // iteration 0): an exiting worker then only adds to entries and frees
+    // its own keys. What a worker allocates and leaves behind pins its
+    // allocator arena, and the memory the run freed there (captured frames,
+    // stream payloads) is then never returned to the system.
+    let per_node = {
+        let mut leaves = Vec::new();
+        inst.root.collect_leaves(&mut leaves);
+        let zero = (0, Duration::ZERO);
+        leaves.iter().map(|l| (l.name.clone(), zero)).collect()
+    };
+    let probe = Arc::new(RunProbe {
         trace: cfg.trace.clone(),
         metrics: cfg.metrics.clone(),
-        epoch: Instant::now(),
-        iterations: cfg.iterations,
-        pipeline_depth: cfg.pipeline_depth as u64,
+        sched: cfg.sched,
+        per_node: Mutex::new(per_node),
+        panic: Mutex::new(None),
     });
-    if let Some(sink) = &shared.trace {
-        for iter in 0..admitted {
-            sink.record(TraceEvent::IterationAdmitted { iter, at: 0 });
-        }
-    }
 
-    let start = Instant::now();
-    let workers: Vec<_> = (0..cfg.workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("hinch-worker-{i}"))
-                .spawn(move || worker_loop(&shared, i as u32))
-                .expect("spawn worker")
-        })
-        .collect();
+    // `elapsed` covers what it always has — starting the workers, and the
+    // run from its first admission to the join — and not building the
+    // graph's scheduling state in between.
+    let spawning = Instant::now();
+    // Rings off: the flight recorder is the serving plane's; a run that
+    // wants events attaches `cfg.trace`.
+    let pool = RuntimeConfig::new(cfg.workers).ring_capacity(0);
+    let rt = Runtime::start(pool, Some(Arc::clone(&probe)));
+    let spawned = spawning.elapsed();
+    let opts = SpawnOpts::new("run_native")
+        .pipeline_depth(cfg.pipeline_depth)
+        .max_backlog(cfg.iterations);
+    let id = rt.install(inst, opts);
+    let running = Instant::now();
+    let accepted = rt
+        .submit(id, cfg.iterations)
+        .expect("a fresh tenant on a live pool accepts frames");
+    assert_eq!(accepted, cfg.iterations, "the backlog bound is the run");
+    let drained = rt.drain(id);
+    // Joins the pool: every worker merged its per-node map and any panic
+    // payload is in place before the probe is read below.
+    rt.shutdown();
+    let elapsed = spawned + running.elapsed();
 
-    let mut panicked = None;
-    for w in workers {
-        if let Err(payload) = w.join() {
-            panicked = Some(payload);
-        }
-    }
-    if let Some(payload) = panicked {
-        std::panic::resume_unwind(payload);
-    }
-
-    let elapsed = start.elapsed();
-    let state = shared.state.lock();
-    if let Some(failure) = state.failure.clone() {
-        return Err(failure);
-    }
-    Ok(RunReport {
-        iterations: state.tracker.completed_iterations(),
-        elapsed,
-        jobs_executed: state.tracker.jobs_executed(),
-        reconfigs: state.reconfigs,
-        workers: cfg.workers,
-        per_node: state.per_node.clone(),
-        core_busy: state.core_busy.clone(),
-        core_idle: state.core_idle.clone(),
-    })
-}
-
-fn worker_loop(shared: &Shared, core: u32) {
-    let mut busy = Duration::ZERO;
-    let mut idle = Duration::ZERO;
-    let flush = |state: &mut State, busy: Duration, idle: Duration| {
-        state.core_busy[core as usize] += busy;
-        state.core_idle[core as usize] += idle;
-    };
-    loop {
-        let job = {
-            let mut state = shared.state.lock();
-            loop {
-                if state.aborted {
-                    flush(&mut state, busy, idle);
-                    return;
-                }
-                if let Some(job) = state.pop_ready() {
-                    break job;
-                }
-                if state.tracker.finished() {
-                    flush(&mut state, busy, idle);
-                    shared.cv.notify_all();
-                    return;
-                }
-                // Classify the blockage before sleeping; each wait
-                // becomes one stall interval.
-                let cause = wait_cause(shared, &state);
-                let wait_start = shared.now();
-                let waited_from = Instant::now();
-                shared.cv.wait(&mut state);
-                let waited = waited_from.elapsed();
-                idle += waited;
-                if let Some(sink) = &shared.trace {
-                    sink.record(TraceEvent::CoreStall {
-                        core,
-                        cause,
-                        start: wait_start,
-                        end: shared.now(),
-                    });
-                }
-                if let Some(m) = &shared.metrics {
-                    m.on_stall(cause, waited.as_nanos() as u64);
-                }
-            }
-        };
-        let started = Instant::now();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| execute(shared, job, core)));
-        let span = started.elapsed();
-        busy += span;
-        if result.is_ok() {
-            if let Some(m) = &shared.metrics {
-                m.on_job(span.as_nanos() as u64);
-            }
-        }
-        if let Err(payload) = result {
-            let mut state = shared.state.lock();
-            flush(&mut state, busy, idle);
-            state.aborted = true;
+    let stats = match drained {
+        Ok(stats) => stats,
+        Err(_) => {
+            let payload = probe
+                .panic
+                .lock()
+                .take()
+                .expect("a tenant only fails by a caught component panic");
             // A lease conflict is the scheduling-bug detector firing:
-            // surface it as a structured error from run_native. Any other
-            // panic is an application bug and keeps propagating.
-            match payload.downcast::<crate::sharedbuf::LeaseConflict>() {
-                Ok(conflict) => {
-                    state
-                        .failure
-                        .get_or_insert(HinchError::LeaseConflict(*conflict));
-                    shared.cv.notify_all();
-                    return;
-                }
-                Err(payload) => {
-                    shared.cv.notify_all();
-                    drop(state);
-                    std::panic::resume_unwind(payload);
-                }
-            }
+            // surface it as a structured error. Any other panic is an
+            // application bug and keeps propagating.
+            return match payload.downcast::<crate::sharedbuf::LeaseConflict>() {
+                Ok(conflict) => Err(HinchError::LeaseConflict(*conflict)),
+                Err(payload) => std::panic::resume_unwind(payload),
+            };
         }
-    }
-}
-
-fn execute(shared: &Shared, job: JobRef, core: u32) {
-    let kind = {
-        let state = shared.state.lock();
-        state.tracker.kind(job)
     };
-    match kind {
-        JobKind::Comp(leaf) => {
-            // Run outside the engine lock: this is where the real work
-            // happens and where parallelism comes from.
-            let started = Instant::now();
-            let mut meter = NullMeter;
-            let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter);
-            {
-                let _node = crate::sharedbuf::enter_node_shared(leaf.tag.clone());
-                // See `LeafRt::comp`: the tracker's per-node self-dependency
-                // guarantees exclusive ownership of this instance for the
-                // duration of the job, so a blocked lock is a scheduler bug.
-                leaf.comp
-                    .try_lock()
-                    .expect("per-node mutual exclusion violated (scheduler bug)")
-                    .run(&mut ctx);
-            }
-            let busy = started.elapsed();
-            if let Some(sink) = &shared.trace {
-                let end = shared.now();
-                sink.record(TraceEvent::JobSpan {
-                    label: leaf.name.clone(),
-                    kind: SpanKind::Component,
-                    iter: job.iter,
-                    core,
-                    start: end.saturating_sub(busy.as_nanos() as u64),
-                    end,
-                    cycles: 0,
-                    cache: None,
-                });
-            }
-            let mut state = shared.state.lock();
-            let entry = state.per_node.entry(leaf.name.clone()).or_default();
-            entry.0 += 1;
-            entry.1 += busy;
-            finish_locked(shared, &mut state, job);
-        }
-        JobKind::MgrEntry(mgr) => {
-            let start = shared.trace.as_ref().map(|_| shared.now());
-            let mut state = shared.state.lock();
-            let streams = state.inst.streams.clone();
-            let (plan, cost) = exec_manager_entry(&mgr, &streams, &state.pending);
-            if let Some(m) = &shared.metrics {
-                m.event_polls.inc();
-                m.events_drained.add(cost.events as u64);
-            }
-            if plan.is_some() && !state.tracker.is_halted() {
-                state.quiesce_open = Some(Instant::now());
-            }
-            if let Some(sink) = &shared.trace {
-                let end = shared.now();
-                sink.record(TraceEvent::JobSpan {
-                    label: format!("{}.entry", mgr.name),
-                    kind: SpanKind::ManagerEntry,
-                    iter: job.iter,
-                    core,
-                    start: start.unwrap_or(end),
-                    end,
-                    cycles: 0,
-                    cache: None,
-                });
-                sink.record(TraceEvent::EventPoll {
-                    manager: mgr.name.clone(),
-                    events: cost.events as u64,
-                    at: end,
-                });
-                if plan.is_some() && !state.tracker.is_halted() {
-                    sink.record(TraceEvent::QuiesceBegin { at: end });
-                }
-            }
-            if let Some(plan) = plan {
-                state.pending.push(plan);
-                state.tracker.halt();
-            }
-            finish_locked(shared, &mut state, job);
-        }
-        JobKind::MgrExit(mgr) => {
-            // Synchronization point only.
-            if let Some(sink) = &shared.trace {
-                let now = shared.now();
-                sink.record(TraceEvent::JobSpan {
-                    label: format!("{}.exit", mgr.name),
-                    kind: SpanKind::ManagerExit,
-                    iter: job.iter,
-                    core,
-                    start: now,
-                    end: now,
-                    cycles: 0,
-                    cache: None,
-                });
-            }
-            finish(shared, job);
-        }
-    }
-}
-
-fn finish(shared: &Shared, job: JobRef) {
-    let mut state = shared.state.lock();
-    finish_locked(shared, &mut state, job);
-}
-
-fn finish_locked(shared: &Shared, state: &mut State, job: JobRef) {
-    let admitted_before = if shared.trace.is_some() {
-        state.tracker.next_admit()
-    } else {
-        0
+    // Copied, not taken: entries of nodes a reconfiguration grafted were
+    // added by workers, and the report must hold none of their memory.
+    let per_node = probe.per_node.lock().clone();
+    let workers = rt.telemetry().workers;
+    let times = |ns: fn(&WorkerTelemetry) -> u64| -> Vec<Duration> {
+        workers
+            .iter()
+            .map(|w| Duration::from_nanos(ns(w)))
+            .collect()
     };
-    let mut newly = Vec::new();
-    let effect = state.tracker.complete(job, &mut newly);
-    state.ready.extend(newly);
-    if effect != Effect::None {
-        if let Some(m) = &shared.metrics {
-            m.iterations.inc();
-        }
-    }
-    if let Some(sink) = &shared.trace {
-        if effect != Effect::None {
-            let at = shared.now();
-            sink.record(TraceEvent::IterationRetired { iter: job.iter, at });
-            for stream in state.tracker.dag_of(job.iter).streams.iter() {
-                sink.record(TraceEvent::StreamOccupancy {
-                    stream: stream.name().to_string(),
-                    live_slots: stream.live_slots() as u64,
-                    at,
-                });
-            }
-        }
-    }
-    if effect == Effect::Quiescent {
-        let window = state.quiesce_open.take();
-        if let Some(m) = &shared.metrics {
-            m.quiesce_windows.inc();
-            m.quiesce_time
-                .add(window.map_or(0, |w| w.elapsed().as_nanos() as u64));
-        }
-        let plans = std::mem::take(&mut state.pending);
-        if plans.is_empty() {
-            // halted but no plans (defensive): resume with the same dag
-            let dag = state.tracker.current_dag();
-            let mut resumed = Vec::new();
-            state.tracker.resume_with(dag, &mut resumed);
-            state.ready.extend(resumed);
-            if let Some(sink) = &shared.trace {
-                sink.record(TraceEvent::QuiesceEnd { at: shared.now() });
-            }
-        } else {
-            state.version += 1;
-            let outcome = apply_plans(&state.inst, plans, state.version);
-            state.reconfigs += outcome.applied;
-            if let Some(m) = &shared.metrics {
-                m.reconfigs.add(outcome.applied);
-            }
-            let mut resumed = Vec::new();
-            state.tracker.resume_with(outcome.dag, &mut resumed);
-            state.ready.extend(resumed);
-            if let Some(sink) = &shared.trace {
-                let at = shared.now();
-                sink.record(TraceEvent::ReconfigApplied {
-                    plans: outcome.applied,
-                    grafted: outcome.grafted as u64,
-                    at,
-                });
-                sink.record(TraceEvent::DagSwap {
-                    version: state.version,
-                    at,
-                });
-                sink.record(TraceEvent::QuiesceEnd { at });
-            }
-        }
-    }
-    if let Some(sink) = &shared.trace {
-        let at = shared.now();
-        for iter in admitted_before..state.tracker.next_admit() {
-            sink.record(TraceEvent::IterationAdmitted { iter, at });
-        }
-    }
-    // Wake workers: new jobs, or the run may be finished.
-    shared.cv.notify_all();
+    Ok(RunReport {
+        iterations: stats.completed,
+        elapsed,
+        jobs_executed: stats.jobs_executed,
+        reconfigs: stats.reconfigs,
+        workers: cfg.workers,
+        per_node,
+        core_busy: times(|w| w.busy_ns),
+        core_idle: times(|w| w.idle_ns),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Component, Params};
+    use crate::component::{Component, Params, RunCtx};
     use crate::event::{Event, EventQueue};
     use crate::graph::testutil::{leaf, slice_leaf};
     use crate::graph::{factory, ComponentSpec, GraphSpec, ManagerSpec};

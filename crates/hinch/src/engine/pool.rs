@@ -1,12 +1,9 @@
-//! Worker-pool building blocks shared by the single-run work-stealing
-//! driver ([`super::ws`]) and the long-lived multi-graph serving runtime
-//! ([`super::multi`]).
+//! Worker-pool building blocks of the native runtime ([`super::multi`]).
 //!
 //! The three primitives are generic over the job token `T` (a small
-//! `Copy` value): the single-run driver schedules bare
-//! [`crate::sched::JobRef`]s, the serving runtime tags each job with its
-//! graph instance. The synchronization protocols are identical in both —
-//! they are documented here once and relied on by both drivers.
+//! `Copy` value; the runtime tags each [`crate::sched::JobRef`] with its
+//! graph instance). The synchronization protocols are documented here
+//! once and relied on by the worker loop.
 //!
 //! All synchronization goes through [`crate::sync`]: under
 //! `--cfg hinch_model` these exact protocols run on the model checker
@@ -24,8 +21,7 @@ use std::mem::MaybeUninit;
 pub const LOCAL_CAP: usize = 256;
 
 /// A bounded single-producer multi-consumer ring (the owner pushes at the
-/// tail; the owner pops and thieves steal at the head, both oldest-first —
-/// matching the centralized engine's historical `pop_front` order).
+/// tail; the owner pops and thieves steal at the head, both oldest-first).
 ///
 /// `head` packs two `u32` indices: `steal` (the claim frontier — trails
 /// while a thief is mid-copy) and `real` (the consumption frontier). The

@@ -117,13 +117,12 @@ impl Dag {
     ///    same slice, whose input rows this worker just wrote (warm in
     ///    its private cache);
     /// 2. otherwise the oldest readied component job — the structural
-    ///    successor the centralized engine's `pop_front` would run next.
+    ///    successor inside the same iteration.
     ///
     /// Manager jobs never ride the handoff: they are once-per-iteration
     /// control points (admit lock, halt decisions), and routing them
-    /// through the queues preserves the centralized engine's manager/body
-    /// interleaving instead of letting one worker run a whole iteration
-    /// depth-first past them.
+    /// through the queues interleaves them with the body's jobs instead
+    /// of letting one worker run a whole iteration depth-first past them.
     pub fn handoff_pick(&self, completed: u32, ready: &[crate::sched::JobRef]) -> Option<usize> {
         if let Some(aff) = self.jobs[completed as usize].affinity {
             let pos = ready.iter().position(|j| {

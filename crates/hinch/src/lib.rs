@@ -2,9 +2,9 @@
 //!
 //! Hinch executes a hierarchical **Series-Parallel-Contention (SPC)** task
 //! graph of [`Component`]s in a data-flow style: every *iteration* of the
-//! application runs each node of the graph once, a central job queue hands
-//! ready jobs to workers (automatic load balancing), and several iterations
-//! are kept in flight concurrently (pipeline parallelism).
+//! application runs each node of the graph once, ready jobs go to whichever
+//! worker is free (automatic load balancing), and several iterations are
+//! kept in flight concurrently (pipeline parallelism).
 //!
 //! The graph supports the composition forms of the XSPCL coordination
 //! language (ICPP 2007):
@@ -24,12 +24,19 @@
 //! shared output buffer per iteration using [`sharedbuf::RegionBuf`], which
 //! checks at run time that concurrent writers lease *disjoint* regions.
 //!
-//! Two engines execute the same scheduler core:
+//! Two engines execute the same graphs:
 //!
-//! * [`engine::native`] — real worker threads, wall-clock time;
+//! * [`engine::native`] — real worker threads, wall-clock time: one
+//!   work-stealing multi-graph runtime ([`Runtime`]); [`run_native`] is that
+//!   runtime with a single tenant;
 //! * [`engine::sim`] — deterministic discrete-event execution on a virtual
 //!   [`meter::Platform`] (e.g. the SpaceCAKE tile model in the `spacecake`
-//!   crate), which reports cycle counts for any number of virtual cores.
+//!   crate), which reports cycle counts for any number of virtual cores and
+//!   keeps the paper's central job queue.
+//!
+//! [`sched::Tracker`] is the sequential specification of the dependency
+//! rules, run by the simulator and by the [`run_reference`] oracle; the
+//! native runtime tracks dependencies with its own atomic counters.
 
 pub mod component;
 pub mod engine;

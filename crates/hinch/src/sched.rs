@@ -1,4 +1,10 @@
-//! The scheduler core shared by both engines.
+//! The sequential specification of the scheduler, and the tie-break
+//! policies every engine honours.
+//!
+//! [`Tracker`] is run by the simulator and the reference oracle. The
+//! native runtime restates the same rules with atomic counters
+//! (`engine::core::GraphCore`); the differential matrix holds the two
+//! against each other, which is worth something while they share no code.
 //!
 //! [`Tracker`] implements the data-flow iteration machinery: it *admits* up
 //! to `pipeline_depth` concurrent iterations (pipeline parallelism — no
@@ -26,19 +32,22 @@ pub struct JobRef {
     pub idx: u32,
 }
 
-/// Tie-break policy for the central ready queue.
+/// Tie-break policy among ready jobs.
 ///
 /// Whenever more than one job is ready, every choice among them is a
 /// *valid* schedule — the tracker already enforces all dependencies. The
 /// policy only decides which valid schedule the engine walks, which is
 /// exactly the degree of freedom differential testing needs to explore:
 /// a schedule-independent application must produce byte-identical output
-/// under every variant, and each variant is fully deterministic (in the
-/// sim engine) so any divergence replays from `(spec, policy, config)`.
+/// under every variant. In the sim engine the policy orders the central
+/// ready queue and each variant is fully deterministic, so any divergence
+/// replays from `(spec, policy, config)`; in the native runtime it orders
+/// each completion's readied batch (which job rides the direct handoff,
+/// and the order the rest are queued in), deterministic at one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedPolicy {
-    /// The engines' historical order: oldest iteration first, LIFO within
-    /// an iteration (sim); plain queue order (native).
+    /// The engines' production order: oldest iteration first, LIFO within
+    /// an iteration (sim); slice-affine handoff, else readied order (native).
     #[default]
     Default,
     /// Strictly first-ready-first-served.

@@ -21,7 +21,10 @@
 use hinch::engine::pool::{EventCount, Injector, LocalQueue};
 use hinch::graph::{factory, ComponentSpec, GraphSpec};
 use hinch::sync::faults;
-use hinch::{Component, Params, RunCtx, Runtime, RuntimeConfig, SpawnOpts};
+use hinch::{
+    run_native, Component, Event, EventAction, EventQueue, ManagerSpec, Params, RunConfig, RunCtx,
+    Runtime, RuntimeConfig, SpawnOpts,
+};
 use schedcheck::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use schedcheck::{env_iters, Config, Strategy};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard, OnceLock};
@@ -53,17 +56,21 @@ impl Component for Nop {
     fn run(&mut self, _ctx: &mut RunCtx<'_>) {}
 }
 
-/// Single no-op leaf: the smallest graph the serving runtime accepts.
-/// One job per frame keeps the schedule space small enough to explore.
-fn nop_spec() -> GraphSpec {
+fn nop_leaf(name: &str) -> GraphSpec {
     GraphSpec::leaf(ComponentSpec::new(
-        "nop",
+        name,
         "nop",
         factory(
             |_p: &Params| -> Box<dyn Component> { Box::new(Nop) },
             Params::new(),
         ),
     ))
+}
+
+/// Single no-op leaf: the smallest graph the serving runtime accepts.
+/// One job per frame keeps the schedule space small enough to explore.
+fn nop_spec() -> GraphSpec {
+    nop_leaf("nop")
 }
 
 #[test]
@@ -207,6 +214,53 @@ fn runtime_two_rounds_restore_baseline() {
         assert_eq!(rt.graph_count(), 0);
         assert_eq!(rt.queued_jobs(), 0);
         rt.shutdown();
+    })
+    .unwrap_or_else(|f| panic!("{f}"));
+}
+
+/// `run_native` is the runtime with one tenant: spawn → submit → drain →
+/// shutdown, then a report folded from what the pool observed. Two
+/// hand-offs in that driver are only as good as their ordering: the
+/// drain waiter is woken once, by the retirement that leaves the tenant
+/// drained (not per frame), and the per-node map is merged by each worker
+/// as it exits and read after the join. On every explored schedule — a
+/// queued event makes the first manager entry quiesce and graft the
+/// option mid-run — the run must end (no lost drain wake-up) and the
+/// report must be complete: every iteration retired, every executed
+/// component job accounted to a node.
+#[test]
+fn run_native_report_is_complete_on_every_schedule() {
+    let _serial = runtime_lock();
+    let cfg = Config::default()
+        .iterations(env_iters(96))
+        .seed(0x50_10)
+        .strategy(Strategy::Mixed);
+    schedcheck::explore(&cfg, || {
+        let queue = EventQueue::new("mq");
+        let mgr = ManagerSpec::new("m", queue.clone())
+            .on("flip", vec![EventAction::Toggle("extra".into())]);
+        let spec = GraphSpec::managed(
+            mgr,
+            GraphSpec::seq(vec![
+                nop_leaf("src"),
+                GraphSpec::option("extra", false, nop_leaf("opt")),
+                nop_leaf("snk"),
+            ]),
+        );
+        queue.send(Event::new("flip"));
+        let frames = 3;
+        let report = run_native(&spec, &RunConfig::new(frames).workers(2).pipeline_depth(2))
+            .expect("run_native under the model");
+        assert_eq!(report.iterations, frames, "every submitted frame retired");
+        assert_eq!(report.reconfigs, 1, "the queued flip was applied");
+        // Two manager jobs (entry, exit) per iteration; the rest are
+        // component jobs, each of which some worker timed for its node.
+        let component_jobs = report.jobs_executed - 2 * frames;
+        let accounted: u64 = report.per_node.values().map(|(jobs, _)| jobs).sum();
+        assert_eq!(accounted, component_jobs, "per-node map merged in full");
+        assert_eq!(report.per_node["src"].0, frames);
+        assert_eq!(report.per_node["snk"].0, frames);
+        assert_eq!(report.core_busy.len(), 2);
     })
     .unwrap_or_else(|f| panic!("{f}"));
 }

@@ -23,8 +23,8 @@ pub mod telemetry;
 
 pub use client::{Client, ClientError};
 pub use load::{
-    run_burst_replay, run_open_loop, run_saturated, run_telemetry_probe, Burst, LoadConfig,
-    LoadReport, ReplayConfig, ReplayReport, SaturatedReport, TelemetryProbe,
+    run_burst_replay, run_open_loop, run_telemetry_probe, Burst, LoadConfig, LoadReport,
+    ReplayConfig, ReplayReport, TelemetryProbe,
 };
 pub use protocol::{Request, Response, WireDiagnostic, ALL_GRAPHS, MAX_FRAME};
 pub use server::{stats_json, Server, ServerConfig};

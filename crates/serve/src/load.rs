@@ -9,26 +9,18 @@
 //! sustained offered load*, the number a closed-loop (submit-and-wait)
 //! driver structurally cannot produce.
 //!
-//! Two harnesses:
-//!
-//! * [`run_open_loop`] — N concurrent graph instances (mixed app
-//!   families), Poisson arrivals with optional periodic bursts,
-//!   reporting aggregate frames/sec, shed count and a fleet-wide p50/p99
-//!   frame latency (per-tenant histograms merged exactly — same
-//!   power-of-two buckets);
-//! * [`run_saturated`] — the multi-tenancy overhead probe behind the
-//!   `BENCH_serve.json` gate: N identical instances saturated on one
-//!   shared pool vs the same N run back-to-back as dedicated
-//!   single-graph `run_native` calls with the same worker count. The
-//!   shared pool must stay within 0.9× of the dedicated runs' aggregate
-//!   throughput (in practice it wins: N small graphs interleave across
-//!   workers better than one).
+//! [`run_open_loop`] drives N concurrent graph instances (mixed app
+//! families) with Poisson arrivals and optional periodic bursts,
+//! reporting aggregate frames/sec, shed count and a fleet-wide p50/p99
+//! frame latency (per-tenant histograms merged exactly — same
+//! power-of-two buckets). [`run_telemetry_probe`] measures what the
+//! always-on flight recorder costs a saturated fleet.
 
 use adapt::{run_scenario, Action, Quality, ScenarioReport, ScenarioSpec};
 use apps::experiment::{
     build_isolated, build_isolated_adaptive, reconfig_handle, App, AppConfig, Built, Scale,
 };
-use hinch::engine::{run_native, RunConfig, DEFAULT_RING_CAPACITY};
+use hinch::engine::DEFAULT_RING_CAPACITY;
 use hinch::trace::metrics::{LogHistogram, LOG_BUCKETS};
 use hinch::{Event, GraphId, GraphStats, Runtime, RuntimeConfig, SpawnOpts};
 use rand::rngs::StdRng;
@@ -249,78 +241,6 @@ pub fn run_open_loop(cfg: &LoadConfig) -> LoadReport {
         latency_p99_ns,
         reconfigs,
         per_graph,
-    }
-}
-
-/// Saturated multi-tenancy probe (the bench gate's numerator and
-/// denominator).
-#[derive(Debug, Clone)]
-pub struct SaturatedReport {
-    pub graphs: usize,
-    pub workers: usize,
-    pub frames_per_graph: u64,
-    /// Wall time to run all instances concurrently on one shared pool.
-    pub multi_elapsed: Duration,
-    /// Summed wall time of the same instances as dedicated back-to-back
-    /// single-graph runs.
-    pub solo_elapsed: Duration,
-    pub multi_fps: f64,
-    pub solo_fps: f64,
-    /// multi throughput / solo throughput (= solo time / multi time).
-    pub ratio: f64,
-}
-
-/// Run `graphs` instances of `app` to `frames` frames each, (a) all
-/// concurrently on a shared `workers`-thread pool and (b) back-to-back
-/// as dedicated `run_native` calls with the same worker count, and
-/// compare aggregate throughput.
-pub fn run_saturated(
-    app: App,
-    scale: Scale,
-    graphs: usize,
-    frames: u64,
-    workers: usize,
-    pipeline_depth: usize,
-) -> SaturatedReport {
-    let cfg = AppConfig { app, scale, frames };
-
-    // Dedicated baseline: one graph at a time, full pool each.
-    let solo_start = Instant::now();
-    for _ in 0..graphs {
-        let built = build_isolated(cfg);
-        let run_cfg = RunConfig::new(frames)
-            .workers(workers)
-            .pipeline_depth(pipeline_depth);
-        let report = run_native(&built.spec, &run_cfg).expect("solo run");
-        assert_eq!(report.iterations, frames);
-    }
-    let solo_elapsed = solo_start.elapsed();
-
-    // Shared pool: all instances at once. Backlog bound = frames, i.e.
-    // admission control is open — this probe measures scheduling, not
-    // shedding.
-    let multi_elapsed = shared_pool_elapsed(
-        app,
-        scale,
-        graphs,
-        frames,
-        workers,
-        pipeline_depth,
-        DEFAULT_RING_CAPACITY,
-    );
-
-    let total = (graphs as u64 * frames) as f64;
-    let multi_fps = total / multi_elapsed.as_secs_f64().max(1e-9);
-    let solo_fps = total / solo_elapsed.as_secs_f64().max(1e-9);
-    SaturatedReport {
-        graphs,
-        workers,
-        frames_per_graph: frames,
-        multi_elapsed,
-        solo_elapsed,
-        multi_fps,
-        solo_fps,
-        ratio: multi_fps / solo_fps,
     }
 }
 
@@ -777,13 +697,6 @@ mod tests {
         assert!((mean - h.mean()).abs() < 1e-9);
         assert_eq!(p50, h.quantile(0.5));
         assert_eq!(p99, h.quantile(0.99));
-    }
-
-    #[test]
-    fn saturated_probe_runs_both_sides() {
-        let r = run_saturated(App::Pip1, Scale::Small, 2, 4, 2, 2);
-        assert_eq!(r.graphs, 2);
-        assert!(r.multi_fps > 0.0 && r.solo_fps > 0.0 && r.ratio > 0.0);
     }
 
     fn graph_stats_for(id: u32, h: &LogHistogram) -> GraphStats {

@@ -15,9 +15,8 @@
 //! * `serve` — run the front-end until a `Shutdown` request arrives;
 //! * `load` — in-process open-loop load run, report as JSON;
 //! * `bench` — the `BENCH_serve.json` producer: open-loop fleet run, the
-//!   saturated multi-vs-solo throughput probe, the flight-recorder
-//!   overhead A/B, and the closed-loop SLO scenario sweep (all gated in
-//!   `scripts/bench.sh`);
+//!   flight-recorder overhead A/B, and the closed-loop SLO scenario sweep
+//!   (all gated in `scripts/bench.sh`);
 //! * `scenario` — the seeded bursty-replay scenario (`crates/adapt`):
 //!   prints the deterministic replay log (decision schedule, static
 //!   sweep, adaptive-vs-best-static verdict); `--execute` additionally
@@ -35,8 +34,8 @@
 
 use apps::experiment::{App, Scale};
 use serve::load::{
-    run_burst_replay, run_open_loop, run_saturated, run_telemetry_probe, LoadConfig, LoadReport,
-    ReplayConfig, SaturatedReport, TelemetryProbe,
+    run_burst_replay, run_open_loop, run_telemetry_probe, LoadConfig, LoadReport, ReplayConfig,
+    TelemetryProbe,
 };
 use serve::{Client, Server, ServerConfig, FORMAT_JSON, FORMAT_PROMETHEUS, FORMAT_TABLE};
 use std::fmt::Write as _;
@@ -139,29 +138,6 @@ fn load_json(r: &LoadReport, cfg: &LoadConfig) -> String {
     j
 }
 
-fn saturated_json(r: &SaturatedReport, app: App) -> String {
-    let mut j = String::from("{\n");
-    let _ = writeln!(j, "        \"app\": \"{}\",", app.id());
-    let _ = writeln!(j, "        \"graphs\": {},", r.graphs);
-    let _ = writeln!(j, "        \"workers\": {},", r.workers);
-    let _ = writeln!(j, "        \"frames_per_graph\": {},", r.frames_per_graph);
-    let _ = writeln!(
-        j,
-        "        \"multi_elapsed_ms\": {},",
-        r.multi_elapsed.as_millis()
-    );
-    let _ = writeln!(
-        j,
-        "        \"solo_elapsed_ms\": {},",
-        r.solo_elapsed.as_millis()
-    );
-    let _ = writeln!(j, "        \"multi_fps\": {:.1},", r.multi_fps);
-    let _ = writeln!(j, "        \"solo_fps\": {:.1},", r.solo_fps);
-    let _ = writeln!(j, "        \"ratio\": {:.3}", r.ratio);
-    j.push_str("    }");
-    j
-}
-
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.get("--addr").unwrap_or("127.0.0.1:7070");
     let http = args.get("--http");
@@ -244,19 +220,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     );
 
     let app = App::Pip1;
-    let (graphs, frames, workers, depth) = (8, 64, 8, 3);
-    eprintln!(
-        "bench serve: saturated — {graphs} x {} @ {frames} frames, {workers} workers, multi vs solo",
-        app.id()
-    );
-    let sat = run_saturated(app, Scale::Small, graphs, frames, workers, depth);
-    eprintln!(
-        "bench serve: saturated — multi {:.0} fps vs solo {:.0} fps (ratio {:.3})",
-        sat.multi_fps, sat.solo_fps, sat.ratio
-    );
+    let (workers, depth) = (8, 3);
 
-    // Flight-recorder overhead A/B at the acceptance fleet size: same
-    // saturated workload, rings at default capacity vs disabled.
+    // Flight-recorder overhead A/B at the acceptance fleet size: one
+    // saturated fixed-work fleet, rings at default capacity vs disabled.
     let (tel_graphs, tel_frames, tel_trials) = (cfg.graphs, 32, 3);
     eprintln!(
         "bench serve: telemetry — {tel_graphs} x {} @ {tel_frames} frames, recorder on vs off, best of {tel_trials}",
@@ -299,14 +266,12 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     json.push_str(
         "    \"note\": \"absolute numbers are machine-dependent; compare ratios and bounds. \
          open_loop = seeded Poisson arrivals over a mixed-app fleet with per-tenant admission \
-         control; saturated = N instances on one shared pool vs the same N as dedicated \
-         back-to-back single-graph runs; telemetry = the same saturated workload with the \
-         flight recorder on vs off (ratio >= 0.97 means always-on telemetry costs <= 3%); \
+         control; telemetry = N instances saturated on one shared pool with the flight \
+         recorder on vs off (ratio >= 0.97 means always-on telemetry costs <= 3%); \
          adapt = the deterministic seeded bursty-replay scenario per reconfigurable app \
          (deadline-miss rate, closed-loop controller vs the best static configuration)\",\n",
     );
     let _ = writeln!(json, "    \"open_loop\": {},", load_json(&open, &cfg));
-    let _ = writeln!(json, "    \"saturated\": {},", saturated_json(&sat, app));
     let _ = writeln!(json, "    \"telemetry\": {},", telemetry_probe_json(&tel));
     let _ = writeln!(json, "    \"adapt\": [{}]", adapt_rows.join(", "));
     json.push_str("}\n");

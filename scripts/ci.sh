@@ -28,6 +28,10 @@
 #   9. hinch-serve scenario determinism: the SLO controller's seeded
 #      bursty-replay scenario — replay log plus a capped real-runtime
 #      execution digest — must be byte-identical across two runs
+#  10. perf ledger smoke: `benchmark/` is a workspace of its own that
+#      compiles against the crates' public API, so nothing above builds
+#      it; `benchmark/run.sh --smoke` builds it and runs every workload
+#      for half a second a pass (outputs verified, frames conserved)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -124,8 +128,7 @@ with open(sys.argv[1]) as f:
     data = json.load(f)
 micro = data["micro_jobs_per_sec"]
 for w in (1, 2, 4, 8):
-    cell = micro[f"workers_{w}"]
-    assert cell["centralized"] > 0 and cell["work_stealing"] > 0, cell
+    assert micro[f"workers_{w}"] > 0, micro
 for app in ("pip1", "blur3"):
     assert "workers_8" in data["apps_frames_per_sec"][app]
 print(f"{sys.argv[1]}: throughput bench completed, JSON sane")
@@ -170,5 +173,8 @@ grep -q '^execute frames=24 ' "$adapt_dir/run1.txt" || {
     exit 1
 }
 echo "adapt: scenario replay + execution digest byte-identical across runs"
+
+echo "== benchmark smoke (perf ledger builds and runs every workload) =="
+benchmark/run.sh --smoke
 
 echo "ci: all green"
