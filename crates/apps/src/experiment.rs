@@ -223,13 +223,25 @@ pub fn build_isolated(cfg: AppConfig) -> Built {
     build_isolated_sliced(cfg, None)
 }
 
+/// [`build_isolated`] for a graph whose output nobody can read: the
+/// private asset set is [`AppAssets::discarding`], so the sinks copy and
+/// keep nothing (`Built::assets` captures stay empty). What a serving
+/// front-end spawns.
+pub fn build_isolated_discarding(cfg: AppConfig) -> Built {
+    build_with_opts(
+        cfg,
+        isolated(cfg, AppAssets::discarding()),
+        None,
+        false,
+        false,
+    )
+}
+
 /// [`build_isolated`] with the data-parallel slice count overridden
 /// (`None` keeps the scale's default). The adaptation controller uses
 /// this to respawn a graph at a different parallelization.
 pub fn build_isolated_sliced(cfg: AppConfig, slices: Option<usize>) -> Built {
-    isolated_assets_then(cfg, |assets| {
-        build_with_opts(cfg, assets, slices, false, false)
-    })
+    build_with_opts(cfg, isolated(cfg, AppAssets::new()), slices, false, false)
 }
 
 /// [`build_isolated`] with tile-granular decode+IDCT fusion enabled.
@@ -241,9 +253,7 @@ pub fn build_isolated_fused(cfg: AppConfig) -> Built {
         Family::Jpip,
         "fusion applies to JPiP apps only"
     );
-    isolated_assets_then(cfg, |assets| {
-        build_with_opts(cfg, assets, None, false, true)
-    })
+    build_with_opts(cfg, isolated(cfg, AppAssets::new()), None, false, true)
 }
 
 /// [`build_isolated_sliced`] for *externally driven* reconfiguration: the
@@ -252,20 +262,19 @@ pub fn build_isolated_fused(cfg: AppConfig) -> Built {
 /// run, so the only reconfigurations are events delivered from outside
 /// (`Runtime::inject`). Static apps build unchanged.
 pub fn build_isolated_adaptive(cfg: AppConfig, slices: Option<usize>) -> Built {
-    isolated_assets_then(cfg, |assets| {
-        build_with_opts(cfg, assets, slices, true, false)
-    })
+    build_with_opts(cfg, isolated(cfg, AppAssets::new()), slices, true, false)
 }
 
-fn isolated_assets_then(cfg: AppConfig, f: impl FnOnce(Arc<AppAssets>) -> Built) -> Built {
+/// Make the fresh `assets` an instance's private set: the inputs of
+/// `cfg.app` adopted from the process-wide cache, outputs its own.
+fn isolated(cfg: AppConfig, assets: Arc<AppAssets>) -> Arc<AppAssets> {
     let shared = cached_assets(cfg.app, cfg.scale);
     // Warm the process-wide input cache once: generation/encoding is the
     // expensive step; the discarded spec elaboration is cheap. Generation
     // runs under the asset-map lock, so concurrent warms don't duplicate.
     let _ = build_with(cfg, shared.clone());
-    let assets = AppAssets::new();
     assets.adopt_inputs(&shared);
-    f(assets)
+    assets
 }
 
 /// Injector cadence that never fires within a real run (see

@@ -48,11 +48,27 @@ pub struct AppAssets {
     captures: Mutex<HashMap<String, Vec<Capture>>>,
     signals: Mutex<HashMap<String, Arc<AntennaSignal>>>,
     accums: Mutex<HashMap<String, SpectrumAccum>>,
+    /// Sinks built over these assets drop their frames instead of
+    /// capturing them. Fixed at construction: see [`AppAssets::discarding`].
+    discard_output: bool,
 }
 
 impl AppAssets {
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// An asset set whose `frame_sink`s discard what they are fed: the
+    /// capture sets exist (and stay empty), the sinks are not attached to
+    /// them. For graphs nobody can read the output of — a graph spawned
+    /// over the wire keeps running for as long as its client likes, and a
+    /// capture buffer would grow by a copy of every plane of every frame
+    /// until the graph is drained, unread.
+    pub fn discarding() -> Arc<Self> {
+        Arc::new(Self {
+            discard_output: true,
+            ..Self::default()
+        })
     }
 
     pub fn add_raw(&self, name: impl Into<String>, video: Arc<RawVideo>) {
@@ -275,7 +291,10 @@ pub fn registry(assets: &Arc<AppAssets>) -> ComponentRegistry {
         let name = p.str("capture");
         let ports = p.int_or("ports", 3) as usize;
         let caps = a.capture_set(name, ports);
-        Box::new(FrameSink::new(caps.into_iter().map(Some).collect()))
+        let attach = !a.discard_output;
+        Box::new(FrameSink::new(
+            caps.into_iter().map(|cap| attach.then_some(cap)).collect(),
+        ))
     });
 
     reg.register("pass", |_p| Box::new(Pass));

@@ -254,7 +254,23 @@ impl Tenant {
         self.clock.notify();
     }
 
+    /// This tenant's term of [`Runtime::progress`]: frames accepted,
+    /// retired and shed, windows installed (one per applied
+    /// reconfiguration batch), and one for having failed. Every term only
+    /// grows, and none publishes other data, so relaxed loads do.
+    fn progress(&self) -> u64 {
+        self.core.total.load(Ordering::Relaxed)
+            + self.core.completed.load(Ordering::Relaxed)
+            + self.shed.load(Ordering::Relaxed)
+            + self.core.window_version.load(Ordering::Relaxed)
+            + u64::from(self.core.aborted.load(Ordering::Relaxed))
+    }
+
     fn stats(&self) -> GraphStats {
+        // First the one read that takes the admit lock: a snapshot that
+        // had to wait for a retirement in progress then reports it,
+        // instead of counters read before the wait.
+        let reconfigs = self.core.reconfigs();
         let submitted = self.core.total.load(Ordering::SeqCst);
         let completed = self.core.completed.load(Ordering::SeqCst);
         GraphStats {
@@ -263,7 +279,7 @@ impl Tenant {
             submitted,
             completed,
             inflight: submitted.saturating_sub(completed),
-            reconfigs: self.core.reconfigs(),
+            reconfigs,
             jobs_executed: self.core.jobs_executed.load(Ordering::Relaxed),
             latency_mean_ns: self.clock.latency.mean(),
             latency_p50_ns: self.clock.latency.quantile(0.50),
@@ -332,6 +348,11 @@ pub(super) struct RunProbe {
 
 struct MultiShared {
     graphs: RwLock<HashMap<u32, Arc<Tenant>>>,
+    /// [`Tenant::progress`] of every tenant torn down so far, plus one
+    /// each. Written under the `graphs` write lock together with the
+    /// removal, so [`Runtime::progress`] never sees a tenant twice or not
+    /// at all.
+    departed: AtomicU64,
     locals: Box<[LocalQueue<MJob>]>,
     injector: Injector<MJob>,
     ec: EventCount,
@@ -674,6 +695,7 @@ impl Runtime {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(MultiShared {
             graphs: RwLock::new(HashMap::new()),
+            departed: AtomicU64::new(0),
             locals: (0..workers).map(|_| LocalQueue::new()).collect(),
             injector: Injector::new(),
             ec: EventCount::new(),
@@ -950,7 +972,14 @@ impl Runtime {
         }
         // Teardown: unregister first so new submits/stats see a consistent
         // "gone" state, then verify resource release.
-        self.shared.graphs.write().remove(&id.0);
+        {
+            let mut graphs = self.shared.graphs.write();
+            if graphs.remove(&id.0).is_some() {
+                self.shared
+                    .departed
+                    .fetch_add(tenant.progress() + 1, Ordering::Relaxed);
+            }
+        }
         self.shared.labels.unregister(id.0 as u64);
         let stats = tenant.stats();
         if let Some(msg) = stats.failure.clone() {
@@ -969,6 +998,21 @@ impl Runtime {
             "drained graph {id} leaked frame timestamps"
         );
         Ok(stats)
+    }
+
+    /// A counter that moves whenever the answer to [`Runtime::stats`] or
+    /// [`Runtime::all_stats`] can have changed: the sum over tenants of
+    /// frames accepted, retired and shed, reconfiguration batches applied
+    /// and failures, plus what drained tenants had reached. Never goes
+    /// back. Reads counters the runtime keeps anyway — a job or a
+    /// retirement does nothing extra for it — and takes no mutex and
+    /// allocates nothing (the tenant map is read-locked, as by every other
+    /// accessor), so a waiter may poll it: "has anything happened since I
+    /// last looked?" without rendering a snapshot to find out.
+    pub fn progress(&self) -> u64 {
+        let graphs = self.shared.graphs.read();
+        let live: u64 = graphs.values().map(|t| t.progress()).sum();
+        live + self.shared.departed.load(Ordering::Relaxed)
     }
 
     /// Live tenant count.
@@ -1357,6 +1401,93 @@ mod tests {
         assert!(accepted <= 2);
         assert_eq!(rt.stats(id).unwrap().shed, 10 - accepted);
         rt.drain(id).unwrap();
+        rt.shutdown();
+    }
+
+    /// [`Runtime::progress`] counts every event a stats reply can show —
+    /// accept, shed, retire, applied reconfiguration, failure, teardown —
+    /// and never goes back, not even when a tenant leaves the map.
+    #[test]
+    fn progress_counts_every_observable_event_and_never_goes_back() {
+        let queue = EventQueue::new("mq");
+        let rt = Runtime::new(RuntimeConfig::new(2));
+        assert_eq!(rt.progress(), 0, "an empty pool has made no progress");
+        let id = rt
+            .spawn(
+                &managed_spec(&queue),
+                SpawnOpts::new("managed").max_backlog(4),
+            )
+            .unwrap();
+        // The progress made since the previous call.
+        let mut last = rt.progress();
+        let step = |last: &mut u64| {
+            let now = rt.progress();
+            assert!(now >= *last, "progress went back: {last} -> {now}");
+            now - std::mem::replace(last, now)
+        };
+
+        // Accept, then retire: one each per frame.
+        assert_eq!(rt.submit(id, 3).unwrap(), 3);
+        assert!(step(&mut last) >= 3, "three frames accepted");
+        rt.drain_frames(id, 3);
+        step(&mut last);
+        assert_eq!(last, 3 + 3, "three accepted + three retired");
+
+        // Shed: an offer over the backlog bound counts in full, as
+        // accepted or as shed.
+        let accepted = rt.submit(id, 100).unwrap();
+        assert!(accepted <= 4);
+        assert!(step(&mut last) >= 100, "100 frames offered");
+        rt.drain_frames(id, 3 + accepted);
+        step(&mut last);
+        assert_eq!(rt.stats(id).unwrap().shed, 100 - accepted);
+        assert_eq!(last, 6 + 100 + accepted);
+
+        // A reconfiguration applied at quiescence is progress beyond the
+        // frames that carried it.
+        rt.inject(id, "mq", Event::new("flip")).unwrap();
+        assert_eq!(
+            step(&mut last),
+            0,
+            "an event nobody polled yet changes no stats"
+        );
+        assert_eq!(rt.submit(id, 2).unwrap(), 2);
+        rt.drain_frames(id, 5 + accepted);
+        assert_eq!(rt.stats(id).unwrap().reconfigs, 1);
+        assert!(
+            step(&mut last) > 2 + 2,
+            "two accepted + two retired + the reconfig"
+        );
+
+        // A tenant failing is progress beyond the frames it accepted.
+        let bad = rt
+            .spawn(
+                &GraphSpec::seq(vec![
+                    leaf("src", &[], &["a"], 1),
+                    crate::graph::testutil::panicking_leaf("boom", &["a"], &[]),
+                ]),
+                SpawnOpts::new("bad"),
+            )
+            .unwrap();
+        assert_eq!(
+            step(&mut last),
+            0,
+            "a spawn changes no stats of a live graph"
+        );
+        assert_eq!(rt.submit(bad, 2).unwrap(), 2);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while rt.stats(bad).unwrap().failure.is_none() {
+            assert!(Instant::now() < deadline, "the graph never failed");
+            thread::yield_now();
+        }
+        assert!(step(&mut last) > 2, "two accepted + the failure");
+
+        // Teardown keeps what the tenant had reached, and counts.
+        assert!(matches!(rt.drain(bad), Err(ServeError::GraphFailed(_))));
+        assert!(step(&mut last) >= 1, "a failed tenant left");
+        rt.drain(id).unwrap();
+        assert!(step(&mut last) >= 1, "a drained tenant left");
+        assert_eq!(rt.graph_count(), 0);
         rt.shutdown();
     }
 

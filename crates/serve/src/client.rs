@@ -1,7 +1,9 @@
 //! Typed client for the frame protocol (used by the load harness, the
 //! smoke gate and external tools).
 
-use crate::protocol::{read_frame, write_frame, Request, Response, WireDiagnostic, ALL_GRAPHS};
+use crate::protocol::{
+    begin_frame, read_frame_into, send_frame, Request, Response, WireDiagnostic, ALL_GRAPHS,
+};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 
@@ -49,25 +51,35 @@ impl From<io::Error> for ClientError {
 /// write a frame, read the response frame.
 pub struct Client {
     stream: TcpStream,
+    /// The request frame going out, then the response frame coming in.
+    buf: Vec<u8>,
 }
 
 impl Client {
+    /// Connect with `TCP_NODELAY` set: every request is one small segment
+    /// whose reply the caller is waiting for, so there is nothing for
+    /// Nagle to coalesce it with.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            stream: TcpStream::connect(addr)?,
+            stream,
+            buf: Vec::new(),
         })
     }
 
     /// Raw request/response round trip.
     pub fn request(&mut self, req: &Request) -> Result<Vec<u8>, ClientError> {
-        write_frame(&mut self.stream, &req.encode()?)?;
-        let body = read_frame(&mut self.stream)?.ok_or_else(|| {
-            ClientError::Io(io::Error::new(
+        begin_frame(&mut self.buf);
+        req.encode_into(&mut self.buf)?;
+        send_frame(&mut self.stream, &mut self.buf)?;
+        if !read_frame_into(&mut self.stream, &mut self.buf)? {
+            return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            ))
-        })?;
-        match Response::decode(&body)? {
+            )));
+        }
+        match Response::decode(&self.buf)? {
             Response::Ok(payload) => Ok(payload),
             Response::Err(msg) => Err(ClientError::Server(msg)),
             Response::Rejected(diags) => Err(ClientError::Rejected(diags)),

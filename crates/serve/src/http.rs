@@ -45,6 +45,7 @@ pub(crate) fn accept_loop(listener: TcpListener, inner: Arc<Inner>, tcp_addr: So
         if inner.stop.load(Ordering::SeqCst) {
             break;
         }
+        crate::server::reap_finished(&mut joins);
         if let Ok(stream) = conn {
             let inner = Arc::clone(&inner);
             if let Ok(j) = std::thread::Builder::new()
@@ -232,11 +233,13 @@ fn handle(stream: TcpStream, inner: &Inner) -> io::Result<()> {
         422 => "Unprocessable Entity",
         _ => "Bad Request",
     };
-    let mut stream = reader.into_inner();
-    write!(
-        stream,
+    // Head and body in one write: `write!` straight onto the socket is a
+    // `write` per format fragment, and each may leave as its own segment.
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
-    )?;
+    );
+    let mut stream = reader.into_inner();
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }

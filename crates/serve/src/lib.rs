@@ -36,23 +36,149 @@ pub use telemetry::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apps::experiment::Scale;
+    use apps::experiment::{build_isolated, App, AppConfig, Built, Scale};
+    use std::time::{Duration, Instant};
+
+    /// A server on an ephemeral loopback port.
+    fn serve(workers: usize, scale: Scale) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let server =
+            Server::bind(ServerConfig { workers, scale }, "127.0.0.1:0", None).expect("bind");
+        let addr = server.tcp_addr().expect("addr");
+        let handle = std::thread::spawn(move || server.run().expect("server run"));
+        (addr, handle)
+    }
+
+    fn median(mut times: Vec<Duration>) -> Duration {
+        times.sort();
+        times[times.len() / 2]
+    }
+
+    fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+        let t = Instant::now();
+        let out = f();
+        (out, t.elapsed())
+    }
+
+    /// A round trip costs a round trip. With the prefix written apart
+    /// from the body, or Nagle left on, every request and every reply
+    /// waits out the peer's delayed ACK: 40 ms and more per direction.
+    #[test]
+    fn a_ping_round_trip_is_not_stalled_by_the_socket() {
+        let (addr, handle) = serve(2, Scale::Small);
+        let mut c = Client::connect(addr).expect("connect");
+        let rtts = (0..50)
+            .map(|_| timed(|| c.ping().expect("ping")).1)
+            .collect();
+        let p50 = median(rtts);
+        assert!(p50 < Duration::from_millis(10), "median ping took {p50:?}");
+        c.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    }
+
+    /// What a wire spawn builds keeps none of its output, however many
+    /// frames run through it; an in-process build still captures them all.
+    #[test]
+    fn wire_spawned_graphs_keep_no_output() {
+        const FRAMES: u64 = 64;
+        let rt = hinch::Runtime::new(hinch::RuntimeConfig::new(2));
+        let run = |built: &Built| {
+            let id = rt
+                .spawn(
+                    &built.spec,
+                    hinch::SpawnOpts::new("pip1").max_backlog(FRAMES),
+                )
+                .expect("spawn");
+            assert_eq!(rt.submit(id, FRAMES).expect("submit"), FRAMES);
+            assert_eq!(rt.drain(id).expect("drain").completed, FRAMES);
+            (0..built.capture_ports)
+                .map(|port| built.assets.captured(built.capture, port).len() as u64)
+                .collect::<Vec<_>>()
+        };
+        let served = server::wire_build(App::Pip1, Scale::Small);
+        assert_eq!(run(&served), [0, 0, 0], "a served graph kept frames");
+        let in_process = build_isolated(AppConfig {
+            app: App::Pip1,
+            scale: Scale::Small,
+            frames: 0,
+        });
+        assert_eq!(run(&in_process), [FRAMES; 3]);
+        rt.shutdown();
+    }
+
+    /// The `Stats` hold, over a real connection: only a `Stats` that
+    /// would repeat the connection's last reply waits, it waits no longer
+    /// than the bound, and a completion releases it early.
+    #[test]
+    fn a_repeated_stats_is_held_until_something_happens() {
+        let at_once = Duration::from_micros(500);
+        // One worker: on a two-thread host the handler and this client
+        // then have a core to meet on, and the timings below are theirs.
+        let (addr, handle) = serve(1, Scale::Paper);
+        let mut c = Client::connect(addr).expect("connect");
+        let g = c.spawn("jpip1", 2, 8).expect("spawn");
+        let completed = |stats: &str| -> u64 {
+            let (_, tail) = stats.split_once("\"completed\":").expect("completed");
+            tail[..tail.find(',').expect("a field follows")]
+                .parse()
+                .expect("a count")
+        };
+
+        // The first Stats of a connection is answered at once (medians:
+        // one descheduled round trip must not fail the test).
+        let firsts = (0..9)
+            .map(|_| {
+                let mut fresh = Client::connect(addr).expect("connect");
+                timed(|| fresh.stats(g).expect("stats")).1
+            })
+            .collect();
+        assert!(median(firsts) < at_once, "a first Stats was held");
+
+        // An immediate repeat with nothing in flight waits out the bound.
+        c.stats(g).expect("stats");
+        let (_, held) = timed(|| c.stats(g).expect("stats"));
+        assert!(held >= at_once, "the repeat came back after {held:?}");
+        assert!(held < Duration::from_millis(50), "held for {held:?}");
+        let (_, held) = timed(|| c.all_stats().expect("stats"));
+        assert!(held >= at_once, "Stats of all graphs is held alike");
+
+        // Other opcodes between two identical Stats are not held.
+        let pings = (0..9)
+            .map(|_| {
+                c.stats(g).expect("stats");
+                timed(|| c.ping().expect("ping")).1
+            })
+            .collect();
+        assert!(median(pings) < at_once, "a Ping was held");
+
+        // Repeats issued while a frame is in flight (a paper-scale JPiP
+        // frame outlasts the bound several times over) each wait out the
+        // bound, except the one the frame's retirement releases: it shows
+        // the completion and comes back sooner than the bound. The frame
+        // may retire just as a hold runs out, so look for one clean
+        // observation.
+        let mut sent = 0;
+        let woken = (0..20).any(|_| {
+            assert_eq!(c.submit(g, 1).expect("submit"), 1);
+            sent += 1;
+            loop {
+                let (stats, took) = timed(|| c.stats(g).expect("stats"));
+                if completed(&stats) == sent {
+                    break took < server::PROGRESS_WAIT;
+                }
+            }
+        });
+        assert!(woken, "no held Stats was released by a retirement");
+
+        c.drain(g).expect("drain");
+        c.shutdown().expect("shutdown");
+        handle.join().expect("server thread");
+    }
 
     /// End-to-end over real sockets: spawn, feed, reconfigure over the
     /// wire, drain, shut down.
     #[test]
     fn tcp_round_trip_serves_and_reconfigures() {
-        let server = Server::bind(
-            ServerConfig {
-                workers: 2,
-                scale: Scale::Small,
-            },
-            "127.0.0.1:0",
-            None,
-        )
-        .expect("bind");
-        let addr = server.tcp_addr().expect("addr");
-        let handle = std::thread::spawn(move || server.run().expect("server run"));
+        let (addr, handle) = serve(2, Scale::Small);
 
         let mut c = Client::connect(addr).expect("connect");
         c.ping().expect("ping");
@@ -82,17 +208,7 @@ mod tests {
     /// serving.
     #[test]
     fn xspcl_spawn_analysis_gate_over_the_wire() {
-        let server = Server::bind(
-            ServerConfig {
-                workers: 2,
-                scale: Scale::Small,
-            },
-            "127.0.0.1:0",
-            None,
-        )
-        .expect("bind");
-        let addr = server.tcp_addr().expect("addr");
-        let handle = std::thread::spawn(move || server.run().expect("server run"));
+        let (addr, handle) = serve(2, Scale::Small);
         let mut c = Client::connect(addr).expect("connect");
 
         // Analyze-dirty: 'snk' reads a stream nothing writes (XA014).
@@ -162,17 +278,7 @@ mod tests {
     /// detach without attach.
     #[test]
     fn slo_policy_attaches_and_decides_over_the_wire() {
-        let server = Server::bind(
-            ServerConfig {
-                workers: 2,
-                scale: Scale::Small,
-            },
-            "127.0.0.1:0",
-            None,
-        )
-        .expect("bind");
-        let addr = server.tcp_addr().expect("addr");
-        let handle = std::thread::spawn(move || server.run().expect("server run"));
+        let (addr, handle) = serve(2, Scale::Small);
         let mut c = Client::connect(addr).expect("connect");
 
         // Refusals: no such graph; an app without a quality option.

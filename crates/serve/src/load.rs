@@ -16,6 +16,7 @@
 //! power-of-two buckets). [`run_telemetry_probe`] measures what the
 //! always-on flight recorder costs a saturated fleet.
 
+use crate::server::await_progress;
 use adapt::{run_scenario, Action, Quality, ScenarioReport, ScenarioSpec};
 use apps::experiment::{
     build_isolated, build_isolated_adaptive, reconfig_handle, App, AppConfig, Built, Scale,
@@ -418,15 +419,19 @@ fn fold_outputs(mut h: u64, built: &Built) -> u64 {
     h
 }
 
+/// Wait until nothing of `id` is in flight, looking again only when the
+/// runtime has made progress (a retirement, for one) — not spinning a
+/// core on stats snapshots next to the workers being waited for.
 fn wait_quiescent(rt: &Runtime, id: GraphId) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
+        let seen = rt.progress();
         let s = rt.stats(id).expect("replay stats");
         if s.inflight == 0 {
             return;
         }
         assert!(Instant::now() < deadline, "replay never quiesced: {s:?}");
-        std::thread::yield_now();
+        await_progress(rt, seen, || false);
     }
 }
 

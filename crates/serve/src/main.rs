@@ -28,8 +28,9 @@
 //!   from the flight recorder; `--once` prints one snapshot and exits
 //!   (deterministic for a fixed runtime state);
 //! * `smoke` — end-to-end self-test over real sockets (used by
-//!   `scripts/ci.sh`): start a server, push frames over TCP, inject a
-//!   reconfiguration event, scrape and validate `GET /metrics`, render
+//!   `scripts/ci.sh`): start a server, time 20 pings (a median of 10 ms
+//!   or more fails), push frames over TCP, inject a reconfiguration
+//!   event, scrape and validate `GET /metrics`, render
 //!   `top --once`, verify responses and clean shutdown.
 
 use apps::experiment::{App, Scale};
@@ -402,6 +403,24 @@ fn cmd_smoke(args: &Args) -> Result<(), String> {
     let step = |r: Result<(), String>| r;
     let mut c = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     step(c.ping().map_err(|e| format!("ping: {e}")))?;
+
+    // A round trip on this socket costs microseconds. A frame leaving in
+    // two writes, or an end without TCP_NODELAY, costs a delayed-ACK
+    // timer (40 ms and more) per direction instead.
+    let mut rtts = Vec::new();
+    for _ in 0..20 {
+        let t = std::time::Instant::now();
+        c.ping().map_err(|e| format!("ping: {e}"))?;
+        rtts.push(t.elapsed());
+    }
+    rtts.sort();
+    let ping_p50 = rtts[rtts.len() / 2];
+    println!("serve smoke: ping round trip p50 {ping_p50:?} (20 pings)");
+    if ping_p50 >= Duration::from_millis(10) {
+        return Err(format!(
+            "ping round trip p50 {ping_p50:?} >= 10 ms: the socket path is stalling"
+        ));
+    }
 
     // A reconfigurable app: manager "m" on queue "mq", flip rule.
     let g = c

@@ -13,6 +13,13 @@
 //! [`WireDiagnostic`]). Integers are big-endian; strings are `u16 BE
 //! length + UTF-8 bytes` unless noted.
 //!
+//! **One segment per frame, sent now.** Prefix and body leave in a single
+//! `write` ([`send_frame`]), and both ends set `TCP_NODELAY`
+//! ([`crate::Client::connect`], every socket the server accepts): a
+//! request/response protocol has nothing to coalesce, and a prefix sent
+//! on its own makes Nagle hold the body back until the peer's delayed ACK
+//! — two ~44 ms timers a round trip on Linux loopback.
+//!
 //! | opcode | request fields | ok-response payload |
 //! |--------|----------------|---------------------|
 //! | `0x01` Spawn      | app `str`, depth `u32`, max_backlog `u64` | graph id `u32` |
@@ -32,6 +39,23 @@
 //! client's backpressure signal. `Inject` is reconfiguration over the
 //! wire: the event lands in the named manager queue and takes effect at
 //! the graph's next quiescent point, exactly as an in-process event.
+//!
+//! **A `Stats` that would repeat itself is held.** The server remembers,
+//! per connection, the value of [`hinch::Runtime::progress`] its last
+//! `Stats` reply (one graph or all) was rendered under. A `Stats` arriving
+//! on that connection while `progress()` still reads the same value waits
+//! until it moves, the server is shutting down, or **1 ms** has passed,
+//! and is then answered with the state of that moment. The first `Stats`
+//! on a connection, every other opcode, and the HTTP gateway (a connection
+//! per request has no previous reply) are never held. So a client that
+//! learns of completions by polling `Stats` in a loop is paced by the
+//! server instead of spinning a core against the worker pool — and a
+//! `Stats` round trip measured by such a client includes the hold.
+//!
+//! Graphs spawned over the wire **discard their sink output**: nothing in
+//! the protocol can read a served graph's frames back, so its `frame_sink`
+//! components are built without capture buffers (in-process builds keep
+//! capturing — see `apps::registry::AppAssets::discarding`).
 //!
 //! `Spawn`/`SpawnXspcl` are where the static analyzer surfaces: before a
 //! graph is admitted the server runs `crates/analyze` over the spec, and
@@ -251,33 +275,72 @@ impl<'a> Cursor<'a> {
 
 // ---- framing ------------------------------------------------------------
 
-/// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).map_err(|_| bad("frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(bad("frame too large"));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body)?;
+/// Bytes of the length prefix every frame starts with.
+const PREFIX: usize = 4;
+
+/// Start a frame in `buf`: drop what it held and leave room for the
+/// length prefix, so the body is encoded straight behind it and
+/// [`send_frame`] can put prefix and body on the wire as one write.
+pub(crate) fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; PREFIX]);
+}
+
+/// Fill in the prefix of the frame [`begin_frame`] started in `buf` and
+/// send it: **one** `write_all` of prefix + body. Two writes would leave
+/// the kernel free to send the 4-byte prefix as a segment of its own and
+/// then sit on the body until the peer's (delayed) ACK for it arrives.
+pub(crate) fn send_frame(w: &mut impl Write, buf: &mut [u8]) -> io::Result<()> {
+    let len = u32::try_from(buf.len() - PREFIX)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| bad("frame too large"))?;
+    buf[..PREFIX].copy_from_slice(&len.to_be_bytes());
+    w.write_all(buf)?;
     w.flush()
+}
+
+/// Write one length-prefixed frame (as a single write — see
+/// [`send_frame`]).
+pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(PREFIX + body.len());
+    begin_frame(&mut buf);
+    buf.extend_from_slice(body);
+    send_frame(w, &mut buf)
+}
+
+/// Size `body` for the frame whose prefix was just read: the announced
+/// length, bounded by [`MAX_FRAME`] before anything is allocated for it.
+pub(crate) fn size_body(body: &mut Vec<u8>, prefix: [u8; PREFIX]) -> io::Result<()> {
+    let len = u32::from_be_bytes(prefix);
+    if len > MAX_FRAME {
+        return Err(bad(format!("frame length {len} exceeds {MAX_FRAME}")));
+    }
+    body.clear();
+    body.resize(len as usize, 0);
+    Ok(())
+}
+
+/// Read one length-prefixed frame into `body` (reusing its allocation).
+/// Returns `false` on clean EOF at a frame boundary (peer hung up between
+/// requests).
+pub(crate) fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<bool> {
+    let mut prefix = [0u8; PREFIX];
+    match r.read_exact(&mut prefix) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
+        Err(e) => return Err(e),
+    }
+    size_body(body, prefix)?;
+    r.read_exact(body)?;
+    Ok(true)
 }
 
 /// Read one length-prefixed frame. Returns `None` on clean EOF at a
 /// frame boundary (peer hung up between requests).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(bad(format!("frame length {len} exceeds {MAX_FRAME}")));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    let mut body = Vec::new();
+    Ok(read_frame_into(r, &mut body)?.then_some(body))
 }
 
 // ---- request codec ------------------------------------------------------
@@ -285,6 +348,12 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 impl Request {
     pub fn encode(&self) -> io::Result<Vec<u8>> {
         let mut b = Vec::new();
+        self.encode_into(&mut b)?;
+        Ok(b)
+    }
+
+    /// Append the encoded request to `b`.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) -> io::Result<()> {
         match self {
             Request::Spawn {
                 app,
@@ -292,7 +361,7 @@ impl Request {
                 max_backlog,
             } => {
                 b.push(0x01);
-                put_str(&mut b, app)?;
+                put_str(b, app)?;
                 b.extend_from_slice(&pipeline_depth.to_be_bytes());
                 b.extend_from_slice(&max_backlog.to_be_bytes());
             }
@@ -309,8 +378,8 @@ impl Request {
             } => {
                 b.push(0x03);
                 b.extend_from_slice(&graph.to_be_bytes());
-                put_str(&mut b, queue)?;
-                put_str(&mut b, kind)?;
+                put_str(b, queue)?;
+                put_str(b, kind)?;
                 b.extend_from_slice(&payload.to_be_bytes());
             }
             Request::Stats { graph } => {
@@ -329,7 +398,7 @@ impl Request {
                 max_backlog,
             } => {
                 b.push(0x08);
-                put_lstr(&mut b, source)?;
+                put_lstr(b, source)?;
                 b.extend_from_slice(&pipeline_depth.to_be_bytes());
                 b.extend_from_slice(&max_backlog.to_be_bytes());
             }
@@ -358,7 +427,7 @@ impl Request {
                 b.extend_from_slice(&graph.to_be_bytes());
             }
         }
-        Ok(b)
+        Ok(())
     }
 
     pub fn decode(body: &[u8]) -> io::Result<Request> {
@@ -409,32 +478,39 @@ impl Request {
 
 impl Response {
     pub fn encode(&self) -> io::Result<Vec<u8>> {
+        // Sized up front where the size is known: one exact allocation.
+        let mut b = Vec::with_capacity(match self {
+            Response::Ok(payload) => 1 + payload.len(),
+            Response::Err(msg) => 1 + msg.len(),
+            Response::Rejected(_) => 0,
+        });
+        self.encode_into(&mut b)?;
+        Ok(b)
+    }
+
+    /// Append the encoded response to `b`.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) -> io::Result<()> {
         match self {
             Response::Ok(payload) => {
-                let mut b = Vec::with_capacity(1 + payload.len());
                 b.push(0);
                 b.extend_from_slice(payload);
-                Ok(b)
             }
             Response::Err(msg) => {
-                let mut b = Vec::with_capacity(1 + msg.len());
                 b.push(1);
                 b.extend_from_slice(msg.as_bytes());
-                Ok(b)
             }
             Response::Rejected(diags) => {
-                let mut b = Vec::new();
                 b.push(2);
                 let count = u16::try_from(diags.len()).map_err(|_| bad("too many diagnostics"))?;
                 b.extend_from_slice(&count.to_be_bytes());
                 for d in diags {
                     b.push(d.severity);
-                    put_str(&mut b, &d.code)?;
-                    put_str(&mut b, &d.message)?;
+                    put_str(b, &d.code)?;
+                    put_str(b, &d.message)?;
                 }
-                Ok(b)
             }
         }
+        Ok(())
     }
 
     pub fn decode(body: &[u8]) -> io::Result<Response> {
@@ -570,6 +646,42 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A sink that counts `write` calls and takes all it is offered, as
+    /// a socket with room in its send buffer does.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Prefix and body must reach the socket in one `write`: a prefix
+    /// written on its own is a segment on its own, and Nagle then holds
+    /// the body until the peer's delayed ACK.
+    #[test]
+    fn a_frame_is_one_write() {
+        for body in [vec![], b"hello".to_vec(), vec![7u8; MAX_FRAME as usize]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &body).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte body", body.len());
+            assert_eq!(read_frame(&mut &w.bytes[..]).unwrap().unwrap(), body);
+        }
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, &vec![0u8; MAX_FRAME as usize + 1]).is_err());
+        assert_eq!(w.writes, 0, "an oversized frame writes nothing");
     }
 
     #[test]

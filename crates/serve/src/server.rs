@@ -10,13 +10,14 @@
 //! ([`apps::experiment::App`]): a `Spawn` request names an app id
 //! (`pip1`, `jpip2`, `blur35`, …) and the server builds an *isolated*
 //! instance — inputs shared refcount-only with the process-wide cache,
-//! captures private — so any number of instances of the same app serve
-//! concurrently (see [`apps::experiment::build_isolated`]).
+//! outputs private — so any number of instances of the same app serve
+//! concurrently. Nothing over the wire can read a served graph's frames
+//! back, so its sinks discard them ([`wire_build`]).
 
 use crate::json::{array, JsonObject};
 use crate::protocol::{
-    write_frame, Request, Response, WireDiagnostic, ALL_GRAPHS, MAX_FRAME, SEVERITY_ERROR,
-    SEVERITY_WARNING,
+    begin_frame, send_frame, size_body, Request, Response, WireDiagnostic, ALL_GRAPHS,
+    SEVERITY_ERROR, SEVERITY_WARNING,
 };
 use crate::telemetry::{self, AdaptStatus, Telemetry};
 use adapt::{
@@ -24,7 +25,8 @@ use adapt::{
 };
 use analyze::{AnalyzeOptions, Diagnostics, Severity};
 use apps::experiment::{
-    build_isolated, default_slices, reconfig_handle, App, AppConfig, ReconfigHandle, Scale,
+    build_isolated_discarding, default_slices, reconfig_handle, App, AppConfig, Built,
+    ReconfigHandle, Scale,
 };
 use apps::registry::{registry, AppAssets};
 use hinch::{Event, GraphId, GraphStats, Runtime, RuntimeConfig, ServeError, SpawnOpts};
@@ -33,7 +35,8 @@ use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Read-timeout granularity on accepted frame-protocol streams: how
 /// often a handler blocked waiting for the next request re-checks the
@@ -46,6 +49,44 @@ const READ_POLL: Duration = Duration::from_millis(250);
 /// window interval. Also bounds shutdown latency of the collector
 /// thread, so it doubles as its stop-poll granularity.
 const COLLECT_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Longest a `Stats` request that would get the reply its connection got
+/// last time is held for something to happen (see [`serve_connection`]).
+/// Long enough that a polling client costs the worker pool next to
+/// nothing, short enough that a poll is never a noticeable wait.
+pub(crate) const PROGRESS_WAIT: Duration = Duration::from_millis(1);
+
+/// How often a held request looks at [`Runtime::progress`] again.
+const PROGRESS_POLL: Duration = Duration::from_micros(50);
+
+/// Wait until `rt.progress()` no longer reads `seen`, `stop()` holds, or
+/// [`PROGRESS_WAIT`] has passed — whichever is first; at once if progress
+/// has already moved. A sleep-poll on counters the runtime keeps anyway,
+/// so a waiter costs the workers nothing.
+pub(crate) fn await_progress(rt: &Runtime, seen: u64, stop: impl Fn() -> bool) {
+    let until = Instant::now() + PROGRESS_WAIT;
+    while rt.progress() == seen && !stop() && Instant::now() < until {
+        std::thread::sleep(PROGRESS_POLL);
+    }
+}
+
+/// Build the corpus app a wire `Spawn` names. Its sinks discard their
+/// input: no opcode reads frames back, and a graph lives until its client
+/// drains it, so captured output would only ever grow.
+pub(crate) fn wire_build(app: App, scale: Scale) -> Built {
+    build_isolated_discarding(AppConfig {
+        app,
+        scale,
+        frames: 0, // frames are streamed in via Submit
+    })
+}
+
+/// Drop the handles of handler threads that have exited, so a server
+/// that sees many short connections does not keep one per connection
+/// ever made.
+pub(crate) fn reap_finished(joins: &mut Vec<JoinHandle<()>>) {
+    joins.retain(|j| !j.is_finished());
+}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -184,11 +225,7 @@ impl Inner {
                 let app = App::parse(&app).ok_or(format!(
                     "unknown app '{app}' (expected one of pip1..blur35)"
                 ))?;
-                let built = build_isolated(AppConfig {
-                    app,
-                    scale: self.scale,
-                    frames: 0, // frames are streamed in via Submit
-                });
+                let built = wire_build(app, self.scale);
                 // Static gate: the corpus self-checks clean, but specs
                 // still pass through the analyzer so a corrupted build
                 // (or a future app regression) is rejected with XA
@@ -208,7 +245,7 @@ impl Inner {
                 let diags = analyze::check_source(&source, &AnalyzeOptions::default())
                     .map_err(|e| format!("unreadable XSPCL document: {e}"))?;
                 admit(&diags)?;
-                let assets = AppAssets::new();
+                let assets = AppAssets::discarding();
                 let elaborated =
                     xspcl::compile(&source, &registry(&assets)).map_err(|e| e.to_string())?;
                 let label = format!("xspcl:{:.32}", doc_name(&source));
@@ -584,6 +621,7 @@ impl Server {
             if inner.stop.load(Ordering::SeqCst) {
                 break;
             }
+            reap_finished(&mut joins);
             let stream = match conn {
                 Ok(s) => s,
                 Err(_) => continue,
@@ -615,21 +653,45 @@ impl Server {
     }
 }
 
+/// Serve one frame-protocol connection: requests in order, one response
+/// each, through one request buffer and one response buffer.
+///
+/// The one request that may wait is a `Stats` (one graph or all) arriving
+/// while [`Runtime::progress`] still reads what it read when this
+/// connection's previous `Stats` reply was rendered: the reply would
+/// repeat the last one, so it is held ([`await_progress`]) and then
+/// answered with the state of that moment. A client polling `Stats` for
+/// completions is thereby paced to the events it is waiting for instead
+/// of spinning against the worker pool. The first `Stats` of a connection
+/// and every other opcode are answered at once.
 fn serve_connection(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(READ_POLL))?;
-    while let Some(body) = read_frame_interruptible(&mut stream, &inner.stop)? {
+    let (mut body, mut frame) = (Vec::new(), Vec::new());
+    let mut stats_seen: Option<u64> = None;
+    while read_frame_interruptible(&mut stream, &inner.stop, &mut body)? {
         let resp = match Request::decode(&body) {
-            Ok(req) => inner.handle(req),
+            Ok(req) => {
+                if matches!(req, Request::Stats { .. }) {
+                    if let Some(seen) = stats_seen {
+                        await_progress(&inner.runtime, seen, || inner.stop.load(Ordering::SeqCst));
+                    }
+                    // Read before rendering: a reply at least this new.
+                    stats_seen = Some(inner.runtime.progress());
+                }
+                inner.handle(req)
+            }
             Err(e) => Response::Err(format!("bad request: {e}")),
         };
-        let frame = resp.encode().unwrap_or_else(|e| {
-            // `Response::Err` encoding is infallible (status byte + raw
-            // UTF-8), so a failed payload still yields a clean frame.
-            let mut b = format!("response encoding failed: {e}").into_bytes();
-            b.insert(0, 1);
-            b
-        });
-        write_frame(&mut stream, &frame)?;
+        begin_frame(&mut frame);
+        if let Err(e) = resp.encode_into(&mut frame) {
+            // A payload that does not encode still yields a clean frame.
+            begin_frame(&mut frame);
+            Response::Err(format!("response encoding failed: {e}"))
+                .encode_into(&mut frame)
+                .expect("an error response is a status byte and raw UTF-8");
+        }
+        send_frame(&mut stream, &mut frame)?;
         if inner.stop.load(Ordering::SeqCst) {
             break;
         }
@@ -637,35 +699,30 @@ fn serve_connection(mut stream: TcpStream, inner: &Inner) -> io::Result<()> {
     Ok(())
 }
 
-/// [`crate::protocol::read_frame`] over a stream with a read timeout:
-/// timeout wakeups re-check `stop` instead of tearing the connection
-/// down, so an idle client keeps its connection across quiet periods yet
-/// cannot block [`Server::run`]'s handler joins after shutdown. Partial
-/// reads are buffered across wakeups — a slow client mid-frame never
-/// desyncs the stream.
+/// [`crate::protocol::read_frame_into`] over a stream with a read
+/// timeout: timeout wakeups re-check `stop` instead of tearing the
+/// connection down, so an idle client keeps its connection across quiet
+/// periods yet cannot block [`Server::run`]'s handler joins after
+/// shutdown. Partial reads are buffered across wakeups — a slow client
+/// mid-frame never desyncs the stream. Returns `false` on clean EOF or
+/// shutdown at a frame boundary.
 fn read_frame_interruptible(
     stream: &mut TcpStream,
     stop: &AtomicBool,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    if !read_full(stream, &mut len_buf, stop)? {
-        return Ok(None); // clean EOF or shutdown at a frame boundary
+    body: &mut Vec<u8>,
+) -> io::Result<bool> {
+    let mut prefix = [0u8; 4];
+    if !read_full(stream, &mut prefix, stop)? {
+        return Ok(false);
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds {MAX_FRAME}"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    if !read_full(stream, &mut body, stop)? {
+    size_body(body, prefix)?;
+    if !read_full(stream, body, stop)? {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "truncated frame",
         ));
     }
-    Ok(Some(body))
+    Ok(true)
 }
 
 /// Fill `buf`, tolerating read-timeout wakeups. Returns `Ok(false)`

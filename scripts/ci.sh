@@ -19,7 +19,9 @@
 #      2 core counts × 2 seeded policies) must pass and its JSON summary
 #      must be byte-identical across two separate runs
 #   8. hinch-serve smoke: start the serving front-end on real sockets,
-#      push frames over the TCP frame protocol, inject one
+#      time 20 pings (a median of 10 ms or more fails: a frame sent in
+#      two writes, or an end without TCP_NODELAY, costs 88 ms a round
+#      trip), push frames over the TCP frame protocol, inject one
 #      reconfiguration event over the wire, exercise the HTTP gateway,
 #      scrape GET /metrics and validate the exposition as Prometheus
 #      text (TYPE lines, label syntax, monotone histogram buckets),
@@ -149,7 +151,7 @@ fi
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$conf_dir/run1.json"
 echo "conformance: gate matrix passed, JSON byte-identical across runs"
 
-echo "== serve smoke (sockets + wire reconfig + /metrics validation) =="
+echo "== serve smoke (sockets + ping gate + wire reconfig + /metrics validation) =="
 cargo run --offline -q --release -p serve --bin hinch-serve -- smoke
 
 echo "== adapt scenario (seeded decision-plane determinism) =="
