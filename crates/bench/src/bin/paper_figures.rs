@@ -364,8 +364,8 @@ fn print_cache_stats(opts: &Options) {
         }
     }
     println!("(paper: JPiP XSPCL has significantly more misses; Blur identical)");
-    // One line per fused app in `key=value` form so scripts/bench.sh can
-    // gate the post-fusion ratio without re-deriving it from the table.
+    // One line per fused app in `key=value` form: the post-fusion ratio
+    // without re-deriving it from the table.
     for (app, unfused, fused) in gates {
         println!(
             "cache-gate: app={} unfused_l1_ratio={unfused:.3} fused_l1_ratio={fused:.3}",

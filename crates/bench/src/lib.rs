@@ -246,7 +246,7 @@ impl CacheComparison {
     }
 
     /// Fused-XSPCL L1-miss count over the sequential baseline's — the
-    /// number the `scripts/bench.sh` gate holds at ≤ 2.0 for JPiP-1.
+    /// number the Fig. 8 gate (a test below) holds at ≤ 2.0 for JPiP-1.
     pub fn fused_l1_ratio(&self) -> Option<f64> {
         self.fused
             .as_ref()
@@ -335,9 +335,7 @@ mod tests {
         // simulator's tile model at the experiment's own configuration
         // (paper scale, 8 frames — the setup that measured §4.1's
         // 3.19×): tile-granular decode+IDCT fusion cuts JPiP-1's
-        // XSPCL/sequential L1-miss ratio to ≤ 2.0×. `scripts/bench.sh`
-        // re-checks the same bound on the committed figure run; this
-        // test keeps it from regressing in plain `cargo test`.
+        // XSPCL/sequential L1-miss ratio to ≤ 2.0×.
         let c = cache_comparison(App::Jpip1, Scale::Paper, 8);
         let unfused = c.l1_ratio();
         let fused = c.fused_l1_ratio().expect("JPiP-1 has a fused variant");

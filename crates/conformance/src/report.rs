@@ -6,24 +6,7 @@
 
 use crate::matrix::{AppSummary, Divergence, MatrixConfig, MatrixSummary};
 use std::fmt::Write;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use trace::json::escape;
 
 fn json_list<T, F: FnMut(&T) -> String>(items: &[T], f: F) -> String {
     let parts: Vec<String> = items.iter().map(f).collect();
@@ -36,11 +19,11 @@ fn divergence_json(d: &Divergence, cfg: &MatrixConfig) -> String {
         d.app,
         d.cores,
         d.depth,
-        json_escape(&d.detail),
+        escape(&d.detail),
         d.engine,
         d.kind,
-        json_escape(&d.policy),
-        json_escape(&d.reproduce(cfg)),
+        escape(&d.policy),
+        escape(&d.reproduce(cfg)),
     )
 }
 
@@ -189,12 +172,6 @@ mod tests {
         assert!(a.contains("\"status\":\"pass\""));
         assert!(a.contains("\"digest\":\"00000000000000ab\""));
         assert!(a.ends_with('\n'));
-    }
-
-    #[test]
-    fn escaping_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub(super) struct AdmitState {
     pending_retires: Vec<u64>,
     version: u64,
     pub(super) reconfigs: u64,
-    quiesce_open: Option<Instant>,
 }
 
 /// Called under the admit lock after each in-order retirement, with the
@@ -142,7 +141,6 @@ pub(super) struct GraphCore {
     pub(super) admit: Mutex<AdmitState>,
     pub(super) inst: InstanceGraph,
     pub(super) trace: Option<Arc<dyn TraceSink>>,
-    pub(super) metrics: Option<Arc<trace::metrics::EngineMetrics>>,
     /// Trace timestamps are nanoseconds since this instant (the pool's).
     epoch: Instant,
     retire_hook: RetireHook,
@@ -162,7 +160,6 @@ impl GraphCore {
         depth: u64,
         epoch: Instant,
         trace: Option<Arc<dyn TraceSink>>,
-        metrics: Option<Arc<trace::metrics::EngineMetrics>>,
         retire_hook: RetireHook,
     ) -> Self {
         let window = Arc::new(Window::new(dag, 0, depth as usize));
@@ -181,11 +178,9 @@ impl GraphCore {
                 pending_retires: Vec::new(),
                 version: 0,
                 reconfigs: 0,
-                quiesce_open: None,
             }),
             inst,
             trace,
-            metrics,
             epoch,
             retire_hook,
         }
@@ -362,9 +357,6 @@ impl GraphCore {
             s.clear(iter);
         }
         let completed = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(m) = &self.metrics {
-            m.iterations.inc();
-        }
         // `total` only moves under the admit lock, which we hold.
         let drained = completed >= self.total.load(Ordering::Relaxed);
         (self.retire_hook)(iter, drained, worker);
@@ -392,12 +384,6 @@ impl GraphCore {
     /// resume as-is), install the new window, and re-open admission. Under
     /// the admit lock — this is the *only* place the window is replaced.
     fn quiesce_resume(&self, st: &mut AdmitState, seeded: &mut Vec<JobRef>) {
-        let open = st.quiesce_open.take();
-        if let Some(m) = &self.metrics {
-            m.quiesce_windows.inc();
-            m.quiesce_time
-                .add(open.map_or(0, |w| w.elapsed().as_nanos() as u64));
-        }
         let plans = std::mem::take(&mut st.pending);
         let start = self.admitted.load(Ordering::Relaxed);
         let (dag, applied) = if plans.is_empty() {
@@ -408,9 +394,6 @@ impl GraphCore {
             st.version += 1;
             let outcome = apply_plans(&self.inst, plans, st.version);
             st.reconfigs += outcome.applied;
-            if let Some(m) = &self.metrics {
-                m.reconfigs.add(outcome.applied);
-            }
             (outcome.dag, Some((outcome.applied, outcome.grafted)))
         };
         let window = Arc::new(Window::new(dag, start, self.depth as usize));
@@ -501,14 +484,7 @@ impl GraphCore {
                 let start = self.trace.as_ref().map(|_| self.now());
                 let mut st = self.admit.lock();
                 let (plan, cost) = exec_manager_entry(mgr, &self.inst.streams, &st.pending);
-                if let Some(m) = &self.metrics {
-                    m.event_polls.inc();
-                    m.events_drained.add(cost.events as u64);
-                }
                 let newly_halted = plan.is_some() && !self.halted.load(Ordering::SeqCst);
-                if newly_halted {
-                    st.quiesce_open = Some(Instant::now());
-                }
                 if let Some(sink) = &self.trace {
                     let end = self.now();
                     sink.record(TraceEvent::JobSpan {

@@ -107,10 +107,6 @@ pub struct RunConfig {
     /// Optional flight-recorder sink. `None` (the default) costs one
     /// branch per would-be event and allocates nothing.
     pub trace: Option<Arc<dyn trace::TraceSink>>,
-    /// Optional always-on metrics registry; both engines bump it with one
-    /// relaxed atomic per event (see `trace::metrics`). `None` costs one
-    /// branch per would-be update.
-    pub metrics: Option<Arc<trace::metrics::EngineMetrics>>,
     /// Tie-break policy among ready jobs. [`SchedPolicy::Default`] is the
     /// engines' production order; the other variants explore alternative
     /// (but equally valid) schedules for conformance testing.
@@ -125,7 +121,6 @@ impl std::fmt::Debug for RunConfig {
             .field("iterations", &self.iterations)
             .field("overhead", &self.overhead)
             .field("trace", &self.trace.as_ref().map(|_| "<sink>"))
-            .field("metrics", &self.metrics.as_ref().map(|_| "<registry>"))
             .field("sched", &self.sched)
             .finish()
     }
@@ -139,7 +134,6 @@ impl RunConfig {
             iterations,
             overhead: OverheadModel::default(),
             trace: None,
-            metrics: None,
             sched: SchedPolicy::Default,
         }
     }
@@ -163,13 +157,6 @@ impl RunConfig {
     /// events and occupancy samples into it (see the `trace` crate).
     pub fn trace(mut self, sink: Arc<dyn trace::TraceSink>) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Attach an always-on metrics registry; both engines bump its
-    /// counters/histograms even when no trace sink is attached.
-    pub fn metrics(mut self, registry: Arc<trace::metrics::EngineMetrics>) -> Self {
-        self.metrics = Some(registry);
         self
     }
 

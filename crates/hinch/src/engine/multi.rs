@@ -51,7 +51,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trace::metrics::{EngineMetrics, GraphLabel, LabeledMetrics, LogHistogram};
+use trace::metrics::LogHistogram;
 use trace::ring::{RingEvent, RingSet};
 use trace::{StallCause, TraceEvent, TraceSink};
 
@@ -96,8 +96,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Default per-worker flight-recorder capacity (slots). 4096 events at
-/// 40 bytes/slot is 160 KiB per worker — cheap enough to stay always on.
+/// Per-worker flight-recorder capacity (slots) of every serving pool.
+/// 4096 events at 40 bytes/slot is 160 KiB per worker — cheap enough to
+/// stay always on.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Pool configuration for [`Runtime::new`].
@@ -105,25 +106,13 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 pub struct RuntimeConfig {
     /// Worker threads shared by every tenant.
     pub workers: usize,
-    /// Per-worker flight-recorder ring capacity (slots, rounded up to a
-    /// power of two). 0 disables ring recording entirely — the
-    /// telemetry-off baseline the serve bench compares against. The
-    /// default is on ([`DEFAULT_RING_CAPACITY`]): the serving runtime's
-    /// flight recorder is an always-on facility.
-    pub ring_capacity: usize,
 }
 
 impl RuntimeConfig {
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            ring_capacity: DEFAULT_RING_CAPACITY,
         }
-    }
-
-    pub fn ring_capacity(mut self, slots: usize) -> Self {
-        self.ring_capacity = slots;
-        self
     }
 }
 
@@ -332,12 +321,12 @@ pub struct PoolTelemetry {
 }
 
 /// What [`super::native::run_native`] asks of the pool it owns and a
-/// serving pool never pays for: its tenant's trace sink and metrics, the
-/// pick hook's exploration policy, per-node busy time, and a component's
-/// panic payload (to re-raise, or return as a structured lease conflict).
+/// serving pool never pays for: its tenant's trace sink, the pick hook's
+/// exploration policy, per-node busy time, and a component's panic
+/// payload (to re-raise, or return as a structured lease conflict). Such
+/// a pool has no flight-recorder rings: nothing would read them.
 pub(super) struct RunProbe {
     pub(super) trace: Option<Arc<dyn TraceSink>>,
-    pub(super) metrics: Option<Arc<EngineMetrics>>,
     pub(super) sched: SchedPolicy,
     /// Keyed by the owner; each worker adds its private map when it
     /// exits, so it is complete once [`Runtime::shutdown`] joined the pool.
@@ -363,13 +352,10 @@ struct MultiShared {
     /// `min(workers, hardware threads)` — the wake-up throttle ceiling.
     parallelism: usize,
     shutdown: AtomicBool,
-    /// Per-tenant metrics registry (graph id + app label), for
-    /// `hinch-insight`-style attribution.
-    labels: Arc<LabeledMetrics>,
     /// Common time base for flight-recorder timestamps and uptime.
     epoch: Instant,
-    /// Always-on per-worker flight recorder (None when
-    /// [`RuntimeConfig::ring_capacity`] is 0).
+    /// Always-on per-worker flight recorder of a serving pool (None for
+    /// a `run_native` pool).
     rings: Option<Arc<RingSet>>,
     /// Per-worker busy/idle/steal/park counters (one slot per worker).
     wstats: Box<[WorkerStats]>,
@@ -570,9 +556,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                             end: start + idle,
                         });
                     }
-                    if let Some(m) = &p.metrics {
-                        m.on_stall(cause, idle);
-                    }
                 }
             }
         };
@@ -610,9 +593,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
         match result {
             Ok(retired) => {
                 let busy = started.elapsed().as_nanos() as u64;
-                if let Some(m) = &g.metrics {
-                    m.on_job(busy);
-                }
                 ws.jobs.fetch_add(1, Ordering::Relaxed);
                 ws.busy_ns.fetch_add(busy, Ordering::Relaxed);
                 if let Some(r) = &ring {
@@ -702,10 +682,10 @@ impl Runtime {
             active: AtomicUsize::new(workers),
             parallelism: workers.min(crate::sync::hardware_parallelism(workers)),
             shutdown: AtomicBool::new(false),
-            labels: Arc::new(LabeledMetrics::new()),
             epoch: Instant::now(),
-            rings: (cfg.ring_capacity > 0)
-                .then(|| Arc::new(RingSet::new(workers, cfg.ring_capacity))),
+            rings: probe
+                .is_none()
+                .then(|| Arc::new(RingSet::new(workers, DEFAULT_RING_CAPACITY))),
             wstats: (0..workers).map(|_| WorkerStats::default()).collect(),
             probe,
         });
@@ -749,12 +729,7 @@ impl Runtime {
     pub(super) fn install(&self, inst: InstanceGraph, opts: SpawnOpts) -> GraphId {
         let depth = opts.pipeline_depth.max(1);
         let dag = Arc::new(flatten(&inst.root, &inst.streams, 0));
-        // A serving tenant always carries a labeled metrics registry; a
-        // `run_native` tenant carries what its caller asked for.
-        let (trace, metrics) = match &self.shared.probe {
-            Some(p) => (p.trace.clone(), p.metrics.clone()),
-            None => (None, Some(Arc::new(EngineMetrics::new()))),
-        };
+        let trace = self.shared.probe.as_ref().and_then(|p| p.trace.clone());
         let clock = Arc::new(FrameClock::new());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let hook: RetireHook = {
@@ -785,18 +760,10 @@ impl Runtime {
                 }
             })
         };
-        let core = GraphCore::new(
-            inst,
-            dag,
-            depth as u64,
-            self.shared.epoch,
-            trace,
-            metrics.clone(),
-            hook,
-        );
+        let core = GraphCore::new(inst, dag, depth as u64, self.shared.epoch, trace, hook);
         let tenant = Arc::new(Tenant {
             id,
-            label: opts.label.clone(),
+            label: opts.label,
             max_backlog: opts.max_backlog.max(1),
             core,
             clock,
@@ -804,15 +771,6 @@ impl Runtime {
             shed: AtomicU64::new(0),
             draining: AtomicBool::new(false),
         });
-        if let (None, Some(metrics)) = (&self.shared.probe, metrics) {
-            self.shared.labels.register(
-                GraphLabel {
-                    graph_id: id as u64,
-                    app: opts.label,
-                },
-                metrics,
-            );
-        }
         self.shared.graphs.write().insert(id, tenant);
         GraphId(id)
     }
@@ -980,7 +938,6 @@ impl Runtime {
                     .fetch_add(tenant.progress() + 1, Ordering::Relaxed);
             }
         }
-        self.shared.labels.unregister(id.0 as u64);
         let stats = tenant.stats();
         if let Some(msg) = stats.failure.clone() {
             return Err(ServeError::GraphFailed(msg));
@@ -1035,15 +992,10 @@ impl Runtime {
         self.shared.locals.len()
     }
 
-    /// The per-tenant metrics registry (graph id + app label → counters).
-    pub fn labeled_metrics(&self) -> Arc<LabeledMetrics> {
-        Arc::clone(&self.shared.labels)
-    }
-
-    /// The per-worker flight recorder, when enabled
-    /// ([`RuntimeConfig::ring_capacity`] > 0). Consumers keep their own
-    /// cursor set (`rings().cursors()`) and call `snapshot` on it —
-    /// draining never pauses the workers.
+    /// The per-worker flight recorder (every pool from [`Runtime::new`]
+    /// has one). Consumers keep their own cursor set
+    /// (`rings().cursors()`) and call `snapshot` on it — draining never
+    /// pauses the workers.
     pub fn rings(&self) -> Option<Arc<RingSet>> {
         self.shared.rings.clone()
     }
@@ -1320,7 +1272,15 @@ mod tests {
         }
         assert_eq!(rt.graph_count(), 0);
         assert_eq!(rt.queued_jobs(), 0);
-        assert!(rt.labeled_metrics().snapshot().is_empty());
+        // The always-on flight recorder of a `Runtime::new` pool saw them.
+        let rings = rt.rings().expect("a serving pool always has rings");
+        let events = rings.snapshot(&mut rings.cursors()).events;
+        assert!(events
+            .iter()
+            .any(|(_, e)| matches!(e, RingEvent::Job { .. })));
+        assert!(events
+            .iter()
+            .any(|(_, e)| matches!(e, RingEvent::Retire { .. })));
         // Workers drop their tenant caches and park once the pool is dry.
         let deadline = Instant::now() + Duration::from_secs(5);
         while rt.idle_workers() < rt.workers() {
@@ -1338,7 +1298,7 @@ mod tests {
     #[test]
     fn flight_recorder_captures_jobs_and_retirements() {
         let rt = Runtime::new(RuntimeConfig::new(2));
-        let rings = rt.rings().expect("flight recorder is on by default");
+        let rings = rt.rings().expect("a serving pool always has rings");
         let mut curs = rings.cursors();
         let id = rt
             .spawn(&pipeline_spec(), SpawnOpts::new("pipe").pipeline_depth(2))
@@ -1375,16 +1335,6 @@ mod tests {
         assert_eq!(t.workers.iter().map(|w| w.jobs).sum::<u64>(), 24);
         assert!(t.workers.iter().map(|w| w.busy_ns).sum::<u64>() > 0);
         assert!(t.uptime_ns > 0);
-        rt.shutdown();
-    }
-
-    #[test]
-    fn ring_capacity_zero_disables_recording() {
-        let rt = Runtime::new(RuntimeConfig::new(1).ring_capacity(0));
-        assert!(rt.rings().is_none());
-        let id = rt.spawn(&pipeline_spec(), SpawnOpts::new("p")).unwrap();
-        rt.submit(id, 3).unwrap();
-        assert_eq!(rt.drain(id).unwrap().completed, 3);
         rt.shutdown();
     }
 

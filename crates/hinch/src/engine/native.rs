@@ -42,7 +42,6 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
     };
     let probe = Arc::new(RunProbe {
         trace: cfg.trace.clone(),
-        metrics: cfg.metrics.clone(),
         sched: cfg.sched,
         per_node: Mutex::new(per_node),
         panic: Mutex::new(None),
@@ -52,10 +51,9 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
     // run from its first admission to the join — and not building the
     // graph's scheduling state in between.
     let spawning = Instant::now();
-    // Rings off: the flight recorder is the serving plane's; a run that
-    // wants events attaches `cfg.trace`.
-    let pool = RuntimeConfig::new(cfg.workers).ring_capacity(0);
-    let rt = Runtime::start(pool, Some(Arc::clone(&probe)));
+    // A pool with a probe has no rings: the flight recorder is the serving
+    // plane's; a run that wants events attaches `cfg.trace`.
+    let rt = Runtime::start(RuntimeConfig::new(cfg.workers), Some(Arc::clone(&probe)));
     let spawned = spawning.elapsed();
     let opts = SpawnOpts::new("run_native")
         .pipeline_depth(cfg.pipeline_depth)

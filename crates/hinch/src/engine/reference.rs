@@ -13,8 +13,8 @@
 //! byte-identical to this oracle under every engine, core count,
 //! pipeline depth and [`crate::sched::SchedPolicy`].
 //!
-//! The executor ignores `cfg.overhead`, `cfg.trace` and `cfg.metrics`
-//! (there is no timeline to attribute costs or stalls to); it honours
+//! The executor ignores `cfg.overhead` and `cfg.trace` (there is no
+//! timeline to attribute costs or stalls to); it honours
 //! `cfg.iterations` and the reconfiguration protocol, including the
 //! quiesce windows — with depth 1 every retirement is a quiescent point,
 //! so pending plans apply at the earliest iteration boundary.

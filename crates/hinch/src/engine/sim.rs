@@ -194,9 +194,6 @@ pub fn run_sim(
                     let end = start + dispatch + cycles;
                     core_free[core] = end;
                     core_busy[core] += dispatch + cycles;
-                    if let Some(m) = &cfg.metrics {
-                        m.on_job(dispatch + cycles);
-                    }
                     let entry = per_node.entry(kind.label()).or_default();
                     entry.jobs += 1;
                     entry.cycles += dispatch + cycles;
@@ -273,11 +270,6 @@ pub fn run_sim(
                 gate,
             }));
         }
-        if let Some(m) = &cfg.metrics {
-            if effect != Effect::None {
-                m.iterations.inc();
-            }
-        }
         if let Some(sink) = &cfg.trace {
             if effect != Effect::None {
                 sink.record(TraceEvent::IterationRetired {
@@ -308,11 +300,6 @@ pub fn run_sim(
                 barrier = clock + cost;
                 let begin = open_quiesce.take().unwrap_or(clock);
                 quiesce_windows.push((begin, barrier));
-                if let Some(m) = &cfg.metrics {
-                    m.reconfigs.add(outcome.applied);
-                    m.quiesce_windows.inc();
-                    m.quiesce_time.add(barrier - begin);
-                }
                 for job in resumed {
                     seq += 1;
                     ready_q.push(Reverse(ReadyJob {
@@ -415,9 +402,6 @@ fn attribute_gap(
                 end: e,
             });
         }
-        if let Some(m) = &cfg.metrics {
-            m.on_stall(c, e - s);
-        }
     };
     // Windows are chronological and disjoint (each new drain begins after
     // the previous barrier), so one forward sweep splits the gap.
@@ -477,10 +461,6 @@ fn exec_job(
             platform.charge(
                 cfg.overhead.event_poll + cfg.overhead.create_component * cost.created as u64,
             );
-            if let Some(m) = &cfg.metrics {
-                m.event_polls.inc();
-                m.events_drained.add(cost.events as u64);
-            }
             if let Some(sink) = &cfg.trace {
                 sink.record(TraceEvent::EventPoll {
                     manager: mgr.name.clone(),
@@ -655,8 +635,7 @@ mod tests {
         let g = GraphSpec::seq(vec![leaf("a", &[], &["s"], 0), leaf("b", &["s"], &[], 0)]);
         let rec = std::sync::Arc::new(trace::Recorder::new(trace::Clock::VirtualCycles));
         let mut p = NullPlatform::new(3);
-        let metrics = std::sync::Arc::new(trace::metrics::EngineMetrics::new());
-        let cfg = RunConfig::new(6).trace(rec.sink()).metrics(metrics.clone());
+        let cfg = RunConfig::new(6).trace(rec.sink());
         let r = run_sim(&g, &cfg, &mut p).unwrap();
 
         let mut busy = [0u64; 3];
@@ -677,10 +656,6 @@ mod tests {
             assert_eq!(idle[c], r.core_idle[c], "core {c} attributed idle");
             assert_eq!(busy[c] + idle[c], r.cycles, "core {c} tiles the makespan");
         }
-        // The always-on registry agrees with the trace.
-        assert_eq!(metrics.jobs.get(), r.jobs_executed);
-        assert_eq!(metrics.iterations.get(), r.iterations);
-        assert_eq!(metrics.stalled_total(), idle.iter().sum::<u64>());
     }
 
     #[test]
@@ -715,11 +690,8 @@ mod tests {
             ]),
         );
         let rec = std::sync::Arc::new(trace::Recorder::new(trace::Clock::VirtualCycles));
-        let metrics = std::sync::Arc::new(trace::metrics::EngineMetrics::new());
         let mut p = NullPlatform::new(2);
-        let cfg = RunConfig::new(12)
-            .trace(rec.sink())
-            .metrics(metrics.clone());
+        let cfg = RunConfig::new(12).trace(rec.sink());
         let r = run_sim(&g, &cfg, &mut p).unwrap();
         assert_eq!(r.reconfigs, 1);
         let quiesce_stalled: u64 = rec
@@ -739,8 +711,16 @@ mod tests {
             quiesce_stalled > 0,
             "the resync barrier must surface as quiesce stalls"
         );
-        assert_eq!(metrics.quiesce_windows.get(), 1);
-        assert!(metrics.quiesce_time.get() > 0);
+        let (mut begins, mut ends) = (Vec::new(), Vec::new());
+        for e in rec.events() {
+            match e {
+                TraceEvent::QuiesceBegin { at } => begins.push(at),
+                TraceEvent::QuiesceEnd { at } => ends.push(at),
+                _ => {}
+            }
+        }
+        assert_eq!((begins.len(), ends.len()), (1, 1), "one quiesce window");
+        assert!(ends[0] > begins[0]);
         // Tiling holds through the reconfiguration too.
         for c in 0..2 {
             assert_eq!(r.core_busy[c] + r.core_idle[c], r.cycles, "core {c}");

@@ -7,6 +7,7 @@
 
 use crate::Report;
 use std::fmt::Write as _;
+use trace::json::string as json_string;
 use trace::StallCause;
 
 fn percent(part: u64, whole: u64) -> f64 {
@@ -142,27 +143,6 @@ pub fn render_human(report: &Report) -> String {
             let _ = writeln!(out, "  #{i}: [{begin}, {end}]  {} {unit}", end - begin);
         }
     }
-    out
-}
-
-/// Escape a string as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

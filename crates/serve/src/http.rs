@@ -19,7 +19,6 @@
 //! body (none of the routes needs one) is ignored. Not a general HTTP
 //! server; just enough for scripted ingress and smoke tests.
 
-use crate::json::{array, JsonObject};
 use crate::protocol::{Request, Response, WireDiagnostic, ALL_GRAPHS};
 use crate::server::Inner;
 use crate::telemetry::FORMAT_PROMETHEUS;
@@ -29,6 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
+use trace::json::{array, JsonObject};
 
 /// A connection that sends no complete request within this window is
 /// dropped — an idle client must not pin its handler thread (or delay

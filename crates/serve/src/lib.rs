@@ -8,14 +8,13 @@
 //! for frame submission and manager-event injection (reconfiguration
 //! over the wire) — with per-tenant admission control and an open-loop
 //! load harness ([`load`]) that measures concurrent-graph throughput and
-//! p99 frame latency for `BENCH_serve.json`.
+//! p99 frame latency.
 //!
 //! See `docs/SERVING.md` for the protocol framing, admission-control
 //! semantics and load-generator usage; `hinch-serve --help` for the CLI.
 
 pub mod client;
 pub mod http;
-mod json;
 pub mod load;
 pub mod protocol;
 pub mod server;
@@ -23,8 +22,7 @@ pub mod telemetry;
 
 pub use client::{Client, ClientError};
 pub use load::{
-    run_burst_replay, run_open_loop, run_telemetry_probe, Burst, LoadConfig, LoadReport,
-    ReplayConfig, ReplayReport, TelemetryProbe,
+    run_burst_replay, run_open_loop, Burst, LoadConfig, LoadReport, ReplayConfig, ReplayReport,
 };
 pub use protocol::{Request, Response, WireDiagnostic, ALL_GRAPHS, MAX_FRAME};
 pub use server::{stats_json, Server, ServerConfig};
@@ -368,6 +366,7 @@ mod tests {
         )
         .expect("bind");
         let http = server.http_addr().expect("http addr");
+        let mut c = Client::connect(server.tcp_addr().expect("tcp addr")).expect("connect");
         let handle = std::thread::spawn(move || server.run().expect("server run"));
 
         let get = |path: &str| -> String {
@@ -385,13 +384,44 @@ mod tests {
             out
         };
 
+        // `/metrics` and the wire telemetry in all three formats: both
+        // expositions validate and carry exactly the `live` tenants'
+        // series (the rolling window may still show a drained one).
+        let mut observe = |live: &[u32], gone: &[u32]| {
+            let scraped = get("/metrics");
+            let body = scraped.split_once("\r\n\r\n").expect("/metrics body").1;
+            let wire = c.telemetry(FORMAT_PROMETHEUS).expect("wire prometheus");
+            let json = c.telemetry(FORMAT_JSON).expect("wire json");
+            let table = c.telemetry(FORMAT_TABLE).expect("wire table");
+            assert!(table.contains("pool: 2 workers"), "{table}");
+            let series = |g: u32| format!("hinch_graph_completed_total{{graph=\"{g}\"");
+            for text in [body, wire.as_str()] {
+                validate_prometheus(text).expect("valid exposition");
+                assert!(live.iter().all(|&g| text.contains(&series(g))), "{text}");
+                assert!(!gone.iter().any(|&g| text.contains(&series(g))), "{text}");
+            }
+            assert!(
+                json.contains(&format!("\"graphs\":{},", live.len())),
+                "{json}"
+            );
+            for &g in live {
+                assert!(json.contains(&format!("{{\"graph\":{g},")), "{json}");
+            }
+        };
+
         assert!(get("/healthz").contains("{\"ok\":true}"));
         let spawned = post("/spawn?app=blur3&depth=2&backlog=16");
         assert!(spawned.contains("\"graph\":0"), "{spawned}");
+        let spawned = post("/spawn?app=pip1&depth=2&backlog=16");
+        assert!(spawned.contains("\"graph\":1"), "{spawned}");
         let submitted = post("/submit?graph=0&frames=3");
         assert!(submitted.contains("\"accepted\":3"), "{submitted}");
+        assert!(post("/submit?graph=1&frames=3").contains("\"accepted\":3"));
+        observe(&[0, 1], &[]);
         let drained = post("/drain?graph=0");
         assert!(drained.contains("\"completed\":3"), "{drained}");
+        observe(&[1], &[0]);
+        assert!(post("/drain?graph=1").contains("\"completed\":3"));
         assert!(get("/stats").contains("[]"));
         assert!(post("/submit?graph=0&frames=1").contains("400"), "drained");
         assert!(post("/nope").contains("400"));

@@ -13,15 +13,13 @@
 //! families) with Poisson arrivals and optional periodic bursts,
 //! reporting aggregate frames/sec, shed count and a fleet-wide p50/p99
 //! frame latency (per-tenant histograms merged exactly — same
-//! power-of-two buckets). [`run_telemetry_probe`] measures what the
-//! always-on flight recorder costs a saturated fleet.
+//! power-of-two buckets).
 
 use crate::server::await_progress;
 use adapt::{run_scenario, Action, Quality, ScenarioReport, ScenarioSpec};
 use apps::experiment::{
     build_isolated, build_isolated_adaptive, reconfig_handle, App, AppConfig, Built, Scale,
 };
-use hinch::engine::DEFAULT_RING_CAPACITY;
 use hinch::trace::metrics::{LogHistogram, LOG_BUCKETS};
 use hinch::{Event, GraphId, GraphStats, Runtime, RuntimeConfig, SpawnOpts};
 use rand::rngs::StdRng;
@@ -55,9 +53,6 @@ pub struct LoadConfig {
     pub duration: Duration,
     pub burst: Option<Burst>,
     pub seed: u64,
-    /// Flight-recorder ring slots per worker (0 disables telemetry —
-    /// the A/B knob behind [`run_telemetry_probe`]).
-    pub ring_capacity: usize,
 }
 
 impl Default for LoadConfig {
@@ -77,7 +72,6 @@ impl Default for LoadConfig {
                 factor: 3.0,
             }),
             seed: 42,
-            ring_capacity: DEFAULT_RING_CAPACITY,
         }
     }
 }
@@ -177,7 +171,7 @@ pub fn arrival_schedule(cfg: &LoadConfig) -> Vec<(Duration, usize)> {
 /// `cfg.duration`, drain everything, aggregate.
 pub fn run_open_loop(cfg: &LoadConfig) -> LoadReport {
     assert!(cfg.graphs > 0 && !cfg.mix.is_empty() && cfg.rate_fps > 0.0);
-    let runtime = Runtime::new(RuntimeConfig::new(cfg.workers).ring_capacity(cfg.ring_capacity));
+    let runtime = Runtime::new(RuntimeConfig::new(cfg.workers));
 
     // Fleet: instances cycle over the app mix.
     let ids: Vec<GraphId> = (0..cfg.graphs)
@@ -242,107 +236,6 @@ pub fn run_open_loop(cfg: &LoadConfig) -> LoadReport {
         latency_p99_ns,
         reconfigs,
         per_graph,
-    }
-}
-
-/// Wall time to run `graphs` saturated instances of `app` concurrently
-/// on one shared pool, with the flight recorder at `ring_capacity` slots
-/// per worker (0 = telemetry off).
-fn shared_pool_elapsed(
-    app: App,
-    scale: Scale,
-    graphs: usize,
-    frames: u64,
-    workers: usize,
-    pipeline_depth: usize,
-    ring_capacity: usize,
-) -> Duration {
-    let cfg = AppConfig { app, scale, frames };
-    let runtime = Runtime::new(RuntimeConfig::new(workers).ring_capacity(ring_capacity));
-    let ids: Vec<GraphId> = (0..graphs)
-        .map(|_| {
-            let built = build_isolated(cfg);
-            runtime
-                .spawn(
-                    &built.spec,
-                    SpawnOpts::new(app.id())
-                        .pipeline_depth(pipeline_depth)
-                        .max_backlog(frames),
-                )
-                .expect("spawn saturated instance")
-        })
-        .collect();
-    let start = Instant::now();
-    for &id in &ids {
-        assert_eq!(runtime.submit(id, frames).expect("submit"), frames);
-    }
-    for &id in &ids {
-        let stats = runtime.drain(id).expect("drain");
-        assert_eq!(stats.completed, frames);
-    }
-    let elapsed = start.elapsed();
-    runtime.shutdown();
-    elapsed
-}
-
-/// A/B result of the flight-recorder overhead probe (the `telemetry`
-/// section of `BENCH_serve.json`).
-#[derive(Debug, Clone)]
-pub struct TelemetryProbe {
-    pub graphs: usize,
-    pub workers: usize,
-    pub frames_per_graph: u64,
-    /// Runs per side; each side reports its best (least-noise) run.
-    pub trials: usize,
-    /// Best throughput with the flight recorder on (default capacity).
-    pub on_fps: f64,
-    /// Best throughput with the flight recorder off (`ring_capacity 0`).
-    pub off_fps: f64,
-    /// on / off — `>= 0.97` means always-on telemetry costs <= 3%.
-    pub ratio: f64,
-}
-
-/// Measure the always-on flight recorder's throughput cost: the same
-/// saturated shared-pool workload with rings at default capacity vs
-/// disabled, best-of-`trials` per side (wall-clock noise on a shared
-/// machine easily exceeds the recorder's per-job seqlock write, so the
-/// minimum is the honest comparison).
-pub fn run_telemetry_probe(
-    app: App,
-    scale: Scale,
-    graphs: usize,
-    frames: u64,
-    workers: usize,
-    pipeline_depth: usize,
-    trials: usize,
-) -> TelemetryProbe {
-    let best = |ring_capacity: usize| -> f64 {
-        let total = (graphs as u64 * frames) as f64;
-        (0..trials.max(1))
-            .map(|_| {
-                let elapsed = shared_pool_elapsed(
-                    app,
-                    scale,
-                    graphs,
-                    frames,
-                    workers,
-                    pipeline_depth,
-                    ring_capacity,
-                );
-                total / elapsed.as_secs_f64().max(1e-9)
-            })
-            .fold(0.0f64, f64::max)
-    };
-    let off_fps = best(0);
-    let on_fps = best(DEFAULT_RING_CAPACITY);
-    TelemetryProbe {
-        graphs,
-        workers,
-        frames_per_graph: frames,
-        trials: trials.max(1),
-        on_fps,
-        off_fps,
-        ratio: on_fps / off_fps.max(1e-9),
     }
 }
 

@@ -6,7 +6,6 @@
 //! hinch-serve load   [--graphs N] [--workers N] [--rate FPS]
 //!                    [--duration-ms MS] [--seed S] [--mix pip1,blur3,...]
 //!                    [--depth D] [--backlog B] [--no-burst] [--json PATH]
-//! hinch-serve bench  [--json BENCH_serve.json] [--graphs N] [--duration-ms MS]
 //! hinch-serve top    [--addr 127.0.0.1:7070] [--once] [--interval-ms MS] [--count N]
 //! hinch-serve smoke  [--frames N]
 //! hinch-serve scenario [--app pip12] [--seed S] [--stepped] [--execute] [--max-frames N]
@@ -14,9 +13,6 @@
 //!
 //! * `serve` — run the front-end until a `Shutdown` request arrives;
 //! * `load` — in-process open-loop load run, report as JSON;
-//! * `bench` — the `BENCH_serve.json` producer: open-loop fleet run, the
-//!   flight-recorder overhead A/B, and the closed-loop SLO scenario sweep
-//!   (all gated in `scripts/bench.sh`);
 //! * `scenario` — the seeded bursty-replay scenario (`crates/adapt`):
 //!   prints the deterministic replay log (decision schedule, static
 //!   sweep, adaptive-vs-best-static verdict); `--execute` additionally
@@ -34,10 +30,7 @@
 //!   `top --once`, verify responses and clean shutdown.
 
 use apps::experiment::{App, Scale};
-use serve::load::{
-    run_burst_replay, run_open_loop, run_telemetry_probe, LoadConfig, LoadReport, ReplayConfig,
-    TelemetryProbe,
-};
+use serve::load::{run_burst_replay, run_open_loop, LoadConfig, LoadReport, ReplayConfig};
 use serve::{Client, Server, ServerConfig, FORMAT_JSON, FORMAT_PROMETHEUS, FORMAT_TABLE};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -49,7 +42,6 @@ fn usage() -> ExitCode {
          \x20      hinch-serve load  [--graphs N] [--workers N] [--rate FPS] [--duration-ms MS]\n\
          \x20                        [--seed S] [--mix a,b,..] [--depth D] [--backlog B]\n\
          \x20                        [--no-burst] [--json PATH]\n\
-         \x20      hinch-serve bench [--json PATH] [--graphs N] [--duration-ms MS]\n\
          \x20      hinch-serve top   [--addr A] [--once] [--interval-ms MS] [--count N]\n\
          \x20      hinch-serve smoke [--frames N]\n\
          \x20      hinch-serve scenario [--app pip12] [--seed S] [--stepped] [--execute]\n\
@@ -203,121 +195,6 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let out = args.get("--json").unwrap_or("BENCH_serve.json");
-    let mut cfg = build_load_config(args)?;
-    cfg.graphs = cfg.graphs.max(64); // the acceptance floor
-    eprintln!(
-        "bench serve: open loop — {} graphs / {} workers, {:.0} fps offered for {} ms",
-        cfg.graphs,
-        cfg.workers,
-        cfg.rate_fps,
-        cfg.duration.as_millis()
-    );
-    let open = run_open_loop(&cfg);
-    eprintln!(
-        "bench serve: open loop — {} accepted ({} shed), {:.0} frames/s, p99 {} ns",
-        open.accepted, open.shed, open.agg_fps, open.latency_p99_ns
-    );
-
-    let app = App::Pip1;
-    let (workers, depth) = (8, 3);
-
-    // Flight-recorder overhead A/B at the acceptance fleet size: one
-    // saturated fixed-work fleet, rings at default capacity vs disabled.
-    let (tel_graphs, tel_frames, tel_trials) = (cfg.graphs, 32, 3);
-    eprintln!(
-        "bench serve: telemetry — {tel_graphs} x {} @ {tel_frames} frames, recorder on vs off, best of {tel_trials}",
-        app.id()
-    );
-    let tel = run_telemetry_probe(
-        app,
-        Scale::Small,
-        tel_graphs,
-        tel_frames,
-        workers,
-        depth,
-        tel_trials,
-    );
-    eprintln!(
-        "bench serve: telemetry — on {:.0} fps vs off {:.0} fps (ratio {:.3})",
-        tel.on_fps, tel.off_fps, tel.ratio
-    );
-
-    // Closed-loop SLO controller vs the best static configuration: the
-    // seeded bursty-replay scenario, one per reconfigurable app. Fully
-    // deterministic (virtual time); gated adaptive <= best-static in
-    // scripts/bench.sh.
-    let mut adapt_rows = Vec::new();
-    for app in App::RECONFIG {
-        let r = adapt::run_scenario(&adapt::ScenarioSpec::small(app, 42));
-        let best = r.best_static();
-        eprintln!(
-            "bench serve: adapt — {} adaptive miss rate {:.4} vs best static {} {:.4}",
-            app.id(),
-            r.adaptive.miss_rate,
-            best.config.label(),
-            best.miss_rate
-        );
-        adapt_rows.push(adapt_scenario_json(&r));
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str("    \"generated_by\": \"hinch-serve bench\",\n");
-    json.push_str(
-        "    \"note\": \"absolute numbers are machine-dependent; compare ratios and bounds. \
-         open_loop = seeded Poisson arrivals over a mixed-app fleet with per-tenant admission \
-         control; telemetry = N instances saturated on one shared pool with the flight \
-         recorder on vs off (ratio >= 0.97 means always-on telemetry costs <= 3%); \
-         adapt = the deterministic seeded bursty-replay scenario per reconfigurable app \
-         (deadline-miss rate, closed-loop controller vs the best static configuration)\",\n",
-    );
-    let _ = writeln!(json, "    \"open_loop\": {},", load_json(&open, &cfg));
-    let _ = writeln!(json, "    \"telemetry\": {},", telemetry_probe_json(&tel));
-    let _ = writeln!(json, "    \"adapt\": [{}]", adapt_rows.join(", "));
-    json.push_str("}\n");
-    std::fs::write(out, &json).map_err(|e| format!("write {out}: {e}"))?;
-    eprintln!("bench serve: wrote {out}");
-    Ok(())
-}
-
-fn adapt_scenario_json(r: &adapt::ScenarioReport) -> String {
-    let best = r.best_static();
-    let mut j = String::from("{\n");
-    let _ = writeln!(j, "        \"app\": \"{}\",", r.spec.app.id());
-    let _ = writeln!(j, "        \"seed\": {},", r.spec.seed);
-    let _ = writeln!(j, "        \"frames\": {},", r.spec.frames);
-    let _ = writeln!(j, "        \"deadline_cycles\": {:.1},", r.deadline);
-    let _ = writeln!(j, "        \"initial\": \"{}\",", r.initial.label());
-    let _ = writeln!(j, "        \"adaptive_misses\": {},", r.adaptive.misses);
-    let _ = writeln!(
-        j,
-        "        \"adaptive_miss_rate\": {:.4},",
-        r.adaptive.miss_rate
-    );
-    let _ = writeln!(
-        j,
-        "        \"degraded_frames\": {},",
-        r.adaptive.degraded_frames
-    );
-    let _ = writeln!(j, "        \"toggles\": {},", r.adaptive.counters.toggle);
-    let _ = writeln!(j, "        \"resizes\": {},", r.adaptive.counters.resize);
-    let _ = writeln!(
-        j,
-        "        \"depth_steps\": {},",
-        r.adaptive.counters.step_depth
-    );
-    let _ = writeln!(j, "        \"best_static\": \"{}\",", best.config.label());
-    let _ = writeln!(j, "        \"best_static_misses\": {},", best.misses);
-    let _ = writeln!(
-        j,
-        "        \"best_static_miss_rate\": {:.4}",
-        best.miss_rate
-    );
-    j.push_str("    }");
-    j
-}
-
 /// The seeded bursty-replay scenario: print the deterministic replay
 /// log; with `--execute`, re-run the decision schedule on the real
 /// runtime and print the (deterministic) execution summary. ci.sh diffs
@@ -349,19 +226,6 @@ fn cmd_scenario(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-fn telemetry_probe_json(t: &TelemetryProbe) -> String {
-    let mut j = String::from("{\n");
-    let _ = writeln!(j, "        \"graphs\": {},", t.graphs);
-    let _ = writeln!(j, "        \"workers\": {},", t.workers);
-    let _ = writeln!(j, "        \"frames_per_graph\": {},", t.frames_per_graph);
-    let _ = writeln!(j, "        \"trials\": {},", t.trials);
-    let _ = writeln!(j, "        \"on_fps\": {:.1},", t.on_fps);
-    let _ = writeln!(j, "        \"off_fps\": {:.1},", t.off_fps);
-    let _ = writeln!(j, "        \"ratio\": {:.3}", t.ratio);
-    j.push_str("    }");
-    j
 }
 
 fn cmd_top(args: &Args) -> Result<(), String> {
@@ -556,7 +420,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "serve" => cmd_serve(&args),
         "load" => cmd_load(&args),
-        "bench" => cmd_bench(&args),
         "top" => cmd_top(&args),
         "smoke" => cmd_smoke(&args),
         "scenario" => cmd_scenario(&args),

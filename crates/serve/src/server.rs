@@ -14,7 +14,6 @@
 //! concurrently. Nothing over the wire can read a served graph's frames
 //! back, so its sinks discard them ([`wire_build`]).
 
-use crate::json::{array, JsonObject};
 use crate::protocol::{
     begin_frame, send_frame, size_body, Request, Response, WireDiagnostic, ALL_GRAPHS,
     SEVERITY_ERROR, SEVERITY_WARNING,
@@ -37,6 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use trace::json::{array, JsonObject};
 
 /// Read-timeout granularity on accepted frame-protocol streams: how
 /// often a handler blocked waiting for the next request re-checks the

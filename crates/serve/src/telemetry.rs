@@ -25,11 +25,11 @@
 //! smoke gate and this module's tests — the /metrics body is validated
 //! in CI by the same code a scraper would trip over.
 
-use crate::json::{array, JsonObject};
 use hinch::{GraphStats, PoolTelemetry, Runtime};
 use insight::live::{counts_from_nonzero, GraphSample, LiveAnalyzer, LiveSummary};
 use std::fmt::Write as _;
 use std::sync::Mutex;
+use trace::json::{array, JsonObject};
 use trace::metrics::LogHistogram;
 use trace::ring::Cursor;
 use trace::StallCause;

@@ -4,6 +4,7 @@
 //! All exporters are pure functions of the event slice, so a
 //! deterministic trace (simulation engine) exports byte-identically.
 
+use crate::json::string as json_string;
 use crate::{CacheDelta, Clock, StallCause, Time, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -184,21 +185,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], clock: Clock) -> String {
                     TraceEvent::EventPoll {
                         manager, events, ..
                     } => (format!("poll {manager}"), format!("\"events\":{events}")),
-                    TraceEvent::FrameRetired {
-                        graph,
-                        iter,
-                        latency,
-                        ..
-                    } => (
-                        format!("frame retired g{graph}"),
-                        format!("\"graph\":{graph},\"iteration\":{iter},\"latency\":{latency}"),
-                    ),
-                    TraceEvent::RingDrop {
-                        worker, dropped, ..
-                    } => (
-                        format!("ring drop w{worker}"),
-                        format!("\"worker\":{worker},\"dropped\":{dropped}"),
-                    ),
                     _ => unreachable!("span/quiesce/occupancy handled above"),
                 };
                 entries.push(format!(
@@ -310,21 +296,6 @@ pub fn csv(events: &[TraceEvent]) -> String {
                 end,
             } => {
                 let _ = writeln!(out, "stall,{},,{core},{start},{end},,,,,", cause.as_str());
-            }
-            TraceEvent::FrameRetired {
-                graph,
-                iter,
-                latency,
-                at,
-            } => {
-                let _ = writeln!(out, "frame_retired,,{iter},{graph},{at},{at},,,,,{latency}");
-            }
-            TraceEvent::RingDrop {
-                worker,
-                dropped,
-                at,
-            } => {
-                let _ = writeln!(out, "ring_drop,,,{worker},{at},{at},,,,,{dropped}");
             }
         }
     }
@@ -517,27 +488,6 @@ fn gantt_bar(spans: &[(u32, Time, Time)], core: u32, t0: Time, t1: Time) -> Stri
         .collect()
 }
 
-/// Escape a string as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn csv_field(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -710,10 +660,5 @@ mod tests {
             utilization_summary(&events, Clock::VirtualCycles),
             utilization_summary(&events, Clock::VirtualCycles)
         );
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

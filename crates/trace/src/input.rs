@@ -147,17 +147,6 @@ fn parse_row(fields: &[String]) -> Result<TraceEvent, String> {
                 end: num(fields, 5, "end")?,
             }
         }
-        "frame_retired" => TraceEvent::FrameRetired {
-            graph: num(fields, 3, "graph")? as u32,
-            iter: num(fields, 2, "iter")?,
-            latency: num(fields, 10, "latency")?,
-            at: num(fields, 4, "start")?,
-        },
-        "ring_drop" => TraceEvent::RingDrop {
-            worker: num(fields, 3, "worker")? as u32,
-            dropped: num(fields, 10, "dropped")?,
-            at: num(fields, 4, "start")?,
-        },
         other => return Err(format!("unknown event type '{other}'")),
     })
 }
@@ -240,17 +229,6 @@ mod tests {
             },
             TraceEvent::DagSwap { version: 1, at: 14 },
             TraceEvent::QuiesceEnd { at: 20 },
-            TraceEvent::FrameRetired {
-                graph: 7,
-                iter: 42,
-                latency: 1_250_000,
-                at: 21,
-            },
-            TraceEvent::RingDrop {
-                worker: 3,
-                dropped: 128,
-                at: 22,
-            },
         ]
     }
 
@@ -259,33 +237,6 @@ mod tests {
         let events = sample_events();
         let parsed = events_from_csv(&csv(&events)).expect("parse");
         assert_eq!(parsed, events);
-    }
-
-    /// Golden rows for the telemetry-era event kinds: the exact CSV text
-    /// is pinned, so a format drift breaks here rather than in a
-    /// downstream consumer's archive.
-    #[test]
-    fn telemetry_rows_golden() {
-        let events = vec![
-            TraceEvent::FrameRetired {
-                graph: 7,
-                iter: 42,
-                latency: 1_250_000,
-                at: 21,
-            },
-            TraceEvent::RingDrop {
-                worker: 3,
-                dropped: 128,
-                at: 22,
-            },
-        ];
-        let text = csv(&events);
-        let golden =
-            "event,label,iter,core,start,end,cycles,l1_misses,l2_misses,mem_cycles,value\n\
-                      frame_retired,,42,7,21,21,,,,,1250000\n\
-                      ring_drop,,,3,22,22,,,,,128\n";
-        assert_eq!(text, golden);
-        assert_eq!(events_from_csv(golden).expect("parse"), events);
     }
 
     #[test]
@@ -301,7 +252,7 @@ mod tests {
                     bogus,,,,,,,,,,\n";
         let err = events_from_csv(text).unwrap_err();
         assert!(err.contains("line 3"), "{err}");
-        assert!(err.contains("bogus"), "{err}");
+        assert!(err.contains("unknown event type 'bogus'"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! The one JSON writer of the serving front-end.
+//! The one JSON writer of the workspace.
 //!
 //! The workspace is dependency-free by design, so JSON is hand-rolled —
-//! but hand-rolled *once*: graph stats, telemetry exports, HTTP error
-//! bodies and analyzer-rejection diagnostics all render through
-//! [`JsonObject`] and share a single [`escape`] implementation. A second
-//! escaping routine is where injection bugs breed.
+//! but hand-rolled *once*: trace exports, insight and conformance
+//! reports, analyzer diagnostics and the serving front-end's stats,
+//! telemetry and HTTP bodies share a single [`escape`] implementation. A
+//! second escaping routine is where injection bugs breed.
 
 /// Escape a string for embedding inside a JSON string literal
 /// (backslash, quote, and control characters — panic messages carry
 /// newlines, labels are arbitrary caller input via `Runtime::spawn`).
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -25,8 +25,13 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
+/// `s` as a JSON string literal: [`escape`]d, quotes included.
+pub fn string(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
+
 /// Render an array from pre-rendered JSON values.
-pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
+pub fn array(items: impl IntoIterator<Item = String>) -> String {
     let items: Vec<String> = items.into_iter().collect();
     format!("[{}]", items.join(","))
 }
@@ -34,19 +39,19 @@ pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
 /// Incremental `{...}` builder. Field order is insertion order; values
 /// go through exactly one escaping path ([`escape`]) for strings, or in
 /// raw for pre-rendered sub-documents.
-pub(crate) struct JsonObject {
+#[derive(Default)]
+pub struct JsonObject {
+    /// The fields so far, without the braces.
     buf: String,
 }
 
 impl JsonObject {
-    pub(crate) fn new() -> Self {
-        Self {
-            buf: String::from("{"),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn key(&mut self, key: &str) -> &mut String {
-        if self.buf.len() > 1 {
+        if !self.buf.is_empty() {
             self.buf.push(',');
         }
         self.buf.push('"');
@@ -56,16 +61,13 @@ impl JsonObject {
     }
 
     /// A string field, escaped.
-    pub(crate) fn str(mut self, key: &str, value: &str) -> Self {
-        let buf = self.key(key);
-        buf.push('"');
-        buf.push_str(&escape(value));
-        buf.push('"');
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key).push_str(&string(value));
         self
     }
 
     /// An optional string field: `null` when absent.
-    pub(crate) fn opt_str(self, key: &str, value: Option<&str>) -> Self {
+    pub fn opt_str(self, key: &str, value: Option<&str>) -> Self {
         match value {
             Some(v) => self.str(key, v),
             None => self.raw(key, "null"),
@@ -73,7 +75,7 @@ impl JsonObject {
     }
 
     /// An integer field.
-    pub(crate) fn num(mut self, key: &str, value: impl Into<u64>) -> Self {
+    pub fn num(mut self, key: &str, value: impl Into<u64>) -> Self {
         let v = value.into();
         let buf = self.key(key);
         buf.push_str(&v.to_string());
@@ -82,22 +84,21 @@ impl JsonObject {
 
     /// A float field rendered with one decimal (the workspace's report
     /// convention).
-    pub(crate) fn f1(mut self, key: &str, value: f64) -> Self {
+    pub fn f1(mut self, key: &str, value: f64) -> Self {
         let buf = self.key(key);
         buf.push_str(&format!("{value:.1}"));
         self
     }
 
     /// A pre-rendered JSON value (array, object, `null`, bool) verbatim.
-    pub(crate) fn raw(mut self, key: &str, value: &str) -> Self {
+    pub fn raw(mut self, key: &str, value: &str) -> Self {
         let buf = self.key(key);
         buf.push_str(value);
         self
     }
 
-    pub(crate) fn build(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+    pub fn build(self) -> String {
+        format!("{{{}}}", self.buf)
     }
 }
 
@@ -105,9 +106,9 @@ impl JsonObject {
 mod tests {
     use super::*;
 
-    /// The single escaping test of the crate: every writer call site
-    /// funnels through [`escape`], so this covers the stats renderer,
-    /// the telemetry export, and the HTTP error/rejection bodies alike.
+    /// The single escaping test of the workspace: every writer call
+    /// site funnels through [`escape`], so this covers the trace
+    /// exports, the reports, the diagnostics and the serving bodies alike.
     #[test]
     fn escape_neutralizes_quotes_controls_and_backslashes() {
         assert_eq!(escape("plain"), "plain");
@@ -117,6 +118,7 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\\u0001");
         // Non-ASCII passes through (JSON is UTF-8).
         assert_eq!(escape("żółć"), "żółć");
+        assert_eq!(string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 
     #[test]

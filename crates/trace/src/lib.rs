@@ -17,11 +17,12 @@
 //! [`export`] — is byte-identical across runs.
 //!
 //! Tracing is opt-in per run. A run without a sink pays one branch per
-//! would-be event and performs no allocation; see the
-//! `trace_overhead` bench.
+//! would-be event and performs no allocation; `benchmark/` reports what
+//! an attached [`Recorder`] costs as `trace.recorder_overhead_pct`.
 
 pub mod export;
 pub mod input;
+pub mod json;
 pub mod metrics;
 pub mod ring;
 
@@ -191,18 +192,6 @@ pub enum TraceEvent {
         start: Time,
         end: Time,
     },
-    /// Frame `iter` of serving-runtime graph `graph` retired; `latency`
-    /// is its admission-to-retirement time. The multi-graph runtime's
-    /// flight recorder ([`ring`]) emits these per retired frame.
-    FrameRetired {
-        graph: u32,
-        iter: u64,
-        latency: u64,
-        at: Time,
-    },
-    /// A flight-recorder consumer on `worker`'s ring fell behind and
-    /// `dropped` events were overwritten before they could be drained.
-    RingDrop { worker: u32, dropped: u64, at: Time },
 }
 
 impl TraceEvent {
@@ -217,9 +206,7 @@ impl TraceEvent {
             | TraceEvent::DagSwap { at, .. }
             | TraceEvent::ReconfigApplied { at, .. }
             | TraceEvent::EventPoll { at, .. }
-            | TraceEvent::StreamOccupancy { at, .. }
-            | TraceEvent::FrameRetired { at, .. }
-            | TraceEvent::RingDrop { at, .. } => *at,
+            | TraceEvent::StreamOccupancy { at, .. } => *at,
         }
     }
 }
@@ -228,16 +215,6 @@ impl TraceEvent {
 /// thread-safe: the native engine records from every worker thread.
 pub trait TraceSink: Send + Sync {
     fn record(&self, event: TraceEvent);
-}
-
-/// A sink that discards everything; used by the overhead benchmarks to
-/// measure the cost of event *construction* alone.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn record(&self, _event: TraceEvent) {}
 }
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(0);
@@ -525,11 +502,5 @@ mod tests {
         assert!(check_invariants(&events).is_err());
         let events = vec![TraceEvent::QuiesceEnd { at: 3 }];
         assert!(check_invariants(&events).is_err());
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let sink = NullSink;
-        sink.record(span("a", 0, 0, 1));
     }
 }

@@ -38,7 +38,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::{StallCause, Time, TraceEvent};
+use crate::{StallCause, Time};
 
 /// One compact flight-recorder event. `Copy`, four words on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,51 +132,6 @@ impl RingEvent {
         match *self {
             RingEvent::Job { start, .. } | RingEvent::Stall { start, .. } => start,
             RingEvent::Retire { at, .. } => at,
-        }
-    }
-
-    /// Lift into the full [`TraceEvent`] model (for CSV/Chrome export
-    /// and offline analysis). Numeric identities are rendered as
-    /// `g<graph>.n<node>` labels.
-    pub fn to_trace(&self) -> TraceEvent {
-        match *self {
-            RingEvent::Job {
-                graph,
-                node,
-                start,
-                end,
-            } => TraceEvent::JobSpan {
-                label: format!("g{graph}.n{node}"),
-                kind: crate::SpanKind::Component,
-                iter: 0,
-                core: 0,
-                start,
-                end,
-                cycles: 0,
-                cache: None,
-            },
-            RingEvent::Stall {
-                worker,
-                cause,
-                start,
-                end,
-            } => TraceEvent::CoreStall {
-                core: worker,
-                cause,
-                start,
-                end,
-            },
-            RingEvent::Retire {
-                graph,
-                iter,
-                at,
-                latency,
-            } => TraceEvent::FrameRetired {
-                graph,
-                iter: iter as u64,
-                latency,
-                at,
-            },
         }
     }
 }

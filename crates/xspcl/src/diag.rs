@@ -9,6 +9,7 @@
 //! (hand-rolled: the workspace carries no serialization dependency).
 
 use crate::xml::Span;
+use hinch::trace::json::string as json_string;
 use std::fmt;
 
 /// How bad a diagnostic is. Anything at [`Severity::Error`] means the
@@ -224,25 +225,6 @@ impl From<Vec<Diagnostic>> for Diagnostics {
     fn from(items: Vec<Diagnostic>) -> Self {
         Diagnostics { items }
     }
-}
-
-/// Escape `s` as a JSON string literal (quotes included).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
