@@ -32,7 +32,7 @@ fn stream_ops(c: &mut Criterion) {
         let mut iter = 0u64;
         b.iter(|| {
             for _ in 0..8 {
-                let _ = s.write_shared(iter, || 42u64);
+                let _ = s.write_shared(iter, |_| 42u64);
             }
             s.clear(iter);
             iter += 1;

@@ -51,7 +51,7 @@ impl Component for Mix {
             acc = mix(acc, fold(&buf));
         }
         let total = self.assign.total;
-        let out = ctx.write_shared::<RegionBuf<i64>, _>(0, || RegionBuf::new("mix", total));
+        let out = ctx.write_shared(0, |old| RegionBuf::<i64>::renew(old, "mix", total));
         out.lease_write(self.assign.range(total)).fill(acc);
         ctx.charge(7);
     }

@@ -4,6 +4,9 @@
 //! against a committed fixture. The fixture config deliberately stays at
 //! pipeline depth 1: reconfigurable apps are byte-exact against the
 //! oracle there, so every digest in the document is deterministic.
+//! It thereby also pins that a fingerprint does not depend on whether a
+//! stream buffer was freshly allocated or renewed from its slot's spare
+//! (every engine, the oracle included, retires through `Stream::clear`).
 //! Regenerate after an intentional behaviour change with:
 //!
 //! ```text

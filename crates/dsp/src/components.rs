@@ -87,8 +87,9 @@ impl Component for Channelize {
         let n = self.fft.len();
         assert_eq!(input.len() % n, 0, "block must hold whole spectra");
         let spectra = input.len() / n;
-        let out =
-            ctx.write_shared::<RegionBuf<f32>, _>(0, || RegionBuf::new("spectra", spectra * n * 2));
+        let out = ctx.write_shared(0, |old| {
+            RegionBuf::<f32>::renew(old, "spectra", spectra * n * 2)
+        });
         let range = self.assign.range(spectra);
         if range.is_empty() {
             return;
@@ -155,8 +156,9 @@ impl Component for PowerDetect {
         let n = self.n;
         let spectra = input.len() / (n * 2);
         let bins = n / 2;
-        let out =
-            ctx.write_shared::<RegionBuf<f32>, _>(0, || RegionBuf::new("power", spectra * bins));
+        let out = ctx.write_shared(0, |old| {
+            RegionBuf::<f32>::renew(old, "power", spectra * bins)
+        });
         let range = self.assign.range(spectra);
         if range.is_empty() {
             return;

@@ -285,6 +285,15 @@ impl<'a> RunCtx<'a> {
             .read_as::<T>(self.iter)
     }
 
+    fn output(&self, port: usize) -> &Stream {
+        self.outputs.get(port).unwrap_or_else(|| {
+            panic!(
+                "output port {port} out of range ({} ports)",
+                self.outputs.len()
+            )
+        })
+    }
+
     /// Write `value` to output port `port` for the current iteration.
     pub fn write<T: Send + Sync + 'static>(&self, port: usize, value: T) -> Arc<T> {
         let packet: Arc<T> = Arc::new(value);
@@ -292,33 +301,32 @@ impl<'a> RunCtx<'a> {
         packet
     }
 
-    /// Write an already-shared value to output port `port` (no copy).
+    /// Write an already-shared value to output port `port` (no copy). The
+    /// stream does not keep it past the iteration's retirement.
     pub fn write_arc<T: Send + Sync + 'static>(&self, port: usize, value: Arc<T>) {
-        self.outputs
-            .get(port)
-            .unwrap_or_else(|| {
-                panic!(
-                    "output port {port} out of range ({} ports)",
-                    self.outputs.len()
-                )
-            })
-            .write(self.iter, value);
+        self.output(port).write(self.iter, value);
+    }
+
+    /// Build the value of output port `port` for the current iteration,
+    /// single-writer form of [`RunCtx::write_shared`]: `init` receives the
+    /// payload this stream slot held `pipeline_depth` iterations ago (if
+    /// it is a `T` and nothing else still holds it) to rebuild the output
+    /// in the same storage. See [`Stream::write_with`].
+    pub fn write_with<T, F>(&self, port: usize, init: F) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce(Option<T>) -> T,
+    {
+        self.output(port).write_with(self.iter, init)
     }
 
     /// Forward an already-shared value to output port `port`; safe to call
     /// from every copy of a sliced group (all must pass the same `Arc`).
     /// This is how *in-place* components hand their (mutated) input buffer
-    /// downstream.
+    /// downstream. The output stream only holds an alias: the buffer goes
+    /// back to the stream slot it was built for.
     pub fn forward_shared<T: Send + Sync + 'static>(&self, port: usize, value: Arc<T>) {
-        self.outputs
-            .get(port)
-            .unwrap_or_else(|| {
-                panic!(
-                    "output port {port} out of range ({} ports)",
-                    self.outputs.len()
-                )
-            })
-            .write_shared_packet(self.iter, value);
+        self.output(port).write_shared_packet(self.iter, value);
     }
 
     /// Direct access to the meter (for substrate helpers that report
@@ -329,23 +337,17 @@ impl<'a> RunCtx<'a> {
 
     /// Get-or-create the *shared* output of a sliced group on port `port`.
     ///
-    /// The first copy to arrive runs `init` (allocating, say, the output
-    /// frame); all copies receive the same `Arc` and then fill their
-    /// disjoint regions through `RegionBuf` leases.
+    /// The first copy to arrive runs `init` (building, say, the output
+    /// frame — in the storage of the `Some(old)` it is handed when this
+    /// stream slot has a retired payload to give back, see
+    /// [`Stream::write_shared`]); all copies receive the same `Arc` and
+    /// then fill their disjoint regions through `RegionBuf` leases.
     pub fn write_shared<T, F>(&self, port: usize, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
-        F: FnOnce() -> T,
+        F: FnOnce(Option<T>) -> T,
     {
-        self.outputs
-            .get(port)
-            .unwrap_or_else(|| {
-                panic!(
-                    "output port {port} out of range ({} ports)",
-                    self.outputs.len()
-                )
-            })
-            .write_shared(self.iter, init)
+        self.output(port).write_shared(self.iter, init)
     }
 
     /// Charge compute cycles for the work being done (no-op natively).

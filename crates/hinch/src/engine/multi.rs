@@ -1295,6 +1295,144 @@ mod tests {
         rt.shutdown();
     }
 
+    /// Stream payloads are conserved: a slot parks the payload an
+    /// iteration retires for its next writer instead of dropping it, so
+    /// per stream at most `pipeline_depth` payloads exist at any moment
+    /// (live + parked — what the ring holds at full depth anyway), a
+    /// forwarded alias retains nothing, and nothing outlives the tenant.
+    #[test]
+    fn stream_payloads_are_bounded_by_the_ring_and_die_with_the_tenant() {
+        use crate::component::{Component, RunCtx};
+        use crate::graph::{ComponentFactory, ComponentSpec};
+
+        const DEPTH: usize = 3;
+
+        /// Payloads of one stream: existing now, built in all.
+        #[derive(Default)]
+        struct Census {
+            live: AtomicUsize,
+            built: AtomicUsize,
+        }
+
+        struct Counted(Arc<Census>);
+
+        impl Counted {
+            fn renew(old: Option<Counted>, census: &Arc<Census>) -> Counted {
+                old.unwrap_or_else(|| {
+                    census.live.fetch_add(1, Ordering::SeqCst);
+                    census.built.fetch_add(1, Ordering::SeqCst);
+                    Counted(census.clone())
+                })
+            }
+        }
+
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.live.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+
+        /// Source (`shared: false`, `write_with`) or one copy of a sliced
+        /// stage (`write_shared`) building a [`Counted`] on port 0.
+        struct Build {
+            census: Arc<Census>,
+            shared: bool,
+        }
+
+        impl Component for Build {
+            fn class(&self) -> &'static str {
+                "build"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                if self.shared {
+                    let _ = ctx.read::<Counted>(0);
+                    ctx.write_shared(0, |old| Counted::renew(old, &self.census));
+                } else {
+                    ctx.write_with(0, |old| Counted::renew(old, &self.census));
+                }
+            }
+        }
+
+        /// Hands its input buffer on, as an in-place component does; with
+        /// no output port it is the sink.
+        struct Forward;
+
+        impl Component for Forward {
+            fn class(&self) -> &'static str {
+                "forward"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                let buf = ctx.read::<Counted>(0);
+                if ctx.num_outputs() > 0 {
+                    ctx.forward_shared(0, buf);
+                }
+            }
+        }
+
+        let build = |name: &str, census: &Arc<Census>, shared: bool| {
+            let census = census.clone();
+            let f: ComponentFactory = Arc::new(move || {
+                Box::new(Build {
+                    census: census.clone(),
+                    shared,
+                })
+            });
+            ComponentSpec::new(name, "build", f)
+        };
+        let (a, b) = (Arc::new(Census::default()), Arc::new(Census::default()));
+        let forward: ComponentFactory = Arc::new(|| Box::new(Forward));
+        let spec = GraphSpec::seq(vec![
+            GraphSpec::Leaf(build("src", &a, false).output("a")),
+            GraphSpec::slice(
+                "mid",
+                2,
+                GraphSpec::Leaf(build("mid", &b, true).input("a").output("b")),
+            ),
+            GraphSpec::Leaf(
+                ComponentSpec::new("fwd", "forward", forward.clone())
+                    .input("b")
+                    .output("c"),
+            ),
+            GraphSpec::Leaf(ComponentSpec::new("snk", "forward", forward).input("c")),
+        ]);
+
+        let rt = Runtime::new(RuntimeConfig::new(3));
+        let id = rt
+            .spawn(&spec, SpawnOpts::new("counted").pipeline_depth(DEPTH))
+            .unwrap();
+        let mut offered = 0;
+        while offered < 200 {
+            offered += rt.submit(id, 200 - offered).unwrap();
+            thread::yield_now();
+        }
+        // drain asserts `live_slots() == 0` on every stream: a parked
+        // payload is not a live slot
+        assert_eq!(rt.drain(id).unwrap().completed, 200);
+        // Never more payloads than ring slots, in 200 frames: each slot
+        // builds one and then renews its own (live + parked <= DEPTH).
+        for (name, census) in [("a", &a), ("b", &b)] {
+            let built = census.built.load(Ordering::SeqCst);
+            assert!(
+                built <= DEPTH,
+                "stream {name}: {built} payloads built — the forwarded alias or a \
+                 reader kept a slot from reusing its own"
+            );
+        }
+        // Workers let go of the tenant once the pool is dry; then every
+        // payload, live or parked, is gone with its streams.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while a.live.load(Ordering::SeqCst) + b.live.load(Ordering::SeqCst) > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "payloads outlive the tenant: a={} b={}",
+                a.live.load(Ordering::SeqCst),
+                b.live.load(Ordering::SeqCst)
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        rt.shutdown();
+    }
+
     #[test]
     fn flight_recorder_captures_jobs_and_retirements() {
         let rt = Runtime::new(RuntimeConfig::new(2));

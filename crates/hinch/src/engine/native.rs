@@ -328,8 +328,7 @@ mod tests {
                 "greedy"
             }
             fn run(&mut self, ctx: &mut RunCtx<'_>) {
-                let buf =
-                    ctx.write_shared::<RegionBuf<i64>, _>(0, || RegionBuf::new("greedy.out", 32));
+                let buf = ctx.write_shared(0, |old| RegionBuf::<i64>::renew(old, "greedy.out", 32));
                 let mut w = buf.lease_write(0..32);
                 w[0] = 1;
                 crate::sync::thread::sleep(std::time::Duration::from_millis(5));

@@ -482,8 +482,8 @@ pub(crate) mod testutil {
         fn run(&mut self, ctx: &mut RunCtx<'_>) {
             let v = *ctx.read::<i64>(0);
             let total = self.assign.total;
-            let buf = ctx.write_shared::<crate::sharedbuf::RegionBuf<i64>, _>(0, || {
-                crate::sharedbuf::RegionBuf::new("slice_add.out", total)
+            let buf = ctx.write_shared(0, |old| {
+                crate::sharedbuf::RegionBuf::<i64>::renew(old, "slice_add.out", total)
             });
             let mut w = buf.lease_write(self.assign.range(total));
             for slot in w.iter_mut() {

@@ -306,6 +306,67 @@ impl<T: Default + Clone> RegionBuf<T> {
     pub fn new(name: impl Into<String>, len: usize) -> Self {
         Self::from_vec(name, vec![T::default(); len])
     }
+
+    /// [`RegionBuf::new`] in the storage of `old` — the payload a stream
+    /// slot retired (see [`crate::stream`]) — when it has exactly `len`
+    /// elements; a fresh allocation otherwise. Either way every element
+    /// is `T::default()`: a renewed buffer is indistinguishable from a
+    /// new one, including its (fresh) simulated address.
+    ///
+    /// # Panics
+    /// If `old` still has a lease registered (one was leaked).
+    pub fn renew(old: Option<Self>, name: &str, len: usize) -> Self {
+        match old.and_then(|buf| buf.reused(name, len)) {
+            Some(mut buf) => {
+                buf.fill(T::default());
+                buf
+            }
+            None => Self::new(name, len),
+        }
+    }
+
+    /// [`RegionBuf::renew`] for a writer that overwrites **every** element
+    /// in one call and asserts so (a whole-buffer `copy_from_slice`, a
+    /// decode loop over all blocks): the fill is skipped and the contents
+    /// are unspecified. Debug builds fill with `poison` first — fresh or
+    /// reused alike — so an overwrite that turns out partial produces
+    /// wrong output deterministically instead of stale pixels.
+    pub fn renew_for_overwrite(old: Option<Self>, name: &str, len: usize, poison: T) -> Self {
+        let mut buf = old
+            .and_then(|buf| buf.reused(name, len))
+            .unwrap_or_else(|| Self::new(name, len));
+        if cfg!(debug_assertions) {
+            buf.fill(poison);
+        }
+        buf
+    }
+
+    /// This buffer as a new one named `name` if it has `len` elements:
+    /// same allocation, registry and name `String`, stale contents, a
+    /// fresh simulated address (what [`RegionBuf::from_vec`] would take,
+    /// so simulated cache traffic cannot tell renewal from allocation).
+    fn reused(mut self, name: &str, len: usize) -> Option<Self> {
+        if self.len != len {
+            return None;
+        }
+        assert!(
+            self.registry.get_mut().active.is_empty(),
+            "RegionBuf '{}': renewed with a lease still registered",
+            self.name
+        );
+        if self.name != name {
+            self.name.clear();
+            self.name.push_str(name);
+        }
+        self.sim_base = sim_alloc((len * std::mem::size_of::<T>()) as u64);
+        Some(self)
+    }
+
+    fn fill(&mut self, value: T) {
+        for cell in self.data.iter_mut() {
+            *cell.get_mut() = value.clone();
+        }
+    }
 }
 
 impl<T: Clone> RegionBuf<T> {
@@ -314,6 +375,65 @@ impl<T: Clone> RegionBuf<T> {
         self.lease_read_all().to_vec()
     }
 }
+
+/// A buffer of at least this many bytes hands its pages back to the
+/// system when it dies.
+const PAGE_RELEASE_MIN: usize = 64 * 1024;
+
+/// A large buffer does not leave it to the allocator whether its memory
+/// leaves the process. Stream slots keep their payloads ([`crate::stream`]),
+/// so a tenant's ring buffers die together, at teardown, on another thread
+/// than the workers that allocated them; glibc then returns them only if
+/// it happens to have mapped them one by one (its threshold for that
+/// drifts upward with every large `free`) or if nothing small sits above
+/// them in the allocating worker's arena. Otherwise they stay resident in
+/// an arena the next pool's workers may never attach to, and the process
+/// peak depends on thread timing.
+impl<T> Drop for RegionBuf<T> {
+    fn drop(&mut self) {
+        let bytes = std::mem::size_of_val(&*self.data);
+        // Elements with drop glue are still to be dropped by the box.
+        if bytes >= PAGE_RELEASE_MIN && !std::mem::needs_drop::<T>() {
+            // SAFETY: the box's own allocation, borrowed exclusively; all
+            // that still happens to it is the box freeing it.
+            unsafe { release_pages(self.data.as_mut_ptr().cast(), bytes) };
+        }
+    }
+}
+
+/// Tell the kernel that the whole pages inside `[ptr, ptr + len)` hold
+/// nothing: it takes them back at once and supplies zero pages on the
+/// next touch. The range stays allocated.
+///
+/// # Safety
+/// `[ptr, ptr + len)` lies inside one allocation the caller owns
+/// exclusively, and its contents are never relied on again.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+unsafe fn release_pages(ptr: *mut u8, len: usize) {
+    use std::ffi::{c_int, c_void};
+    /// x86-64 Linux has one base page size.
+    const PAGE: usize = 4096;
+    const MADV_DONTNEED: c_int = 4;
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    let first = ptr.align_offset(PAGE);
+    if first >= len {
+        return;
+    }
+    let whole = (len - first) & !(PAGE - 1);
+    if whole > 0 {
+        // SAFETY: `[ptr + first, ptr + first + whole)` is page-aligned and
+        // inside the caller's range, so discarding its contents affects
+        // nobody else; the advice leaves the mapping itself alone, so the
+        // allocator can still free or reuse the block. A failure leaves
+        // the pages as they were.
+        unsafe { madvise(ptr.add(first).cast(), whole, MADV_DONTNEED) };
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+unsafe fn release_pages(_ptr: *mut u8, _len: usize) {}
 
 impl<T> fmt::Debug for RegionBuf<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -524,6 +644,87 @@ mod tests {
         for (k, v) in snap.iter().enumerate() {
             assert_eq!(*v, k as u32);
         }
+    }
+
+    #[test]
+    fn renew_reuses_the_allocation_and_looks_new() {
+        let old = RegionBuf::<u8>::new("first", 64);
+        old.lease_write_all().fill(7);
+        let (ptr, sim) = (old.data.as_ptr(), old.sim_base());
+        let buf = RegionBuf::renew(Some(old), "second", 64);
+        assert_eq!(buf.data.as_ptr(), ptr, "same storage");
+        assert_eq!(buf.snapshot(), vec![0; 64], "zero-filled like `new`");
+        assert!(buf.sim_base() > sim, "fresh simulated address");
+        // the name follows the new owner (conflicts report it)
+        let _w = buf.lease_write(0..4);
+        assert_eq!(buf.try_lease_write(0..4).err().unwrap().buffer, "second");
+    }
+
+    #[test]
+    fn renew_of_another_length_allocates() {
+        let old = RegionBuf::<u8>::new("b", 64);
+        old.lease_write_all().fill(7);
+        let buf = RegionBuf::renew(Some(old), "b", 65);
+        assert_eq!(buf.len(), 65);
+        assert_eq!(buf.snapshot(), vec![0; 65]);
+        assert_eq!(RegionBuf::<u8>::renew(None, "b", 3).snapshot(), vec![0; 3]);
+    }
+
+    #[test]
+    fn renew_for_overwrite_skips_the_fill_only_in_release() {
+        let old = RegionBuf::<u8>::new("b", 8);
+        old.lease_write_all().fill(7);
+        let buf = RegionBuf::renew_for_overwrite(Some(old), "b", 8, 0xA5);
+        let want = if cfg!(debug_assertions) { 0xA5 } else { 7 };
+        assert_eq!(buf.snapshot(), vec![want; 8]);
+        // a fresh one is poisoned too, so debug output never depends on reuse
+        let fresh = RegionBuf::<u8>::renew_for_overwrite(None, "b", 8, 0xA5);
+        let want = if cfg!(debug_assertions) { 0xA5 } else { 0 };
+        assert_eq!(fresh.snapshot(), vec![want; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "lease still registered")]
+    fn renew_with_a_leaked_lease_panics() {
+        let old = RegionBuf::<u8>::new("b", 8);
+        std::mem::forget(old.lease_write(0..4));
+        let _ = RegionBuf::renew(Some(old), "b", 8);
+    }
+
+    /// The page release takes the whole pages inside the range and not a
+    /// byte outside it: both partial pages at the ends keep their contents.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn release_pages_empties_whole_pages_and_nothing_else() {
+        const PAGE: usize = 4096;
+        let mut bytes = vec![0xFFu8; 6 * PAGE];
+        let (from, len) = (7, 4 * PAGE + 100);
+        let base = bytes.as_mut_ptr();
+        // SAFETY: `[from, from + len)` is inside the vector, which this
+        // test owns and expects to read back as zeros.
+        unsafe { release_pages(base.add(from), len) };
+        let first = from + unsafe { base.add(from) }.align_offset(PAGE);
+        let whole = (from + len - first) / PAGE * PAGE;
+        assert!(whole >= 3 * PAGE, "the range holds three whole pages");
+        let bytes = std::hint::black_box(bytes);
+        for (i, &b) in bytes.iter().enumerate() {
+            let released = (first..first + whole).contains(&i);
+            assert_eq!(b, if released { 0 } else { 0xFF }, "byte {i}");
+        }
+    }
+
+    /// Dropping a large buffer goes through the page release and still
+    /// frees it; element types with drop glue are left to the box.
+    #[test]
+    fn large_buffers_of_any_element_type_drop_cleanly() {
+        drop(RegionBuf::<u8>::new("big", 4 * PAGE_RELEASE_MIN + 5));
+        drop(RegionBuf::<String>::new("strings", PAGE_RELEASE_MIN));
+        let renewed = RegionBuf::renew(
+            Some(RegionBuf::<i16>::new("c", PAGE_RELEASE_MIN)),
+            "c",
+            PAGE_RELEASE_MIN,
+        );
+        assert!(renewed.lease_read_all().iter().all(|&v| v == 0));
     }
 
     #[test]

@@ -10,36 +10,79 @@
 //!
 //! Storage is a fixed ring of `capacity` slots, iteration `i` mapping to
 //! slot `i % capacity`. Each slot carries an atomic *tag* encoding its
-//! state (`EMPTY`, `BUSY(iter)` while a shared writer initializes it, or
-//! `FULL(iter)`) next to an [`UnsafeCell`] holding the payload, so the hot
-//! path — one write and a few reads per stream per iteration — touches no
-//! lock and allocates nothing.
+//! state (`EMPTY`, `BUSY(iter)` while a writer initializes it, or
+//! `FULL(iter)`) next to two cells: the iteration's *payload*, and the
+//! *spare* — the payload the slot's previous iteration retired.
+//!
+//! # The ring is the buffer pool
+//!
+//! A slot keeps its buffer. [`Stream::clear`] does not drop the payload of
+//! a retired iteration, it parks it in the slot's spare cell; the slot's
+//! next writer (iteration `i + capacity`) takes it, and — if nothing else
+//! still holds it (`Arc::try_unwrap`) and it has the writer's type —
+//! receives it as the `Some(old)` of its `init` closure
+//! ([`Stream::write_shared`], [`Stream::write_with`]) to rebuild its
+//! output in the same storage. A spare that is still aliased, or of
+//! another type, is dropped and the writer allocates, exactly as if the
+//! slot were new. So once every slot has been written once, the hot path —
+//! one write and a few reads per stream per iteration — touches no lock and
+//! allocates nothing but the payload's `Arc` header: the allocation a
+//! component made for iteration `i` is the one it fills for `i + capacity`.
+//!
+//! Retention is bounded by construction: at most one payload per slot,
+//! live *or* spare, which is what the ring holds at full pipeline depth
+//! anyway; it dies with the stream. Only a payload the slot's writer
+//! *built* is retained. [`Stream::write`] and
+//! [`Stream::write_shared_packet`] store a value that already exists
+//! elsewhere (an input frame, an event, the in-place alias of an upstream
+//! buffer); their slot is *non-retaining* — retirement drops the `Arc`, so
+//! an alias never outlives its iteration and never blocks the `try_unwrap`
+//! of the slot that owns the buffer.
 //!
 //! Writers are single (per iteration) except for *shared* writes used by
 //! sliced groups: every copy of the group calls [`Stream::write_shared`],
-//! the first call allocates the shared payload (e.g. an output frame backed
+//! the first call builds the shared payload (e.g. an output frame backed
 //! by [`crate::sharedbuf::RegionBuf`]) and all calls return the same `Arc`,
 //! after which each copy leases its disjoint region and fills it.
 //!
 //! # Safety argument
 //!
-//! The payload cell of a slot is written only (a) by the slot's unique
-//! writer before it publishes the `FULL` tag with `Release`, (b) by the
-//! winner of the `EMPTY → BUSY` CAS of a shared write, again before the
-//! `Release`-publish, or (c) by [`Stream::clear`] at iteration retirement,
-//! which the scheduler orders strictly after every reader of that
-//! iteration (an iteration only retires once all of its jobs are done)
-//! and strictly before any writer of iteration `i + capacity` (admission
-//! never exceeds the pipeline depth, and retirement/admission are ordered
-//! by the engines). Readers observe the tag with `Acquire` before touching
-//! the cell, so the writer's payload store happens-before every read, and
-//! while a slot is `FULL` the cell is immutable — concurrent readers only
-//! clone the `Arc` through a shared reference.
+//! Both cells of a slot are ordered through its tag; the tag lives on the
+//! [`crate::sync`] facade and the cells are [`ModelCell`]s, so
+//! `--cfg hinch_model` builds check this argument with vector clocks
+//! (`crates/schedcheck/tests/stream_model.rs`).
+//!
+//! The **payload** cell is written only (a) by the thread that won the
+//! slot's `EMPTY → BUSY` CAS — the unique writer of a single-writer
+//! stream, or the first copy of a shared write — before it publishes the
+//! `FULL` tag with `Release`, or (b) by [`Stream::clear`] at iteration
+//! retirement, which the scheduler orders strictly after every reader of
+//! that iteration (an iteration only retires once all of its jobs are
+//! done) and strictly before any writer of iteration `i + capacity`
+//! (admission never exceeds the pipeline depth, and retirement/admission
+//! are ordered by the engines). Readers observe the tag with `Acquire`
+//! before touching the cell, so the writer's payload store happens-before
+//! every read, and while a slot is `FULL` the cell is immutable —
+//! concurrent readers only clone the `Arc` through a shared reference.
+//!
+//! The **spare** cell is never read by a reader. It is written by `clear`
+//! (parks the retired payload, or empties the cell for a non-retaining
+//! slot) and taken by the `BUSY` owner of a retaining write, and those two
+//! never overlap: `clear` writes it *before* its `Release` store of
+//! `EMPTY`, and a writer only becomes `BUSY` owner by an `Acquire` CAS
+//! that reads that `EMPTY`, so the park happens-before the take; the owner
+//! takes it *before* its `Release` store of `FULL`, and `clear` only
+//! touches the cells after an `Acquire` load of that very tag, so the take
+//! happens-before the next park. (The scheduler's retire → admit order
+//! implies the first edge as well; the tag makes both hold without appeal
+//! to it.) Co-writers of a shared write that lose the CAS never touch the
+//! spare. The handed-out value is uniquely owned: `try_unwrap` succeeds
+//! only when the slot held the last reference.
 
 use crate::packet::{pack, unpack, Packet};
-use std::cell::UnsafeCell;
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::cell::ModelCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Slot capacity of [`Stream::new`]. The engines size streams explicitly
@@ -70,18 +113,48 @@ fn decode(tag: u64) -> (u64, bool) {
     ((tag - 1) / 2, tag.is_multiple_of(2))
 }
 
+/// What a `FULL` slot holds.
+struct Filled {
+    packet: Packet,
+    /// Whether retirement parks `packet` in the spare cell (the slot's
+    /// writer built it) or drops it (it exists elsewhere too).
+    retain: bool,
+}
+
 struct Slot {
     tag: AtomicU64,
-    packet: UnsafeCell<Option<Packet>>,
+    payload: ModelCell<Option<Filled>>,
+    /// The payload this slot's previous iteration retired, until the next
+    /// retaining writer takes it.
+    spare: ModelCell<Option<Packet>>,
 }
 
 impl Slot {
     fn new() -> Self {
         Slot {
             tag: AtomicU64::new(EMPTY),
-            packet: UnsafeCell::new(None),
+            payload: ModelCell::new(None),
+            spare: ModelCell::new(None),
         }
     }
+
+    /// Clone of the stored packet.
+    ///
+    /// # Safety
+    /// The caller observed this slot's `FULL` tag with `Acquire`: the
+    /// payload store happened-before, and the cell is immutable while
+    /// `FULL` (module docs).
+    unsafe fn packet(&self) -> Packet {
+        self.payload
+            .with(|p| unsafe { (*p).as_ref().map(|f| f.packet.clone()) })
+            .expect("FULL slot holds a packet")
+    }
+}
+
+/// The retired payload as an owned `T`, if it is one and the slot held the
+/// last reference to it; dropped otherwise.
+fn reclaim<T: Send + Sync + 'static>(spare: Packet) -> Option<T> {
+    Arc::try_unwrap(spare.downcast::<T>().ok()?).ok()
 }
 
 /// An iteration-indexed stream.
@@ -89,11 +162,6 @@ pub struct Stream {
     name: String,
     slots: Box<[Slot]>,
 }
-
-// SAFETY: all access to the payload `UnsafeCell`s is ordered through the
-// per-slot atomic tag as laid out in the module-level safety argument.
-unsafe impl Send for Stream {}
-unsafe impl Sync for Stream {}
 
 impl Stream {
     /// A stream with [`DEFAULT_CAPACITY`] slots.
@@ -143,40 +211,102 @@ impl Stream {
         );
     }
 
-    /// Store the packet for `iter`.
-    ///
-    /// # Panics
-    /// If the slot is already filled — a stream has a single writer per
-    /// iteration (use [`Stream::write_shared`] for sliced groups).
-    pub fn write(&self, iter: u64, packet: Packet) {
+    /// Claim the slot of `iter` for its single writer; the single-writer
+    /// discipline means no contention here, a failed CAS is always a bug
+    /// we can name.
+    fn claim(&self, iter: u64) -> &Slot {
         let slot = self.slot(iter);
-        // Claim the slot; the single-writer discipline means no contention
-        // here, a failed CAS is always a bug we can name.
         if let Err(tag) =
             slot.tag
                 .compare_exchange(EMPTY, busy(iter), Ordering::Acquire, Ordering::Acquire)
         {
             self.bad_slot(iter, tag, "write");
         }
-        // SAFETY: the CAS above made this thread the slot's unique owner;
-        // no reader touches the cell until the FULL tag is published.
-        unsafe { *slot.packet.get() = Some(packet) };
+        slot
+    }
+
+    /// Owner side of a claimed (`BUSY(iter)`) slot: build the packet with
+    /// `init` — handing it the spare when the write is `retain`ing — store
+    /// it and publish `FULL(iter)`.
+    fn fill<F>(slot: &Slot, iter: u64, retain: bool, init: F) -> Packet
+    where
+        F: FnOnce(Option<Packet>) -> Packet,
+    {
+        // Restore EMPTY if `init` unwinds (e.g. a lease-conflict panic
+        // mid-allocation) so spinning co-writers don't hang; the spare it
+        // was handed unwinds with it.
+        struct Unclaim<'a>(&'a Slot);
+        impl Drop for Unclaim<'_> {
+            fn drop(&mut self) {
+                self.0.tag.store(EMPTY, Ordering::Release);
+            }
+        }
+        let guard = Unclaim(slot);
+        // SAFETY: the EMPTY → BUSY CAS made this thread the slot's unique
+        // owner, ordered after the `clear` that parked the spare; nobody
+        // else touches either cell until the FULL tag is published.
+        let spare = if retain {
+            slot.spare.with_mut(|s| unsafe { (*s).take() })
+        } else {
+            None
+        };
+        let packet = init(spare);
+        std::mem::forget(guard);
+        let stored = Filled {
+            packet: packet.clone(),
+            retain,
+        };
+        // SAFETY: as above.
+        slot.payload.with_mut(|p| unsafe { *p = Some(stored) });
         slot.tag.store(full(iter), Ordering::Release);
+        packet
+    }
+
+    /// Store the packet for `iter`: a value that already exists (an input
+    /// frame, an event). The slot does not retain it past retirement.
+    ///
+    /// # Panics
+    /// If the slot is already filled — a stream has a single writer per
+    /// iteration (use [`Stream::write_shared`] for sliced groups).
+    pub fn write(&self, iter: u64, packet: Packet) {
+        Self::fill(self.claim(iter), iter, false, |_| packet);
+    }
+
+    /// Build and store the payload for `iter`, single-writer form.
+    ///
+    /// `init` receives the payload this slot's previous iteration retired
+    /// — `Some(old)` only if it is a `T` nothing else still holds, `None`
+    /// on a new slot — and returns the new payload, normally rebuilt in
+    /// `old`'s storage (see the module docs).
+    ///
+    /// # Panics
+    /// Like [`Stream::write`].
+    pub fn write_with<T, F>(&self, iter: u64, init: F) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+        F: FnOnce(Option<T>) -> T,
+    {
+        let packet = Self::fill(self.claim(iter), iter, true, |spare| {
+            pack(init(spare.and_then(reclaim::<T>)))
+        });
+        packet.downcast::<T>().expect("just packed a T")
     }
 
     /// Store-or-get the shared packet for `iter`.
     ///
-    /// The first caller's `init` runs and fills the slot; later callers get
-    /// the same value (spinning out the short window in which the winner is
-    /// still initializing). Panics if the slot holds a value of a different
-    /// type.
+    /// The first caller's `init` runs — receiving the slot's retired
+    /// payload as in [`Stream::write_with`] — and fills the slot; later
+    /// callers get the same value (spinning out the short window in which
+    /// the winner is still initializing). Panics if the slot holds a value
+    /// of a different type.
     pub fn write_shared<T, F>(&self, iter: u64, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
-        F: FnOnce() -> T,
+        F: FnOnce(Option<T>) -> T,
     {
-        let packet = self.write_shared_with(iter, || pack(init()));
-        unpack::<T>(&packet).unwrap_or_else(|| {
+        let packet =
+            self.write_shared_with(iter, true, |spare| pack(init(spare.and_then(reclaim::<T>))));
+        packet.downcast::<T>().unwrap_or_else(|_| {
             panic!(
                 "stream '{}': shared slot for iteration {iter} holds a different payload type",
                 self.name
@@ -186,12 +316,13 @@ impl Stream {
 
     /// Store-or-verify a shared packet for `iter` (used by components that
     /// forward or mutate a buffer in place: every data-parallel copy calls
-    /// this with the same `Arc`).
+    /// this with the same `Arc`). The packet is an alias of a buffer some
+    /// other slot owns, so this slot does not retain it past retirement.
     ///
     /// # Panics
     /// If the slot already holds a *different* payload.
     pub fn write_shared_packet(&self, iter: u64, packet: Packet) {
-        let existing = self.write_shared_with(iter, || packet.clone());
+        let existing = self.write_shared_with(iter, false, |_| packet.clone());
         assert!(
             Arc::ptr_eq(&existing, &packet),
             "stream '{}': iteration {iter} forwarded two different buffers",
@@ -201,9 +332,11 @@ impl Stream {
 
     /// Shared-write core: first caller's `init` fills the slot, everyone
     /// gets the stored packet.
-    fn write_shared_with<F: FnOnce() -> Packet>(&self, iter: u64, init: F) -> Packet {
+    fn write_shared_with<F>(&self, iter: u64, retain: bool, init: F) -> Packet
+    where
+        F: FnOnce(Option<Packet>) -> Packet,
+    {
         let slot = self.slot(iter);
-        let mut init = Some(init);
         loop {
             let tag = slot.tag.load(Ordering::Acquire);
             if tag == EMPTY {
@@ -214,31 +347,15 @@ impl Stream {
                 {
                     continue; // lost the race; re-inspect the tag
                 }
-                // Restore EMPTY if `init` unwinds (e.g. a lease-conflict
-                // panic mid-allocation) so spinning co-writers don't hang.
-                struct Unclaim<'a>(&'a Slot);
-                impl Drop for Unclaim<'_> {
-                    fn drop(&mut self) {
-                        self.0.tag.store(EMPTY, Ordering::Release);
-                    }
-                }
-                let guard = Unclaim(slot);
-                let packet = (init.take().expect("init consumed once"))();
-                std::mem::forget(guard);
-                // SAFETY: unique owner via the CAS above, cf. `write`.
-                unsafe { *slot.packet.get() = Some(packet.clone()) };
-                slot.tag.store(full(iter), Ordering::Release);
-                return packet;
+                return Self::fill(slot, iter, retain, init);
             }
             let (owner, is_full) = decode(tag);
             if owner != iter {
                 self.bad_slot(iter, tag, "shared write");
             }
             if is_full {
-                // SAFETY: tag FULL(iter) read with Acquire — the payload
-                // store happened-before; the cell is immutable while FULL.
-                let stored = unsafe { (*slot.packet.get()).clone() };
-                return stored.expect("FULL slot holds a packet");
+                // SAFETY: tag FULL(iter) read with Acquire.
+                return unsafe { slot.packet() };
             }
             // Another copy is initializing this very iteration's payload.
             std::hint::spin_loop();
@@ -255,8 +372,7 @@ impl Stream {
         let tag = slot.tag.load(Ordering::Acquire);
         if tag == full(iter) {
             // SAFETY: FULL(iter) observed with Acquire, cf. the module docs.
-            let stored = unsafe { (*slot.packet.get()).clone() };
-            return stored.expect("FULL slot holds a packet");
+            return unsafe { slot.packet() };
         }
         panic!(
             "stream '{}': read of iteration {iter} before it was written \
@@ -285,17 +401,24 @@ impl Stream {
 
     /// Reclaim the slot of a retired iteration (no-op if the iteration
     /// never wrote the stream, e.g. its writer sits in a disabled option).
+    /// A payload the slot's writer built is parked as the slot's spare for
+    /// the writer of `iter + capacity`; one that merely passed through
+    /// ([`Stream::write`], [`Stream::write_shared_packet`]) is dropped.
     ///
     /// The scheduler calls this only after every job of `iter` is done and
     /// before any job of `iter + capacity` starts, so no reader or writer
-    /// is concurrent with the payload drop.
+    /// is concurrent with it.
     pub fn clear(&self, iter: u64) {
         let slot = self.slot(iter);
         let tag = slot.tag.load(Ordering::Acquire);
         if tag != EMPTY && decode(tag).0 == iter {
             // SAFETY: retirement orders this after all readers of `iter`
             // and before all writers of `iter + capacity` (see above).
-            unsafe { *slot.packet.get() = None };
+            let retired = slot.payload.with_mut(|p| unsafe { (*p).take() });
+            let spare = retired.and_then(|f| f.retain.then_some(f.packet));
+            // SAFETY: the spare's only other accessor is the BUSY owner of
+            // a write, which the tag orders before and after this.
+            slot.spare.with_mut(|s| unsafe { *s = spare });
             slot.tag.store(EMPTY, Ordering::Release);
         }
     }
@@ -322,6 +445,8 @@ impl fmt::Debug for Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::atomic::AtomicUsize;
+    use crate::sync::thread;
 
     #[test]
     fn write_then_read() {
@@ -350,8 +475,8 @@ mod tests {
     #[test]
     fn shared_write_first_caller_wins() {
         let s = Stream::new("s");
-        let a = s.write_shared(0, || vec![1u8, 2]);
-        let b = s.write_shared(0, || vec![9u8, 9]);
+        let a = s.write_shared(0, |_| vec![1u8, 2]);
+        let b = s.write_shared(0, |_| vec![9u8, 9]);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(*b, vec![1, 2]);
     }
@@ -410,14 +535,199 @@ mod tests {
         assert_eq!(*s.read_as::<u8>(2), 9);
     }
 
+    /// A payload that counts its drops and remembers which write built it.
+    struct Tracked {
+        generation: u32,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn drops() -> Arc<AtomicUsize> {
+        Arc::new(AtomicUsize::new(0))
+    }
+
+    fn dropped(counter: &Arc<AtomicUsize>) -> usize {
+        counter.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn retired_payload_goes_to_the_slots_next_writer_once() {
+        let s = Stream::with_capacity("s", 2);
+        let d = drops();
+        let tracked = |generation| Tracked {
+            generation,
+            drops: d.clone(),
+        };
+        s.write_with(0, |old| {
+            assert!(old.is_none(), "a new slot has nothing to hand back");
+            tracked(0)
+        });
+        // iteration 1 lives in the other slot: it must not see 0's payload
+        s.write_shared(1, |old| {
+            assert!(old.is_none());
+            tracked(1)
+        });
+        s.clear(0);
+        assert_eq!(
+            dropped(&d),
+            0,
+            "clear parks the payload, it does not drop it"
+        );
+        assert_eq!(s.live_slots(), 1, "a parked payload is not a live slot");
+        let seen = s.write_shared(2, |old: Option<Tracked>| {
+            let old = old.expect("slot 0 hands iteration 0's payload back");
+            assert_eq!(old.generation, 0);
+            old // rebuilt "in place"
+        });
+        assert_eq!(seen.generation, 0);
+        // co-writers of the same iteration never see a spare
+        s.write_shared(2, |_: Option<Tracked>| unreachable!("slot is already full"));
+        drop(seen);
+        s.clear(2);
+        s.clear(1);
+        // handed out once: the next writer of slot 0 gets iteration 2's
+        // payload (the same object), not a second copy of anything
+        s.write_with(4, |old: Option<Tracked>| old.expect("parked again"));
+        assert_eq!(dropped(&d), 0);
+        drop(s);
+        assert_eq!(
+            dropped(&d),
+            2,
+            "live and spare payloads die with the stream"
+        );
+    }
+
+    #[test]
+    fn aliased_spare_is_not_handed_out() {
+        let s = Stream::with_capacity("s", 1);
+        let d = drops();
+        let held = s.write_with(0, |_| Tracked {
+            generation: 0,
+            drops: d.clone(),
+        });
+        s.clear(0);
+        s.write_with(1, |old| {
+            assert!(old.is_none(), "someone still holds iteration 0's payload");
+            Tracked {
+                generation: 1,
+                drops: d.clone(),
+            }
+        });
+        assert_eq!(dropped(&d), 0, "the holder keeps it alive");
+        assert_eq!(held.generation, 0);
+        drop(held);
+        assert_eq!(dropped(&d), 1);
+    }
+
+    #[test]
+    fn write_and_forward_slots_retain_nothing() {
+        let s = Stream::with_capacity("s", 1);
+        let d = drops();
+        let tracked = |generation| Tracked {
+            generation,
+            drops: d.clone(),
+        };
+        s.write(0, pack(tracked(0)));
+        s.clear(0);
+        assert_eq!(
+            dropped(&d),
+            1,
+            "a value written by `write` is dropped at retirement"
+        );
+        let alias: Packet = pack(tracked(1));
+        s.write_shared_packet(1, alias.clone());
+        s.write_shared_packet(1, alias.clone());
+        s.clear(1);
+        assert_eq!(Arc::strong_count(&alias), 1, "the alias is gone");
+        s.write_with(2, |old: Option<Tracked>| {
+            assert!(old.is_none());
+            tracked(2)
+        });
+        // a retained payload does not survive a non-retaining use of its slot
+        s.clear(2);
+        s.write(3, pack(0u8));
+        s.clear(3);
+        assert_eq!(dropped(&d), 2);
+        s.write_with(4, |old: Option<Tracked>| {
+            assert!(old.is_none());
+            tracked(4)
+        });
+    }
+
+    #[test]
+    fn foreign_clear_leaves_the_spare_alone() {
+        let s = Stream::with_capacity("s", 2);
+        let d = drops();
+        s.write_with(0, |_| Tracked {
+            generation: 0,
+            drops: d.clone(),
+        });
+        s.clear(0);
+        // iteration 2 maps to slot 0 but never wrote (disabled option)
+        s.clear(2);
+        assert_eq!(dropped(&d), 0);
+        s.write_with(4, |old: Option<Tracked>| {
+            old.expect("spare survived the foreign clear")
+        });
+    }
+
+    #[test]
+    fn spare_of_another_type_is_dropped_not_transmuted() {
+        let s = Stream::with_capacity("s", 1);
+        let d = drops();
+        s.write_with(0, |_| Tracked {
+            generation: 0,
+            drops: d.clone(),
+        });
+        s.clear(0);
+        let v = s.write_shared(1, |old: Option<Vec<u8>>| {
+            assert!(old.is_none());
+            vec![1u8]
+        });
+        assert_eq!(*v, vec![1]);
+        assert_eq!(dropped(&d), 1);
+    }
+
+    #[test]
+    fn unwinding_init_leaves_the_slot_empty_without_spare() {
+        let s = Stream::with_capacity("s", 1);
+        let d = drops();
+        s.write_with(0, |_| Tracked {
+            generation: 0,
+            drops: d.clone(),
+        });
+        s.clear(0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.write_shared(1, |old: Option<Tracked>| -> Tracked {
+                assert!(old.is_some());
+                panic!("init failed")
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(s.live_slots(), 0, "slot is EMPTY again");
+        assert_eq!(dropped(&d), 1, "the spare unwound with init");
+        s.write_shared(1, |old: Option<Tracked>| {
+            assert!(old.is_none());
+            Tracked {
+                generation: 1,
+                drops: d.clone(),
+            }
+        });
+    }
+
     #[test]
     fn shared_writers_race_to_one_payload() {
         let s = Stream::with_capacity("s", 4);
         let mut handles = Vec::new();
         for _ in 0..4 {
             let s = s.clone();
-            handles.push(std::thread::spawn(move || {
-                let v = s.write_shared(0, || vec![7u8; 8]);
+            handles.push(thread::spawn(move || {
+                let v = s.write_shared(0, |_| vec![7u8; 8]);
                 Arc::as_ptr(&v) as usize
             }));
         }

@@ -59,12 +59,14 @@ impl Component for PlaneSource {
 
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let frame = ctx.iteration() as usize;
-        let plane = self.video.plane(frame, self.field, &self.label);
-        let px = (plane.width() * plane.height()) as u64;
+        let (w, h) = (self.video.spec.width, self.video.spec.height);
+        let pixels = self.video.field(frame, self.field);
+        let plane = ctx.write_with(0, |old| {
+            Plane::renew_from_pixels(old, &self.label, w, h, pixels)
+        });
         ctx.touch(self.video.read_access(frame, self.field));
-        plane.touch_write(ctx, 0..plane.height());
-        ctx.charge(CYC_SOURCE_PX * px);
-        ctx.write(0, plane);
+        plane.touch_write(ctx, 0..h);
+        ctx.charge(CYC_SOURCE_PX * (w * h) as u64);
     }
 }
 
@@ -176,8 +178,7 @@ impl Component for Downscale {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let src = ctx.read::<Plane>(0);
         let (ow, oh) = scaled_dims(src.width(), src.height(), self.factor);
-        let label = self.label.clone();
-        let out = ctx.write_shared::<Plane, _>(0, || Plane::new(&label, ow, oh));
+        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, ow, oh));
         let rows = self.assign.range(oh);
         if rows.is_empty() {
             return;
@@ -313,8 +314,7 @@ impl Component for BlurH {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let src = ctx.read::<Plane>(0);
         let (w, h) = (src.width(), src.height());
-        let label = self.label.clone();
-        let out = ctx.write_shared::<Plane, _>(0, || Plane::new(&label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
         let rows = self.assign.range(h);
         if rows.is_empty() {
             return;
@@ -385,8 +385,7 @@ impl Component for BlurV {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let src = ctx.read::<Plane>(0);
         let (w, h) = (src.width(), src.height());
-        let label = self.label.clone();
-        let out = ctx.write_shared::<Plane, _>(0, || Plane::new(&label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
         let rows = self.assign.range(h);
         if rows.is_empty() {
             return;
@@ -445,13 +444,15 @@ fn blur_v_band(
 /// Entropy decode of all three scans of a frame: input `Arc<JpegImage>`,
 /// outputs three [`CoefPlane`]s (Y, U, V). The paper's "JPEG decode".
 pub struct JpegDecode {
-    label: String,
+    /// Buffer names of the three coefficient planes, built once.
+    names: [String; 3],
 }
 
 impl JpegDecode {
     pub fn new(label: impl Into<String>) -> Self {
+        let label = label.into();
         Self {
-            label: label.into(),
+            names: std::array::from_fn(|field| format!("{label}.coef{field}")),
         }
     }
 }
@@ -464,8 +465,11 @@ impl Component for JpegDecode {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let img = ctx.read::<JpegImage>(0);
         for field in 0..3 {
-            let name = format!("{}.coef{}", self.label, field);
-            let plane = CoefPlane::new(&name, img.w, img.h);
+            // `decode_scan` writes every block of the plane (it asserts the
+            // length and loops over all of them), so no zero-fill.
+            let plane = ctx.write_with(field, |old| {
+                CoefPlane::renew_for_overwrite(old, &self.names[field], img.w, img.h)
+            });
             let stats = {
                 let mut coefs = plane.write_block_rows(0..plane.blocks_h());
                 decode_scan(
@@ -480,7 +484,6 @@ impl Component for JpegDecode {
             ctx.touch(img.scan_access(field));
             ctx.charge(CYC_ENTROPY_BLOCK * stats.blocks + CYC_ENTROPY_COEF * stats.coded_coefs);
             plane.touch_block_rows(ctx.meter_mut(), 0..plane.blocks_h(), AccessKind::Write);
-            ctx.write(field, plane);
         }
     }
 }
@@ -509,8 +512,7 @@ impl Component for Idct {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let coefs = ctx.read::<CoefPlane>(0);
         let (w, h) = (coefs.width(), coefs.height());
-        let label = self.label.clone();
-        let out = ctx.write_shared::<Plane, _>(0, || Plane::new(&label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
         let block_rows = self.assign.range(coefs.blocks_h());
         if block_rows.is_empty() {
             return;
@@ -564,8 +566,7 @@ impl Component for JpegDecodeIdct {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let img = ctx.read::<JpegImage>(0);
         let (w, h) = (img.w, img.h);
-        let label = self.label.clone();
-        let out = ctx.write_shared::<Plane, _>(0, || Plane::new(&label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
         let blocks_w = w / 8;
         let blocks_h = h / 8;
         let mut dec = ScanDecoder::new(

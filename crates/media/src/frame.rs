@@ -29,6 +29,35 @@ impl Plane {
         }
     }
 
+    /// [`Plane::new`] in the storage of `old` — the plane the stream slot
+    /// retired, as handed to a `write_shared` / `write_with` closure — when
+    /// it has the same pixel count; freshly allocated otherwise.
+    /// Zero-filled either way: copies of a sliced group each fill only
+    /// their band, so nothing of the previous frame may show through.
+    pub fn renew(old: Option<Plane>, name: &str, w: usize, h: usize) -> Self {
+        Self {
+            w,
+            h,
+            data: RegionBuf::renew(old.map(|p| p.data), name, w * h),
+        }
+    }
+
+    /// [`Plane::from_pixels`] of a borrowed raster, copied into the storage
+    /// of `old` when it has the same pixel count (len must be `w*h`).
+    pub fn renew_from_pixels(
+        old: Option<Plane>,
+        name: &str,
+        w: usize,
+        h: usize,
+        pixels: &[u8],
+    ) -> Self {
+        assert_eq!(pixels.len(), w * h, "pixel count must match dimensions");
+        let data = RegionBuf::renew_for_overwrite(old.map(|p| p.data), name, w * h, 0xA5);
+        // the one call that overwrites the whole buffer (lengths asserted)
+        data.lease_write_all().copy_from_slice(pixels);
+        Self { w, h, data }
+    }
+
     /// Plane from raster-order pixels (len must be `w*h`).
     pub fn from_pixels(name: &str, w: usize, h: usize, pixels: Vec<u8>) -> Self {
         assert_eq!(pixels.len(), w * h, "pixel count must match dimensions");
@@ -120,20 +149,44 @@ pub struct CoefPlane {
 }
 
 impl CoefPlane {
-    /// Zeroed coefficient plane for a `w`×`h` image (multiples of 8).
-    pub fn new(name: &str, w: usize, h: usize) -> Self {
+    fn blocks(w: usize, h: usize) -> (usize, usize) {
         assert!(
             w.is_multiple_of(8) && h.is_multiple_of(8),
             "dimensions must be multiples of 8"
         );
-        let blocks_w = w / 8;
-        let blocks_h = h / 8;
+        (w / 8, h / 8)
+    }
+
+    /// Zeroed coefficient plane for a `w`×`h` image (multiples of 8).
+    pub fn new(name: &str, w: usize, h: usize) -> Self {
+        let (blocks_w, blocks_h) = Self::blocks(w, h);
         Self {
             w,
             h,
             blocks_w,
             blocks_h,
             data: RegionBuf::new(name, blocks_w * blocks_h * 64),
+        }
+    }
+
+    /// [`CoefPlane::new`] in the storage of `old` (the plane the stream
+    /// slot retired) when it has the same block count, for a writer that
+    /// decodes **every** block of the plane in one call: the contents are
+    /// unspecified (poisoned in debug builds), not zeroed — see
+    /// [`RegionBuf::renew_for_overwrite`].
+    pub fn renew_for_overwrite(old: Option<CoefPlane>, name: &str, w: usize, h: usize) -> Self {
+        let (blocks_w, blocks_h) = Self::blocks(w, h);
+        Self {
+            w,
+            h,
+            blocks_w,
+            blocks_h,
+            data: RegionBuf::renew_for_overwrite(
+                old.map(|p| p.data),
+                name,
+                blocks_w * blocks_h * 64,
+                i16::from_ne_bytes([0xA5; 2]),
+            ),
         }
     }
 
@@ -231,6 +284,65 @@ mod tests {
             .downcast_ref::<hinch::sharedbuf::LeaseConflict>()
             .expect("panic carries a structured LeaseConflict");
         assert!(conflict.to_string().contains("overlaps"), "{conflict}");
+    }
+
+    #[test]
+    fn renewed_plane_equals_a_new_one_after_a_dirty_use() {
+        let dirty = Plane::new("p", 8, 4);
+        dirty.write_rows(0..4).fill(0xEE);
+        let renewed = Plane::renew(Some(dirty), "p", 8, 4);
+        assert_eq!(renewed.to_vec(), Plane::new("p", 8, 4).to_vec());
+        // sliced writers then fill only their band; the rest stays zero
+        renewed.write_rows(1..2).fill(3);
+        let v = renewed.to_vec();
+        assert!(v[..8].iter().chain(&v[16..]).all(|&x| x == 0));
+    }
+
+    #[test]
+    fn renewal_of_another_size_allocates_fresh() {
+        let dirty = Plane::new("p", 8, 4);
+        dirty.write_rows(0..4).fill(0xEE);
+        let other = Plane::renew(Some(dirty), "p", 4, 4);
+        assert_eq!((other.width(), other.height()), (4, 4));
+        assert_eq!(other.to_vec(), vec![0; 16]);
+        // same pixel count, other shape: storage is reused, geometry is new
+        let reshaped = Plane::renew(Some(other), "p", 2, 8);
+        assert_eq!((reshaped.width(), reshaped.height()), (2, 8));
+        assert_eq!(reshaped.to_vec(), vec![0; 16]);
+    }
+
+    #[test]
+    fn renew_from_pixels_overwrites_everything() {
+        let dirty = Plane::new("p", 4, 2);
+        dirty.write_rows(0..2).fill(0xEE);
+        let pixels: Vec<u8> = (0..8).collect();
+        let p = Plane::renew_from_pixels(Some(dirty), "p", 4, 2, &pixels);
+        assert_eq!(p.to_vec(), pixels);
+        assert_eq!(
+            Plane::renew_from_pixels(None, "p", 4, 2, &pixels).to_vec(),
+            pixels
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lease still registered")]
+    fn renewal_with_an_outstanding_lease_panics() {
+        let p = Plane::new("p", 8, 4);
+        std::mem::forget(p.write_rows(0..1));
+        let _ = Plane::renew(Some(p), "p", 8, 4);
+    }
+
+    #[test]
+    fn coef_plane_renewal_keeps_geometry_rules() {
+        let c = CoefPlane::new("c", 16, 8);
+        c.write_block_rows(0..1).fill(9);
+        let r = CoefPlane::renew_for_overwrite(Some(c), "c", 16, 8);
+        assert_eq!((r.blocks_w(), r.blocks_h()), (2, 1));
+        assert_eq!(r.read_all().len(), 128);
+        if cfg!(debug_assertions) {
+            let poison = i16::from_ne_bytes([0xA5; 2]);
+            assert!(r.read_all().iter().all(|&v| v == poison));
+        }
     }
 
     #[test]

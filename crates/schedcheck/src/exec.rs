@@ -460,9 +460,12 @@ impl Execution {
     /// for the spawning thread (`parent`).
     pub(crate) fn add_thread(st: &mut ExecState, parent: usize, name: String) -> usize {
         let tid = st.threads.len();
-        st.threads[parent].clock.tick(parent);
+        // Spawn is a release by the parent: the child inherits the
+        // parent's history up to here, and the parent advances *after*
+        // the copy so what it does next is not ordered before the child.
         let mut clock = st.threads[parent].clock.clone();
         clock.tick(tid);
+        st.threads[parent].clock.tick(parent);
         let priority = st.rng.next_u64() | PRIORITY_HIGH_BIT;
         st.threads.push(ThreadSlot {
             status: Status::Runnable,

@@ -145,6 +145,28 @@ fn race_detector_flags_unsynchronized_cell_access() {
 }
 
 #[test]
+fn race_detector_orders_nothing_the_parent_does_after_a_spawn() {
+    // A child is ordered after what its parent did *before* the spawn,
+    // not after. The parent's write below races the child's read in
+    // every interleaving — also the one where the parent gets there
+    // first, which a spawn edge taken one tick too late used to hide.
+    for seed in 0..32 {
+        let result = explore(&cfg(1).seed(seed), || {
+            let cell = Arc::new(ModelCell::new(0u64));
+            let cell2 = Arc::clone(&cell);
+            let t = thread::spawn(move || cell2.with(|p| unsafe { *p }));
+            cell.with_mut(|p| unsafe { *p = 2 });
+            t.join().unwrap();
+        });
+        let failure = result.expect_err("race detector missed a post-spawn write/read race");
+        assert!(
+            failure.message.contains("data race"),
+            "seed {seed}: unexpected failure: {failure}"
+        );
+    }
+}
+
+#[test]
 fn race_detector_accepts_atomic_publication() {
     // Message-passing through a release store / acquire load: the cell
     // access is ordered, no race.

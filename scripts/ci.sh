@@ -7,10 +7,13 @@
 # Mirrors what the repository expects of every change:
 #   1. cargo fmt --check      — no unformatted code
 #   2. cargo clippy -D warnings (workspace, all targets), then two grep
-#      lints (engine sync goes through hinch::sync; nothing points at a
-#      deleted recorder, knob or measurement path) and the schedcheck
-#      model suite under --cfg hinch_model
-#   3. tier-1 verify: cargo build --release && cargo test -q
+#      lints (engine and stream-slot sync goes through hinch::sync;
+#      nothing points at a deleted recorder, knob or measurement path)
+#      and the schedcheck model suite under --cfg hinch_model (engine
+#      protocols, the recorder ring, the stream slot ring)
+#   3. tier-1 verify: cargo build --release && cargo test -q — includes
+#      tests/steady_state_alloc.rs (one #[test], its own counting
+#      allocator): a steady-state frame allocates no stream payload
 #   4. cargo test --workspace — every crate's suite; then the media
 #      crate once more under HINCH_FORCE_SCALAR=1 so the scalar kernel
 #      references run even on hosts whose SIMD paths won the dispatch
@@ -49,12 +52,15 @@ cargo fmt --all -- --check
 echo "== clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== facade lint (engine sync goes through hinch::sync) =="
-# Everything under crates/hinch/src/engine/ must route its concurrency
-# through the crate::sync facade so `--cfg hinch_model` builds can model
-# it — raw primitive imports silently escape the model checker.
-if grep -RnE 'std::sync::atomic|std::thread|parking_lot' crates/hinch/src/engine/; then
-    echo "facade lint: engine code must use crate::sync, not raw sync primitives" >&2
+echo "== facade lint (engine and stream-slot sync goes through hinch::sync) =="
+# Everything under crates/hinch/src/engine/, and the stream slot ring,
+# must route its concurrency through the crate::sync facade so
+# `--cfg hinch_model` builds can model it — raw primitive imports (or a
+# bare UnsafeCell where a ModelCell belongs) silently escape the model
+# checker.
+if grep -RnE 'std::sync::atomic|std::thread|parking_lot|UnsafeCell' \
+    crates/hinch/src/engine/ crates/hinch/src/stream.rs; then
+    echo "facade lint: engine and stream code must use crate::sync, not raw sync primitives" >&2
     exit 1
 fi
 echo "facade lint: clean"
@@ -71,8 +77,10 @@ echo "dangling-reference lint: clean"
 echo "== schedcheck (model-checked engine protocols) =="
 # Seeded, bounded exploration of the engine's sync protocols under
 # `--cfg hinch_model` (separate target dir: the cfg changes every
-# crate's build). The smoke budget keeps CI fast; MODEL_DEEP=1 runs the
-# same tests with a much larger schedule budget.
+# crate's build): engine_model.rs, ring_model.rs, adapt_model.rs and
+# stream_model.rs (the real hinch::stream::Stream, slot hand-over
+# included). The smoke budget keeps CI fast; MODEL_DEEP=1 runs the same
+# tests with a much larger schedule budget.
 model_iters=96
 [[ "${MODEL_DEEP:-0}" == "1" ]] && model_iters=1024
 RUSTFLAGS="--cfg hinch_model" CARGO_TARGET_DIR=target/hinch_model \

@@ -75,7 +75,7 @@ fn overlapping_slice_leases_are_detected() {
             "greedy"
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>) {
-            let buf = ctx.write_shared::<RegionBuf<u8>, _>(0, || RegionBuf::new("shared", 64));
+            let buf = ctx.write_shared(0, |old| RegionBuf::<u8>::renew(old, "shared", 64));
             let mut lease = buf.lease_write(0..64); // every copy claims it all
             lease[0] = 1;
             // hold the lease while "working" so the copies collide

@@ -330,7 +330,7 @@ impl Component for BandWriter {
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let _v: i64 = *ctx.read::<i64>(0);
-        let buf = ctx.write_shared::<RegionBuf<i64>, _>(0, || RegionBuf::new("band", BAND_LEN));
+        let buf = ctx.write_shared(0, |old| RegionBuf::<i64>::renew(old, "band", BAND_LEN));
         let range = if self.honor_assign {
             self.assign.range(BAND_LEN)
         } else {

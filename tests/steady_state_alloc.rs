@@ -1,0 +1,191 @@
+//! A running graph allocates no stream payload: once every ring slot of
+//! every stream has been written once (`pipeline_depth` frames), the buffer
+//! an iteration retires is the one the slot's next writer fills
+//! (`hinch::stream`, "The ring is the buffer pool"), so a steady-state
+//! `Component::run` makes **zero** allocations of payload size.
+//!
+//! This is the regression gate for every component that forgets to renew:
+//! a `Plane::new` in a `run` shows up here as one allocation a frame. It
+//! also proves the indirect cases — Blend forwards the background plane it
+//! blended into, and that alias must not keep the background source's slot
+//! from getting its plane back; a stream inside a disabled option must
+//! still hold its spares when the option comes back.
+//!
+//! The counter is exact: a `#[global_allocator]` local to this test binary
+//! counts only what is allocated *inside a component's `run`* (every leaf
+//! of the spec is wrapped to mark its thread), so neither the scheduler
+//! (whose per-worker ready lists grow to their high-water mark whenever
+//! they like), nor a reconfiguration building its DAG, nor the test
+//! harness is in it.
+
+use apps::experiment::{build_isolated_discarding, App, AppConfig};
+use hinch::graph::{ComponentFactory, GraphSpec};
+use hinch::{Component, ReconfigRequest, RunCtx, Runtime, RuntimeConfig, SpawnOpts};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Allocations of at least this many bytes are payloads. 192 is the
+/// smallest pixel buffer of the PiP graphs at `Scale::Small` (the 16×12
+/// downscaled picture; their other planes are 3072 bytes, Blur's 1440,
+/// JPiP's 2048 and its coefficient planes 4096) and lies above everything
+/// else a steady-state `run` allocates — the largest is the 136-byte `Arc`
+/// header a `CoefPlane` travels in. JPiP's 8×4 picture planes (32 bytes)
+/// are smaller than their own header and pass under the gate.
+const PAYLOAD_BYTES: usize = 192;
+
+const DEPTH: usize = 3;
+/// Steady-state frames checked per app: two full toggle cycles of PiP-12.
+const FRAMES: u64 = 48;
+
+static PAYLOAD_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LAST_SIZE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is inside a `Component::run`.
+    static IN_RUN: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn note(size: usize) {
+        if size >= PAYLOAD_BYTES && IN_RUN.with(Cell::get) {
+            PAYLOAD_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            LAST_SIZE.store(size, Ordering::Relaxed);
+        }
+    }
+}
+
+// SAFETY: defers to `System` for every operation; the bookkeeping touches
+// only atomics and a const-initialized thread-local without destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs the wrapped component with [`IN_RUN`] set.
+struct Marked(Box<dyn Component>);
+
+impl Component for Marked {
+    fn class(&self) -> &'static str {
+        self.0.class()
+    }
+    fn run(&mut self, ctx: &mut RunCtx<'_>) {
+        IN_RUN.with(|f| f.set(true));
+        self.0.run(ctx);
+        IN_RUN.with(|f| f.set(false));
+    }
+    fn reconfigure(&mut self, req: &ReconfigRequest) {
+        self.0.reconfigure(req);
+    }
+}
+
+/// `spec` with every leaf's component wrapped in [`Marked`].
+fn marked(spec: GraphSpec) -> GraphSpec {
+    let all = |specs: Vec<GraphSpec>| specs.into_iter().map(marked).collect();
+    match spec {
+        GraphSpec::Leaf(mut leaf) => {
+            let inner = leaf.factory;
+            let factory: ComponentFactory = Arc::new(move || Box::new(Marked(inner())));
+            leaf.factory = factory;
+            GraphSpec::Leaf(leaf)
+        }
+        GraphSpec::Seq(children) => GraphSpec::Seq(all(children)),
+        GraphSpec::Task(children) => GraphSpec::Task(all(children)),
+        GraphSpec::Slice { name, n, body } => GraphSpec::slice(name, n, marked(*body)),
+        GraphSpec::CrossDep { name, n, blocks } => GraphSpec::crossdep(name, n, all(blocks)),
+        GraphSpec::Managed { manager, body } => GraphSpec::managed(manager, marked(*body)),
+        GraphSpec::Option {
+            name,
+            enabled,
+            body,
+        } => GraphSpec::option(name, enabled, marked(*body)),
+    }
+}
+
+/// Submit `frames` more frames and wait until `completed` have retired.
+fn run_frames(rt: &Runtime, id: hinch::GraphId, frames: u64, completed: &mut u64) {
+    *completed += frames;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut offered = 0;
+    while offered < frames || rt.stats(id).unwrap().completed < *completed {
+        if offered < frames {
+            offered += rt.submit(id, frames - offered).unwrap();
+        }
+        assert!(Instant::now() < deadline, "frames did not retire");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn steady_state_frames_allocate_no_payload() {
+    for app in [App::Pip1, App::Pip12, App::Blur3, App::Jpip1] {
+        let built = build_isolated_discarding(AppConfig::small(app));
+        let rt = Runtime::new(RuntimeConfig::new(2));
+        let id = rt
+            .spawn(
+                &marked(built.spec),
+                SpawnOpts::new(app.id()).pipeline_depth(DEPTH),
+            )
+            .unwrap();
+        let mut completed = 0;
+
+        // Warm-up: every slot of every stream written once. PiP-12 first
+        // goes through one full toggle cycle (second picture on, then off
+        // again) so the streams of both variants have been filled.
+        run_frames(&rt, id, DEPTH as u64, &mut completed);
+        if app == App::Pip12 {
+            while rt.stats(id).unwrap().reconfigs < 2 {
+                run_frames(&rt, id, 1, &mut completed);
+                assert!(completed < 200, "PiP-12 did not toggle twice in 200 frames");
+            }
+            run_frames(&rt, id, DEPTH as u64, &mut completed);
+        }
+        let warm_up = PAYLOAD_ALLOCS.swap(0, Ordering::SeqCst);
+        assert!(
+            warm_up >= DEPTH,
+            "{app:?}: warm-up built {warm_up} payloads — is the counter connected?"
+        );
+
+        run_frames(&rt, id, FRAMES, &mut completed);
+        let allocs = PAYLOAD_ALLOCS.swap(0, Ordering::SeqCst);
+        let stats = rt.drain(id).unwrap();
+        assert_eq!(stats.completed, completed);
+        assert!(stats.failure.is_none(), "{:?}", stats.failure);
+        if app == App::Pip12 {
+            assert!(
+                stats.reconfigs >= 4,
+                "PiP-12 toggled {} times: the {FRAMES} checked frames saw no full cycle",
+                stats.reconfigs
+            );
+        }
+        assert_eq!(
+            allocs,
+            0,
+            "{app:?}: {allocs} payload-sized allocation(s) in {FRAMES} steady-state frames \
+             (last: {} bytes) — a component allocates its output instead of renewing the \
+             buffer its stream slot hands back",
+            LAST_SIZE.load(Ordering::Relaxed)
+        );
+        rt.shutdown();
+    }
+}
