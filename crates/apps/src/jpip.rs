@@ -505,6 +505,11 @@ pub fn sequential(
                     meter,
                     pip_base,
                 );
+                // The box filter is written out here on purpose, not a call
+                // to `media::scale::downscale_rows`: this function is the
+                // second implementation the sliced graph is compared with
+                // (`tests/end_to_end.rs`, the tests below), and a shared
+                // vector kernel with a bug would agree with itself.
                 let area = (cfg.factor * cfg.factor) as u32;
                 for oy in 0..ph {
                     for ox in 0..pw {

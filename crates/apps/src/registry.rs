@@ -196,11 +196,13 @@ impl AppAssets {
                 .unwrap_or_else(|| panic!("capture set '{name}' missing"));
             set[port].clone()
         };
-        let frames = cap.lock().clone();
+        let frames = cap.lock().frames().map(<[u8]>::to_vec).collect();
         frames
     }
 
-    /// Drop all captured frames and accumulated spectra (between runs).
+    /// Forget all captured frames (their buffers stay, see
+    /// [`media::components::CaptureBuf`]) and zero the accumulated spectra
+    /// (between runs).
     pub fn clear_captures(&self) {
         for set in self.captures.lock().values() {
             for c in set {
@@ -376,8 +378,9 @@ mod tests {
         let assets = AppAssets::new();
         let a = assets.capture_set("out", 3);
         let b = assets.capture_set("out", 3);
-        a[1].lock().push(vec![1, 2, 3]);
+        a[1].lock().push(&[1, 2, 3]);
         assert_eq!(assets.captured("out", 1), vec![vec![1, 2, 3]]);
+        assert_eq!(assets.captured("out", 1).len(), 1, "reading does not drain");
         drop(b);
         assets.clear_captures();
         assert!(assets.captured("out", 1).is_empty());

@@ -22,12 +22,48 @@ use hinch::meter::{sim_alloc, AccessKind};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Captured output frames (one `Vec<u8>` per iteration per captured port).
-pub type Capture = Arc<Mutex<Vec<Vec<u8>>>>;
+/// One captured port: the frames of a run back to back in one growing
+/// buffer, `ends[i]` the end of frame `i`.
+///
+/// The buffer keeps its pages from run to run. [`CaptureBuf::clear`]
+/// forgets the frames and not the capacity, so a run of the length of the
+/// one before it appends into memory that is already mapped; the
+/// [`FrameSink`] of a run, when dropped, trims the buffer to what that run
+/// filled, so a long run's pages do not outlive it under a short one.
+#[derive(Default)]
+pub struct CaptureBuf {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl CaptureBuf {
+    /// Append one frame.
+    pub fn push(&mut self, frame: &[u8]) {
+        self.bytes.extend_from_slice(frame);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The frames, in capture order.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.bytes[start..self.ends[i]]
+        })
+    }
+
+    /// Forget the frames, keep the memory.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+}
+
+/// A capture buffer shared between a sink and whoever reads its output.
+pub type Capture = Arc<Mutex<CaptureBuf>>;
 
 /// Fresh empty capture buffer.
 pub fn capture() -> Capture {
-    Arc::new(Mutex::new(Vec::new()))
+    Arc::default()
 }
 
 // ---------------------------------------------------------------------
@@ -125,6 +161,16 @@ impl FrameSink {
     }
 }
 
+/// The end of a run (every instantiation of a graph builds its own sink):
+/// give back what this run did not fill.
+impl Drop for FrameSink {
+    fn drop(&mut self) {
+        for cap in self.captures.iter().flatten() {
+            cap.lock().bytes.shrink_to_fit();
+        }
+    }
+}
+
 impl Component for FrameSink {
     fn class(&self) -> &'static str {
         "frame_sink"
@@ -138,7 +184,7 @@ impl Component for FrameSink {
             total_px += px;
             plane.touch_read(ctx, 0..plane.height());
             if let Some(Some(cap)) = self.captures.get(port) {
-                cap.lock().push(plane.to_vec());
+                cap.lock().push(&plane.read_all());
             }
         }
         // the reused output buffer of the "file writer"
@@ -815,9 +861,59 @@ mod tests {
         let mut sink = FrameSink::single(cap.clone());
         run_component(&mut sink, std::slice::from_ref(&input), &[], 0);
         run_component(&mut sink, &[input], &[], 1);
-        let frames = cap.lock();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0], vec![3; 8]);
-        assert_eq!(frames[1], vec![4; 8]);
+        let cap = cap.lock();
+        let frames: Vec<&[u8]> = cap.frames().collect();
+        assert_eq!(frames, [&[3; 8], &[4; 8]]);
+    }
+
+    /// One run of `frames` frames of 4×2 pixels through a sink of its own
+    /// (as every instantiation of a graph builds one), dropped at the end;
+    /// `after_frame` sees the capture after each.
+    fn sink_run(cap: &Capture, frames: u64, shade: u8, after_frame: impl Fn(u64, &CaptureBuf)) {
+        let input = Stream::new("in");
+        let mut sink = FrameSink::single(cap.clone());
+        for i in 0..frames {
+            let px = vec![shade + i as u8; 8];
+            input.write(i, Arc::new(Plane::from_pixels("p", 4, 2, px)));
+            run_component(&mut sink, std::slice::from_ref(&input), &[], i);
+            input.clear(i);
+            after_frame(i, &cap.lock());
+        }
+    }
+
+    fn frames_of(cap: &Capture) -> Vec<Vec<u8>> {
+        cap.lock().frames().map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn capture_keeps_its_buffer_across_a_clear() {
+        let cap = capture();
+        sink_run(&cap, 6, 10, |_, _| {});
+        let first = frames_of(&cap);
+        assert_eq!(first.len(), 6);
+        assert_eq!(frames_of(&cap), first, "reading does not drain");
+        let buffer = |c: &CaptureBuf| (c.bytes.as_ptr(), c.bytes.capacity(), c.ends.capacity());
+        let before = buffer(&cap.lock());
+
+        cap.lock().clear();
+        assert_eq!(cap.lock().frames().len(), 0);
+        // a second run of the same length: the buffers never move or grow,
+        // so no frame allocated
+        sink_run(&cap, 6, 10, |i, c| {
+            assert_eq!(buffer(c), before, "frame {i}")
+        });
+        assert_eq!(frames_of(&cap), first);
+    }
+
+    #[test]
+    fn a_dropped_sink_trims_the_capture_to_its_run() {
+        let cap = capture();
+        sink_run(&cap, 6, 0, |_, _| {});
+        assert_eq!(cap.lock().bytes.capacity(), 6 * 8);
+        cap.lock().clear();
+        assert_eq!(cap.lock().bytes.capacity(), 6 * 8, "clear keeps the pages");
+        sink_run(&cap, 2, 0, |_, _| {});
+        assert_eq!(cap.lock().bytes.capacity(), 2 * 8);
+        assert_eq!(cap.lock().frames().len(), 2);
     }
 }

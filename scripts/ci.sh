@@ -17,6 +17,11 @@
 #   4. cargo test --workspace — every crate's suite; then the media
 #      crate once more under HINCH_FORCE_SCALAR=1 so the scalar kernel
 #      references run even on hosts whose SIMD paths won the dispatch
+#      (both legs run tests/simd_parity.rs, whose `*_checked` hooks reach
+#      the SSE2 and AVX2 kernels whatever the dispatch picked); then the
+#      kernel floor in release: the dispatched box filter at PiP's paper
+#      geometry must beat its scalar reference 3×, so a dispatch that
+#      falls back to the reference is a red CI, not a slow ledger
 #   5. xspclc analyze over every generated app spec — zero diagnostics
 #      (warnings included) allowed
 #   6. hinch-insight determinism: the JSON report for one simulated app
@@ -107,6 +112,12 @@ echo "== test (media: forced-scalar kernel path) =="
 # host regardless of its feature set.
 HINCH_FORCE_SCALAR=1 cargo test --offline -q -p media
 echo "media: scalar fallback suite passed"
+
+if [[ $quick -eq 0 ]]; then
+    echo "== kernel floor (media: dispatched box filter vs its scalar reference) =="
+    cargo test --offline --release -q -p media --test simd_parity -- \
+        --ignored downscale_kernel_floor
+fi
 
 echo "== analyze (all app specs) =="
 specs_dir=target/specs

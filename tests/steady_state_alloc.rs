@@ -9,7 +9,10 @@
 //! also proves the indirect cases — Blend forwards the background plane it
 //! blended into, and that alias must not keep the background source's slot
 //! from getting its plane back; a stream inside a disabled option must
-//! still hold its spares when the option comes back.
+//! still hold its spares when the option comes back. A second leg does
+//! the same for a *capturing* sink across two `run_native` calls: the
+//! capture buffer keeps its pages over `clear_captures()`, so the second
+//! run's sink appends into memory the first one grew.
 //!
 //! The counter is exact: a `#[global_allocator]` local to this test binary
 //! counts only what is allocated *inside a component's `run`* (every leaf
@@ -18,9 +21,11 @@
 //! they like), nor a reconfiguration building its DAG, nor the test
 //! harness is in it.
 
-use apps::experiment::{build_isolated_discarding, App, AppConfig};
+use apps::experiment::{build_isolated, build_isolated_discarding, App, AppConfig};
 use hinch::graph::{ComponentFactory, GraphSpec};
-use hinch::{Component, ReconfigRequest, RunCtx, Runtime, RuntimeConfig, SpawnOpts};
+use hinch::{
+    run_native, Component, ReconfigRequest, RunConfig, RunCtx, Runtime, RuntimeConfig, SpawnOpts,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -82,43 +87,53 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs the wrapped component with [`IN_RUN`] set.
-struct Marked(Box<dyn Component>);
+/// Runs the wrapped component with [`IN_RUN`] set, from iteration `from`
+/// on (a `run_native` call cannot be paused after its warm-up frames).
+struct Marked {
+    inner: Box<dyn Component>,
+    from: u64,
+}
 
 impl Component for Marked {
     fn class(&self) -> &'static str {
-        self.0.class()
+        self.inner.class()
     }
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
-        IN_RUN.with(|f| f.set(true));
-        self.0.run(ctx);
+        IN_RUN.with(|f| f.set(ctx.iteration() >= self.from));
+        self.inner.run(ctx);
         IN_RUN.with(|f| f.set(false));
     }
     fn reconfigure(&mut self, req: &ReconfigRequest) {
-        self.0.reconfigure(req);
+        self.inner.reconfigure(req);
     }
 }
 
 /// `spec` with every leaf's component wrapped in [`Marked`].
-fn marked(spec: GraphSpec) -> GraphSpec {
-    let all = |specs: Vec<GraphSpec>| specs.into_iter().map(marked).collect();
+fn marked(spec: GraphSpec, from: u64) -> GraphSpec {
+    let one = |spec: GraphSpec| marked(spec, from);
+    let all = |specs: Vec<GraphSpec>| specs.into_iter().map(one).collect();
     match spec {
         GraphSpec::Leaf(mut leaf) => {
             let inner = leaf.factory;
-            let factory: ComponentFactory = Arc::new(move || Box::new(Marked(inner())));
+            let factory: ComponentFactory = Arc::new(move || {
+                Box::new(Marked {
+                    inner: inner(),
+                    from,
+                })
+            });
             leaf.factory = factory;
             GraphSpec::Leaf(leaf)
         }
         GraphSpec::Seq(children) => GraphSpec::Seq(all(children)),
         GraphSpec::Task(children) => GraphSpec::Task(all(children)),
-        GraphSpec::Slice { name, n, body } => GraphSpec::slice(name, n, marked(*body)),
+        GraphSpec::Slice { name, n, body } => GraphSpec::slice(name, n, one(*body)),
         GraphSpec::CrossDep { name, n, blocks } => GraphSpec::crossdep(name, n, all(blocks)),
-        GraphSpec::Managed { manager, body } => GraphSpec::managed(manager, marked(*body)),
+        GraphSpec::Managed { manager, body } => GraphSpec::managed(manager, one(*body)),
         GraphSpec::Option {
             name,
             enabled,
             body,
-        } => GraphSpec::option(name, enabled, marked(*body)),
+        } => GraphSpec::option(name, enabled, one(*body)),
     }
 }
 
@@ -143,7 +158,7 @@ fn steady_state_frames_allocate_no_payload() {
         let rt = Runtime::new(RuntimeConfig::new(2));
         let id = rt
             .spawn(
-                &marked(built.spec),
+                &marked(built.spec, 0),
                 SpawnOpts::new(app.id()).pipeline_depth(DEPTH),
             )
             .unwrap();
@@ -187,5 +202,51 @@ fn steady_state_frames_allocate_no_payload() {
             LAST_SIZE.load(Ordering::Relaxed)
         );
         rt.shutdown();
+    }
+    second_capturing_run_allocates_no_payload();
+}
+
+/// The capturing sink is in the zero-allocation set too. A leg of the one
+/// `#[test]`, not a test of its own: the counter is process-wide and
+/// `cargo test` would interleave two.
+fn second_capturing_run_allocates_no_payload() {
+    for app in [App::Pip1, App::Jpip1] {
+        let built = build_isolated(AppConfig::small(app));
+        // Every `run_native` instantiates the graph anew, so the first
+        // DEPTH frames of each run fill its stream slots: counted from the
+        // frame after them.
+        let spec = marked(built.spec, DEPTH as u64);
+        let cfg = RunConfig::new(DEPTH as u64 + FRAMES)
+            .pipeline_depth(DEPTH)
+            .workers(2);
+        let captured = || -> Vec<_> {
+            (0..built.capture_ports)
+                .map(|p| built.assets.captured(built.capture, p))
+                .collect()
+        };
+
+        run_native(&spec, &cfg).unwrap();
+        let growing = PAYLOAD_ALLOCS.swap(0, Ordering::SeqCst);
+        assert!(
+            growing >= 1,
+            "{app:?}: the first run's capture buffers grew without the counter seeing it"
+        );
+        let first = captured();
+
+        built.assets.clear_captures();
+        run_native(&spec, &cfg).unwrap();
+        let allocs = PAYLOAD_ALLOCS.swap(0, Ordering::SeqCst);
+        assert_eq!(
+            allocs,
+            0,
+            "{app:?}: {allocs} payload-sized allocation(s) in the second run's {FRAMES} \
+             steady-state frames (last: {} bytes) — the sink copies a frame into new memory \
+             instead of the capture buffer the run before it left",
+            LAST_SIZE.load(Ordering::Relaxed)
+        );
+        assert!(
+            captured() == first,
+            "{app:?}: the second run captured other frames"
+        );
     }
 }
