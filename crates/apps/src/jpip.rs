@@ -17,7 +17,7 @@
 use crate::registry::{registry, AppAssets};
 use hinch::meter::{AccessKind, MemAccess, Meter};
 use media::costs::*;
-use media::jpeg::codec::{idct_block_to_pixels, ScanDecoder};
+use media::jpeg::codec::ScanDecoder;
 use media::jpeg::mjpeg::MjpegVideo;
 use media::jpeg::quant::Channel;
 use media::scale::scaled_dims;
@@ -424,20 +424,8 @@ fn decode_plane_fused(
     out_base: u64,
 ) {
     let mut dec = ScanDecoder::new(scan, w, h, channel, quality);
-    let blocks_w = w / 8;
-    let blocks_h = h / 8;
-    let mut coefs = [0i16; 64];
-    let mut pix = [0u8; 64];
-    for by in 0..blocks_h {
-        for bx in 0..blocks_w {
-            let ok = dec.next_block(&mut coefs);
-            debug_assert!(ok);
-            idct_block_to_pixels(&coefs, &mut pix);
-            for y in 0..8 {
-                let dst = (by * 8 + y) * w + bx * 8;
-                out[dst..dst + 8].copy_from_slice(&pix[y * 8..(y + 1) * 8]);
-            }
-        }
+    for by in 0..h / 8 {
+        dec.next_block_row_to_pixels(w / 8, &mut out[by * 8 * w..(by + 1) * 8 * w]);
         // pixel stripe of this block row is written out
         meter.touch(MemAccess {
             base: out_base + (by * 8 * w) as u64,

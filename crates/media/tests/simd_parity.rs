@@ -14,8 +14,12 @@ use media::blur::{
     blur_v_rows_sse2_checked, blur_v_rows_with, Taps,
 };
 use media::jpeg::bitio::{self, BitReader, BitWriter};
-use media::jpeg::dct::{idct, idct_avx2_checked, idct_scalar, idct_sse2_checked};
+use media::jpeg::dct::{
+    idct_scalar, idct_to_pixels, idct_to_pixels_avx2_checked, idct_to_pixels_scalar,
+    idct_to_pixels_sse2_checked,
+};
 use media::jpeg::huffman::{Decoder, Encoder, AC_CHROMA, AC_LUMA, DC_CHROMA, DC_LUMA};
+use media::jpeg::quant::Channel;
 use media::scale::{
     downscale_rows, downscale_rows_avx2_checked, downscale_rows_scalar, downscale_rows_sse2_checked,
 };
@@ -116,18 +120,11 @@ proptest! {
         assert_downscale_parity(&src, sw, factor, r0.min(oh - 1)..oh);
     }
 
-    // IDCT parity over the full dequantized coefficient range.
+    // IDCT-to-pixels parity over every extent the kernel can skip to and
+    // the full coefficient range, saturated blocks included.
     #[test]
-    fn idct_parity(coefs in proptest::collection::vec(-2048i16..=2047i16, 64..65)) {
-        let coefs: [i16; 64] = coefs.try_into().unwrap();
-        let want = idct_scalar(&coefs);
-        prop_assert_eq!(idct(&coefs), want);
-        if let Some(got) = idct_sse2_checked(&coefs) {
-            prop_assert_eq!(got, want);
-        }
-        if let Some(got) = idct_avx2_checked(&coefs) {
-            prop_assert_eq!(got, want);
-        }
+    fn idct_parity(coefs in idct_block()) {
+        assert_idct_parity(&coefs);
     }
 
     // Refill bit reader vs the per-bit reference on arbitrary streams
@@ -256,34 +253,150 @@ fn downscale_parity_at_shipped_geometries() {
     }
 }
 
-/// Whole-pipeline spot check: a JPEG plane decoded through the
-/// dispatching kernels matches a decode forced down the reference
-/// bit-reader path symbol-for-symbol (the codec tests already cover
-/// pixels; this pins the entropy layer specifically).
+/// Coefficient blocks shaped like what the skipping kernel branches on:
+/// DC only, one coefficient in the last position, a top-left corner of at
+/// most 3×3, one full row, one full column, dense, and blocks at the
+/// `i16` limits a corrupt scan dequantizes to.
+fn idct_block() -> impl Strategy<Value = [i16; 64]> {
+    (
+        0usize..8,
+        proptest::collection::vec(-2048i16..=2047i16, 64..65),
+        0usize..8,
+    )
+        .prop_map(|(shape, values, line)| {
+            let limit = |v: i16| [i16::MAX, -i16::MAX, i16::MIN][v.unsigned_abs() as usize % 3];
+            std::array::from_fn(|i| {
+                let (row, col, v) = (i / 8, i % 8, values[i]);
+                match shape {
+                    0 if i == 0 => v,
+                    1 if i == 63 => v,
+                    2 if row < 3 && col < 3 => v,
+                    3 if row == line => v,
+                    4 if col == line => v,
+                    5 => v,
+                    // dense at the limits, and a few limits among the rest
+                    6 => limit(v),
+                    7 if v % 5 == 0 => limit(v),
+                    7 => v,
+                    _ => 0,
+                }
+            })
+        })
+}
+
+/// Dispatch, the scalar twin and both vector hooks against `idct_scalar`
+/// with a widened level shift and a clamp, into a tight 8×8 and into the
+/// middle of a wider plane (whose other bytes must stay untouched).
+fn assert_idct_parity(coefs: &[i16; 64]) {
+    let want = idct_scalar(coefs).map(|s| (s as i32 + 128).clamp(0, 255) as u8);
+    type Kernel = fn(&[i16; 64], &mut [u8], usize) -> bool;
+    let kernels: [(&str, Kernel); 4] = [
+        ("dispatch", |c, o, s| {
+            idct_to_pixels(c, o, s);
+            true
+        }),
+        ("scalar", |c, o, s| {
+            idct_to_pixels_scalar(c, o, s);
+            true
+        }),
+        ("sse2", idct_to_pixels_sse2_checked),
+        ("avx2", idct_to_pixels_avx2_checked),
+    ];
+    for (name, kernel) in kernels {
+        for (stride, offset) in [(8usize, 0usize), (40, 83)] {
+            let mut plane = vec![0x5au8; offset + 7 * stride + 8 + 5];
+            if !kernel(coefs, &mut plane[offset..], stride) {
+                continue;
+            }
+            for (i, &p) in plane.iter().enumerate() {
+                let at = i
+                    .checked_sub(offset)
+                    .filter(|at| at % stride < 8 && at / stride < 8);
+                let expect = at.map_or(0x5a, |at| want[at / stride * 8 + at % stride]);
+                assert_eq!(p, expect, "{name}, stride {stride}, byte {i} of {coefs:?}");
+            }
+        }
+    }
+}
+
+/// The block shapes of [`idct_block`] once each without a generator, so a
+/// kernel that mishandles one fails the same way on every run.
 #[test]
-fn jpeg_scan_symbols_match_reference_reader() {
-    use media::jpeg::quant::Channel;
+fn idct_parity_at_the_extents() {
+    let mut blocks = vec![[0i16; 64], [i16::MAX; 64], [i16::MIN; 64], [-i16::MAX; 64]];
+    for i in 0..64 {
+        for v in [1, -1, 1016, -2040, i16::MAX, i16::MIN] {
+            let mut one = [0i16; 64];
+            one[i] = v;
+            blocks.push(one);
+        }
+    }
+    for rc in 1..=8 {
+        // an rc × rc corner, and the full row / column rc - 1
+        let at = |keep: &dyn Fn(usize, usize) -> bool| -> [i16; 64] {
+            std::array::from_fn(|i| {
+                if keep(i / 8, i % 8) {
+                    (splat(rc as u64, i) as i16 - 128) * 16
+                } else {
+                    0
+                }
+            })
+        };
+        blocks.push(at(&|row, col| row < rc && col < rc));
+        blocks.push(at(&|row, _| row == rc - 1));
+        blocks.push(at(&|_, col| col == rc - 1));
+    }
+    for block in &blocks {
+        assert_idct_parity(block);
+    }
+}
+
+/// Whole-pipeline check of the entropy layer: a plane decoded through the
+/// combined-table decoder and the dispatching kernels matches a decode
+/// down the reference bit-reader path, for both channels' tables, from
+/// quality 10 (short codes, long zero runs: ZRL) to 95 (codes past the
+/// table's 10 bits, magnitudes wider than it holds, 64-coefficient blocks
+/// that end without an EOB), on noise and on a flat plane (EOB after DC).
+#[test]
+fn jpeg_scan_matches_reference_reader() {
     let w = 48;
     let h = 32;
-    let plane: Vec<u8> = (0..w * h).map(|i| splat(0xABCD, i)).collect();
-    let scan = media::jpeg::encode_plane(&plane, w, h, Channel::Luma, 75);
-    let (pixels, _) = media::jpeg::codec::decode_plane(&scan, w, h, Channel::Luma, 75);
-    // Reference decode: bit-at-a-time reader + bitwise Huffman walk.
-    let ref_pixels = decode_plane_reference(&scan, w, h, 75);
-    assert_eq!(pixels, ref_pixels);
+    let noise: Vec<u8> = (0..w * h).map(|i| splat(0xABCD, i)).collect();
+    // noise in a few columns only: isolated high frequencies, so runs of
+    // sixteen zeros and more between coded coefficients
+    let sparse: Vec<u8> = (0..w * h)
+        .map(|i| if i % 8 == 7 { splat(0x51, i) } else { 128 })
+        .collect();
+    for channel in [Channel::Luma, Channel::Chroma] {
+        for quality in [10, 50, 75, 95] {
+            for plane in [&noise, &sparse, &vec![77u8; w * h]] {
+                let scan = media::jpeg::encode_plane(plane, w, h, channel, quality);
+                let (pixels, _) = media::jpeg::codec::decode_plane(&scan, w, h, channel, quality);
+                let ref_pixels = decode_plane_reference(&scan, w, h, channel, quality);
+                assert_eq!(pixels, ref_pixels, "{channel:?} at quality {quality}");
+            }
+        }
+    }
 }
 
 /// Minimal reference decoder using only the pre-refill bit reader and
 /// the bitwise Huffman walk (mirrors `codec::ScanDecoder` block layout).
-fn decode_plane_reference(scan: &[u8], w: usize, h: usize, quality: u8) -> Vec<u8> {
+fn decode_plane_reference(
+    scan: &[u8],
+    w: usize,
+    h: usize,
+    channel: Channel,
+    quality: u8,
+) -> Vec<u8> {
     use media::jpeg::bitio::{extend, reference::BitReader};
-    use media::jpeg::dct::idct_scalar;
-    use media::jpeg::huffman::{Decoder, AC_LUMA, DC_LUMA, EOB, ZRL};
-    use media::jpeg::quant::{dequantize_one, scaled_table, Channel, ZIGZAG};
+    use media::jpeg::huffman::{EOB, ZRL};
+    use media::jpeg::quant::{dequantize_one, scaled_table, ZIGZAG};
 
-    let dc = Decoder::new(&DC_LUMA);
-    let ac = Decoder::new(&AC_LUMA);
-    let table = scaled_table(Channel::Luma, quality);
+    let (dc, ac) = match channel {
+        Channel::Luma => (Decoder::new(&DC_LUMA), Decoder::new(&AC_LUMA)),
+        Channel::Chroma => (Decoder::new(&DC_CHROMA), Decoder::new(&AC_CHROMA)),
+    };
+    let table = scaled_table(channel, quality);
     let (bw, bh) = (w.div_ceil(8), h.div_ceil(8));
     let mut r = BitReader::new(scan);
     let mut pred = 0i32;
@@ -367,4 +480,62 @@ fn downscale_kernel_floor() {
          of {w}x{h} at factor {factor}: the vector kernel is not being dispatched to"
     );
     eprintln!("downscale 720x576 f4, 20 planes: scalar {scalar:?}, dispatched {dispatched:?}");
+}
+
+/// The same floor for the IDCT: on the quality-75 luma plane of a
+/// synthetic 1280×720 frame (JPiP's paper geometry) the dispatching
+/// `idct_block_rows` must be at least 2× faster than a loop over the
+/// dense `idct_scalar` — the extent skipping alone is worth more.
+#[test]
+#[ignore = "timing; scripts/ci.sh runs it in release"]
+fn idct_kernel_floor() {
+    use media::jpeg::codec::{decode_scan, idct_block_rows};
+    use media::video::{RawVideo, VideoSpec};
+    use std::time::Instant;
+    if media::simd::level() == media::simd::Level::Scalar {
+        return;
+    }
+    let (w, h, quality) = (1280, 720, 75);
+    let video = RawVideo::generate(VideoSpec::new(w, h, 1, 1729));
+    let scan = media::jpeg::encode_plane(video.field(0, 0), w, h, Channel::Luma, quality);
+    let mut coefs = vec![0i16; w * h];
+    decode_scan(&scan, w, h, Channel::Luma, quality, &mut coefs);
+    let mut pixels = vec![0u8; w * h];
+    let mut best_of_5 = |kernel: &mut dyn FnMut(&[i16], &mut [u8])| {
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                kernel(
+                    std::hint::black_box(&coefs),
+                    std::hint::black_box(&mut pixels),
+                );
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let scalar = best_of_5(&mut |coefs, pixels| {
+        for (block, out) in coefs.chunks_exact(64).zip(pixels.chunks_exact_mut(64)) {
+            let samples = idct_scalar(block.try_into().unwrap());
+            for (dst, s) in out.iter_mut().zip(samples) {
+                *dst = (s as i32 + 128).clamp(0, 255) as u8;
+            }
+        }
+    });
+    let dispatched = best_of_5(&mut |coefs, pixels| {
+        idct_block_rows(coefs, w / 8, pixels);
+    });
+    assert!(
+        dispatched * 2 <= scalar,
+        "idct_block_rows {dispatched:?} against a loop over idct_scalar {scalar:?} for the \
+         {} blocks of a {w}x{h} plane at quality {quality}: the sparse kernel is not being \
+         dispatched to",
+        w * h / 64
+    );
+    let per_block = |d: std::time::Duration| d.as_nanos() as usize / (w * h / 64);
+    eprintln!(
+        "idct {w}x{h} q{quality}: scalar {} ns/block, dispatched {} ns/block",
+        per_block(scalar),
+        per_block(dispatched)
+    );
 }

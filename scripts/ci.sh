@@ -19,9 +19,11 @@
 #      references run even on hosts whose SIMD paths won the dispatch
 #      (both legs run tests/simd_parity.rs, whose `*_checked` hooks reach
 #      the SSE2 and AVX2 kernels whatever the dispatch picked); then the
-#      kernel floor in release: the dispatched box filter at PiP's paper
-#      geometry must beat its scalar reference 3×, so a dispatch that
-#      falls back to the reference is a red CI, not a slow ledger
+#      kernel floors in release: the dispatched box filter at PiP's paper
+#      geometry must beat its scalar reference 3×, the dispatched IDCT on
+#      JPiP's quality-75 luma plane a loop over `idct_scalar` 2×, so a
+#      dispatch that falls back to a reference is a red CI, not a slow
+#      ledger
 #   5. xspclc analyze over every generated app spec — zero diagnostics
 #      (warnings included) allowed
 #   6. hinch-insight determinism: the JSON report for one simulated app
@@ -114,9 +116,9 @@ HINCH_FORCE_SCALAR=1 cargo test --offline -q -p media
 echo "media: scalar fallback suite passed"
 
 if [[ $quick -eq 0 ]]; then
-    echo "== kernel floor (media: dispatched box filter vs its scalar reference) =="
+    echo "== kernel floors (media: dispatched box filter and IDCT vs their scalar references) =="
     cargo test --offline --release -q -p media --test simd_parity -- \
-        --ignored downscale_kernel_floor
+        --ignored kernel_floor
 fi
 
 echo "== analyze (all app specs) =="

@@ -116,21 +116,17 @@ fn overlapping_slice_leases_are_detected() {
 
 #[test]
 fn corrupt_jpeg_scan_fails_loudly_not_silently() {
-    use media::jpeg::codec::{decode_scan, encode_plane};
+    use media::jpeg::codec::{decode_plane, decode_scan, encode_plane};
     use media::jpeg::quant::Channel;
     let img: Vec<u8> = (0..64 * 64).map(|i| (i % 256) as u8).collect();
-    let mut scan = encode_plane(&img, 64, 64, Channel::Luma, 75);
-    // truncate hard: the decoder reads 1-bits past the end, which decodes
-    // to garbage runs that overrun the coefficient index
-    scan.truncate(4);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut coefs = vec![0i16; 64 * 64];
-        decode_scan(&scan, 64, 64, Channel::Luma, 75, &mut coefs)
-    }));
+    let scan = encode_plane(&img, 64, 64, Channel::Luma, 75);
     // either the decoder panics with the corrupt-scan message, or it
     // produces *some* blocks — but it must never loop forever (this test
-    // completing is the liveness assertion)
-    if let Err(err) = result {
+    // completing is the liveness assertion). `true` when it produced them.
+    let loud_or_done = |what: &str, decode: &dyn Fn()| -> bool {
+        let Err(err) = catch_unwind(AssertUnwindSafe(decode)) else {
+            return true;
+        };
         let msg = err
             .downcast_ref::<String>()
             .cloned()
@@ -138,9 +134,32 @@ fn corrupt_jpeg_scan_fails_loudly_not_silently() {
             .unwrap_or_default();
         assert!(
             msg.contains("corrupt"),
-            "corruption panic should say so: {msg}"
+            "{what}: corruption panic should say so: {msg}"
         );
+        false
+    };
+    // truncate hard: the decoder reads 1-bits past the end, which decodes
+    // to garbage runs that overrun the coefficient index
+    let truncated = &scan[..4];
+    loud_or_done("truncated, entropy stage", &|| {
+        let mut coefs = vec![0i16; 64 * 64];
+        decode_scan(truncated, 64, 64, Channel::Luma, 75, &mut coefs);
+    });
+    loud_or_done("truncated, both stages", &|| {
+        decode_plane(truncated, 64, 64, Channel::Luma, 75);
+    });
+    // damage in place: the symbols lose step and the blocks that come out
+    // hold whatever the bits say, up to coefficients saturated at the
+    // `i16` limits — which the IDCT must clamp, not overflow on
+    let mut reached_idct = 0;
+    for at in (0..scan.len()).step_by(scan.len() / 16) {
+        let mut damaged = scan.clone();
+        damaged[at] ^= 0xA5;
+        reached_idct += loud_or_done(&format!("byte {at} damaged"), &|| {
+            decode_plane(&damaged, 64, 64, Channel::Luma, 75);
+        }) as usize;
     }
+    assert!(reached_idct > 0, "no damaged scan decoded to the end");
 }
 
 #[test]
