@@ -1,11 +1,10 @@
-//! Work-stealing stress layer.
+//! Racy schedules on the one native engine.
 //!
-//! The native engine's `SchedPolicy::Default` path (hinch's work-stealing
-//! runtime: per-worker deques, atomic dependency window, stream slot
-//! rings) gets hammered with random XA-clean SPC graphs at 2–8 worker
-//! threads and cross-checked against the sequential reference executor.
-//! Unlike the metamorphic layer — which explores *seeded* schedules on
-//! the centralized path — every run here is genuinely racy: thread
+//! `run_native` (hinch's runtime: per-worker deques, atomic dependency
+//! window, stream slot rings) gets hammered with random XA-clean SPC
+//! graphs at 2–8 worker threads and cross-checked against the sequential
+//! reference executor. The metamorphic layer steers the same engine's
+//! pick hook with *seeded* policies; here nothing is steered: thread
 //! preemption decides the schedule, so each proptest case explores a
 //! fresh interleaving of steals, parks and retirements.
 //!
@@ -23,7 +22,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
     #[test]
-    fn work_stealing_matches_reference_at_any_worker_count(
+    fn racy_schedules_match_reference_at_any_worker_count(
         shape in shape_strategy(),
         iters in 1u64..10,
         depth in 1usize..6,
@@ -36,21 +35,21 @@ proptest! {
         let want = out.lock().clone();
         prop_assert_eq!(oracle.iterations, iters);
 
-        // The work-stealing run (Default policy dispatches to it).
+        // The racy run: the default policy, nothing steering the pick hook.
         let (spec, out) = build_app(&shape);
         let cfg = RunConfig::new(iters).workers(workers).pipeline_depth(depth);
         let report = run_native(&spec, &cfg).unwrap_or_else(|e| {
-            panic!("work-stealing run failed (workers={workers} depth={depth}): {e}")
+            panic!("native run failed (workers={workers} depth={depth}): {e}")
         });
         prop_assert_eq!(
             report.iterations, iters,
-            "work-stealing retired a wrong iteration count (workers={}, depth={})",
+            "native run retired a wrong iteration count (workers={}, depth={})",
             workers, depth
         );
         prop_assert_eq!(
             &*out.lock(),
             &want,
-            "work-stealing diverged from the oracle (workers={}, depth={})",
+            "native run diverged from the oracle (workers={}, depth={})",
             workers,
             depth
         );

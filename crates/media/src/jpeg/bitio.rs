@@ -54,32 +54,39 @@ impl BitWriter {
 ///
 /// ## The refill invariant
 ///
-/// After [`refill`](Self::refill), at least **57 valid bits** sit at the
+/// After [`refill`](Self::refill), at least **56 valid bits** sit at the
 /// top of the accumulator. Bits past the end of the stream read as 1s
 /// (the accumulator refills with `0xFF` bytes), which matches
 /// [`BitWriter::finish`]'s padding and makes a truncated stream decode to
 /// garbage rather than panic.
 ///
-/// This invariant is what lets the hot decode path drop per-bit bounds
-/// checks: one refill covers a full Huffman code (≤ 16 bits, enforced by
-/// [`super::huffman::Decoder::get`]) *plus* the longest magnitude field
-/// that can follow it (≤ 16 bits), so [`peek16`](Self::peek16) /
-/// [`consume`](Self::consume) / [`bits`](Self::bits) touch only the
-/// accumulator — the only bounds check left is the one per refilled byte.
-/// The pre-refill implementation (one bounds check per *bit*) is kept as
-/// [`reference::BitReader`], the behavioral twin the parity tests decode
-/// against.
-#[derive(Debug)]
+/// A refill is one unaligned 8-byte load spliced in below the valid bits
+/// (`acc |= word >> have`): whole bytes of it are counted, the rest stay
+/// in the accumulator uncounted and are OR-ed in again, identical, by the
+/// next refill — so the bits below `have` are either zero or already the
+/// stream's. Only the last seven bytes of a stream take the byte loop.
+///
+/// [`bit`](Self::bit) / [`bits`](Self::bits) / [`peek16`](Self::peek16)
+/// refill before every read. The hot decode path
+/// ([`super::huffman::Decoder::get_extended`]) goes through
+/// [`peek`](Self::peek) instead, which refills only when **fewer than 32
+/// valid bits** remain: a Huffman code is ≤ 16 bits (enforced by
+/// [`super::huffman::Decoder::get`]) and the magnitude field it announces
+/// ≤ 15, so 32 bits always hold one whole symbol, and a refill to ≥ 56
+/// is shared by the two or three symbols that fit in the 24 bits above
+/// that mark. The pre-refill implementation (one bounds check per *bit*)
+/// is kept as [`reference::BitReader`], the behavioral twin the parity
+/// tests decode against.
+#[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
-    /// Next byte of `data` to feed into the accumulator.
+    /// Next byte to feed into the accumulator; counts the `0xFF` bytes
+    /// fed past the end too, so `8 * pos - have` bits have been consumed.
     pos: usize,
     /// MSB-aligned accumulator: the next unread bit is bit 63.
     acc: u64,
-    /// Number of valid bits at the top of `acc`.
+    /// Number of valid bits at the top of `acc` (≤ 63).
     have: u32,
-    /// Total bits consumed so far (for [`exhausted`](Self::exhausted)).
-    consumed: u64,
 }
 
 impl<'a> BitReader<'a> {
@@ -89,49 +96,42 @@ impl<'a> BitReader<'a> {
             pos: 0,
             acc: 0,
             have: 0,
-            consumed: 0,
         }
     }
 
-    /// Top up the accumulator to ≥ 57 valid bits (see the type docs for
+    /// Top up the accumulator to ≥ 56 valid bits (see the type docs for
     /// the invariant). Past-end bytes read as `0xFF`.
     #[inline]
     fn refill(&mut self) {
-        if self.have > 56 {
+        let Some(word) = self.data.get(self.pos..self.pos + 8) else {
+            *self = self.clone().refill_tail();
             return;
-        }
-        if self.pos + 8 <= self.data.len() {
-            // fast path: splice as many whole bytes as fit in one load
-            let word = u64::from_be_bytes(self.data[self.pos..self.pos + 8].try_into().unwrap());
-            let take = (64 - self.have) / 8; // 1..=8 bytes fit
-            self.acc |= (word >> (64 - 8 * take)) << (64 - self.have - 8 * take);
-            self.pos += take as usize;
-            self.have += 8 * take;
-            return;
-        }
-        while self.have <= 56 {
-            let byte = if self.pos < self.data.len() {
-                let b = self.data[self.pos];
-                self.pos += 1;
-                b
-            } else {
-                0xFF
-            };
+        };
+        let word = u64::from_be_bytes(word.try_into().expect("an 8-byte slice"));
+        self.acc |= word >> self.have;
+        self.pos += ((63 - self.have) >> 3) as usize;
+        self.have |= 56;
+    }
+
+    /// [`refill`](Self::refill) within eight bytes of the end and past it.
+    /// By value, as every out-of-line step of the decode loop is: a reader
+    /// whose address is never passed on stays in registers there.
+    #[cold]
+    fn refill_tail(mut self) -> Self {
+        while self.have < 56 {
+            let byte = self.data.get(self.pos).copied().unwrap_or(0xFF);
             self.acc |= (byte as u64) << (56 - self.have);
+            self.pos += 1;
             self.have += 8;
         }
+        self
     }
 
     /// Next bit; 1-bits past the end (matches the writer's padding, and
     /// makes a truncated stream decode to garbage rather than panicking).
     #[inline]
     pub fn bit(&mut self) -> u32 {
-        self.refill();
-        let b = (self.acc >> 63) as u32;
-        self.acc <<= 1;
-        self.have -= 1;
-        self.consumed += 1;
-        b
+        self.bits(1)
     }
 
     /// Read `n` bits (n ≤ 24), MSB first.
@@ -145,7 +145,6 @@ impl<'a> BitReader<'a> {
         let v = (self.acc >> (64 - n)) as u32;
         self.acc <<= n;
         self.have -= n;
-        self.consumed += n as u64;
         v
     }
 
@@ -157,19 +156,31 @@ impl<'a> BitReader<'a> {
         (self.acc >> 48) as u32
     }
 
-    /// Consume `n` bits previously seen via [`peek16`](Self::peek16)
-    /// (n ≤ 16; the refill invariant guarantees they are valid).
+    /// Look at the next `n` bits (1 ≤ n ≤ 32) straight off the
+    /// accumulator, refilling only when fewer than 32 valid bits remain —
+    /// the hot path's peek (see the type docs); past-end bits are 1s.
+    #[inline]
+    pub fn peek(&mut self, n: u32) -> u32 {
+        debug_assert!((1..=32).contains(&n));
+        if self.have < 32 {
+            self.refill();
+        }
+        (self.acc >> (64 - n)) as u32
+    }
+
+    /// Consume `n` bits previously seen via [`peek16`](Self::peek16) or
+    /// [`peek`](Self::peek) (n ≤ 16; the refill invariant guarantees they
+    /// are valid).
     #[inline]
     pub fn consume(&mut self, n: u32) {
         debug_assert!(n <= 16 && n <= self.have);
         self.acc <<= n;
         self.have -= n;
-        self.consumed += n as u64;
     }
 
     /// Whether the reader consumed all complete bytes.
     pub fn exhausted(&self) -> bool {
-        self.consumed >= 8 * self.data.len() as u64
+        8 * self.pos as u64 - self.have as u64 >= 8 * self.data.len() as u64
     }
 }
 

@@ -82,7 +82,7 @@ pub fn encode_plane(pixels: &[u8], w: usize, h: usize, channel: Channel, quality
             // AC run-length coding in zigzag order
             let mut run = 0u32;
             for &nat in ZIGZAG.iter().skip(1) {
-                let v = q[nat] as i32;
+                let v = q[nat as usize] as i32;
                 if v == 0 {
                     run += 1;
                     continue;
@@ -117,7 +117,9 @@ pub struct ScanDecoder<'a> {
     reader: BitReader<'a>,
     dc_dec: &'static Decoder,
     ac_dec: &'static Decoder,
-    table: [u16; 64],
+    /// Dequantisation steps in zigzag order: `steps[k]` scales the k-th
+    /// coefficient the scan codes, which lands at `ZIGZAG[k]`.
+    steps: [u16; 64],
     pred: i32,
     remaining: usize,
     pub stats: DecodeStats,
@@ -127,11 +129,12 @@ impl<'a> ScanDecoder<'a> {
     pub fn new(scan: &'a [u8], w: usize, h: usize, channel: Channel, quality: u8) -> Self {
         assert!(w.is_multiple_of(8) && h.is_multiple_of(8));
         let (dc_dec, ac_dec) = Decoder::annex_k(channel);
+        let table = scaled_table(channel, quality);
         Self {
             reader: BitReader::new(scan),
             dc_dec,
             ac_dec,
-            table: scaled_table(channel, quality),
+            steps: ZIGZAG.map(|nat| table[nat as usize]),
             pred: 0,
             remaining: (w / 8) * (h / 8),
             stats: DecodeStats::default(),
@@ -146,29 +149,35 @@ impl<'a> ScanDecoder<'a> {
         }
         self.remaining -= 1;
         out.fill(0);
+        // a copy whose address goes nowhere: registers for the whole block
+        let mut reader = self.reader.clone();
         // DC
-        let (_, diff) = self.dc_dec.get_extended(&mut self.reader);
+        let (_, diff) = self.dc_dec.get_extended(&mut reader);
         self.pred += diff;
-        out[0] = dequantize_one(self.pred as i16, self.table[0]);
-        self.stats.coded_coefs += 1;
+        out[0] = dequantize_one(self.pred as i16, self.steps[0]);
+        let mut coded = 1;
         // AC
         let mut k = 1usize;
         while k <= 63 {
-            let (sym, v) = self.ac_dec.get_extended(&mut self.reader);
-            if sym == EOB {
-                break;
-            }
-            if sym == ZRL {
+            let (sym, v) = self.ac_dec.get_extended(&mut reader);
+            if sym & 0x0F == 0 {
+                // the two symbols the Annex K tables hold without a magnitude
+                if sym != ZRL {
+                    break; // EOB
+                }
                 k += 16;
+                assert!(k <= 63, "corrupt scan: coefficient index {k} out of range");
                 continue;
             }
             k += (sym >> 4) as usize;
             assert!(k <= 63, "corrupt scan: coefficient index {k} out of range");
-            let nat = ZIGZAG[k];
-            out[nat] = dequantize_one(v as i16, self.table[nat]);
-            self.stats.coded_coefs += 1;
+            // `& 63`: a table entry's range is not something the compiler sees
+            out[(ZIGZAG[k] & 63) as usize] = dequantize_one(v as i16, self.steps[k]);
+            coded += 1;
             k += 1;
         }
+        self.reader = reader;
+        self.stats.coded_coefs += coded;
         self.stats.blocks += 1;
         true
     }
@@ -398,6 +407,21 @@ mod tests {
         assert!(img.byte_len() > 0);
         assert_eq!(JpegImage::channel_of(0), Channel::Luma);
         assert_eq!(JpegImage::channel_of(2), Channel::Chroma);
+    }
+
+    /// A ZRL that carries the index past the block is as corrupt as a
+    /// run/size symbol that does, and must not end the block quietly.
+    #[test]
+    #[should_panic(expected = "corrupt scan: coefficient index 65 out of range")]
+    fn zrl_past_the_block_end_panics() {
+        let mut w = BitWriter::new();
+        Encoder::new(&DC_LUMA).put(&mut w, 0);
+        let ac = Encoder::new(&AC_LUMA);
+        for _ in 0..4 {
+            ac.put(&mut w, ZRL);
+        }
+        let scan = w.finish();
+        decode_scan(&scan, 8, 8, Channel::Luma, 75, &mut [0i16; 64]);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! symbol → (code, length) table; decoding uses the canonical
 //! mincode/maxcode/valptr method of the spec (F.2.2.3), behind a combined
 //! table that yields a short code *and* the magnitude after it in one hit.
+//! The hit is indexed straight off the bit reader's accumulator, which is
+//! refilled only when fewer than 32 valid bits remain
+//! ([`BitReader::peek`]): per symbol one shift, one load and one variable
+//! shift feed the next index, and nothing else is in that chain.
 
 use super::bitio::{extend, BitReader, BitWriter};
 use super::quant::Channel;
@@ -203,23 +207,36 @@ impl Decoder {
     /// follows it (an AC run/size symbol's value, a DC category's
     /// difference): `(symbol, extended value)`.
     ///
-    /// One [`FAST_BITS`]-bit peek and one table hit when code and
-    /// magnitude fit in it together; longer codes and wider magnitudes
+    /// One table hit when code and magnitude fit in [`FAST_BITS`] bits
+    /// together, indexed straight off the reader's accumulator
+    /// ([`BitReader::peek`]: no refill while 32 valid bits remain, so two
+    /// or three symbols share one); longer codes and wider magnitudes
     /// take [`get`](Self::get), [`BitReader::bits`] and [`extend`] — the
     /// sequence the table was built from.
     ///
     /// # Panics
     /// On a code longer than 16 bits (corrupt stream).
-    #[inline]
+    #[inline(always)]
     pub fn get_extended(&self, r: &mut BitReader<'_>) -> (u8, i32) {
-        let e = self.fast[(r.peek16() >> (16 - FAST_BITS)) as usize];
+        let e = self.fast[r.peek(FAST_BITS) as usize];
         if e != 0 {
             r.consume(e & 0xFF);
             return ((e >> 8) as u8, e as i32 >> 16);
         }
-        let sym = self.get(r);
+        let (sym, value);
+        (*r, sym, value) = self.get_extended_slow(r.clone());
+        (sym, value)
+    }
+
+    /// The table miss of [`get_extended`](Self::get_extended): out of
+    /// line, and the reader by value, so that the hit inlines into the
+    /// block loop and the reader's state stays in registers there.
+    #[cold]
+    fn get_extended_slow<'a>(&self, mut r: BitReader<'a>) -> (BitReader<'a>, u8, i32) {
+        let sym = self.get(&mut r);
         let size = (sym & 0x0F) as u32;
-        (sym, extend(r.bits(size), size))
+        let value = extend(r.bits(size), size);
+        (r, sym, value)
     }
 
     /// Decode one symbol.
@@ -344,6 +361,62 @@ mod tests {
                 }
             }
             assert!(hits > 1 << FAST_BITS, "most prefixes hit: {hits}");
+        }
+    }
+
+    /// `get_extended` refills lazily, so what it sees depends on how many
+    /// valid bits the reads before it left: after any mix of `bits` and
+    /// `peek16` / `consume` it must decode what `get` + `bits` + `extend`
+    /// decode from a reader taken through the same mix.
+    #[test]
+    fn get_extended_after_other_reads_sees_the_same_bits() {
+        for spec in [&DC_LUMA, &DC_CHROMA, &AC_LUMA, &AC_CHROMA] {
+            let (enc, dec) = (Encoder::new(spec), Decoder::new(spec));
+            let mut seed = 0x2545_F491_4F6C_DD1Du64;
+            let mut next = move || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u32
+            };
+            // (symbol or none for a raw field, width, value)
+            let mut fields = Vec::new();
+            let mut w = BitWriter::new();
+            for _ in 0..4000 {
+                let x = next();
+                if x % 3 != 0 {
+                    // mostly the short codes, whose hits come in runs
+                    let among = if x & 4 == 0 { spec.values.len() } else { 8 };
+                    let sym = spec.values[(x >> 8) as usize % among];
+                    let size = (sym & 0x0F) as u32;
+                    let mag = next() & ((1 << size) - 1);
+                    enc.put(&mut w, sym);
+                    w.put(mag, size);
+                    fields.push((Some(sym), size, extend(mag, size)));
+                } else {
+                    let n = 1 + (x >> 8) % 24;
+                    let raw = next() & ((1 << n) - 1);
+                    w.put(raw, n);
+                    fields.push((None, n, raw as i32));
+                }
+            }
+            let bytes = w.finish();
+            let (mut lazy, mut eager) = (BitReader::new(&bytes), BitReader::new(&bytes));
+            for (i, &(sym, n, value)) in fields.iter().enumerate() {
+                let Some(sym) = sym else {
+                    if n <= 16 && i % 2 == 0 {
+                        assert_eq!(lazy.peek16() >> (16 - n), value as u32);
+                        lazy.consume(n);
+                    } else {
+                        assert_eq!(lazy.bits(n), value as u32);
+                    }
+                    assert_eq!(eager.bits(n), value as u32);
+                    continue;
+                };
+                assert_eq!(dec.get_extended(&mut lazy), (sym, value), "field {i}");
+                assert_eq!(dec.get(&mut eager), sym);
+                assert_eq!(extend(eager.bits(n), n), value);
+            }
         }
     }
 

@@ -26,7 +26,7 @@ pub const CHROMA_Q: [u16; 64] = [
 
 /// Zigzag scan order: `ZIGZAG[k]` is the natural-order index of the k-th
 /// zigzag position.
-pub const ZIGZAG: [usize; 64] = [
+pub const ZIGZAG: [u8; 64] = [
     0, 1, 8, 16, 9, 2, 3, 10, //
     17, 24, 32, 25, 18, 11, 4, 5, //
     12, 19, 26, 33, 40, 48, 41, 34, //
@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn zigzag_is_a_permutation() {
         let mut seen = [false; 64];
-        for &z in &ZIGZAG {
+        for z in ZIGZAG.map(usize::from) {
             assert!(!seen[z], "duplicate index {z}");
             seen[z] = true;
         }

@@ -21,9 +21,10 @@
 #      the SSE2 and AVX2 kernels whatever the dispatch picked); then the
 #      kernel floors in release: the dispatched box filter at PiP's paper
 #      geometry must beat its scalar reference 3×, the dispatched IDCT on
-#      JPiP's quality-75 luma plane a loop over `idct_scalar` 2×, so a
-#      dispatch that falls back to a reference is a red CI, not a slow
-#      ledger
+#      JPiP's quality-75 luma plane a loop over `idct_scalar` 2×, and
+#      `decode_scan` on that plane the bitwise reference walk 3×, so a
+#      dispatch that falls back to a reference, or a combined Huffman
+#      table that misses every prefix, is a red CI, not a slow ledger
 #   5. xspclc analyze over every generated app spec — zero diagnostics
 #      (warnings included) allowed
 #   6. hinch-insight determinism: the JSON report for one simulated app
@@ -116,9 +117,11 @@ HINCH_FORCE_SCALAR=1 cargo test --offline -q -p media
 echo "media: scalar fallback suite passed"
 
 if [[ $quick -eq 0 ]]; then
-    echo "== kernel floors (media: dispatched box filter and IDCT vs their scalar references) =="
+    echo "== kernel floors (media: box filter, IDCT and entropy decoder vs their references) =="
+    # one at a time: three timing tests side by side on two cores time
+    # each other
     cargo test --offline --release -q -p media --test simd_parity -- \
-        --ignored kernel_floor
+        --ignored kernel_floor --test-threads 1
 fi
 
 echo "== analyze (all app specs) =="

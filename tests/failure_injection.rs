@@ -148,6 +148,24 @@ fn corrupt_jpeg_scan_fails_loudly_not_silently() {
     loud_or_done("truncated, both stages", &|| {
         decode_plane(truncated, 64, 64, Channel::Luma, 75);
     });
+    // runs of sixteen zeros to past the end of the block (DC category 0,
+    // then four ZRLs): loud like any other overrun, not a quiet block end
+    // that leaves every later block misaligned
+    let zrls = {
+        use media::jpeg::bitio::BitWriter;
+        use media::jpeg::huffman::{Encoder, AC_LUMA, DC_LUMA, ZRL};
+        let mut w = BitWriter::new();
+        Encoder::new(&DC_LUMA).put(&mut w, 0);
+        let ac = Encoder::new(&AC_LUMA);
+        for _ in 0..4 {
+            ac.put(&mut w, ZRL);
+        }
+        w.finish()
+    };
+    let decoded = loud_or_done("ZRLs past the block end", &|| {
+        decode_scan(&zrls, 64, 64, Channel::Luma, 75, &mut vec![0i16; 64 * 64]);
+    });
+    assert!(!decoded, "a run past the block end must not decode");
     // damage in place: the symbols lose step and the blocks that come out
     // hold whatever the bits say, up to coefficients saturated at the
     // `i16` limits — which the IDCT must clamp, not overflow on
