@@ -336,22 +336,7 @@ pub fn default_slices(app: App, scale: Scale) -> usize {
 
 /// Build `cfg.app` against a caller-provided asset set.
 pub fn build_with(cfg: AppConfig, assets: Arc<AppAssets>) -> Built {
-    build_with_sliced(cfg, assets, None)
-}
-
-/// [`build_with`] with an optional slice-count override.
-pub fn build_with_sliced(cfg: AppConfig, assets: Arc<AppAssets>, slices: Option<usize>) -> Built {
-    build_with_opts(cfg, assets, slices, false, false)
-}
-
-/// [`build_with`] with tile-granular decode+IDCT fusion (JPiP only).
-pub fn build_with_fused(cfg: AppConfig, assets: Arc<AppAssets>) -> Built {
-    assert_eq!(
-        cfg.app.family(),
-        Family::Jpip,
-        "fusion applies to JPiP apps only"
-    );
-    build_with_opts(cfg, assets, None, false, true)
+    build_with_opts(cfg, assets, None, false, false)
 }
 
 /// Reconfig cadence: the paper's 12-frame stimulus, or parked for
@@ -445,7 +430,7 @@ fn build_with_opts(
 pub fn build_fused(cfg: AppConfig) -> Built {
     let assets = cached_assets(cfg.app, cfg.scale);
     assets.clear_captures();
-    build_with_fused(cfg, assets)
+    build_with_opts(cfg, assets, None, false, true)
 }
 
 /// Run `cfg.app` on a simulated tile with `cores` cores (the paper's
@@ -466,24 +451,6 @@ fn sim_built(built: Built, frames: u64, cores: usize) -> SimReport {
     hinch_run_sim(&built.spec, &run_cfg, &mut machine).expect("sim run")
 }
 
-/// Run `cfg.app` on native worker threads (wall-clock mode).
-pub fn run_threads(cfg: AppConfig, workers: usize) -> RunReport {
-    let built = build(cfg);
-    let run_cfg = RunConfig::new(cfg.frames)
-        .pipeline_depth(5)
-        .workers(workers);
-    run_native(&built.spec, &run_cfg).expect("native run")
-}
-
-/// [`run_threads`] with tile-granular decode+IDCT fusion (JPiP only).
-pub fn run_threads_fused(cfg: AppConfig, workers: usize) -> RunReport {
-    let built = build_fused(cfg);
-    let run_cfg = RunConfig::new(cfg.frames)
-        .pipeline_depth(5)
-        .workers(workers);
-    run_native(&built.spec, &run_cfg).expect("native run")
-}
-
 /// Like [`run_sim`], but with a flight recorder attached: returns the
 /// report plus the [`trace::Recorder`] holding the run's trace (virtual
 /// cycles). Feed it to `hinch::trace::export` for Chrome-trace JSON, CSV
@@ -499,8 +466,8 @@ pub fn run_sim_traced(cfg: AppConfig, cores: usize) -> (SimReport, trace::Record
     (report, recorder)
 }
 
-/// Like [`run_threads`], but with a flight recorder attached (wall-clock
-/// nanoseconds).
+/// Run `cfg.app` on `workers` native threads (wall-clock mode) with a
+/// flight recorder attached (wall-clock nanoseconds).
 pub fn run_threads_traced(cfg: AppConfig, workers: usize) -> (RunReport, trace::Recorder) {
     let built = build(cfg);
     let recorder = trace::Recorder::new(trace::Clock::WallNanos);

@@ -5,6 +5,8 @@
 //! paper-figures --fig 9            Figure 9 (speedup on 1..=9 nodes)
 //! paper-figures --fig 10           Figure 10 (reconfiguration overhead)
 //! paper-figures --fig 7            Figure 7 (JPiP task graph, DOT)
+//! paper-figures --fig ablation     design-choice sweeps: pipeline depth,
+//!                                  dispatch cost, L2 size (fixed configs)
 //! paper-figures --cache-stats      §4.1 cache-miss comparison
 //! paper-figures --predict          SPC prediction vs simulation (Fig. 1)
 //! paper-figures --trace <app>      record a flight-recorder trace of one
@@ -13,11 +15,7 @@
 //!                                  writes <app>-trace.json (Chrome/Perfetto)
 //!                                  and prints the per-core utilization
 //!                                  summary
-//! paper-figures --insight <app>    trace one simulated run and print the
-//!                                  full insight report: critical path,
-//!                                  stall attribution and the bottleneck
-//!                                  table (same app names as --trace)
-//! paper-figures --fig all          everything
+//! paper-figures --fig all          everything, the ablation last
 //!
 //! options:
 //!   --scale small|paper   (default: paper)
@@ -27,10 +25,14 @@
 //! ```
 //!
 //! Absolute cycle counts come from this repository's SpaceCAKE tile model;
-//! compare *shapes* against the paper (see `EXPERIMENTS.md`).
+//! compare *shapes* against the paper (see `EXPERIMENTS.md`). For the
+//! critical-path and stall report of one run, use `hinch-insight`.
 
 use apps::experiment::{run_sim_traced, App, AppConfig, Scale};
-use bench::{cache_comparison, figure10, figure7_dot, figure8, figure9, prediction_validation};
+use bench::{
+    ablation, cache_comparison, figure10, figure7_dot, figure8, figure9, prediction_validation,
+    ABLATION_FRAMES,
+};
 use hinch::trace::export::{chrome_trace_json, utilization_summary};
 use std::process::ExitCode;
 
@@ -42,7 +44,6 @@ struct Options {
     cache_stats: bool,
     predict: bool,
     trace: Option<String>,
-    insight: Option<String>,
     cores: usize,
 }
 
@@ -55,13 +56,17 @@ fn parse_args() -> Result<Options, String> {
         cache_stats: false,
         predict: false,
         trace: None,
-        insight: None,
         cores: 4,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fig" => opts.fig = args.next().ok_or("--fig needs a value")?,
+            "--fig" => {
+                opts.fig = args.next().ok_or("--fig needs a value")?;
+                if !["7", "8", "9", "10", "ablation", "all"].contains(&opts.fig.as_str()) {
+                    return Err(format!("bad --fig '{}'", opts.fig));
+                }
+            }
             "--scale" => {
                 opts.scale = match args.next().as_deref() {
                     Some("small") => Scale::Small,
@@ -88,11 +93,13 @@ fn parse_args() -> Result<Options, String> {
                             .map_err(|e| format!("bad node: {e}"))
                     })
                     .collect::<Result<_, _>>()?;
+                if opts.nodes.contains(&0) {
+                    return Err("--nodes entries must be at least 1".into());
+                }
             }
             "--cache-stats" => opts.cache_stats = true,
             "--predict" => opts.predict = true,
             "--trace" => opts.trace = Some(args.next().ok_or("--trace needs an app name")?),
-            "--insight" => opts.insight = Some(args.next().ok_or("--insight needs an app name")?),
             "--cores" => {
                 opts.cores = args
                     .next()
@@ -106,15 +113,12 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if opts.fig.is_empty()
-        && !opts.cache_stats
-        && !opts.predict
-        && opts.trace.is_none()
-        && opts.insight.is_none()
-    {
-        return Err("nothing to do: pass --fig 7|8|9|10|all, --trace <app>, \
-                    --insight <app>, --cache-stats and/or --predict"
-            .into());
+    if opts.fig.is_empty() && !opts.cache_stats && !opts.predict && opts.trace.is_none() {
+        return Err(
+            "nothing to do: pass --fig 7|8|9|10|ablation|all, --trace <app>, \
+             --cache-stats and/or --predict"
+                .into(),
+        );
     }
     Ok(opts)
 }
@@ -152,11 +156,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if let Some(name) = &opts.insight {
-        if let Err(e) = run_insight(&opts, name) {
-            eprintln!("paper-figures: {e}");
-            return ExitCode::from(2);
-        }
+    // Last, so every section above keeps the simulated addresses (and the
+    // bytes) it prints without the ablation.
+    if all || opts.fig == "ablation" {
+        print_ablation();
     }
     ExitCode::SUCCESS
 }
@@ -219,33 +222,6 @@ fn run_trace(opts: &Options, name: &str) -> Result<(), String> {
     println!("wrote {path} — open with Perfetto (ui.perfetto.dev) or chrome://tracing");
     println!();
     println!("{}", utilization_summary(&events, recorder.clock()));
-    Ok(())
-}
-
-/// `--insight <app>`: trace one simulated run and print the full insight
-/// report (critical path, stall attribution, bottleneck table).
-fn run_insight(opts: &Options, name: &str) -> Result<(), String> {
-    let app = parse_app(name).ok_or_else(|| {
-        format!(
-            "unknown app '{name}' (try pip, pip2, pip12, jpip, jpip2, jpip12, blur, blur5, blur35)"
-        )
-    })?;
-    let mut cfg = match opts.scale {
-        Scale::Paper => AppConfig::paper(app),
-        Scale::Small => AppConfig::small(app),
-    };
-    if let Some(frames) = opts.frames {
-        cfg = cfg.frames(frames);
-    }
-    println!(
-        "== insight: {} — {} frames on {} simulated cores ==",
-        app.label(),
-        cfg.frames,
-        opts.cores
-    );
-    let (_, recorder) = run_sim_traced(cfg, opts.cores);
-    let report = insight::analyze(&recorder.events(), recorder.clock());
-    print!("{}", insight::render_human(&report));
     Ok(())
 }
 
@@ -370,6 +346,31 @@ fn print_cache_stats(opts: &Options) {
         println!(
             "cache-gate: app={} unfused_l1_ratio={unfused:.3} fused_l1_ratio={fused:.3}",
             app.label()
+        );
+    }
+    println!();
+}
+
+fn print_ablation() {
+    let a = ablation();
+    println!("== Ablation: design choices swept one at a time ({ABLATION_FRAMES} frames) ==");
+    println!("pipeline depth (PiP-1 small, 4 cores):");
+    for (depth, cycles) in &a.depth {
+        println!("  depth={depth:<4} {cycles:>12} cycles");
+    }
+    println!("dispatch cost per job (PiP-1 small, 4 cores, depth 5):");
+    for (dispatch, cycles) in &a.dispatch {
+        println!("  dispatch={dispatch:<5} {cycles:>12} cycles");
+    }
+    println!("L2 size (JPiP-1 640x320, 1 core, depth 5):");
+    println!(
+        "  {:<10} {:>12} {:>12} {:>12}",
+        "L2", "cycles", "mem cycles", "L2 misses"
+    );
+    for (kib, cycles, mem_cycles, l2_misses) in &a.l2 {
+        println!(
+            "  {:<10} {cycles:>12} {mem_cycles:>12} {l2_misses:>12}",
+            format!("{kib} KiB")
         );
     }
     println!();

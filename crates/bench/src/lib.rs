@@ -15,14 +15,18 @@
 //!   count);
 //! * [`figure7_dot`] — the JPiP task graph as Graphviz DOT;
 //! * [`cache_comparison`] — the §4.1 profiling claim: the XSPCL JPiP has a
-//!   markedly higher cache-miss count than its fused sequential baseline.
+//!   markedly higher cache-miss count than its fused sequential baseline;
+//! * [`ablation`] — the design choices of `DESIGN.md` § 6 swept one at a
+//!   time: pipeline depth, dispatch cost and L2 capacity.
 //!
 //! The absolute cycle numbers belong to *our* tile model, not the authors'
 //! proprietary simulator — the reproduction targets the qualitative
 //! shapes. `EXPERIMENTS.md` records paper-vs-measured values.
 
 use apps::experiment::{run_sim, sequential_cycles, App, AppConfig, Scale};
+use hinch::engine::{run_sim as run_graph, OverheadModel, RunConfig};
 use hinch::meter::PlatformStats;
+use spacecake::{CacheConfig, Machine, TileConfig};
 
 /// One row of the Figure 8 comparison.
 #[derive(Debug, Clone)]
@@ -280,6 +284,84 @@ pub fn cache_comparison(app: App, scale: Scale, frames: u64) -> CacheComparison 
     }
 }
 
+/// Frames of every ablation run.
+pub const ABLATION_FRAMES: u64 = 8;
+
+/// The three ablation sweeps. Each run happens once: simulated cycles
+/// are deterministic per process, so there is nothing to time.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// `(pipeline_depth, cycles)`: PiP-1 small on 4 cores (the paper
+    /// keeps 5 iterations in flight).
+    pub depth: Vec<(usize, u64)>,
+    /// `(dispatch_cycles, cycles)`: the same run at depth 5 with the
+    /// per-job dispatch charge of the RTS cost model swept.
+    pub dispatch: Vec<(u64, u64)>,
+    /// `(l2_kib, cycles, mem_cycles, l2_misses)`: a 640×320 JPiP-1 on one
+    /// core — the locality effect behind the JPiP overhead.
+    pub l2: Vec<(usize, u64, u64, u64)>,
+}
+
+/// Sweep pipeline depth, dispatch cost and L2 capacity on fixed
+/// configurations (independent of `--scale` and `--frames`).
+pub fn ablation() -> Ablation {
+    let pip_cycles = |depth: usize, dispatch: u64| {
+        let built = apps::experiment::build(AppConfig::small(App::Pip1).frames(ABLATION_FRAMES));
+        let mut rc = RunConfig::new(ABLATION_FRAMES).pipeline_depth(depth);
+        rc.overhead.dispatch = dispatch;
+        run_graph(&built.spec, &rc, &mut Machine::with_cores(4))
+            .expect("sim run")
+            .cycles
+    };
+    let default_dispatch = OverheadModel::default().dispatch;
+    let depth = [1, 2, 5, 8]
+        .into_iter()
+        .map(|d| (d, pip_cycles(d, default_dispatch)))
+        .collect();
+    let dispatch = [0, 600, 6000]
+        .into_iter()
+        .map(|c| (c, pip_cycles(5, c)))
+        .collect();
+
+    // Coefficient planes of ≈ 0.4 MiB a field (2.4 MiB a frame across
+    // both streams) straddle the swept L2 sizes; the small JPiP fits any
+    // cache and would show nothing.
+    let jpip = apps::jpip::build(&apps::jpip::JpipConfig {
+        width: 640,
+        height: 320,
+        factor: 8,
+        slices: 8,
+        distinct_frames: 2,
+        ..apps::jpip::JpipConfig::small(1)
+    })
+    .expect("JPiP compiles");
+    let l2 = [256, 2048, 8192]
+        .into_iter()
+        .map(|kib| {
+            jpip.assets.clear_captures();
+            let tile = TileConfig {
+                l2: CacheConfig {
+                    size: kib * 1024,
+                    ..CacheConfig::l2_default()
+                },
+                ..TileConfig::with_cores(1)
+            };
+            let r = run_graph(
+                &jpip.elaborated.spec,
+                &RunConfig::new(ABLATION_FRAMES).pipeline_depth(5),
+                &mut Machine::new(tile),
+            )
+            .expect("sim run");
+            (kib, r.cycles, r.stats.mem_cycles, r.stats.l2_misses)
+        })
+        .collect();
+    Ablation {
+        depth,
+        dispatch,
+        l2,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +433,29 @@ mod tests {
         assert!(cache_comparison(App::Blur3, Scale::Small, 4)
             .fused
             .is_none());
+    }
+
+    #[test]
+    fn ablation_sweeps_move_the_right_way() {
+        // Relations, not values: rebuilding an app in one process moves
+        // its simulated addresses, so exact cycles differ between runs.
+        let a = ablation();
+        let cycles_at = |d: usize| a.depth.iter().find(|p| p.0 == d).unwrap().1;
+        assert!(
+            cycles_at(1) as f64 >= 1.2 * cycles_at(5) as f64,
+            "depth 1 should cost ≥ 1.2× depth 5: {:?}",
+            a.depth
+        );
+        assert!(
+            a.dispatch.windows(2).all(|w| w[0].1 < w[1].1),
+            "cycles must rise with dispatch cost: {:?}",
+            a.dispatch
+        );
+        assert!(
+            a.l2.windows(2).all(|w| w[0].3 > w[1].3),
+            "L2 misses must fall as the L2 grows: {:?}",
+            a.l2
+        );
     }
 
     #[test]

@@ -25,21 +25,6 @@ const USAGE: &str =
 
 apps: pip1 pip2 jpip1 jpip2 blur3 blur5 pip12 jpip12 blur35";
 
-fn app_from_name(name: &str) -> Option<App> {
-    Some(match name {
-        "pip1" => App::Pip1,
-        "pip2" => App::Pip2,
-        "jpip1" => App::Jpip1,
-        "jpip2" => App::Jpip2,
-        "blur3" => App::Blur3,
-        "blur5" => App::Blur5,
-        "pip12" => App::Pip12,
-        "jpip12" => App::Jpip12,
-        "blur35" => App::Blur35,
-        _ => return None,
-    })
-}
-
 struct Args {
     app: Option<App>,
     csv: Option<String>,
@@ -68,12 +53,14 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--app" => {
                 let name = value()?;
-                args.app =
-                    Some(app_from_name(&name).ok_or_else(|| format!("unknown app '{name}'"))?);
+                args.app = Some(App::parse(&name).ok_or_else(|| format!("unknown app '{name}'"))?);
             }
             "--csv" => args.csv = Some(value()?),
             "--cores" => {
                 args.cores = value()?.parse().map_err(|e| format!("--cores: {e}"))?;
+                if args.cores == 0 {
+                    return Err("--cores must be at least 1".into());
+                }
             }
             "--frames" => {
                 args.frames = Some(value()?.parse().map_err(|e| format!("--frames: {e}"))?);

@@ -72,11 +72,13 @@ if grep -RnE 'std::sync::atomic|std::thread|parking_lot|UnsafeCell' \
     exit 1
 fi
 echo "facade lint: clean"
-# The metrics registry, the ring on/off knob and the pre-ledger
-# measurement stack are gone (benchmark/ is the one perf ledger): no
+# The metrics registry, the ring on/off knob, the pre-ledger measurement
+# stack, the Criterion benches and `paper-figures --insight` are gone
+# (benchmark/ is the one perf ledger, hinch-insight the one report): no
 # code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench' \
-    --exclude=ci.sh crates src tests examples docs scripts README.md; then
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight' \
+    --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
+    vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob or measurement path" >&2
     exit 1
 fi
