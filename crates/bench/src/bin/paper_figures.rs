@@ -13,8 +13,9 @@
 //!                                  simulated run (pip, pip2, pip12, jpip,
 //!                                  jpip2, jpip12, blur, blur5, blur35);
 //!                                  writes <app>-trace.json (Chrome/Perfetto)
-//!                                  and prints the per-core utilization
-//!                                  summary
+//!                                  and prints the `insight` report of it
+//!                                  (per-core busy/stall, bottlenecks,
+//!                                  critical path, quiesce windows)
 //! paper-figures --fig all          everything, the ablation last
 //!
 //! options:
@@ -33,7 +34,7 @@ use bench::{
     ablation, cache_comparison, figure10, figure7_dot, figure8, figure9, prediction_validation,
     ABLATION_FRAMES,
 };
-use hinch::trace::export::{chrome_trace_json, utilization_summary};
+use hinch::trace::export::chrome_trace_json;
 use std::process::ExitCode;
 
 struct Options {
@@ -187,7 +188,7 @@ fn parse_app(name: &str) -> Option<App> {
 
 /// `--trace <app>`: run one app on the simulator with the flight recorder
 /// attached, write the Chrome-trace JSON next to the working directory and
-/// print the per-core utilization summary.
+/// print the `insight` report of the trace.
 fn run_trace(opts: &Options, name: &str) -> Result<(), String> {
     let app = parse_app(name).ok_or_else(|| {
         format!(
@@ -221,7 +222,10 @@ fn run_trace(opts: &Options, name: &str) -> Result<(), String> {
     );
     println!("wrote {path} — open with Perfetto (ui.perfetto.dev) or chrome://tracing");
     println!();
-    println!("{}", utilization_summary(&events, recorder.clock()));
+    println!(
+        "{}",
+        insight::render_human(&insight::analyze(&events, recorder.clock()))
+    );
     Ok(())
 }
 

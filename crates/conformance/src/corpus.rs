@@ -27,7 +27,7 @@ use hinch::engine::{
     run_native as hinch_run_native, run_reference as hinch_run_reference, run_sim as hinch_run_sim,
     RunConfig,
 };
-use hinch::{GraphSpec, HinchError, RefReport, RunReport, SchedPolicy, SimReport};
+use hinch::{GraphSpec, HinchError, RunReport, SchedPolicy, SimReport};
 use parking_lot::Mutex;
 use spacecake::Machine;
 use std::sync::Arc;
@@ -227,8 +227,9 @@ fn build(app: ConfApp, frames: u64) -> (GraphSpec, Collector) {
     }
 }
 
-/// Run `app` on the reference sequential executor (the oracle).
-pub fn run_reference(app: ConfApp, frames: u64) -> Result<RunOutcome<RefReport>, HinchError> {
+/// Run `app` on the oracle: the simulator's loop on a free one-core
+/// machine, one iteration in flight, in program order.
+pub fn run_reference(app: ConfApp, frames: u64) -> Result<RunOutcome<SimReport>, HinchError> {
     let _guard = run_lock().lock();
     let (spec, collector) = build(app, frames);
     let report = hinch_run_reference(&spec, &RunConfig::new(frames))?;

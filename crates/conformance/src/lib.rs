@@ -6,8 +6,8 @@
 //! claim systematically, three ways:
 //!
 //! * **Differential** ([`matrix`]): every shipped application is run on
-//!   the reference sequential executor ([`hinch::run_reference`], the
-//!   oracle), then swept across the simulation engine (core counts ×
+//!   the oracle ([`hinch::run_reference`]: the simulator's loop on a free
+//!   one-core machine, in program order), then swept across the simulation engine (core counts ×
 //!   pipeline depths × [`hinch::SchedPolicy`] schedule policies) and the
 //!   native thread engine, comparing outputs byte-exactly ([`fingerprint`])
 //!   and cross-checking report/trace invariants.
@@ -15,9 +15,10 @@
 //!   graphs from [`randspec`] must produce schedule-independent outputs
 //!   and never raise `LeaseConflict`; failures reproduce from the
 //!   printed `(shape, seed, config)` triple.
-//! * **Golden** (`tests/matrix_gate.rs`): a small fixed matrix whose
-//!   JSON summary is committed as a fixture (`BLESS_FIXTURES=1`
-//!   regenerates it).
+//! * **Golden** (`tests/matrix_gate.rs`, `tests/oracle_corpus.rs`): a
+//!   small fixed matrix whose JSON summary, and the oracle's digest and
+//!   counts on every corpus app, are committed as fixtures
+//!   (`BLESS_FIXTURES=1` regenerates them).
 //!
 //! The `hinch-conformance` binary drives the same library from the
 //! command line; `scripts/ci.sh` runs the quick gate, and

@@ -1,6 +1,6 @@
 //! Execution engines.
 //!
-//! Every engine runs the same instance tree and shares the
+//! Two engines run the same instance tree and share the
 //! manager/reconfiguration machinery in this module; they differ in
 //! *where* jobs run and in who tracks their dependencies:
 //!
@@ -8,15 +8,17 @@
 //!   There is one native engine, the work-stealing multi-graph
 //!   [`Runtime`] of [`multi`]: `run_native` is that runtime with a single
 //!   tenant, `hinch-serve` the same runtime with many.
-//! * [`sim`] — a deterministic discrete-event loop placing jobs from a
-//!   central ready queue (the paper's policy) on the virtual cores of a
-//!   [`crate::meter::Platform`], measured in cycles.
-//! * [`reference`] — the single-threaded oracle both are held against.
+//! * [`sim`] — one sequential discrete-event loop with two clocks.
+//!   [`run_sim`] places jobs from a central ready queue (the paper's
+//!   policy) on the virtual cores of a [`crate::meter::Platform`],
+//!   measured in cycles; [`run_reference`], the oracle both are held
+//!   against, is the same loop on a free one-core machine, one iteration
+//!   in flight, in program order.
 //!
 //! [`crate::sched::Tracker`] is the sequential specification of the
-//! dependency rules; `sim` and `reference` run it. The native runtime
-//! deliberately has its own lock-free tracker (`core::GraphCore`), so the
-//! oracle and the engine under test share no dependency-tracking code.
+//! dependency rules; `sim` runs it. The native runtime deliberately has
+//! its own lock-free tracker (`core::GraphCore`), so the oracle and the
+//! engine under test share no dependency-tracking code.
 
 mod core;
 pub mod multi;
@@ -27,7 +29,6 @@ pub mod native;
 pub mod pool;
 #[cfg(not(hinch_model))]
 mod pool;
-pub mod reference;
 pub mod sim;
 
 pub use multi::{
@@ -35,8 +36,7 @@ pub use multi::{
     WorkerTelemetry, DEFAULT_RING_CAPACITY,
 };
 pub use native::run_native;
-pub use reference::run_reference;
-pub use sim::run_sim;
+pub use sim::{run_reference, run_sim};
 
 use crate::error::HinchError;
 use crate::event::Event;

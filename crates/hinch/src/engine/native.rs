@@ -3,8 +3,8 @@
 //! There is one native engine, the work-stealing multi-graph [`Runtime`]
 //! of [`super::multi`]; [`run_native`] is that runtime with one tenant.
 //! The paper's central-job-queue policy is not executed here: it is the
-//! policy of the simulator ([`super::sim`], where every reproduced figure
-//! comes from) and of the oracle ([`super::reference`]).
+//! policy of the sequential engine ([`super::sim`]), the simulator every
+//! reproduced figure comes from and the oracle ([`super::run_reference`]).
 
 use super::multi::{RunProbe, Runtime, RuntimeConfig, SpawnOpts, WorkerTelemetry};
 use super::RunConfig;
@@ -114,34 +114,12 @@ mod tests {
     use super::*;
     use crate::component::{Component, Params, RunCtx};
     use crate::event::{Event, EventQueue};
-    use crate::graph::testutil::{leaf, slice_leaf};
+    use crate::graph::testutil::{leaf, recorder_leaf, slice_leaf};
     use crate::graph::{factory, ComponentSpec, GraphSpec, ManagerSpec};
     use crate::manager::EventAction;
     use crate::sharedbuf::RegionBuf;
     use crate::sync::Mutex as PMutex;
     use std::sync::Arc;
-
-    /// Sink that records the i64 it reads each iteration.
-    struct Recorder {
-        out: Arc<PMutex<Vec<i64>>>,
-    }
-    impl Component for Recorder {
-        fn class(&self) -> &'static str {
-            "recorder"
-        }
-        fn run(&mut self, ctx: &mut RunCtx<'_>) {
-            let v = *ctx.read::<i64>(0);
-            self.out.lock().push(v);
-        }
-    }
-
-    fn recorder_leaf(stream: &str, out: Arc<PMutex<Vec<i64>>>) -> GraphSpec {
-        let f = factory(
-            move |_p: &Params| -> Box<dyn Component> { Box::new(Recorder { out: out.clone() }) },
-            Params::new(),
-        );
-        GraphSpec::Leaf(ComponentSpec::new("rec", "recorder", f).input(stream))
-    }
 
     /// Sink that sums a shared RegionBuf<i64> and records the sum.
     struct BufRecorder {

@@ -1,4 +1,5 @@
-//! Simulation engine: deterministic discrete-event execution.
+//! The sequential engine: deterministic discrete-event execution, and
+//! the conformance oracle on the same loop.
 //!
 //! Jobs execute host-sequentially (so component outputs are bit-identical
 //! to the native engine) but are *placed* on the virtual cores of a
@@ -13,6 +14,14 @@
 //! quiescent window contributes `resync_base + resync_per_component ×
 //! grafted` cycles to a *barrier time* before which no later iteration may
 //! start.
+//!
+//! [`run_reference`], the oracle, is the same loop on a free one-core
+//! machine ([`NullPlatform`]), one iteration in flight, taking the ready
+//! job earliest in *program order* (lowest DAG job index). It ignores
+//! `cfg.pipeline_depth` and `cfg.sched` and honours `cfg.iterations`,
+//! `cfg.trace` and the reconfiguration protocol: at depth 1 every
+//! retirement is a quiescent point, so a plan applies at the next
+//! iteration boundary. Its `cycles` are the free machine's charge count.
 
 use super::{apply_plans, exec_manager_entry, PreparedReconfig, RunConfig};
 use crate::component::RunCtx;
@@ -20,7 +29,7 @@ use crate::error::HinchError;
 use crate::graph::flatten::{flatten, JobKind};
 use crate::graph::instance::instantiate_graph_sized;
 use crate::graph::GraphSpec;
-use crate::meter::{Platform, PlatformMeter};
+use crate::meter::{NullPlatform, Platform, PlatformMeter};
 use crate::report::SimReport;
 use crate::sched::{Effect, JobRef, Tracker};
 use std::cmp::Reverse;
@@ -33,10 +42,10 @@ use trace::{CacheDelta, SpanKind, StallCause, TraceEvent};
 /// iteration's data hot instead of interleaving admitted iterations
 /// round-robin); within an iteration the most recently readied job first
 /// — LIFO, the depth-first policy work queues use so a producer's freshly
-/// written data is consumed while still in the cache. Other
-/// [`SchedPolicy`] variants substitute their own key; the readiness
-/// sequence number breaks remaining ties, so every policy yields a total
-/// — and therefore fully deterministic — order. The readiness `time` does
+/// written data is consumed while still in the cache. Other policies and
+/// the oracle's program order substitute their own key; the readiness
+/// sequence number breaks remaining ties, so every key yields a total —
+/// and therefore fully deterministic — order. The readiness `time` does
 /// not affect priority; it only lower-bounds the start time.
 ///
 /// `gate` names what the job waited on before becoming ready: pipeline
@@ -45,7 +54,7 @@ use trace::{CacheDelta, SpanKind, StallCause, TraceEvent};
 /// that cause for its stall interval.
 #[derive(PartialEq, Eq)]
 struct ReadyJob {
-    /// Priority key from [`SchedPolicy::key`] (smaller pops first).
+    /// Priority key from the caller's key function (smaller pops first).
     key: (u64, u64),
     time: u64,
     seq: u64,
@@ -89,6 +98,28 @@ pub fn run_sim(
     cfg: &RunConfig,
     platform: &mut dyn Platform,
 ) -> Result<SimReport, HinchError> {
+    simulate(spec, cfg, platform, cfg.pipeline_depth, |job, seq| {
+        cfg.sched.key(job, seq)
+    })
+}
+
+/// Run `spec` as the oracle (module docs): program order, one iteration
+/// in flight, on a free one-core machine.
+pub fn run_reference(spec: &GraphSpec, cfg: &RunConfig) -> Result<SimReport, HinchError> {
+    simulate(spec, cfg, &mut NullPlatform::new(1), 1, |job, _| {
+        (job.iter, job.idx as u64)
+    })
+}
+
+/// The loop behind both entry points: `depth` iterations in flight on
+/// `platform`, ready jobs ordered by `key(job, readiness sequence)`.
+fn simulate(
+    spec: &GraphSpec,
+    cfg: &RunConfig,
+    platform: &mut dyn Platform,
+    depth: usize,
+    key: impl Fn(JobRef, u64) -> (u64, u64),
+) -> Result<SimReport, HinchError> {
     spec.validate()?;
     cfg.validate()?;
     let cores = platform.cores();
@@ -99,10 +130,10 @@ pub fn run_sim(
         ));
     }
 
-    let inst = instantiate_graph_sized(spec, cfg.pipeline_depth);
+    let inst = instantiate_graph_sized(spec, depth);
     let mut version = 0u64;
     let dag = Arc::new(flatten(&inst.root, &inst.streams, version));
-    let mut tracker = Tracker::new(dag, cfg.pipeline_depth, cfg.iterations);
+    let mut tracker = Tracker::new(dag, depth, cfg.iterations);
 
     let mut core_free = vec![0u64; cores];
     let mut core_busy = vec![0u64; cores];
@@ -127,7 +158,7 @@ pub fn run_sim(
     for job in newly.drain(..) {
         seq += 1;
         ready_q.push(Reverse(ReadyJob {
-            key: cfg.sched.key(job, seq),
+            key: key(job, seq),
             time: barrier,
             seq,
             job,
@@ -263,7 +294,7 @@ pub fn run_sim(
                 StallCause::Starvation
             };
             ready_q.push(Reverse(ReadyJob {
-                key: cfg.sched.key(job, seq),
+                key: key(job, seq),
                 time: clock.max(barrier),
                 seq,
                 job,
@@ -303,7 +334,7 @@ pub fn run_sim(
                 for job in resumed {
                     seq += 1;
                     ready_q.push(Reverse(ReadyJob {
-                        key: cfg.sched.key(job, seq),
+                        key: key(job, seq),
                         time: barrier,
                         seq,
                         job,
@@ -482,10 +513,64 @@ mod tests {
     use super::*;
     use crate::component::{Component, Params};
     use crate::event::{Event, EventQueue};
-    use crate::graph::testutil::leaf;
+    use crate::graph::testutil::{leaf, recorder_leaf};
     use crate::graph::{factory, ComponentSpec, GraphSpec, ManagerSpec};
     use crate::manager::EventAction;
-    use crate::meter::NullPlatform;
+    use crate::sched::SchedPolicy;
+    use crate::sync::Mutex as PMutex;
+
+    /// `manager { inj; a; option o { extra } }` where `inj` sends the
+    /// manager's toggle event in iteration 2 (10 cycles a run), or never.
+    fn flip_graph(flip: bool) -> GraphSpec {
+        struct Injector {
+            queue: EventQueue,
+            flip: bool,
+        }
+        impl Component for Injector {
+            fn class(&self) -> &'static str {
+                "inj"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                if self.flip && ctx.iteration() == 2 {
+                    self.queue.send(Event::new("flip"));
+                }
+                ctx.charge(10);
+            }
+        }
+        let q = EventQueue::new("mq");
+        let qc = q.clone();
+        let inj = factory(
+            move |_p: &Params| -> Box<dyn Component> {
+                Box::new(Injector {
+                    queue: qc.clone(),
+                    flip,
+                })
+            },
+            Params::new(),
+        );
+        let mgr = ManagerSpec::new("m", q).on("flip", vec![EventAction::Toggle("o".into())]);
+        GraphSpec::managed(
+            mgr,
+            GraphSpec::seq(vec![
+                GraphSpec::Leaf(ComponentSpec::new("inj", "inj", inj)),
+                leaf("a", &[], &["s"], 0),
+                GraphSpec::option("o", false, leaf("extra", &["s"], &["s2"], 0)),
+            ]),
+        )
+    }
+
+    /// `a → task{x, y, w} → z`.
+    fn fork_join() -> GraphSpec {
+        GraphSpec::seq(vec![
+            leaf("a", &[], &["s"], 0),
+            GraphSpec::task(vec![
+                leaf("x", &["s"], &["x1"], 0),
+                leaf("y", &["s"], &["y1"], 0),
+                leaf("w", &["s"], &["w1"], 0),
+            ]),
+            leaf("z", &["x1", "y1", "w1"], &[], 0),
+        ])
+    }
 
     #[test]
     fn single_core_serializes() {
@@ -567,15 +652,7 @@ mod tests {
 
     #[test]
     fn determinism() {
-        let g = GraphSpec::seq(vec![
-            leaf("a", &[], &["s"], 0),
-            GraphSpec::task(vec![
-                leaf("x", &["s"], &["x1"], 0),
-                leaf("y", &["s"], &["y1"], 0),
-                leaf("w", &["s"], &["w1"], 0),
-            ]),
-            leaf("z", &["x1", "y1", "w1"], &[], 0),
-        ]);
+        let g = fork_join();
         let run = || {
             let mut p = NullPlatform::new(3);
             run_sim(&g, &RunConfig::new(20), &mut p).unwrap().cycles
@@ -585,16 +662,7 @@ mod tests {
 
     #[test]
     fn policies_explore_schedules_without_losing_work() {
-        use crate::sched::SchedPolicy;
-        let g = GraphSpec::seq(vec![
-            leaf("a", &[], &["s"], 0),
-            GraphSpec::task(vec![
-                leaf("x", &["s"], &["x1"], 0),
-                leaf("y", &["s"], &["y1"], 0),
-                leaf("w", &["s"], &["w1"], 0),
-            ]),
-            leaf("z", &["x1", "y1", "w1"], &[], 0),
-        ]);
+        let g = fork_join();
         let run = |policy| {
             let mut p = NullPlatform::new(2);
             run_sim(&g, &RunConfig::new(8).sched(policy), &mut p).unwrap()
@@ -660,35 +728,7 @@ mod tests {
 
     #[test]
     fn reconfig_idle_is_attributed_to_quiesce() {
-        struct Injector {
-            queue: EventQueue,
-        }
-        impl Component for Injector {
-            fn class(&self) -> &'static str {
-                "inj"
-            }
-            fn run(&mut self, ctx: &mut RunCtx<'_>) {
-                if ctx.iteration() == 2 {
-                    self.queue.send(Event::new("flip"));
-                }
-                ctx.charge(10);
-            }
-        }
-        let q = EventQueue::new("mq");
-        let qc = q.clone();
-        let inj = factory(
-            move |_p: &Params| -> Box<dyn Component> { Box::new(Injector { queue: qc.clone() }) },
-            Params::new(),
-        );
-        let mgr = ManagerSpec::new("m", q).on("flip", vec![EventAction::Toggle("o".into())]);
-        let g = GraphSpec::managed(
-            mgr,
-            GraphSpec::seq(vec![
-                GraphSpec::Leaf(ComponentSpec::new("inj", "inj", inj)),
-                leaf("a", &[], &["s"], 0),
-                GraphSpec::option("o", false, leaf("extra", &["s"], &["s2"], 0)),
-            ]),
-        );
+        let g = flip_graph(true);
         let rec = std::sync::Arc::new(trace::Recorder::new(trace::Clock::VirtualCycles));
         let mut p = NullPlatform::new(2);
         let cfg = RunConfig::new(12).trace(rec.sink());
@@ -729,72 +769,100 @@ mod tests {
 
     #[test]
     fn reconfiguration_charges_resync_and_drains() {
-        struct Injector {
-            queue: EventQueue,
-        }
-        impl Component for Injector {
-            fn class(&self) -> &'static str {
-                "inj"
-            }
-            fn run(&mut self, ctx: &mut RunCtx<'_>) {
-                if ctx.iteration() == 2 {
-                    self.queue.send(Event::new("flip"));
-                }
-                ctx.charge(10);
-            }
-        }
-        let q = EventQueue::new("mq");
-        let qc = q.clone();
-        let inj = factory(
-            move |_p: &Params| -> Box<dyn Component> { Box::new(Injector { queue: qc.clone() }) },
-            Params::new(),
-        );
-        let mgr = ManagerSpec::new("m", q).on("flip", vec![EventAction::Toggle("o".into())]);
-        let g = GraphSpec::managed(
-            mgr,
-            GraphSpec::seq(vec![
-                GraphSpec::Leaf(ComponentSpec::new("inj", "inj", inj)),
-                leaf("a", &[], &["s"], 0),
-                GraphSpec::option("o", false, leaf("extra", &["s"], &["s2"], 0)),
-            ]),
-        );
         let mut p = NullPlatform::new(2);
-        let r = run_sim(&g, &RunConfig::new(12), &mut p).unwrap();
+        let r = run_sim(&flip_graph(true), &RunConfig::new(12), &mut p).unwrap();
         assert_eq!(r.iterations, 12);
         assert_eq!(r.reconfigs, 1);
 
         // the same app without the toggle is faster (drain + resync cost)
-        let mgr2 = ManagerSpec::new("m", EventQueue::new("mq2"));
-        let inj2 = factory(
-            |_p: &Params| -> Box<dyn Component> {
-                struct Noop;
-                impl Component for Noop {
-                    fn class(&self) -> &'static str {
-                        "noop"
-                    }
-                    fn run(&mut self, ctx: &mut RunCtx<'_>) {
-                        ctx.charge(10);
-                    }
-                }
-                Box::new(Noop)
-            },
-            Params::new(),
-        );
-        let g2 = GraphSpec::managed(
-            mgr2,
-            GraphSpec::seq(vec![
-                GraphSpec::Leaf(ComponentSpec::new("inj", "noop", inj2)),
-                leaf("a", &[], &["s"], 0),
-                GraphSpec::option("o", false, leaf("extra", &["s"], &["s2"], 0)),
-            ]),
-        );
         let mut p2 = NullPlatform::new(2);
-        let r2 = run_sim(&g2, &RunConfig::new(12), &mut p2).unwrap();
+        let r2 = run_sim(&flip_graph(false), &RunConfig::new(12), &mut p2).unwrap();
         assert!(
             r.cycles > r2.cycles,
             "{} should exceed {}",
             r.cycles,
             r2.cycles
+        );
+    }
+
+    #[test]
+    fn reference_runs_all_iterations_in_order() {
+        let out = Arc::new(PMutex::new(Vec::new()));
+        let g = GraphSpec::seq(vec![
+            leaf("src", &[], &["a"], 1),
+            leaf("mid", &["a"], &["b"], 10),
+            recorder_leaf("b", out.clone()),
+        ]);
+        let r = run_reference(&g, &RunConfig::new(6)).unwrap();
+        assert_eq!(r.iterations, 6);
+        assert_eq!(*out.lock(), vec![11i64; 6]);
+    }
+
+    #[test]
+    fn reference_ignores_pipeline_depth() {
+        let g = GraphSpec::seq(vec![leaf("a", &[], &["s"], 0), leaf("b", &["s"], &[], 0)]);
+        let run = |depth| {
+            let r = run_reference(&g, &RunConfig::new(5).pipeline_depth(depth)).unwrap();
+            (r.iterations, r.jobs_executed, r.reconfigs, r.cycles)
+        };
+        assert_eq!(run(5), run(1));
+    }
+
+    /// The oracle's schedule: program order, one iteration at a time,
+    /// whatever depth and policy the configuration names. (The default
+    /// key at one core would run `a0 w0 y0 x0 z0`; depth 5 would admit
+    /// iterations 1–4 before iteration 0 retires.)
+    #[test]
+    fn reference_runs_in_program_order_one_iteration_at_a_time() {
+        let schedule = |g: &GraphSpec, iterations| -> Vec<String> {
+            let rec = Arc::new(trace::Recorder::new(trace::Clock::VirtualCycles));
+            let cfg = RunConfig::new(iterations)
+                .pipeline_depth(5)
+                .sched(SchedPolicy::Shuffle(7))
+                .trace(rec.sink());
+            run_reference(g, &cfg).unwrap();
+            rec.events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::IterationAdmitted { iter, .. } => Some(format!("+{iter}")),
+                    TraceEvent::JobSpan { label, iter, .. } => Some(format!("{label}{iter}")),
+                    TraceEvent::IterationRetired { iter, .. } => Some(format!("-{iter}")),
+                    _ => None,
+                })
+                .collect()
+        };
+        let want: Vec<String> = (0..3)
+            .flat_map(|i| {
+                ["+", "a", "x", "y", "w", "z", "-"]
+                    .into_iter()
+                    .map(move |step| format!("{step}{i}"))
+            })
+            .collect();
+        assert_eq!(schedule(&fork_join(), 3), want);
+        // Program order, not readiness order: `q`, readied by `p`, runs
+        // before `r`, which was ready at admission.
+        let g = GraphSpec::task(vec![
+            GraphSpec::seq(vec![leaf("p", &[], &["s"], 0), leaf("q", &["s"], &[], 0)]),
+            leaf("r", &[], &[], 0),
+        ]);
+        assert_eq!(schedule(&g, 1), ["+0", "p0", "q0", "r0", "-0"]);
+    }
+
+    #[test]
+    fn reference_reconfigures_at_the_next_iteration_boundary() {
+        // flip sent in iteration 2, polled by the entry of iteration 3,
+        // applied when iteration 3 retires: `extra` runs in 4..8.
+        let r = run_reference(&flip_graph(true), &RunConfig::new(8)).unwrap();
+        assert_eq!((r.iterations, r.reconfigs), (8, 1));
+        assert_eq!(r.per_node["extra"].jobs, 4);
+    }
+
+    #[test]
+    fn reference_rejects_invalid_config() {
+        let g = leaf("a", &[], &["s"], 0);
+        let err = run_reference(&g, &RunConfig::new(0)).unwrap_err();
+        assert!(
+            matches!(err, HinchError::InvalidConfig { ref param, .. } if param == "iterations")
         );
     }
 }

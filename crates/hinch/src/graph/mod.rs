@@ -539,6 +539,27 @@ pub(crate) mod testutil {
         GraphSpec::Leaf(c)
     }
 
+    /// A sink that records the i64 it reads each iteration.
+    pub struct Recorder {
+        pub out: Arc<crate::sync::Mutex<Vec<i64>>>,
+    }
+
+    impl Component for Recorder {
+        fn class(&self) -> &'static str {
+            "recorder"
+        }
+        fn run(&mut self, ctx: &mut RunCtx<'_>) {
+            let v = *ctx.read::<i64>(0);
+            self.out.lock().push(v);
+        }
+    }
+
+    /// Leaf spec for [`Recorder`] reading `stream`.
+    pub fn recorder_leaf(stream: &str, out: Arc<crate::sync::Mutex<Vec<i64>>>) -> GraphSpec {
+        let f: ComponentFactory = Arc::new(move || Box::new(Recorder { out: out.clone() }));
+        GraphSpec::Leaf(ComponentSpec::new("rec", "recorder", f).input(stream))
+    }
+
     pub fn leaf(name: &str, inputs: &[&str], outputs: &[&str], add: i64) -> GraphSpec {
         let mut c = ComponentSpec::new(name, "adder", adder(add));
         for i in inputs {

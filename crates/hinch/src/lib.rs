@@ -34,8 +34,9 @@
 //!   crate), which reports cycle counts for any number of virtual cores and
 //!   keeps the paper's central job queue.
 //!
-//! [`sched::Tracker`] is the sequential specification of the dependency
-//! rules, run by the simulator and by the [`run_reference`] oracle; the
+//! The [`run_reference`] oracle is the simulator's own loop on a free
+//! one-core machine, in program order. [`sched::Tracker`] is the
+//! sequential specification of the dependency rules that loop walks; the
 //! native runtime tracks dependencies with its own atomic counters.
 
 pub mod component;
@@ -53,7 +54,6 @@ pub mod stream;
 pub mod sync;
 
 pub use component::{Component, ParamValue, Params, ReconfigRequest, RunCtx, SliceAssign};
-pub use engine::reference::RefReport;
 pub use engine::{
     run_native, run_reference, run_sim, GraphId, GraphStats, PoolTelemetry, RunConfig, Runtime,
     RuntimeConfig, ServeError, SpawnOpts, WorkerTelemetry,

@@ -1,8 +1,9 @@
 //! The sequential specification of the scheduler, and the tie-break
 //! policies every engine honours.
 //!
-//! [`Tracker`] is run by the simulator and the reference oracle. The
-//! native runtime restates the same rules with atomic counters
+//! [`Tracker`] is run by the sequential engine (`engine::sim`: the
+//! simulator, and the reference oracle on the same loop). The native
+//! runtime restates the same rules with atomic counters
 //! (`engine::core::GraphCore`); the differential matrix holds the two
 //! against each other, which is worth something while they share no code.
 //!
@@ -204,10 +205,6 @@ impl Tracker {
         self.runs.get(&iter).map(|r| &r.dag).unwrap_or(&self.dag)
     }
 
-    pub fn current_dag(&self) -> Arc<Dag> {
-        self.dag.clone()
-    }
-
     /// Admit as many iterations as the pipeline depth allows, appending the
     /// immediately-ready jobs to `ready`.
     pub fn admit(&mut self, ready: &mut Vec<JobRef>) {
@@ -349,7 +346,7 @@ mod tests {
     use crate::graph::testutil::leaf;
     use crate::graph::GraphSpec;
 
-    fn make_tracker(depth: usize, total: u64) -> (Tracker, usize) {
+    fn make_tracker(depth: usize, total: u64) -> (Tracker, Arc<Dag>) {
         let g = GraphSpec::seq(vec![
             leaf("a", &[], &["s1"], 0),
             leaf("b", &["s1"], &["s2"], 0),
@@ -357,8 +354,7 @@ mod tests {
         ]);
         let inst = instantiate_graph(&g);
         let dag = Arc::new(flatten(&inst.root, &inst.streams, 0));
-        let n = dag.jobs.len();
-        (Tracker::new(dag, depth, total), n)
+        (Tracker::new(dag.clone(), depth, total), dag)
     }
 
     /// Drain the tracker sequentially, returning the executed labels.
@@ -424,7 +420,8 @@ mod tests {
 
     #[test]
     fn runs_all_iterations() {
-        let (mut t, njobs) = make_tracker(2, 5);
+        let (mut t, dag) = make_tracker(2, 5);
+        let njobs = dag.jobs.len();
         let order = drain(&mut t);
         assert!(t.finished());
         assert_eq!(order.len(), njobs * 5);
@@ -474,7 +471,7 @@ mod tests {
 
     #[test]
     fn halt_stops_admission_and_reports_quiescence() {
-        let (mut t, _) = make_tracker(1, 4);
+        let (mut t, dag) = make_tracker(1, 4);
         let mut ready = Vec::new();
         t.admit(&mut ready);
         t.halt();
@@ -486,7 +483,6 @@ mod tests {
         assert_eq!(t.completed_iterations(), 1);
         assert!(!t.finished());
         // resume with the same dag; the rest of the iterations run
-        let dag = t.current_dag();
         t.resume_with(dag, &mut ready);
         while let Some(job) = ready.pop() {
             t.complete(job, &mut ready);
@@ -497,10 +493,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires quiescence")]
     fn resume_requires_quiescence() {
-        let (mut t, _) = make_tracker(2, 4);
+        let (mut t, dag) = make_tracker(2, 4);
         let mut ready = Vec::new();
         t.admit(&mut ready);
-        let dag = t.current_dag();
         t.resume_with(dag, &mut ready);
     }
 

@@ -1,8 +1,10 @@
-//! Exporters: Chrome-trace JSON (Perfetto / `chrome://tracing`),
-//! per-core utilization summary, and CSV.
+//! Exporters: Chrome-trace JSON (Perfetto / `chrome://tracing`) and CSV.
 //!
-//! All exporters are pure functions of the event slice, so a
-//! deterministic trace (simulation engine) exports byte-identically.
+//! Both are pure functions of the event slice, so a deterministic trace
+//! (simulation engine) exports byte-identically. They carry the events,
+//! not a reading of them: the per-core busy/stall, bottleneck,
+//! critical-path and quiesce-window report over the same slice is
+//! `insight::analyze`, rendered by `insight::render_human`.
 
 use crate::json::string as json_string;
 use crate::{CacheDelta, Clock, StallCause, Time, TraceEvent};
@@ -302,192 +304,6 @@ pub fn csv(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Per-node aggregate used by the summary.
-#[derive(Default, Clone)]
-struct NodeBusy {
-    jobs: u64,
-    busy: u64,
-}
-
-/// Per-core utilization / Gantt text summary: idle percentage per core,
-/// load imbalance, the critical-path (busiest) node, and the quiesce
-/// windows of Fig. 10.
-pub fn utilization_summary(events: &[TraceEvent], clock: Clock) -> String {
-    let unit = clock.unit();
-    let mut per_core: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut per_node: BTreeMap<String, NodeBusy> = BTreeMap::new();
-    let mut span_min: Option<Time> = None;
-    let mut span_max: Time = 0;
-    let mut spans: Vec<(u32, Time, Time)> = Vec::new();
-    let mut quiesce_open: Option<Time> = None;
-    let mut windows: Vec<(Time, Time)> = Vec::new();
-    let mut stalls: BTreeMap<u32, [u64; StallCause::ALL.len()]> = BTreeMap::new();
-    for event in events {
-        match event {
-            TraceEvent::JobSpan {
-                label,
-                core,
-                start,
-                end,
-                ..
-            } => {
-                let busy = end.saturating_sub(*start);
-                *per_core.entry(*core).or_default() += busy;
-                let node = per_node.entry(label.clone()).or_default();
-                node.jobs += 1;
-                node.busy += busy;
-                span_min = Some(span_min.map_or(*start, |m| m.min(*start)));
-                span_max = span_max.max(*end);
-                spans.push((*core, *start, *end));
-            }
-            TraceEvent::QuiesceBegin { at } => quiesce_open = Some(*at),
-            TraceEvent::QuiesceEnd { at } => {
-                windows.push((quiesce_open.take().unwrap_or(*at), *at));
-            }
-            TraceEvent::CoreStall {
-                core,
-                cause,
-                start,
-                end,
-            } => {
-                stalls.entry(*core).or_default()[cause.index()] += end.saturating_sub(*start);
-            }
-            _ => {}
-        }
-    }
-    let t0 = span_min.unwrap_or(0);
-    let total = span_max.saturating_sub(t0);
-    let mut out = String::new();
-    let _ = writeln!(out, "== per-core utilization ({unit}) ==");
-    let _ = writeln!(
-        out,
-        "window: {total} {unit} across {} core(s)",
-        per_core.len()
-    );
-    for (&core, &busy) in &per_core {
-        let pct_busy = percent(busy, total);
-        let _ = writeln!(
-            out,
-            "core {core}: busy {busy:>12} {unit}  idle {:>5.1}%  |{}|",
-            100.0 - pct_busy,
-            gantt_bar(&spans, core, t0, span_max),
-        );
-    }
-    if !per_core.is_empty() {
-        let max = per_core.values().copied().max().unwrap_or(0);
-        let mean = per_core.values().sum::<u64>() as f64 / per_core.len() as f64;
-        let imbalance = if mean > 0.0 { max as f64 / mean } else { 1.0 };
-        let _ = writeln!(out, "load imbalance (max/mean busy): {imbalance:.3}");
-    }
-    if let Some((label, node)) = per_node
-        .iter()
-        .max_by(|a, b| a.1.busy.cmp(&b.1.busy).then(b.0.cmp(a.0)))
-    {
-        let _ = writeln!(
-            out,
-            "critical-path node: {label} ({} jobs, {} {unit} busy)",
-            node.jobs, node.busy
-        );
-    }
-    let mut nodes: Vec<_> = per_node.iter().collect();
-    nodes.sort_by(|a, b| b.1.busy.cmp(&a.1.busy).then(a.0.cmp(b.0)));
-    let _ = writeln!(out, "-- hottest nodes --");
-    for (label, node) in nodes.iter().take(8) {
-        let _ = writeln!(
-            out,
-            "  {label:<28} {:>4} jobs  {:>12} {unit}  ({:>5.1}% of window)",
-            node.jobs,
-            node.busy,
-            percent(node.busy, total),
-        );
-    }
-    if !stalls.is_empty() {
-        let _ = writeln!(out, "-- stall attribution (idle time by cause) --");
-        let mut totals = [0u64; StallCause::ALL.len()];
-        for (&core, causes) in &stalls {
-            let per_core: Vec<String> = StallCause::ALL
-                .iter()
-                .filter(|c| causes[c.index()] > 0)
-                .map(|c| format!("{} {}", c.as_str(), causes[c.index()]))
-                .collect();
-            let _ = writeln!(out, "  core {core}: {}", per_core.join("  "));
-            for c in StallCause::ALL {
-                totals[c.index()] += causes[c.index()];
-            }
-        }
-        let stalled: u64 = totals.iter().sum();
-        for c in StallCause::ALL {
-            let t = totals[c.index()];
-            if t > 0 {
-                let _ = writeln!(
-                    out,
-                    "  total {:<13} {t:>12} {unit} ({:>5.1}% of stalled time)",
-                    c.as_str(),
-                    percent(t, stalled),
-                );
-            }
-        }
-    }
-    if !windows.is_empty() {
-        let _ = writeln!(out, "-- quiesce windows (drain + resync) --");
-        for (i, (begin, end)) in windows.iter().enumerate() {
-            let _ = writeln!(out, "  #{i}: [{begin}, {end}]  {} {unit}", end - begin);
-        }
-        let sum: u64 = windows.iter().map(|(b, e)| e - b).sum();
-        let _ = writeln!(
-            out,
-            "  total quiesced: {sum} {unit} ({:.2}% of window)",
-            percent(sum, total)
-        );
-    }
-    out
-}
-
-fn percent(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 * 100.0 / whole as f64
-    }
-}
-
-/// A fixed-width textual Gantt lane: each cell covers `total/width` of
-/// the run and is shaded by how busy the core was in that bucket.
-fn gantt_bar(spans: &[(u32, Time, Time)], core: u32, t0: Time, t1: Time) -> String {
-    const WIDTH: usize = 50;
-    const SHADES: [char; 5] = [' ', '.', ':', 'o', '#'];
-    let total = t1.saturating_sub(t0);
-    if total == 0 {
-        return " ".repeat(WIDTH);
-    }
-    let mut busy = vec![0u64; WIDTH];
-    let bucket = |t: Time| -> usize {
-        (((t - t0) as u128 * WIDTH as u128 / total as u128) as usize).min(WIDTH - 1)
-    };
-    for &(c, start, end) in spans {
-        if c != core || end <= start {
-            continue;
-        }
-        let (b0, b1) = (bucket(start), bucket(end.max(start + 1) - 1));
-        for (i, slot) in busy.iter_mut().enumerate().take(b1 + 1).skip(b0) {
-            let cell_start = t0 + (total as u128 * i as u128 / WIDTH as u128) as u64;
-            let cell_end = t0 + (total as u128 * (i + 1) as u128 / WIDTH as u128) as u64;
-            let overlap = end.min(cell_end).saturating_sub(start.max(cell_start));
-            *slot += overlap;
-        }
-    }
-    busy.iter()
-        .enumerate()
-        .map(|(i, &b)| {
-            let cell_start = t0 + (total as u128 * i as u128 / WIDTH as u128) as u64;
-            let cell_end = t0 + (total as u128 * (i + 1) as u128 / WIDTH as u128) as u64;
-            let cell = (cell_end - cell_start).max(1);
-            let frac = (b as f64 / cell as f64).clamp(0.0, 1.0);
-            SHADES[((frac * (SHADES.len() - 1) as f64).round() as usize).min(SHADES.len() - 1)]
-        })
-        .collect()
-}
-
 fn csv_field(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -636,19 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_cores_and_quiesce() {
-        let summary = utilization_summary(&sample_events(), Clock::VirtualCycles);
-        assert!(summary.contains("core 0"), "{summary}");
-        assert!(summary.contains("core 1"), "{summary}");
-        assert!(summary.contains("load imbalance"), "{summary}");
-        assert!(summary.contains("critical-path node: dec"), "{summary}");
-        assert!(summary.contains("quiesce windows"), "{summary}");
-        assert!(summary.contains("50 cycles"), "{summary}");
-        assert!(summary.contains("stall attribution"), "{summary}");
-        assert!(summary.contains("starvation 40"), "{summary}");
-    }
-
-    #[test]
     fn exports_are_deterministic() {
         let events = sample_events();
         assert_eq!(
@@ -656,9 +459,5 @@ mod tests {
             chrome_trace_json(&events, Clock::VirtualCycles)
         );
         assert_eq!(csv(&events), csv(&events));
-        assert_eq!(
-            utilization_summary(&events, Clock::VirtualCycles),
-            utilization_summary(&events, Clock::VirtualCycles)
-        );
     }
 }

@@ -8,16 +8,16 @@
 //!   Gantt chart, iteration admission/retirement marks and stream
 //!   occupancy counters;
 //! * `pip-trace.csv` — one row per event, for ad-hoc analysis;
-//! * the per-core utilization summary and the top-3 bottleneck
-//!   components from the `insight` critical-path analysis, printed
-//!   below.
+//! * the `insight` report of the trace, printed below: per-core busy and
+//!   stall attribution, the critical path, the bottleneck components and
+//!   stream occupancy.
 //!
 //! ```sh
 //! cargo run --release --example trace_pip
 //! ```
 
 use apps::experiment::{run_sim_traced, App, AppConfig};
-use hinch::trace::export::{chrome_trace_json, csv, utilization_summary};
+use hinch::trace::export::{chrome_trace_json, csv};
 use hinch::trace::{check_invariants, TraceEvent};
 
 fn main() {
@@ -50,24 +50,9 @@ fn main() {
     std::fs::write("pip-trace.csv", csv(&events)).expect("write pip-trace.csv");
     println!("wrote pip-trace.json (Perfetto / chrome://tracing) and pip-trace.csv");
     println!();
-    println!("{}", utilization_summary(&events, recorder.clock()));
-
-    // Critical-path analysis: which components bound the makespan?
-    let insight = insight::analyze(&events, recorder.clock());
-    let cp = &insight.critical_path;
-    println!(
-        "critical path: {} cycles over {} steps (busy {} + wait {})",
-        cp.busy + cp.wait,
-        cp.steps.len(),
-        cp.busy,
-        cp.wait
+    print!(
+        "{}",
+        insight::render_human(&insight::analyze(&events, recorder.clock()))
     );
-    println!("top bottleneck components (by critical-path share):");
-    for (label, stats) in insight.bottlenecks().iter().take(3) {
-        println!(
-            "  {label:<32} {:>4} path step(s), {:>8} cycles on the path, {:>8} busy total",
-            stats.cp_steps, stats.cp_busy, stats.busy
-        );
-    }
-    println!("(full report: cargo run -p insight --bin hinch-insight -- --app pip1)");
+    println!("(any app, or as JSON: cargo run -p insight --bin hinch-insight -- --app pip1)");
 }

@@ -8,7 +8,8 @@
 #   1. cargo fmt --check      — no unformatted code
 #   2. cargo clippy -D warnings (workspace, all targets), then two grep
 #      lints (engine and stream-slot sync goes through hinch::sync;
-#      nothing points at a deleted recorder, knob or measurement path)
+#      nothing points at a deleted recorder, knob, measurement path,
+#      executor or trace summary)
 #      and the schedcheck model suite under --cfg hinch_model (engine
 #      protocols, the recorder ring, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
@@ -73,13 +74,15 @@ if grep -RnE 'std::sync::atomic|std::thread|parking_lot|UnsafeCell' \
 fi
 echo "facade lint: clean"
 # The metrics registry, the ring on/off knob, the pre-ledger measurement
-# stack, the Criterion benches and `paper-figures --insight` are gone
-# (benchmark/ is the one perf ledger, hinch-insight the one report): no
-# code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight' \
+# stack, the Criterion benches, `paper-figures --insight`, the separate
+# reference executor (`engine::reference`, `RefReport`) and the trace
+# crate's own summary (`utilization_summary`) are gone (benchmark/ is the
+# one perf ledger, insight the one trace analysis, engine/sim the one
+# sequential engine): no code, doc or script may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
-    echo "dangling reference to a deleted recorder, knob or measurement path" >&2
+    echo "dangling reference to a deleted recorder, knob, measurement path, executor or summary" >&2
     exit 1
 fi
 echo "dangling-reference lint: clean"

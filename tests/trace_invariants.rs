@@ -7,7 +7,7 @@
 //! quiesce window opened by a reconfiguration is closed exactly once.
 
 use apps::experiment::{run_sim_traced, run_threads_traced, App, AppConfig};
-use hinch::trace::export::{chrome_trace_json, csv, utilization_summary};
+use hinch::trace::export::{chrome_trace_json, csv};
 use hinch::trace::{check_invariants, Clock, TraceEvent};
 use std::collections::HashMap;
 
@@ -108,10 +108,10 @@ fn sim_trace_and_exports_are_deterministic() {
         chrome_trace_json(&second, Clock::VirtualCycles)
     );
     assert_eq!(csv(&first), csv(&second));
-    assert_eq!(
-        utilization_summary(&first, Clock::VirtualCycles),
-        utilization_summary(&second, Clock::VirtualCycles)
-    );
+    let render = |events: &[TraceEvent]| {
+        insight::render_human(&insight::analyze(events, Clock::VirtualCycles))
+    };
+    assert_eq!(render(&first), render(&second));
 }
 
 #[test]
@@ -184,11 +184,13 @@ fn reconfiguring_run_pairs_every_quiesce_window() {
         }
     }
 
-    // The utilization summary surfaces the windows (Fig. 10's overhead).
-    let summary = utilization_summary(&events, recorder.clock());
+    // The insight report surfaces the windows (Fig. 10's overhead).
+    let analysis = insight::analyze(&events, recorder.clock());
+    assert_eq!(analysis.quiesce_windows.len(), begins);
+    let text = insight::render_human(&analysis);
     assert!(
-        summary.contains("quiesce"),
-        "summary should report quiesce windows:\n{summary}"
+        text.contains("== quiesce windows =="),
+        "report should list the quiesce windows:\n{text}"
     );
 }
 
