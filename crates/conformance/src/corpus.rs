@@ -179,6 +179,14 @@ impl Collector {
             }
         }
     }
+
+    /// Forget what a run left.
+    fn clear(&self) {
+        match self {
+            Collector::Frames { assets, .. } => assets.clear_captures(),
+            Collector::Spectrum(app) => app.assets.clear_captures(),
+        }
+    }
 }
 
 /// Build `app` with cleared captures. Must run under the corpus lock.
@@ -230,13 +238,31 @@ fn build(app: ConfApp, frames: u64) -> (GraphSpec, Collector) {
 /// Run `app` on the oracle: the simulator's loop on a free one-core
 /// machine, one iteration in flight, in program order.
 pub fn run_reference(app: ConfApp, frames: u64) -> Result<RunOutcome<SimReport>, HinchError> {
+    let mut runs = run_reference_runs(app, frames, 1)?;
+    Ok(runs.pop().expect("one run"))
+}
+
+/// [`run_reference`] `runs` times over one build of `app`, each run on
+/// cleared captures. Every run after the first instantiates a spec whose
+/// streams have run before (`hinch::stream`, "The ring outlives the
+/// instance").
+pub fn run_reference_runs(
+    app: ConfApp,
+    frames: u64,
+    runs: usize,
+) -> Result<Vec<RunOutcome<SimReport>>, HinchError> {
     let _guard = run_lock().lock();
     let (spec, collector) = build(app, frames);
-    let report = hinch_run_reference(&spec, &RunConfig::new(frames))?;
-    Ok(RunOutcome {
-        report,
-        output: collector.collect(),
-    })
+    (0..runs)
+        .map(|_| {
+            collector.clear();
+            let report = hinch_run_reference(&spec, &RunConfig::new(frames))?;
+            Ok(RunOutcome {
+                report,
+                output: collector.collect(),
+            })
+        })
+        .collect()
 }
 
 /// Run `app` on the simulation engine: `cores` SpaceCAKE cores, the

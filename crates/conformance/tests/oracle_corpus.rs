@@ -23,21 +23,32 @@ const FIXTURE: &str = concat!(
 /// mid-run, as in the gate fixture.
 const FRAMES: u64 = 14;
 
+/// Every app's spec runs twice: the second run's streams start with the
+/// buffers the first one retired, and both must read the same line.
 #[test]
 fn every_corpus_oracle_matches_golden_snapshot() {
     let mut text = String::new();
     for app in ALL {
-        let run = corpus::run_reference(app, FRAMES).expect("oracle runs the app");
-        let r = &run.report;
-        let _ = writeln!(
-            text,
-            "{} digest={} iterations={} jobs={} reconfigs={}",
-            app.id(),
-            run.digest(),
-            r.iterations,
-            r.jobs_executed,
-            r.reconfigs
+        let runs = corpus::run_reference_runs(app, FRAMES, 2).expect("oracle runs the app");
+        let lines: Vec<String> = runs
+            .iter()
+            .map(|run| {
+                let r = &run.report;
+                format!(
+                    "{} digest={} iterations={} jobs={} reconfigs={}",
+                    app.id(),
+                    run.digest(),
+                    r.iterations,
+                    r.jobs_executed,
+                    r.reconfigs
+                )
+            })
+            .collect();
+        assert_eq!(
+            lines[0], lines[1],
+            "a second run of one spec diverged from the first"
         );
+        let _ = writeln!(text, "{}", lines[0]);
     }
 
     if std::env::var_os("BLESS_FIXTURES").is_some() {

@@ -1299,9 +1299,10 @@ mod tests {
     /// iteration retires for its next writer instead of dropping it, so
     /// per stream at most `pipeline_depth` payloads exist at any moment
     /// (live + parked — what the ring holds at full depth anyway), a
-    /// forwarded alias retains nothing, and nothing outlives the tenant.
+    /// forwarded alias retains nothing, a second tenant of the same spec
+    /// builds nothing, and nothing outlives the tenants and the spec.
     #[test]
-    fn stream_payloads_are_bounded_by_the_ring_and_die_with_the_tenant() {
+    fn stream_payloads_are_bounded_by_the_ring_and_die_with_the_spec() {
         use crate::component::{Component, RunCtx};
         use crate::graph::{ComponentFactory, ComponentSpec};
 
@@ -1396,41 +1397,40 @@ mod tests {
             GraphSpec::Leaf(ComponentSpec::new("snk", "forward", forward).input("c")),
         ]);
 
-        let rt = Runtime::new(RuntimeConfig::new(3));
-        let id = rt
-            .spawn(&spec, SpawnOpts::new("counted").pipeline_depth(DEPTH))
-            .unwrap();
-        let mut offered = 0;
-        while offered < 200 {
-            offered += rt.submit(id, 200 - offered).unwrap();
-            thread::yield_now();
+        let built = |census: &Census| census.built.load(Ordering::SeqCst);
+        let live = || a.live.load(Ordering::SeqCst) + b.live.load(Ordering::SeqCst);
+        for tenant in 0..2 {
+            let rt = Runtime::new(RuntimeConfig::new(3));
+            let id = rt
+                .spawn(&spec, SpawnOpts::new("counted").pipeline_depth(DEPTH))
+                .unwrap();
+            let mut offered = 0;
+            while offered < 200 {
+                offered += rt.submit(id, 200 - offered).unwrap();
+                thread::yield_now();
+            }
+            // drain asserts `live_slots() == 0` on every stream: a parked
+            // payload is not a live slot
+            assert_eq!(rt.drain(id).unwrap().completed, 200);
+            // Never more payloads than ring slots, in 200 frames: each slot
+            // builds one and then renews its own (live + parked <= DEPTH);
+            // the second tenant starts with the first one's.
+            for (name, census) in [("a", &a), ("b", &b)] {
+                assert!(
+                    built(census) <= DEPTH,
+                    "stream {name}: {} payloads built by tenant {tenant} — the forwarded \
+                     alias or a reader kept a slot from reusing its own, or the spec's \
+                     shelf did not hand the last tenant's back",
+                    built(census)
+                );
+            }
+            // Dropping the runtime joins its pool and lets go of the
+            // tenant: its streams put their spares on the spec's shelf.
+            drop(rt);
         }
-        // drain asserts `live_slots() == 0` on every stream: a parked
-        // payload is not a live slot
-        assert_eq!(rt.drain(id).unwrap().completed, 200);
-        // Never more payloads than ring slots, in 200 frames: each slot
-        // builds one and then renews its own (live + parked <= DEPTH).
-        for (name, census) in [("a", &a), ("b", &b)] {
-            let built = census.built.load(Ordering::SeqCst);
-            assert!(
-                built <= DEPTH,
-                "stream {name}: {built} payloads built — the forwarded alias or a \
-                 reader kept a slot from reusing its own"
-            );
-        }
-        // Workers let go of the tenant once the pool is dry; then every
-        // payload, live or parked, is gone with its streams.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while a.live.load(Ordering::SeqCst) + b.live.load(Ordering::SeqCst) > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "payloads outlive the tenant: a={} b={}",
-                a.live.load(Ordering::SeqCst),
-                b.live.load(Ordering::SeqCst)
-            );
-            thread::sleep(Duration::from_millis(1));
-        }
-        rt.shutdown();
+        assert_eq!(live(), built(&a) + built(&b), "the shelf keeps them");
+        drop(spec);
+        assert_eq!(live(), 0, "payloads outlive the spec");
     }
 
     #[test]

@@ -59,11 +59,17 @@ pub fn new_stream_table_sized(slot_capacity: usize) -> StreamTable {
     })
 }
 
-fn get_or_create(table: &StreamTable, key: &str) -> Arc<Stream> {
+/// The stream `key`, created if the table has none yet — from the shelf of
+/// `writer`, when a leaf's output port creates it, so that it starts with
+/// the buffers an earlier instantiation of that leaf retired.
+fn get_or_create(table: &StreamTable, key: &str, writer: Option<&ComponentSpec>) -> Arc<Stream> {
     table
         .lock()
         .entry(key.to_string())
-        .or_insert_with(|| Stream::with_capacity(key, table.slot_capacity))
+        .or_insert_with(|| match writer {
+            Some(spec) => Stream::from_shelf(key, table.slot_capacity, &spec.shelf),
+            None => Stream::with_capacity(key, table.slot_capacity),
+        })
         .clone()
 }
 
@@ -333,12 +339,12 @@ pub fn instantiate(spec: &GraphSpec, env: &mut InstEnv) -> Node {
             let inputs = c
                 .inputs
                 .iter()
-                .map(|k| get_or_create(&env.streams, &env.resolve(k)))
+                .map(|k| get_or_create(&env.streams, &env.resolve(k), None))
                 .collect();
             let outputs = c
                 .outputs
                 .iter()
-                .map(|k| get_or_create(&env.streams, &env.resolve(k)))
+                .map(|k| get_or_create(&env.streams, &env.resolve(k), Some(c)))
                 .collect();
             Node::Leaf(LeafRt::create(
                 c,
@@ -505,9 +511,14 @@ fn cross_check_expansion(spec: &GraphSpec, root: &Node) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::RunCtx;
+    use crate::engine::RunConfig;
     use crate::graph::testutil::leaf;
-    use crate::graph::GraphSpec;
+    use crate::graph::{ComponentFactory, GraphSpec};
     use crate::manager::EventAction;
+    use crate::sharedbuf::RegionBuf;
+    use crate::stream::Shelf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn slice_expansion_creates_copies_with_assignments() {
@@ -626,6 +637,220 @@ mod tests {
             assert_eq!(inst.root.count_leaves(), 1);
             assert_eq!(inst.streams.lock().len(), 1);
         }
+    }
+
+    /// A payload that counts the live ones.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A leaf writing a [`Counted`] to `output`, renewing what its slot
+    /// hands back.
+    fn counted_leaf(name: &str, output: &str, live: &Arc<AtomicUsize>) -> GraphSpec {
+        struct Build(Arc<AtomicUsize>);
+        impl Component for Build {
+            fn class(&self) -> &'static str {
+                "build"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                ctx.write_with(0, |old| {
+                    old.unwrap_or_else(|| {
+                        self.0.fetch_add(1, Ordering::SeqCst);
+                        Counted(self.0.clone())
+                    })
+                });
+            }
+        }
+        let live = live.clone();
+        let f: ComponentFactory = Arc::new(move || Box::new(Build(live.clone())));
+        GraphSpec::Leaf(ComponentSpec::new(name, "build", f).output(output))
+    }
+
+    /// The shelf of the leaf named `name`.
+    fn shelf_of<'a>(spec: &'a GraphSpec, name: &str) -> &'a Arc<Shelf> {
+        let mut found = None;
+        spec.visit_leaves(&mut |c| {
+            if c.name == name {
+                found = Some(&c.shelf);
+            }
+        });
+        found.expect("a leaf of that name")
+    }
+
+    /// Run `iters` iterations of the instance's leaves in program order,
+    /// retiring each.
+    fn run_inline(inst: &InstanceGraph, iters: std::ops::Range<u64>) {
+        let mut leaves = Vec::new();
+        inst.root.collect_leaves(&mut leaves);
+        for iter in iters {
+            for leaf in &leaves {
+                let mut meter = crate::meter::NullMeter;
+                let mut ctx = RunCtx::new(iter, &leaf.inputs, &leaf.outputs, &mut meter);
+                leaf.comp.lock().run(&mut ctx);
+            }
+            for stream in inst.streams.lock().values() {
+                stream.clear(iter);
+            }
+        }
+    }
+
+    #[test]
+    fn shelved_payloads_serve_every_clone_and_die_with_the_last() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let spec = counted_leaf("src", "s", &live);
+        let inst = instantiate_graph_sized(&spec, 2);
+        run_inline(&inst, 0..4);
+        assert_eq!(live.load(Ordering::SeqCst), 2, "one payload a slot");
+        drop(inst);
+        assert_eq!(shelf_of(&spec, "src").count("s"), 2);
+
+        // A clone's instance builds nothing: it starts with the shelf.
+        let clone = spec.clone();
+        drop(spec);
+        let inst = instantiate_graph_sized(&clone, 2);
+        run_inline(&inst, 0..4);
+        assert_eq!(live.load(Ordering::SeqCst), 2);
+        drop(inst);
+        assert_eq!(live.load(Ordering::SeqCst), 2, "back on the shelf");
+        drop(clone);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "dead with the last clone");
+    }
+
+    #[test]
+    fn a_stream_live_when_an_option_body_is_rebuilt_is_not_seeded() {
+        let live = Arc::new(AtomicUsize::new(0));
+        let g = GraphSpec::managed(
+            crate::graph::ManagerSpec::new("m", EventQueue::new("q")),
+            GraphSpec::option("o", true, counted_leaf("opt", "s", &live)),
+        );
+        // While one instance runs, a second one of the same spec comes and
+        // goes and leaves its two payloads on the shelf.
+        let inst = instantiate_graph_sized(&g, 2);
+        run_inline(&inst, 0..2);
+        let other = instantiate_graph_sized(&g, 2);
+        run_inline(&other, 0..2);
+        drop(other);
+        assert_eq!(shelf_of(&g, "opt").count("s"), 2);
+        assert_eq!(live.load(Ordering::SeqCst), 4);
+        let before = inst.streams.lock()["s"].clone();
+
+        // Mid-run the manager rebuilds the option body: it reconnects to
+        // the live stream, which draws nothing.
+        let Node::Managed { mgr, .. } = &inst.root else {
+            panic!("expected managed root");
+        };
+        let cell = mgr.options.lock()["o"].clone();
+        cell.state.lock().body = None;
+        let (body, _) = cell.build_body(&inst.streams, vec![mgr.clone()]);
+        cell.state.lock().body = Some(body);
+        assert!(Arc::ptr_eq(&inst.streams.lock()["s"], &before));
+        assert_eq!(shelf_of(&g, "opt").count("s"), 2);
+        run_inline(&inst, 2..4);
+        assert_eq!(
+            live.load(Ordering::SeqCst),
+            4,
+            "the live ring renews its own"
+        );
+    }
+
+    #[test]
+    fn concurrent_runs_of_clones_of_one_spec_match_the_reference() {
+        /// Writes iteration-dependent values into a buffer renewed in the
+        /// storage its slot hands back.
+        struct Source;
+        impl Component for Source {
+            fn class(&self) -> &'static str {
+                "source"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                let iter = ctx.iteration() as i64;
+                let buf = ctx.write_with(0, |old| RegionBuf::<i64>::renew(old, "src", 8));
+                for (i, v) in buf.lease_write_all().iter_mut().enumerate() {
+                    *v = iter * 8 + i as i64;
+                }
+            }
+        }
+        /// One copy of a sliced stage: its band of the shared output is
+        /// its band of the input, doubled, plus its index.
+        struct Double(SliceAssign);
+        impl Component for Double {
+            fn class(&self) -> &'static str {
+                "double"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                let src = ctx.read::<RegionBuf<i64>>(0);
+                let out = ctx.write_shared(0, |old| RegionBuf::<i64>::renew(old, "dbl", 8));
+                let band = self.0.range(8);
+                let input = src.lease_read(band.clone());
+                for (o, i) in out.lease_write(band).iter_mut().zip(input.iter()) {
+                    *o = 2 * i + self.0.index as i64;
+                }
+            }
+            fn reconfigure(&mut self, req: &ReconfigRequest) {
+                if let ReconfigRequest::Slice(a) = req {
+                    self.0 = *a;
+                }
+            }
+        }
+        /// Records the sum of its input by iteration.
+        struct Sum(Arc<crate::sync::Mutex<Vec<(u64, i64)>>>);
+        impl Component for Sum {
+            fn class(&self) -> &'static str {
+                "sum"
+            }
+            fn run(&mut self, ctx: &mut RunCtx<'_>) {
+                let sum = ctx.read::<RegionBuf<i64>>(0).lease_read_all().iter().sum();
+                self.0.lock().push((ctx.iteration(), sum));
+            }
+        }
+        let out = Arc::new(crate::sync::Mutex::new(Vec::new()));
+        let sink = out.clone();
+        let source: ComponentFactory = Arc::new(|| Box::new(Source));
+        let double: ComponentFactory = Arc::new(|| Box::new(Double(SliceAssign::WHOLE)));
+        let sum: ComponentFactory = Arc::new(move || Box::new(Sum(sink.clone())));
+        let spec = GraphSpec::seq(vec![
+            GraphSpec::Leaf(ComponentSpec::new("src", "source", source).output("a")),
+            GraphSpec::slice(
+                "sl",
+                4,
+                GraphSpec::Leaf(
+                    ComponentSpec::new("w", "double", double)
+                        .input("a")
+                        .output("b"),
+                ),
+            ),
+            GraphSpec::Leaf(ComponentSpec::new("sum", "sum", sum).input("b")),
+        ]);
+        let frames = 24;
+        let sorted = |mut v: Vec<(u64, i64)>| {
+            v.sort_unstable();
+            v
+        };
+        crate::engine::run_reference(&spec, &RunConfig::new(frames)).unwrap();
+        let reference = sorted(std::mem::take(&mut *out.lock()));
+        assert_eq!(reference.len(), frames as usize);
+        let twice: Vec<_> = reference.iter().flat_map(|&r| [r, r]).collect();
+        for round in 0..3 {
+            std::thread::scope(|s| {
+                for workers in [1, 2] {
+                    let spec = spec.clone();
+                    s.spawn(move || {
+                        let cfg = RunConfig::new(frames).pipeline_depth(3).workers(workers);
+                        crate::engine::run_native(&spec, &cfg).unwrap();
+                    });
+                }
+            });
+            let both = sorted(std::mem::take(&mut *out.lock()));
+            assert_eq!(both, twice, "round {round}");
+        }
+        // Two rings of three came back to each shelf; it keeps what the
+        // smallest ring that drew from it held, the reference's one.
+        assert_eq!(shelf_of(&spec, "src").count("a"), 1);
+        assert_eq!(shelf_of(&spec, "w").count("b"), 1);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::component::{Component, Params, ReconfigRequest};
 use crate::error::HinchError;
 use crate::event::EventQueue;
 use crate::manager::{EventAction, EventRule};
+use crate::stream::Shelf;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,6 +68,10 @@ pub struct ComponentSpec {
     /// introspection (diagnostics, code generation). Not consulted at run
     /// time.
     pub params: Params,
+    /// The payloads this component's output streams retired in earlier
+    /// instantiations, shared by every clone of the spec (see
+    /// [`crate::stream`], "The ring outlives the instance").
+    pub(crate) shelf: Arc<Shelf>,
 }
 
 impl ComponentSpec {
@@ -83,6 +88,7 @@ impl ComponentSpec {
             factory,
             initial_reconfig: Vec::new(),
             params: Params::new(),
+            shelf: Arc::default(),
         }
     }
 

@@ -31,13 +31,32 @@
 //!
 //! Retention is bounded by construction: at most one payload per slot,
 //! live *or* spare, which is what the ring holds at full pipeline depth
-//! anyway; it dies with the stream. Only a payload the slot's writer
+//! anyway. Only a payload the slot's writer
 //! *built* is retained. [`Stream::write`] and
 //! [`Stream::write_shared_packet`] store a value that already exists
 //! elsewhere (an input frame, an event, the in-place alias of an upstream
 //! buffer); their slot is *non-retaining* — retirement drops the `Arc`, so
 //! an alias never outlives its iteration and never blocks the `try_unwrap`
 //! of the slot that owns the buffer.
+//!
+//! # The ring outlives the instance
+//!
+//! Retention dies with the graph *spec*, not with the stream. Every
+//! [`crate::graph::ComponentSpec`] carries a [`Shelf`], shared by its
+//! clones (slice copies, option bodies, later runs of the same spec). A
+//! stream that instantiation creates for a leaf's output starts with up to
+//! `capacity` payloads from that leaf's shelf in its spare cells, put there
+//! before anything else can see the stream; when the stream drops it puts
+//! its spares back. So the second run of a spec writes into the pages the
+//! first one faulted in. The shelf holds only payloads nothing else holds,
+//! and at most as many as the *smallest* ring that drew from it: every
+//! later instance can take all of it, so between runs a spec keeps no more
+//! than its leanest run holds while it runs (a run at a greater depth
+//! builds the rest, and the surplus dies when it ends). It dies with the
+//! last clone of the spec; a stream a reader created, or one whose spec is
+//! gone, drops its spares as before. Nothing of this is on the hot path:
+//! the shelf is touched once when a stream is built and once when it
+//! drops.
 //!
 //! Writers are single (per iteration) except for *shared* writes used by
 //! sliced groups: every copy of the group calls [`Stream::write_shared`],
@@ -82,8 +101,10 @@
 use crate::packet::{pack, unpack, Packet};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::cell::ModelCell;
+use crate::sync::Mutex;
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Slot capacity of [`Stream::new`]. The engines size streams explicitly
 /// from their pipeline depth; the default only serves directly-constructed
@@ -130,11 +151,11 @@ struct Slot {
 }
 
 impl Slot {
-    fn new() -> Self {
+    fn new(spare: Option<Packet>) -> Self {
         Slot {
             tag: AtomicU64::new(EMPTY),
             payload: ModelCell::new(None),
-            spare: ModelCell::new(None),
+            spare: ModelCell::new(spare),
         }
     }
 
@@ -157,10 +178,34 @@ fn reclaim<T: Send + Sync + 'static>(spare: Packet) -> Option<T> {
     Arc::try_unwrap(spare.downcast::<T>().ok()?).ok()
 }
 
+/// The payloads the streams of one leaf retired, by stream name, kept for
+/// the leaf's next instantiation (module docs, "The ring outlives the
+/// instance").
+#[derive(Default)]
+pub(crate) struct Shelf(Mutex<HashMap<String, Shelved>>);
+
+#[cfg(test)]
+impl Shelf {
+    /// Payloads shelved under `name`.
+    pub(crate) fn count(&self, name: &str) -> usize {
+        self.0.lock().get(name).map_or(0, |e| e.payloads.len())
+    }
+}
+
+struct Shelved {
+    /// Capacity of the smallest ring that drew from this entry: the most
+    /// it keeps.
+    cap: usize,
+    payloads: Vec<Packet>,
+}
+
 /// An iteration-indexed stream.
 pub struct Stream {
     name: String,
     slots: Box<[Slot]>,
+    /// Where the spares go when the stream drops; dangling for a stream
+    /// that drew from no shelf.
+    shelf: Weak<Shelf>,
 }
 
 impl Stream {
@@ -175,7 +220,28 @@ impl Stream {
     pub fn with_capacity(name: impl Into<String>, capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             name: name.into(),
-            slots: (0..capacity.max(1)).map(|_| Slot::new()).collect(),
+            slots: (0..capacity.max(1)).map(|_| Slot::new(None)).collect(),
+            shelf: Weak::new(),
+        })
+    }
+
+    /// [`Stream::with_capacity`] whose slots start with the payloads a
+    /// stream of this name left on `shelf`, one a slot (what finds no slot
+    /// dies), and that puts its spares back there when it drops.
+    pub(crate) fn from_shelf(name: &str, capacity: usize, shelf: &Arc<Shelf>) -> Arc<Self> {
+        let capacity = capacity.max(1);
+        let mut shelved = shelf.0.lock();
+        let entry = shelved.entry(name.to_string()).or_insert_with(|| Shelved {
+            cap: capacity,
+            payloads: Vec::new(),
+        });
+        entry.cap = entry.cap.min(capacity);
+        let mut drawn = std::mem::take(&mut entry.payloads).into_iter();
+        let slots = (0..capacity).map(|_| Slot::new(drawn.next())).collect();
+        Arc::new(Self {
+            name: name.to_string(),
+            slots,
+            shelf: Arc::downgrade(shelf),
         })
     }
 
@@ -429,6 +495,31 @@ impl Stream {
             .iter()
             .filter(|s| s.tag.load(Ordering::Acquire) != EMPTY)
             .count()
+    }
+}
+
+/// Teardown hands the spares of a stream that drew from a shelf back to
+/// it, up to the smallest ring that drew from it; a payload something else
+/// still holds is not kept.
+impl Drop for Stream {
+    fn drop(&mut self) {
+        let Some(shelf) = self.shelf.upgrade() else {
+            return;
+        };
+        let mut shelved = shelf.0.lock();
+        let Some(entry) = shelved.get_mut(&self.name) else {
+            return;
+        };
+        for slot in self.slots.iter_mut() {
+            if entry.payloads.len() == entry.cap {
+                break;
+            }
+            if let Some(spare) = slot.spare.get_mut().take() {
+                if Arc::strong_count(&spare) == 1 {
+                    entry.payloads.push(spare);
+                }
+            }
+        }
     }
 }
 
@@ -718,6 +809,132 @@ mod tests {
                 drops: d.clone(),
             }
         });
+    }
+
+    /// Write and retire every slot of `s` once, renewing what a slot hands
+    /// out and building `fresh()` where it hands out nothing.
+    fn cycle(s: &Stream, fresh: impl Fn() -> Tracked) {
+        for iter in 0..s.capacity() as u64 {
+            s.write_with(iter, |old| old.unwrap_or_else(&fresh));
+            s.clear(iter);
+        }
+    }
+
+    #[test]
+    fn the_shelf_seeds_the_next_ring_and_keeps_at_most_the_smallest() {
+        let shelf = Arc::new(Shelf::default());
+        let d = drops();
+        let tracked = |generation| Tracked {
+            generation,
+            drops: d.clone(),
+        };
+        let first = Stream::from_shelf("s", 3, &shelf);
+        cycle(&first, || tracked(0));
+        drop(first);
+        assert_eq!(shelf.count("s"), 3, "teardown shelves the spares");
+
+        // A larger ring takes all three back and builds one.
+        let big = Stream::from_shelf("s", 4, &shelf);
+        assert_eq!(shelf.count("s"), 0);
+        let built = std::cell::Cell::new(0);
+        cycle(&big, || {
+            built.set(built.get() + 1);
+            tracked(1)
+        });
+        assert_eq!(built.get(), 1);
+        // A smaller ring alive at the same time finds nothing left and
+        // builds both of its own.
+        let small = Stream::from_shelf("s", 2, &shelf);
+        cycle(&small, || tracked(2));
+        // Another name draws nothing.
+        let other = Stream::from_shelf("t", 2, &shelf);
+        other.write_with(0, |old: Option<Tracked>| {
+            assert!(old.is_none());
+            tracked(3)
+        });
+        other.clear(0);
+        assert_eq!(dropped(&d), 0);
+
+        // Six spares come back; the shelf keeps two, the smallest ring.
+        drop(big);
+        drop(small);
+        assert_eq!(shelf.count("s"), 2);
+        assert_eq!(dropped(&d), 4, "what the shelf does not keep dies");
+        // ...which a ring of any size takes whole.
+        let again = Stream::from_shelf("s", 2, &shelf);
+        cycle(&again, || unreachable!("every slot was seeded"));
+        drop(again);
+        drop(other);
+        assert_eq!(shelf.count("t"), 1);
+        drop(shelf);
+        assert_eq!(dropped(&d), 7, "the rest dies with the shelf");
+    }
+
+    #[test]
+    fn a_smaller_ring_takes_what_it_has_slots_for_and_the_rest_dies() {
+        let shelf = Arc::new(Shelf::default());
+        let d = drops();
+        let first = Stream::from_shelf("s", 3, &shelf);
+        cycle(&first, || Tracked {
+            generation: 0,
+            drops: d.clone(),
+        });
+        drop(first);
+        let one = Stream::from_shelf("s", 1, &shelf);
+        assert_eq!((shelf.count("s"), dropped(&d)), (0, 2));
+        cycle(&one, || unreachable!("the slot was seeded"));
+        drop(one);
+        assert_eq!(shelf.count("s"), 1);
+    }
+
+    #[test]
+    fn aliases_and_held_payloads_are_never_shelved() {
+        let shelf = Arc::new(Shelf::default());
+        let d = drops();
+        let tracked = |generation| Tracked {
+            generation,
+            drops: d.clone(),
+        };
+        let s = Stream::from_shelf("s", 3, &shelf);
+        s.write(0, pack(tracked(0)));
+        let alias: Packet = pack(tracked(1));
+        s.write_shared_packet(1, alias.clone());
+        let held = s.write_with(2, |_| tracked(2));
+        for iter in 0..3 {
+            s.clear(iter);
+        }
+        assert_eq!(dropped(&d), 1, "the written value died at retirement");
+        drop(s);
+        assert_eq!(shelf.count("s"), 0);
+        assert_eq!(
+            Arc::strong_count(&alias),
+            1,
+            "the alias is its owner's alone"
+        );
+        drop(held);
+        assert_eq!(dropped(&d), 2, "a held payload dies with its holder");
+    }
+
+    #[test]
+    fn a_stream_without_a_shelf_drops_its_spares() {
+        let d = drops();
+        let s = Stream::with_capacity("s", 2);
+        cycle(&s, || Tracked {
+            generation: 0,
+            drops: d.clone(),
+        });
+        drop(s);
+        assert_eq!(dropped(&d), 2);
+        // nor does a shelf that died before its stream keep anything
+        let shelf = Arc::new(Shelf::default());
+        let s = Stream::from_shelf("s", 2, &shelf);
+        cycle(&s, || Tracked {
+            generation: 1,
+            drops: d.clone(),
+        });
+        drop(shelf);
+        drop(s);
+        assert_eq!(dropped(&d), 4);
     }
 
     #[test]

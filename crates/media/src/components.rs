@@ -5,7 +5,9 @@
 //! (compute charges from [`crate::costs`], memory sweeps for the cache
 //! model). Data-parallel components keep the [`SliceAssign`] they received
 //! through the reconfiguration interface and operate only on their region,
-//! writing into the iteration's shared output plane.
+//! writing into the iteration's shared output plane. Each copy writes the
+//! whole of its band and the bands partition the plane, so a plane is
+//! renewed without a zero-fill ([`Plane::renew_for_overwrite`]).
 
 use crate::blend::unpack_pos;
 use crate::blur::{blur_h_rows_with, blur_v_rows_with, v_input_rows, Taps};
@@ -222,7 +224,9 @@ impl Component for Downscale {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let src = ctx.read::<Plane>(0);
         let (ow, oh) = scaled_dims(src.width(), src.height(), self.factor);
-        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, ow, oh));
+        let out = ctx.write_shared(0, |old| {
+            Plane::renew_for_overwrite(old, &self.label, ow, oh)
+        });
         let rows = self.assign.range(oh);
         if rows.is_empty() {
             return;
@@ -358,7 +362,7 @@ impl Component for BlurH {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let src = ctx.read::<Plane>(0);
         let (w, h) = (src.width(), src.height());
-        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew_for_overwrite(old, &self.label, w, h));
         let rows = self.assign.range(h);
         if rows.is_empty() {
             return;
@@ -429,7 +433,7 @@ impl Component for BlurV {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let src = ctx.read::<Plane>(0);
         let (w, h) = (src.width(), src.height());
-        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew_for_overwrite(old, &self.label, w, h));
         let rows = self.assign.range(h);
         if rows.is_empty() {
             return;
@@ -556,7 +560,7 @@ impl Component for Idct {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let coefs = ctx.read::<CoefPlane>(0);
         let (w, h) = (coefs.width(), coefs.height());
-        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew_for_overwrite(old, &self.label, w, h));
         let block_rows = self.assign.range(coefs.blocks_h());
         if block_rows.is_empty() {
             return;
@@ -610,7 +614,7 @@ impl Component for JpegDecodeIdct {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let img = ctx.read::<JpegImage>(0);
         let (w, h) = (img.w, img.h);
-        let out = ctx.write_shared(0, |old| Plane::renew(old, &self.label, w, h));
+        let out = ctx.write_shared(0, |old| Plane::renew_for_overwrite(old, &self.label, w, h));
         let mut dec = ScanDecoder::new(
             &img.scans[self.field],
             w,

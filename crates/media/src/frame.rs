@@ -29,16 +29,19 @@ impl Plane {
         }
     }
 
-    /// [`Plane::new`] in the storage of `old` — the plane the stream slot
+    /// A `w`×`h` plane in the storage of `old` — the plane the stream slot
     /// retired, as handed to a `write_shared` / `write_with` closure — when
-    /// it has the same pixel count; freshly allocated otherwise.
-    /// Zero-filled either way: copies of a sliced group each fill only
-    /// their band, so nothing of the previous frame may show through.
-    pub fn renew(old: Option<Plane>, name: &str, w: usize, h: usize) -> Self {
+    /// it has the same pixel count, freshly allocated otherwise, for
+    /// writers that together write **every** row: the copies of a sliced
+    /// group each fill their whole [`hinch::component::SliceAssign`] band,
+    /// and the bands partition the plane. The contents are unspecified
+    /// (poisoned in debug builds, so a row nobody wrote is a fingerprint
+    /// mismatch, not a stale pixel) — see [`RegionBuf::renew_for_overwrite`].
+    pub fn renew_for_overwrite(old: Option<Plane>, name: &str, w: usize, h: usize) -> Self {
         Self {
             w,
             h,
-            data: RegionBuf::renew(old.map(|p| p.data), name, w * h),
+            data: RegionBuf::renew_for_overwrite(old.map(|p| p.data), name, w * h, 0xA5),
         }
     }
 
@@ -52,10 +55,10 @@ impl Plane {
         pixels: &[u8],
     ) -> Self {
         assert_eq!(pixels.len(), w * h, "pixel count must match dimensions");
-        let data = RegionBuf::renew_for_overwrite(old.map(|p| p.data), name, w * h, 0xA5);
+        let plane = Self::renew_for_overwrite(old, name, w, h);
         // the one call that overwrites the whole buffer (lengths asserted)
-        data.lease_write_all().copy_from_slice(pixels);
-        Self { w, h, data }
+        plane.data.lease_write_all().copy_from_slice(pixels);
+        plane
     }
 
     /// Plane from raster-order pixels (len must be `w*h`).
@@ -286,29 +289,38 @@ mod tests {
         assert!(conflict.to_string().contains("overlaps"), "{conflict}");
     }
 
+    fn storage(p: &Plane) -> *const u8 {
+        p.read_all().as_ptr()
+    }
+
     #[test]
-    fn renewed_plane_equals_a_new_one_after_a_dirty_use() {
+    fn bands_that_partition_a_renewed_plane_leave_nothing_stale() {
         let dirty = Plane::new("p", 8, 4);
         dirty.write_rows(0..4).fill(0xEE);
-        let renewed = Plane::renew(Some(dirty), "p", 8, 4);
-        assert_eq!(renewed.to_vec(), Plane::new("p", 8, 4).to_vec());
-        // sliced writers then fill only their band; the rest stays zero
-        renewed.write_rows(1..2).fill(3);
+        let before = storage(&dirty);
+        let renewed = Plane::renew_for_overwrite(Some(dirty), "p", 8, 4);
+        assert_eq!(storage(&renewed), before, "the retired plane's storage");
+        if cfg!(debug_assertions) {
+            assert!(renewed.to_vec().iter().all(|&x| x == 0xA5), "poisoned");
+        }
+        // two sliced writers, each over its whole band
+        renewed.write_rows(0..1).fill(1);
+        renewed.write_rows(1..4).fill(2);
         let v = renewed.to_vec();
-        assert!(v[..8].iter().chain(&v[16..]).all(|&x| x == 0));
+        assert!(v[..8].iter().all(|&x| x == 1) && v[8..].iter().all(|&x| x == 2));
     }
 
     #[test]
     fn renewal_of_another_size_allocates_fresh() {
         let dirty = Plane::new("p", 8, 4);
-        dirty.write_rows(0..4).fill(0xEE);
-        let other = Plane::renew(Some(dirty), "p", 4, 4);
+        let other = Plane::renew_for_overwrite(Some(dirty), "p", 4, 4);
         assert_eq!((other.width(), other.height()), (4, 4));
-        assert_eq!(other.to_vec(), vec![0; 16]);
+        assert_eq!(other.read_all().len(), 16);
         // same pixel count, other shape: storage is reused, geometry is new
-        let reshaped = Plane::renew(Some(other), "p", 2, 8);
+        let before = storage(&other);
+        let reshaped = Plane::renew_for_overwrite(Some(other), "p", 2, 8);
         assert_eq!((reshaped.width(), reshaped.height()), (2, 8));
-        assert_eq!(reshaped.to_vec(), vec![0; 16]);
+        assert_eq!(storage(&reshaped), before);
     }
 
     #[test]
@@ -329,7 +341,7 @@ mod tests {
     fn renewal_with_an_outstanding_lease_panics() {
         let p = Plane::new("p", 8, 4);
         std::mem::forget(p.write_rows(0..1));
-        let _ = Plane::renew(Some(p), "p", 8, 4);
+        let _ = Plane::renew_for_overwrite(Some(p), "p", 8, 4);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! output and (b) have realistic entropy for the JPEG path — flat frames
 //! would make Huffman decode unrealistically cheap.
 
-use crate::frame::Plane;
 use hinch::meter::{sim_alloc, AccessKind, MemAccess};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,16 +86,6 @@ impl RawVideo {
         &self.planes[frame % self.planes.len()][field]
     }
 
-    /// Copy a field into a fresh [`Plane`].
-    pub fn plane(&self, frame: usize, field: usize, name: &str) -> Plane {
-        Plane::from_pixels(
-            name,
-            self.spec.width,
-            self.spec.height,
-            self.field(frame, field).to_vec(),
-        )
-    }
-
     /// The simulated-memory sweep of reading `field` of `frame`.
     pub fn read_access(&self, frame: usize, field: usize) -> MemAccess {
         let frame = frame % self.planes.len();
@@ -173,13 +162,6 @@ mod tests {
         assert_eq!(a.len, 256);
         assert_eq!(a.base + 256, b.base);
         assert_eq!(a.base + 3 * 256, c.base);
-    }
-
-    #[test]
-    fn plane_copy_matches_field() {
-        let v = RawVideo::generate(VideoSpec::new(16, 8, 1, 5));
-        let p = v.plane(0, 2, "v");
-        assert_eq!(p.to_vec(), v.field(0, 2));
     }
 
     #[test]

@@ -14,7 +14,10 @@
 #      protocols, the recorder ring, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
 #      tests/steady_state_alloc.rs (one #[test], its own counting
-#      allocator): a steady-state frame allocates no stream payload
+#      allocator): a steady-state frame allocates no stream payload, and
+#      a second run_native of one spec allocates none from its first
+#      frame on (its streams start with the buffers the first run's
+#      retired, kept on the spec's shelf)
 #   4. cargo test --workspace — every crate's suite; then the media
 #      crate once more under HINCH_FORCE_SCALAR=1 so the scalar kernel
 #      references run even on hosts whose SIMD paths won the dispatch

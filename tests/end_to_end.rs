@@ -138,6 +138,34 @@ fn sim_cycles_are_deterministic() {
     assert_eq!(a, b, "the simulator must be fully deterministic");
 }
 
+/// A second run of one spec starts with the stream buffers the first one
+/// retired (`hinch::stream`, "The ring outlives the instance"). A renewed
+/// buffer takes a fresh simulated address like a new one, so the
+/// simulator cannot tell: at paper scale, where every plane is pages
+/// long, two runs of one spec count the cycles and L1 misses of a run of
+/// the spec and a run of the same document compiled again, whose streams
+/// start empty. (The two runs of a pair differ from each other: their
+/// buffers sit at other simulated addresses relative to the inputs.)
+#[test]
+fn shelved_stream_buffers_leave_the_simulator_unchanged() {
+    let counts = |reuse: bool| {
+        let app = pip::build(&PipConfig::paper(1)).unwrap();
+        let again = pip::build_on(&app.cfg, app.assets.clone()).unwrap();
+        let second = if reuse {
+            &app.elaborated
+        } else {
+            &again.elaborated
+        };
+        [&app.elaborated.spec, &second.spec].map(|spec| {
+            let mut m = Machine::with_cores(2);
+            let cfg = RunConfig::new(FRAMES).pipeline_depth(3);
+            let r = run_sim(spec, &cfg, &mut m).unwrap();
+            (r.cycles, r.stats.l1_misses)
+        })
+    };
+    assert_eq!(counts(true), counts(false));
+}
+
 #[test]
 fn more_cores_never_lose_badly() {
     // sanity of the scheduler: 4 cores must beat 1 core on a parallel app

@@ -9,10 +9,13 @@
 //! also proves the indirect cases — Blend forwards the background plane it
 //! blended into, and that alias must not keep the background source's slot
 //! from getting its plane back; a stream inside a disabled option must
-//! still hold its spares when the option comes back. A second leg does
-//! the same for a *capturing* sink across two `run_native` calls: the
-//! capture buffer keeps its pages over `clear_captures()`, so the second
-//! run's sink appends into memory the first one grew.
+//! still hold its spares when the option comes back. A second leg runs one
+//! spec with a *capturing* sink twice through `run_native` and counts the
+//! whole second run, from its first frame: the streams of a new instance
+//! start with the buffers the last one retired (they stay with the spec,
+//! `hinch::stream`, "The ring outlives the instance"), and the capture
+//! buffer keeps its pages over `clear_captures()`, so the second run
+//! allocates no payload at all.
 //!
 //! The counter is exact: a `#[global_allocator]` local to this test binary
 //! counts only what is allocated *inside a component's `run`* (every leaf
@@ -206,19 +209,16 @@ fn steady_state_frames_allocate_no_payload() {
     second_capturing_run_allocates_no_payload();
 }
 
-/// The capturing sink is in the zero-allocation set too. A leg of the one
-/// `#[test]`, not a test of its own: the counter is process-wide and
-/// `cargo test` would interleave two.
+/// A second run of one spec allocates nothing, capturing sink included. A
+/// leg of the one `#[test]`, not a test of its own: the counter is
+/// process-wide and `cargo test` would interleave two.
 fn second_capturing_run_allocates_no_payload() {
     for app in [App::Pip1, App::Jpip1] {
         let built = build_isolated(AppConfig::small(app));
-        // Every `run_native` instantiates the graph anew, so the first
-        // DEPTH frames of each run fill its stream slots: counted from the
-        // frame after them.
-        let spec = marked(built.spec, DEPTH as u64);
-        let cfg = RunConfig::new(DEPTH as u64 + FRAMES)
-            .pipeline_depth(DEPTH)
-            .workers(2);
+        // Every `run_native` instantiates the graph anew; counted from
+        // frame 0, ring slots and all.
+        let spec = marked(built.spec, 0);
+        let cfg = RunConfig::new(FRAMES).pipeline_depth(DEPTH).workers(2);
         let captured = || -> Vec<_> {
             (0..built.capture_ports)
                 .map(|p| built.assets.captured(built.capture, p))
@@ -240,8 +240,9 @@ fn second_capturing_run_allocates_no_payload() {
             allocs,
             0,
             "{app:?}: {allocs} payload-sized allocation(s) in the second run's {FRAMES} \
-             steady-state frames (last: {} bytes) — the sink copies a frame into new memory \
-             instead of the capture buffer the run before it left",
+             frames (last: {} bytes) — a new instance's streams did not start with the \
+             buffers the run before it retired, or the sink copies a frame into new memory \
+             instead of the capture buffer that run left",
             LAST_SIZE.load(Ordering::Relaxed)
         );
         assert!(
