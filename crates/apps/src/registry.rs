@@ -233,8 +233,7 @@ pub fn registry(assets: &Arc<AppAssets>) -> ComponentRegistry {
         let video = a.raw(p.str("file"));
         let field = p.int("field") as usize;
         assert!(field < 3, "field must be 0..3");
-        let label = format!("{}[{}]", p.str("file"), field);
-        Box::new(PlaneSource::new(video, field, label))
+        Box::new(PlaneSource::new(video, field))
     });
 
     let a = assets.clone();

@@ -188,15 +188,23 @@ unsafe impl<T: Send + Sync> Sync for RegionBuf<T> {}
 impl<T> RegionBuf<T> {
     /// Wrap an existing vector.
     pub fn from_vec(name: impl Into<String>, data: Vec<T>) -> Self {
-        let len = data.len();
-        let sim_base = sim_alloc((len * std::mem::size_of::<T>()) as u64);
+        let sim_base = sim_alloc(Self::bytes(data.len()));
+        Self::from_vec_at(name, data, sim_base)
+    }
+
+    fn from_vec_at(name: impl Into<String>, data: Vec<T>, sim_base: u64) -> Self {
         Self {
+            len: data.len(),
             data: data.into_iter().map(UnsafeCell::new).collect(),
-            len,
             name: name.into(),
             sim_base,
             registry: Mutex::new(Registry { active: Vec::new() }),
         }
+    }
+
+    /// Simulated size of `len` elements.
+    fn bytes(len: usize) -> u64 {
+        (len * std::mem::size_of::<T>()) as u64
     }
 
     /// Raw slice over `range`. SAFETY: caller must hold a lease covering
@@ -316,36 +324,52 @@ impl<T: Default + Clone> RegionBuf<T> {
     /// # Panics
     /// If `old` still has a lease registered (one was leaked).
     pub fn renew(old: Option<Self>, name: &str, len: usize) -> Self {
-        match old.and_then(|buf| buf.reused(name, len)) {
+        let sim_base = sim_alloc(Self::bytes(len));
+        match old.and_then(|buf| buf.reused(name, len, sim_base)) {
             Some(mut buf) => {
                 buf.fill(T::default());
                 buf
             }
-            None => Self::new(name, len),
+            None => Self::from_vec_at(name, vec![T::default(); len], sim_base),
         }
     }
 
-    /// [`RegionBuf::renew`] for a writer that overwrites **every** element
-    /// in one call and asserts so (a whole-buffer `copy_from_slice`, a
-    /// decode loop over all blocks): the fill is skipped and the contents
-    /// are unspecified. Debug builds fill with `poison` first — fresh or
-    /// reused alike — so an overwrite that turns out partial produces
-    /// wrong output deterministically instead of stale pixels.
+    /// [`RegionBuf::renew`] for writers that together overwrite **every**
+    /// element (a whole-buffer `copy_from_slice`, a decode loop over all
+    /// blocks, the bands of a sliced group): the fill is skipped and the
+    /// contents are unspecified. Debug builds fill with `poison` first —
+    /// fresh or reused alike — so an overwrite that turns out partial
+    /// produces wrong output deterministically instead of stale pixels.
     pub fn renew_for_overwrite(old: Option<Self>, name: &str, len: usize, poison: T) -> Self {
+        Self::renew_for_overwrite_at(old, name, len, poison, sim_alloc(Self::bytes(len)))
+    }
+
+    /// [`RegionBuf::renew_for_overwrite`] at simulated address `sim_base`
+    /// instead of a fresh one: for a buffer that stands, in the model, for
+    /// memory some other payload already placed (a copy the host makes and
+    /// the modelled program does not).
+    pub fn renew_for_overwrite_at(
+        old: Option<Self>,
+        name: &str,
+        len: usize,
+        poison: T,
+        sim_base: u64,
+    ) -> Self {
         let mut buf = old
-            .and_then(|buf| buf.reused(name, len))
-            .unwrap_or_else(|| Self::new(name, len));
+            .and_then(|buf| buf.reused(name, len, sim_base))
+            .unwrap_or_else(|| Self::from_vec_at(name, vec![T::default(); len], sim_base));
         if cfg!(debug_assertions) {
             buf.fill(poison);
         }
         buf
     }
 
-    /// This buffer as a new one named `name` if it has `len` elements:
-    /// same allocation, registry and name `String`, stale contents, a
-    /// fresh simulated address (what [`RegionBuf::from_vec`] would take,
-    /// so simulated cache traffic cannot tell renewal from allocation).
-    fn reused(mut self, name: &str, len: usize) -> Option<Self> {
+    /// This buffer as a new one named `name` at simulated address
+    /// `sim_base` if it has `len` elements: same allocation, registry and
+    /// name `String`, stale contents. Renewal takes the address
+    /// [`RegionBuf::from_vec`] would, so simulated cache traffic cannot
+    /// tell it from allocation.
+    fn reused(mut self, name: &str, len: usize, sim_base: u64) -> Option<Self> {
         if self.len != len {
             return None;
         }
@@ -358,7 +382,7 @@ impl<T: Default + Clone> RegionBuf<T> {
             self.name.clear();
             self.name.push_str(name);
         }
-        self.sim_base = sim_alloc((len * std::mem::size_of::<T>()) as u64);
+        self.sim_base = sim_base;
         Some(self)
     }
 
@@ -681,6 +705,18 @@ mod tests {
         let fresh = RegionBuf::<u8>::renew_for_overwrite(None, "b", 8, 0xA5);
         let want = if cfg!(debug_assertions) { 0xA5 } else { 0 };
         assert_eq!(fresh.snapshot(), vec![want; 8]);
+    }
+
+    #[test]
+    fn renewal_at_an_address_takes_that_address() {
+        let old = RegionBuf::<u8>::new("b", 8);
+        let ptr = old.data.as_ptr();
+        let at = old.sim_base() + 4096;
+        let reused = RegionBuf::renew_for_overwrite_at(Some(old), "b", 8, 0xA5, at);
+        assert_eq!((reused.data.as_ptr(), reused.sim_base()), (ptr, at));
+        let fresh = RegionBuf::<u8>::renew_for_overwrite_at(None, "b", 8, 0xA5, at);
+        assert_eq!(fresh.sim_base(), at);
+        assert_eq!(fresh.access(2..4, AccessKind::Read).base, at + 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! whole of its band and the bands partition the plane, so a plane is
 //! renewed without a zero-fill ([`Plane::renew_for_overwrite`]).
 
-use crate::blend::unpack_pos;
+use crate::blend::{blend_rows, unpack_pos};
 use crate::blur::{blur_h_rows_with, blur_v_rows_with, v_input_rows, Taps};
 use crate::costs::*;
 use crate::frame::{CoefPlane, Plane};
@@ -71,20 +71,23 @@ pub fn capture() -> Capture {
 // ---------------------------------------------------------------------
 
 /// Reads one color field of an uncompressed video, one frame per
-/// iteration. Output port 0: [`Plane`].
+/// iteration. Output port 0: [`Plane`], a read-only [`Plane::view`].
+///
+/// In the model this is the paper's file read into a stream buffer, and
+/// it is metered as one: a read sweep over the field in the video, a write
+/// sweep over a stream buffer at a fresh simulated address, and
+/// [`CYC_SOURCE_PX`] a pixel. The host's "file" already sits in memory, so
+/// it publishes the field itself instead of copying it. A reader that
+/// writes into its input cannot take it in place, and copies it on the way
+/// (see [`Blend`]).
 pub struct PlaneSource {
     video: Arc<RawVideo>,
     field: usize,
-    label: String,
 }
 
 impl PlaneSource {
-    pub fn new(video: Arc<RawVideo>, field: usize, label: impl Into<String>) -> Self {
-        Self {
-            video,
-            field,
-            label: label.into(),
-        }
+    pub fn new(video: Arc<RawVideo>, field: usize) -> Self {
+        Self { video, field }
     }
 }
 
@@ -96,10 +99,8 @@ impl Component for PlaneSource {
     fn run(&mut self, ctx: &mut RunCtx<'_>) {
         let frame = ctx.iteration() as usize;
         let (w, h) = (self.video.spec.width, self.video.spec.height);
-        let pixels = self.video.field(frame, self.field);
-        let plane = ctx.write_with(0, |old| {
-            Plane::renew_from_pixels(old, &self.label, w, h, pixels)
-        });
+        // the view the slot retired holds no buffer to renew: it is dropped
+        let plane = ctx.write_with(0, |_| Plane::view(&self.video, frame, self.field));
         ctx.touch(self.video.read_access(frame, self.field));
         plane.touch_write(ctx, 0..h);
         ctx.charge(CYC_SOURCE_PX * (w * h) as u64);
@@ -259,25 +260,36 @@ impl Component for Downscale {
 /// Picture-in-picture blender; position reconfigurable via a broadcast
 /// `{ key: "pos", value: pack_pos(x, y) }` request.
 ///
-/// Blends *in place*: the stream model hands a buffer from producer to
-/// consumer and discards it after the iteration, so a sole consumer may
-/// mutate it and forward the same buffer — the classic zero-copy
-/// optimization of streaming run-time systems. Each data-parallel copy
-/// leases only the rows of its band that the picture overlaps (checked
-/// disjointness via `RegionBuf`), then forwards the background buffer to
-/// the output stream.
+/// Blends *in place* where it can: the stream model hands a buffer from
+/// producer to consumer and discards it after the iteration, so a sole
+/// consumer may mutate it and forward the same buffer — the classic
+/// zero-copy optimization of streaming run-time systems. Each
+/// data-parallel copy leases only the rows of its band that the picture
+/// overlaps (checked disjointness via `RegionBuf`), then forwards the
+/// background buffer to the output stream.
+///
+/// A background that is a read-only [`Plane::view`] (straight from a
+/// [`PlaneSource`]) cannot be written. Then each copy writes its whole band
+/// of an output plane named by the label with [`blend_rows`], which copies
+/// the background band and overlays the picture. The model never sees that
+/// copy: in the paper's program the blend does run in place, in the stream
+/// buffer the source read the field into. So the output takes the view's
+/// simulated address instead of a new one, and both paths meter the same
+/// sweeps and cycles.
 pub struct Blend {
     x: u32,
     y: u32,
     assign: SliceAssign,
+    label: String,
 }
 
 impl Blend {
-    pub fn new(x: u32, y: u32, _label: impl Into<String>) -> Self {
+    pub fn new(x: u32, y: u32, label: impl Into<String>) -> Self {
         Self {
             x,
             y,
             assign: SliceAssign::WHOLE,
+            label: label.into(),
         }
     }
 }
@@ -291,30 +303,50 @@ impl Component for Blend {
         let bg = ctx.read::<Plane>(0);
         let pip = ctx.read::<Plane>(1);
         let (w, h) = (bg.width(), bg.height());
+        let (pw, ph) = (pip.width(), pip.height());
         let (px, py) = (self.x as usize, self.y as usize);
         let rows = self.assign.range(h);
-        // rows of this band covered by the picture
-        let y0 = rows.start.max(py).min(py + pip.height());
-        let y1 = rows.end.max(py).min(py + pip.height());
-        let mut blended = 0u64;
-        if y1 > y0 {
-            let x0 = px.min(w);
-            let x1 = (px + pip.width()).min(w);
-            if x1 > x0 {
+        // the part of this band the picture covers
+        let (y0, y1) = (rows.start.clamp(py, py + ph), rows.end.clamp(py, py + ph));
+        let (x0, x1) = (px.min(w), (px + pw).min(w));
+        let covered = y1 > y0 && x1 > x0;
+        let out = if bg.is_view() {
+            let out = ctx.write_shared(0, |old| {
+                Plane::renew_for_overwrite_at(old, &self.label, w, h, bg.sim_base())
+            });
+            let mut dst = out.write_rows(rows.clone());
+            blend_rows(
+                &bg.read_all(),
+                w,
+                &pip.read_all(),
+                pw,
+                ph,
+                px,
+                py,
+                rows,
+                &mut dst,
+            );
+            drop(dst);
+            out
+        } else {
+            if covered {
                 let mut dst = bg.write_rows(y0..y1);
                 let src = pip.read_rows(y0 - py..y1 - py);
-                for (ri, _y) in (y0..y1).enumerate() {
-                    let pr = ri * pip.width();
-                    dst[ri * w + x0..ri * w + x1].copy_from_slice(&src[pr..pr + (x1 - x0)]);
-                    blended += (x1 - x0) as u64;
+                for ri in 0..y1 - y0 {
+                    dst[ri * w + x0..ri * w + x1].copy_from_slice(&src[ri * pw..ri * pw + x1 - x0]);
                 }
-                bg.touch_write(ctx, y0..y1);
-                pip.touch_read(ctx, y0 - py..y1 - py);
             }
+            // forward the (mutated) background buffer downstream
+            ctx.forward_shared(0, Arc::clone(&bg));
+            bg
+        };
+        let mut blended = 0;
+        if covered {
+            out.touch_write(ctx, y0..y1);
+            pip.touch_read(ctx, y0 - py..y1 - py);
+            blended = ((y1 - y0) * (x1 - x0)) as u64;
         }
         ctx.charge(CYC_BLEND_PX * blended);
-        // forward the (mutated) background buffer downstream
-        ctx.forward_shared(0, bg);
     }
 
     fn reconfigure(&mut self, req: &ReconfigRequest) {
@@ -654,7 +686,7 @@ mod tests {
     fn plane_source_emits_video_frames() {
         let video = Arc::new(RawVideo::generate(VideoSpec::new(16, 8, 2, 1)));
         let out = Stream::new("o");
-        let mut src = PlaneSource::new(video.clone(), 0, "y");
+        let mut src = PlaneSource::new(video.clone(), 0);
         run_component(&mut src, &[], std::slice::from_ref(&out), 0);
         run_component(&mut src, &[], std::slice::from_ref(&out), 1);
         let p0 = out.read_as::<Plane>(0);
@@ -668,7 +700,7 @@ mod tests {
         let video = Arc::new(RawVideo::generate(VideoSpec::new(32, 32, 1, 2)));
         let input = Stream::new("in");
         let out = Stream::new("out");
-        let mut src = PlaneSource::new(video, 0, "y");
+        let mut src = PlaneSource::new(video, 0);
         run_component(&mut src, &[], std::slice::from_ref(&input), 0);
 
         // 4 slice copies write one shared output plane
@@ -696,24 +728,93 @@ mod tests {
         assert_eq!(small.to_vec(), reference);
     }
 
-    #[test]
-    fn blend_component_overlays_picture() {
-        let input_bg = Stream::new("bg");
-        let input_pip = Stream::new("pip");
-        let out = Stream::new("out");
-        input_bg.write(0, Arc::new(Plane::from_pixels("bg", 8, 8, vec![9; 64])));
-        input_pip.write(0, Arc::new(Plane::from_pixels("pip", 2, 2, vec![1; 4])));
-        let mut b = Blend::new(3, 3, "out");
-        run_component(
-            &mut b,
-            &[input_bg, input_pip],
-            std::slice::from_ref(&out),
-            0,
+    /// A 16×24 background field, a 5×4 picture at (6, 9) — so that among
+    /// eight bands of three rows most miss it — and their scalar blend.
+    const BG: (usize, usize) = (16, 24);
+    const PIP: (usize, usize, u32, u32) = (5, 4, 6, 9);
+
+    fn blend_inputs() -> (Arc<RawVideo>, Vec<u8>, Vec<u8>) {
+        let video = Arc::new(RawVideo::generate(VideoSpec::new(BG.0, BG.1, 1, 11)));
+        let (pw, ph, px, py) = PIP;
+        let pip: Vec<u8> = (0..pw * ph).map(|i| 200 + i as u8).collect();
+        let mut want = vec![0u8; BG.0 * BG.1];
+        crate::blend::blend_rows_scalar(
+            video.field(0, 0),
+            BG.0,
+            &pip,
+            pw,
+            ph,
+            px as usize,
+            py as usize,
+            0..BG.1,
+            &mut want,
         );
-        let o = out.read_as::<Plane>(0);
-        let v = o.to_vec();
-        assert_eq!(v[3 * 8 + 3], 1);
-        assert_eq!(v[0], 9);
+        (video, pip, want)
+    }
+
+    /// Blend `bg` under `pip` with the copies of a `slices`-wide group,
+    /// all but `skip`; the background stream and the output.
+    fn blend_sliced(bg: Plane, pip: &[u8], slices: usize, skip: Option<usize>) -> [Arc<Stream>; 2] {
+        let (pw, ph, px, py) = PIP;
+        let (input_bg, input_pip, out) =
+            (Stream::new("bg"), Stream::new("pip"), Stream::new("out"));
+        input_bg.write(0, Arc::new(bg));
+        input_pip.write(0, Arc::new(Plane::from_pixels("pip", pw, ph, pip.to_vec())));
+        for index in (0..slices).filter(|&i| Some(i) != skip) {
+            let mut b = Blend::new(px, py, "out");
+            b.reconfigure(&ReconfigRequest::Slice(SliceAssign {
+                index,
+                total: slices,
+            }));
+            let inputs = [input_bg.clone(), input_pip.clone()];
+            run_component(&mut b, &inputs, std::slice::from_ref(&out), 0);
+        }
+        [input_bg, out]
+    }
+
+    #[test]
+    fn blend_over_a_view_fills_every_band_of_its_own_plane() {
+        let (video, pip, want) = blend_inputs();
+        for slices in [1, 3, 8] {
+            let [bg, out] = blend_sliced(Plane::view(&video, 0, 0), &pip, slices, None);
+            let (bg, out) = (bg.read_as::<Plane>(0), out.read_as::<Plane>(0));
+            assert!(!out.is_view());
+            assert_eq!(out.sim_base(), bg.sim_base(), "the view's address");
+            assert_eq!(out.to_vec(), want, "{slices} slices");
+            assert_eq!(bg.to_vec(), video.field(0, 0), "the view is untouched");
+        }
+    }
+
+    #[test]
+    fn blend_over_an_owned_plane_forwards_that_plane() {
+        let (video, pip, want) = blend_inputs();
+        for slices in [1, 3, 8] {
+            let owned = Plane::from_pixels("bg", BG.0, BG.1, video.field(0, 0).to_vec());
+            let [bg, out] = blend_sliced(owned, &pip, slices, None);
+            let out = out.read_as::<Plane>(0);
+            assert!(
+                Arc::ptr_eq(&out, &bg.read_as::<Plane>(0)),
+                "blended in place"
+            );
+            assert_eq!(out.to_vec(), want, "{slices} slices");
+        }
+    }
+
+    #[test]
+    fn a_band_left_unwritten_over_a_view_shows() {
+        let (video, pip, want) = blend_inputs();
+        // the middle band of three, rows 8..16, has the picture in it
+        let [_, out] = blend_sliced(Plane::view(&video, 0, 0), &pip, 3, Some(1));
+        let got = out.read_as::<Plane>(0).to_vec();
+        assert_eq!(got[..8 * BG.0], want[..8 * BG.0]);
+        assert_eq!(got[16 * BG.0..], want[16 * BG.0..]);
+        assert_ne!(got[8 * BG.0..16 * BG.0], want[8 * BG.0..16 * BG.0]);
+        if cfg!(debug_assertions) {
+            assert!(
+                got[8 * BG.0..16 * BG.0].iter().all(|&p| p == 0xA5),
+                "poisoned"
+            );
+        }
     }
 
     #[test]
@@ -745,7 +846,7 @@ mod tests {
         let input = Stream::new("in");
         let hout = Stream::new("h");
         let vout = Stream::new("v");
-        let mut src = PlaneSource::new(video.clone(), 0, "y");
+        let mut src = PlaneSource::new(video.clone(), 0);
         run_component(&mut src, &[], std::slice::from_ref(&input), 0);
         for i in 0..3 {
             let mut h = BlurH::new(5, "h");

@@ -2,30 +2,104 @@
 //!
 //! The paper's applications process the Y, U and V *color fields* of each
 //! frame as independent task-parallel subgraphs, so the streams carry
-//! single [`Plane`]s (not whole frames). A plane's pixel storage is a
-//! [`RegionBuf`], which lets the copies of a sliced group fill disjoint row
-//! bands of one shared output plane concurrently — the shared-memory write
-//! pattern the paper's data parallelism relies on.
+//! single [`Plane`]s (not whole frames). A plane's pixel storage is either
+//! a [`RegionBuf`] it owns, which lets the copies of a sliced group fill
+//! disjoint row bands of one shared output plane concurrently — the
+//! shared-memory write pattern the paper's data parallelism relies on — or
+//! a read-only *view* of a field of an input video ([`Plane::view`]).
+//!
+//! A view is the stream buffer the paper's source reads a frame into: the
+//! model places it at an address of its own and charges the read, while
+//! the host, whose "file" already sits in memory, publishes the field
+//! itself. So a plane's simulated address lives beside its pixels, not in
+//! them: a view is never metered at the video's address.
 
+use crate::video::RawVideo;
 use hinch::component::RunCtx;
-use hinch::meter::AccessKind;
+use hinch::meter::{sim_alloc, AccessKind, MemAccess};
 use hinch::sharedbuf::{ReadLease, RegionBuf, WriteLease};
-use std::ops::Range;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// One 8-bit image plane (a color field of a frame).
 pub struct Plane {
     w: usize,
     h: usize,
-    data: RegionBuf<u8>,
+    pixels: Pixels,
+}
+
+enum Pixels {
+    /// A buffer of the plane's own, at its own simulated address.
+    Owned(RegionBuf<u8>),
+    /// Field `field` of frame `frame` of an input video, shared and never
+    /// written, at simulated address `sim_base`.
+    View {
+        bytes: Arc<[u8]>,
+        sim_base: u64,
+        frame: usize,
+        field: usize,
+    },
+}
+
+/// Pixels of a plane being read: a read lease on an owned buffer, or the
+/// bytes of a view (which nothing writes, so it needs no lease).
+pub enum PlaneRead<'a> {
+    Lease(ReadLease<'a, u8>),
+    View(&'a [u8]),
+}
+
+impl Deref for PlaneRead<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            PlaneRead::Lease(lease) => lease,
+            PlaneRead::View(bytes) => bytes,
+        }
+    }
 }
 
 impl Plane {
     /// Zero-filled plane.
     pub fn new(name: &str, w: usize, h: usize) -> Self {
+        Self::owned(w, h, RegionBuf::new(name, w * h))
+    }
+
+    fn owned(w: usize, h: usize, data: RegionBuf<u8>) -> Self {
         Self {
             w,
             h,
-            data: RegionBuf::new(name, w * h),
+            pixels: Pixels::Owned(data),
+        }
+    }
+
+    /// A read-only view of `field` of `frame` of `video` (frames wrap
+    /// around), at a fresh simulated address of its own — the stream
+    /// buffer the model reads the field into. Nothing is copied or
+    /// allocated.
+    pub fn view(video: &RawVideo, frame: usize, field: usize) -> Self {
+        let (w, h) = (video.spec.width, video.spec.height);
+        Self {
+            w,
+            h,
+            pixels: Pixels::View {
+                bytes: Arc::clone(video.shared_field(frame, field)),
+                sim_base: sim_alloc((w * h) as u64),
+                frame: frame % video.frames(),
+                field,
+            },
+        }
+    }
+
+    /// Whether this plane is a read-only view of an input field.
+    pub fn is_view(&self) -> bool {
+        matches!(self.pixels, Pixels::View { .. })
+    }
+
+    /// Base of the plane in the simulated address space.
+    pub fn sim_base(&self) -> u64 {
+        match &self.pixels {
+            Pixels::Owned(data) => data.sim_base(),
+            Pixels::View { sim_base, .. } => *sim_base,
         }
     }
 
@@ -38,37 +112,36 @@ impl Plane {
     /// (poisoned in debug builds, so a row nobody wrote is a fingerprint
     /// mismatch, not a stale pixel) — see [`RegionBuf::renew_for_overwrite`].
     pub fn renew_for_overwrite(old: Option<Plane>, name: &str, w: usize, h: usize) -> Self {
-        Self {
-            w,
-            h,
-            data: RegionBuf::renew_for_overwrite(old.map(|p| p.data), name, w * h, 0xA5),
-        }
+        Self::renew_for_overwrite_at(old, name, w, h, sim_alloc((w * h) as u64))
     }
 
-    /// [`Plane::from_pixels`] of a borrowed raster, copied into the storage
-    /// of `old` when it has the same pixel count (len must be `w*h`).
-    pub fn renew_from_pixels(
+    /// [`Plane::renew_for_overwrite`] at simulated address `sim_base`: an
+    /// output the model does not place anew because it *is*, in the
+    /// model, the plane at that address (see [`crate::components::Blend`]).
+    pub fn renew_for_overwrite_at(
         old: Option<Plane>,
         name: &str,
         w: usize,
         h: usize,
-        pixels: &[u8],
+        sim_base: u64,
     ) -> Self {
-        assert_eq!(pixels.len(), w * h, "pixel count must match dimensions");
-        let plane = Self::renew_for_overwrite(old, name, w, h);
-        // the one call that overwrites the whole buffer (lengths asserted)
-        plane.data.lease_write_all().copy_from_slice(pixels);
-        plane
+        let data =
+            RegionBuf::renew_for_overwrite_at(Self::buffer(old), name, w * h, 0xA5, sim_base);
+        Self::owned(w, h, data)
+    }
+
+    /// The buffer of a retired plane, if it owned one.
+    fn buffer(old: Option<Plane>) -> Option<RegionBuf<u8>> {
+        match old?.pixels {
+            Pixels::Owned(data) => Some(data),
+            Pixels::View { .. } => None,
+        }
     }
 
     /// Plane from raster-order pixels (len must be `w*h`).
     pub fn from_pixels(name: &str, w: usize, h: usize, pixels: Vec<u8>) -> Self {
         assert_eq!(pixels.len(), w * h, "pixel count must match dimensions");
-        Self {
-            w,
-            h,
-            data: RegionBuf::from_vec(name, pixels),
-        }
+        Self::owned(w, h, RegionBuf::from_vec(name, pixels))
     }
 
     pub fn width(&self) -> usize {
@@ -80,60 +153,63 @@ impl Plane {
     }
 
     /// Lease rows `[rows.start, rows.end)` for writing.
+    ///
+    /// # Panics
+    /// On a view: the input it shows is shared, with other tenants too.
     pub fn write_rows(&self, rows: Range<usize>) -> WriteLease<'_, u8> {
-        self.data
-            .lease_write(rows.start * self.w..rows.end * self.w)
+        match &self.pixels {
+            Pixels::Owned(data) => data.lease_write(rows.start * self.w..rows.end * self.w),
+            Pixels::View { .. } => panic!("{self:?} is a read-only view: write_rows({rows:?})"),
+        }
     }
 
-    /// Lease rows `[rows.start, rows.end)` for reading.
-    pub fn read_rows(&self, rows: Range<usize>) -> ReadLease<'_, u8> {
-        self.data.lease_read(rows.start * self.w..rows.end * self.w)
+    /// Read rows `[rows.start, rows.end)` (under a read lease, unless this
+    /// is a view).
+    pub fn read_rows(&self, rows: Range<usize>) -> PlaneRead<'_> {
+        let range = rows.start * self.w..rows.end * self.w;
+        match &self.pixels {
+            Pixels::Owned(data) => PlaneRead::Lease(data.lease_read(range)),
+            Pixels::View { bytes, .. } => PlaneRead::View(&bytes[range]),
+        }
     }
 
-    /// Lease the full plane for reading.
-    pub fn read_all(&self) -> ReadLease<'_, u8> {
-        self.data.lease_read_all()
+    /// Read the full plane.
+    pub fn read_all(&self) -> PlaneRead<'_> {
+        self.read_rows(0..self.h)
     }
 
     /// Copy the pixels out.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.snapshot()
+        self.read_all().to_vec()
+    }
+
+    /// Simulated-address sweep over `rows`.
+    fn access(&self, rows: Range<usize>, kind: AccessKind) -> MemAccess {
+        MemAccess {
+            base: self.sim_base() + (rows.start * self.w) as u64,
+            len: (rows.len() * self.w) as u64,
+            kind,
+        }
     }
 
     /// Report a read sweep over `rows` to the platform.
     pub fn touch_read(&self, ctx: &mut RunCtx<'_>, rows: Range<usize>) {
-        ctx.touch(
-            self.data
-                .access(rows.start * self.w..rows.end * self.w, AccessKind::Read),
-        );
+        ctx.touch(self.access(rows, AccessKind::Read));
     }
 
     /// Report a write sweep over `rows` to the platform.
     pub fn touch_write(&self, ctx: &mut RunCtx<'_>, rows: Range<usize>) {
-        ctx.touch(
-            self.data
-                .access(rows.start * self.w..rows.end * self.w, AccessKind::Write),
-        );
-    }
-
-    /// Report sweeps against any [`hinch::meter::Meter`] (for baselines
-    /// that run outside an engine).
-    pub fn touch_rows(
-        &self,
-        meter: &mut dyn hinch::meter::Meter,
-        rows: Range<usize>,
-        kind: AccessKind,
-    ) {
-        meter.touch(
-            self.data
-                .access(rows.start * self.w..rows.end * self.w, kind),
-        );
+        ctx.touch(self.access(rows, AccessKind::Write));
     }
 }
 
 impl std::fmt::Debug for Plane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Plane({}x{})", self.w, self.h)
+        write!(f, "Plane({}x{}", self.w, self.h)?;
+        if let Pixels::View { frame, field, .. } = self.pixels {
+            write!(f, ", view of field {field} of frame {frame}")?;
+        }
+        write!(f, ")")
     }
 }
 
@@ -323,17 +399,41 @@ mod tests {
         assert_eq!(storage(&reshaped), before);
     }
 
+    fn video() -> RawVideo {
+        RawVideo::generate(crate::video::VideoSpec::new(4, 2, 2, 5))
+    }
+
     #[test]
-    fn renew_from_pixels_overwrites_everything() {
-        let dirty = Plane::new("p", 4, 2);
-        dirty.write_rows(0..2).fill(0xEE);
-        let pixels: Vec<u8> = (0..8).collect();
-        let p = Plane::renew_from_pixels(Some(dirty), "p", 4, 2, &pixels);
-        assert_eq!(p.to_vec(), pixels);
-        assert_eq!(
-            Plane::renew_from_pixels(None, "p", 4, 2, &pixels).to_vec(),
-            pixels
+    fn a_view_shows_the_field_itself_at_an_address_of_its_own() {
+        let video = video();
+        let view = Plane::view(&video, 3, 1);
+        assert!(view.is_view());
+        assert_eq!((view.width(), view.height()), (4, 2));
+        assert_eq!(view.to_vec(), video.field(1, 1), "frames wrap around");
+        assert_eq!(storage(&view), video.field(1, 1).as_ptr(), "not a copy");
+        assert_eq!(&*view.read_rows(1..2), &video.field(1, 1)[4..]);
+        assert_ne!(view.sim_base(), video.read_access(1, 1).base);
+        assert_ne!(view.sim_base(), Plane::view(&video, 3, 1).sim_base());
+        // a retired view has no buffer to give back
+        let owned = Plane::renew_for_overwrite(Some(view), "p", 4, 2);
+        assert!(!owned.is_view());
+        assert_ne!(storage(&owned), video.field(1, 1).as_ptr());
+    }
+
+    #[test]
+    fn writing_a_view_panics_naming_it() {
+        let video = video();
+        let view = Plane::view(&video, 0, 2);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = view.write_rows(0..1);
+        }))
+        .expect_err("a view is read-only");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            message.contains("Plane(4x2, view of field 2 of frame 0)"),
+            "{message}"
         );
+        assert_eq!(view.to_vec(), video.field(0, 2), "and stays as it was");
     }
 
     #[test]

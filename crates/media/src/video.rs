@@ -11,6 +11,7 @@
 use hinch::meter::{sim_alloc, AccessKind, MemAccess};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Shape of a synthetic video.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,10 +50,13 @@ impl VideoSpec {
 
 /// An uncompressed planar video "file" held in memory, with a simulated
 /// address so that reading it produces cache traffic.
+///
+/// Each field is shared and immutable: a source publishes it to its
+/// stream as a read-only [`crate::Plane`] view instead of copying it.
 pub struct RawVideo {
     pub spec: VideoSpec,
     /// `planes[frame][field]`, field 0 = Y, 1 = U, 2 = V.
-    planes: Vec<[Vec<u8>; 3]>,
+    planes: Vec<[Arc<[u8]>; 3]>,
     sim_base: u64,
 }
 
@@ -62,11 +66,7 @@ impl RawVideo {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let planes = (0..spec.frames)
             .map(|f| {
-                [
-                    synth_plane(spec.width, spec.height, f, 0, &mut rng),
-                    synth_plane(spec.width, spec.height, f, 1, &mut rng),
-                    synth_plane(spec.width, spec.height, f, 2, &mut rng),
-                ]
+                [0, 1, 2].map(|field| synth_plane(spec.width, spec.height, f, field, &mut rng))
             })
             .collect();
         let bytes = (spec.frames * spec.width * spec.height * 3) as u64;
@@ -83,6 +83,11 @@ impl RawVideo {
 
     /// Raw pixels of `field` (0=Y, 1=U, 2=V) of `frame` (wraps around).
     pub fn field(&self, frame: usize, field: usize) -> &[u8] {
+        self.shared_field(frame, field)
+    }
+
+    /// [`RawVideo::field`] as the shared buffer itself.
+    pub(crate) fn shared_field(&self, frame: usize, field: usize) -> &Arc<[u8]> {
         &self.planes[frame % self.planes.len()][field]
     }
 
@@ -99,19 +104,23 @@ impl RawVideo {
 }
 
 /// Synthesize one plane: smooth moving gradient + mild seeded texture.
-fn synth_plane(w: usize, h: usize, frame: usize, field: usize, rng: &mut StdRng) -> Vec<u8> {
-    let mut out = Vec::with_capacity(w * h);
+/// Written straight into the shared field: one allocation, no copy.
+fn synth_plane(w: usize, h: usize, frame: usize, field: usize, rng: &mut StdRng) -> Arc<[u8]> {
+    let mut out = Arc::<[u8]>::new_uninit_slice(w * h);
+    let pixels = Arc::get_mut(&mut out).expect("a new Arc is unique");
     let phase = (frame * 3 + field * 17) as i64;
-    for y in 0..h {
-        for x in 0..w {
+    for (y, row) in pixels.chunks_exact_mut(w.max(1)).enumerate() {
+        for (x, px) in row.iter_mut().enumerate() {
             let base = ((x as i64 + phase) * 255 / w.max(1) as i64
                 + (y as i64 * 2 - phase) * 255 / h.max(1) as i64)
                 .rem_euclid(256);
             let noise = rng.gen_range(-6i64..=6);
-            out.push((base + noise).clamp(0, 255) as u8);
+            px.write((base + noise).clamp(0, 255) as u8);
         }
     }
-    out
+    // SAFETY: the `h` rows of `w` pixels above are the whole slice, and the
+    // loops wrote every pixel of every row.
+    unsafe { out.assume_init() }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 #   2. cargo clippy -D warnings (workspace, all targets), then two grep
 #      lints (engine and stream-slot sync goes through hinch::sync;
 #      nothing points at a deleted recorder, knob, measurement path,
-#      executor or trace summary)
+#      executor, trace summary or source copy)
 #      and the schedcheck model suite under --cfg hinch_model (engine
 #      protocols, the recorder ring, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
@@ -78,14 +78,16 @@ fi
 echo "facade lint: clean"
 # The metrics registry, the ring on/off knob, the pre-ledger measurement
 # stack, the Criterion benches, `paper-figures --insight`, the separate
-# reference executor (`engine::reference`, `RefReport`) and the trace
-# crate's own summary (`utilization_summary`) are gone (benchmark/ is the
-# one perf ledger, insight the one trace analysis, engine/sim the one
-# sequential engine): no code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary' \
+# reference executor (`engine::reference`, `RefReport`), the trace
+# crate's own summary (`utilization_summary`) and the source's field copy
+# (`Plane::renew_from_pixels`) are gone (benchmark/ is the one perf
+# ledger, insight the one trace analysis, engine/sim the one sequential
+# engine, a source publishes a view of its field): no code, doc or script
+# may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
-    echo "dangling reference to a deleted recorder, knob, measurement path, executor or summary" >&2
+    echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2
     exit 1
 fi
 echo "dangling-reference lint: clean"

@@ -6,11 +6,13 @@
 
 use apps::blur::{self, BlurConfig};
 use apps::jpip::{self, JpipConfig};
+use apps::mosaic::{self, MosaicConfig};
 use apps::pip::{self, PipConfig};
 use apps::verify::assert_frames_equal;
 use hinch::engine::{run_native, run_sim, RunConfig};
 use hinch::meter::NullMeter;
 use spacecake::Machine;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 const FRAMES: u64 = 8;
 
@@ -164,6 +166,54 @@ fn shelved_stream_buffers_leave_the_simulator_unchanged() {
         })
     };
     assert_eq!(counts(true), counts(false));
+}
+
+/// A source publishes its video's fields as read-only views, and `serve`
+/// shares one `AppAssets` between tenants: a write into a view would
+/// corrupt every other reader's input. Every field of every input video
+/// hashes the same after a run as before it.
+#[test]
+fn runs_never_write_their_input_videos() {
+    let digest = |assets: &apps::AppAssets, names: &[&str]| -> Vec<u64> {
+        let mut digests = Vec::new();
+        for name in names {
+            let video = assets.raw(name);
+            for frame in 0..video.frames() {
+                for field in 0..3 {
+                    let mut h = DefaultHasher::new();
+                    video.field(frame, field).hash(&mut h);
+                    digests.push(h.finish());
+                }
+            }
+        }
+        digests
+    };
+    let pip12 = PipConfig {
+        reconfig_every: Some(4),
+        ..PipConfig::small(2)
+    };
+    let (frames, run) = (16, RunConfig::new(16).workers(2));
+    for cfg in [PipConfig::small(1), pip12] {
+        let app = pip::build(&cfg).unwrap();
+        let inputs = ["bg", "pip1", "pip2"][..=cfg.pips].to_vec();
+        let before = digest(&app.assets, &inputs);
+        let report = run_native(&app.elaborated.spec, &run).unwrap();
+        assert_eq!(report.iterations, frames);
+        assert!(
+            cfg.pips == 1 || report.reconfigs >= 2,
+            "the second picture came and went"
+        );
+        assert_eq!(
+            digest(&app.assets, &inputs),
+            before,
+            "{} pictures",
+            cfg.pips
+        );
+    }
+    let app = mosaic::build(&MosaicConfig::small(4)).unwrap();
+    let before = digest(&app.assets, &["screen"]);
+    run_native(&app.elaborated.spec, &run).unwrap();
+    assert_eq!(digest(&app.assets, &["screen"]), before, "mosaic");
 }
 
 #[test]

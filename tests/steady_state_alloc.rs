@@ -6,10 +6,12 @@
 //!
 //! This is the regression gate for every component that forgets to renew:
 //! a `Plane::new` in a `run` shows up here as one allocation a frame. It
-//! also proves the indirect cases — Blend forwards the background plane it
-//! blended into, and that alias must not keep the background source's slot
-//! from getting its plane back; a stream inside a disabled option must
-//! still hold its spares when the option comes back. A second leg runs one
+//! also proves the indirect cases — PiP-12's second Blend forwards the
+//! background plane it blended into, and that alias must not keep the
+//! first Blend's output slot from getting its plane back; a source
+//! publishes a view of its input and must allocate nothing for it; a
+//! stream inside a disabled option must still hold its spares when the
+//! option comes back. A second leg runs one
 //! spec with a *capturing* sink twice through `run_native` and counts the
 //! whole second run, from its first frame: the streams of a new instance
 //! start with the buffers the last one retired (they stay with the spec,
