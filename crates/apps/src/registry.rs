@@ -377,7 +377,8 @@ mod tests {
         let assets = AppAssets::new();
         let a = assets.capture_set("out", 3);
         let b = assets.capture_set("out", 3);
-        a[1].lock().push(&[1, 2, 3]);
+        let frame = media::Plane::from_pixels("frame", 3, 1, vec![1, 2, 3]);
+        a[1].lock().push_plane(&frame);
         assert_eq!(assets.captured("out", 1), vec![vec![1, 2, 3]]);
         assert_eq!(assets.captured("out", 1).len(), 1, "reading does not drain");
         drop(b);

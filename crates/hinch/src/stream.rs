@@ -37,7 +37,8 @@
 //! elsewhere (an input frame, an event, the in-place alias of an upstream
 //! buffer); their slot is *non-retaining* — retirement drops the `Arc`, so
 //! an alias never outlives its iteration and never blocks the `try_unwrap`
-//! of the slot that owns the buffer.
+//! of the slot that owns the buffer — and leaves the slot's spare as it
+//! was, for the next writer that builds.
 //!
 //! # The ring outlives the instance
 //!
@@ -85,11 +86,12 @@
 //! concurrent readers only clone the `Arc` through a shared reference.
 //!
 //! The **spare** cell is never read by a reader. It is written by `clear`
-//! (parks the retired payload, or empties the cell for a non-retaining
-//! slot) and taken by the `BUSY` owner of a retaining write, and those two
-//! never overlap: `clear` writes it *before* its `Release` store of
-//! `EMPTY`, and a writer only becomes `BUSY` owner by an `Acquire` CAS
-//! that reads that `EMPTY`, so the park happens-before the take; the owner
+//! (parks the retired payload of a retaining write; a non-retaining one
+//! leaves the cell alone) and taken by the `BUSY` owner of a retaining
+//! write, and those two never overlap: `clear` writes it *before* its
+//! `Release` store of `EMPTY`, and a writer only becomes `BUSY` owner by
+//! an `Acquire` CAS that reads that `EMPTY`, so the park happens-before
+//! the take; the owner
 //! takes it *before* its `Release` store of `FULL`, and `clear` only
 //! touches the cells after an `Acquire` load of that very tag, so the take
 //! happens-before the next park. (The scheduler's retire → admit order
@@ -469,7 +471,10 @@ impl Stream {
     /// never wrote the stream, e.g. its writer sits in a disabled option).
     /// A payload the slot's writer built is parked as the slot's spare for
     /// the writer of `iter + capacity`; one that merely passed through
-    /// ([`Stream::write`], [`Stream::write_shared_packet`]) is dropped.
+    /// ([`Stream::write`], [`Stream::write_shared_packet`]) is dropped and
+    /// leaves the spare where it was, for the slot's next writer that
+    /// builds (a stream two options write in turns, one building its
+    /// payload and one passing another through, keeps the builder's).
     ///
     /// The scheduler calls this only after every job of `iter` is done and
     /// before any job of `iter + capacity` starts, so no reader or writer
@@ -481,10 +486,15 @@ impl Stream {
             // SAFETY: retirement orders this after all readers of `iter`
             // and before all writers of `iter + capacity` (see above).
             let retired = slot.payload.with_mut(|p| unsafe { (*p).take() });
-            let spare = retired.and_then(|f| f.retain.then_some(f.packet));
-            // SAFETY: the spare's only other accessor is the BUSY owner of
-            // a write, which the tag orders before and after this.
-            slot.spare.with_mut(|s| unsafe { *s = spare });
+            if let Some(Filled {
+                packet,
+                retain: true,
+            }) = retired
+            {
+                // SAFETY: the spare's only other accessor is the BUSY owner
+                // of a write, which the tag orders before and after this.
+                slot.spare.with_mut(|s| unsafe { *s = Some(packet) });
+            }
             slot.tag.store(EMPTY, Ordering::Release);
         }
     }
@@ -739,15 +749,17 @@ mod tests {
             assert!(old.is_none());
             tracked(2)
         });
-        // a retained payload does not survive a non-retaining use of its slot
+        // a non-retaining use of the slot leaves the retained payload to the
+        // next writer that builds
         s.clear(2);
         s.write(3, pack(0u8));
         s.clear(3);
-        assert_eq!(dropped(&d), 2);
+        assert_eq!(dropped(&d), 1);
         s.write_with(4, |old: Option<Tracked>| {
-            assert!(old.is_none());
+            assert_eq!(old.map(|t| t.generation), Some(2));
             tracked(4)
         });
+        assert_eq!(dropped(&d), 2);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! *reconfiguration interface* in the paper's §3.1 example: a manager can
 //! broadcast a new position without rebuilding the graph.
 //!
-//! Plain row-range function shared by the sliced component and the fused
-//! sequential baselines.
+//! A plain row-range function, and the byte-exact reference for the
+//! composite the sliced component builds instead of copying its
+//! background ([`crate::frame::Plane::composite`]). It only moves bytes,
+//! which `copy_from_slice` already vectorises.
 
 use std::ops::Range;
 
@@ -42,11 +44,6 @@ pub fn blend_rows(
         rows.len() * w,
         "destination must cover exactly the requested rows"
     );
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::use_sse2() {
-        // SAFETY: use_sse2() implies the host supports SSE2.
-        return unsafe { x86::blend_rows_sse2(bg, w, pip, pw, ph, px, py, rows, dst) };
-    }
     blend_rows_scalar(bg, w, pip, pw, ph, px, py, rows, dst)
 }
 
@@ -79,88 +76,6 @@ pub fn blend_rows_scalar(
         }
     }
     work
-}
-
-/// Parity-test hook: run the SSE2 blend whenever the host supports SSE2
-/// (ignoring dispatch), else `None`.
-#[allow(clippy::too_many_arguments)]
-pub fn blend_rows_sse2_checked(
-    bg: &[u8],
-    w: usize,
-    pip: &[u8],
-    pw: usize,
-    ph: usize,
-    px: usize,
-    py: usize,
-    rows: Range<usize>,
-    dst: &mut [u8],
-) -> Option<BlendWork> {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse2") {
-        // SAFETY: feature checked above.
-        return Some(unsafe { x86::blend_rows_sse2(bg, w, pip, pw, ph, px, py, rows, dst) });
-    }
-    let _ = (bg, w, pip, pw, ph, px, py, rows, dst);
-    None
-}
-
-/// Vector blend. Pure byte movement (no arithmetic), so the explicit
-/// 16-byte unaligned copy loops are trivially byte-identical to the
-/// `copy_from_slice` reference.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::BlendWork;
-    use std::arch::x86_64::*;
-    use std::ops::Range;
-
-    /// Copy `src` to `dst` (equal lengths) in 16-byte unaligned chunks.
-    #[inline]
-    unsafe fn copy_span_sse2(src: &[u8], dst: &mut [u8]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let v = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-            _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, v);
-            i += 16;
-        }
-        if i < n {
-            dst[i..].copy_from_slice(&src[i..]);
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure the host supports SSE2.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn blend_rows_sse2(
-        bg: &[u8],
-        w: usize,
-        pip: &[u8],
-        pw: usize,
-        ph: usize,
-        px: usize,
-        py: usize,
-        rows: Range<usize>,
-        dst: &mut [u8],
-    ) -> BlendWork {
-        let mut work = BlendWork::default();
-        for (ri, y) in rows.clone().enumerate() {
-            let out_row = &mut dst[ri * w..(ri + 1) * w];
-            copy_span_sse2(&bg[y * w..(y + 1) * w], out_row);
-            work.copied += w as u64;
-            if y >= py && y < py + ph {
-                let pr = y - py;
-                let x0 = px.min(w);
-                let x1 = (px + pw).min(w);
-                if x1 > x0 {
-                    copy_span_sse2(&pip[pr * pw..pr * pw + (x1 - x0)], &mut out_row[x0..x1]);
-                    work.blended += (x1 - x0) as u64;
-                }
-            }
-        }
-        work
-    }
 }
 
 /// Pack a picture position into the `i64` payload of a reconfiguration

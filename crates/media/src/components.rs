@@ -9,7 +9,7 @@
 //! whole of its band and the bands partition the plane, so a plane is
 //! renewed without a zero-fill ([`Plane::renew_for_overwrite`]).
 
-use crate::blend::{blend_rows, unpack_pos};
+use crate::blend::unpack_pos;
 use crate::blur::{blur_h_rows_with, blur_v_rows_with, v_input_rows, Taps};
 use crate::costs::*;
 use crate::frame::{CoefPlane, Plane};
@@ -37,9 +37,10 @@ pub struct CaptureBuf {
 }
 
 impl CaptureBuf {
-    /// Append one frame.
-    pub fn push(&mut self, frame: &[u8]) {
-        self.bytes.extend_from_slice(frame);
+    /// Append `plane` as one frame, materialised straight into the buffer
+    /// ([`Plane::append_rows_to`]): a composite's field is copied once.
+    pub fn push_plane(&mut self, plane: &Plane) {
+        plane.append_rows_to(0..plane.height(), &mut self.bytes);
         self.ends.push(self.bytes.len());
     }
 
@@ -77,8 +78,8 @@ pub fn capture() -> Capture {
 /// it is metered as one: a read sweep over the field in the video, a write
 /// sweep over a stream buffer at a fresh simulated address, and
 /// [`CYC_SOURCE_PX`] a pixel. The host's "file" already sits in memory, so
-/// it publishes the field itself instead of copying it. A reader that
-/// writes into its input cannot take it in place, and copies it on the way
+/// it publishes the field itself instead of copying it. A blend over it
+/// does not write it either: it lays its picture over it in a composite
 /// (see [`Blend`]).
 pub struct PlaneSource {
     video: Arc<RawVideo>,
@@ -142,6 +143,11 @@ impl Component for MjpegSource {
 /// Collects 1..=3 plane inputs per iteration into capture buffers and
 /// models the write-out of the output file. The paper's "Output"
 /// component.
+///
+/// A composite ([`Plane::composite`], what a blend over a view makes) is
+/// materialised straight into the capture buffer, so its background field
+/// is read once and written once; a port without a capture reads no pixel
+/// at all.
 pub struct FrameSink {
     captures: Vec<Option<Capture>>,
     out_base: Option<u64>,
@@ -185,7 +191,7 @@ impl Component for FrameSink {
             total_px += px;
             plane.touch_read(ctx, 0..plane.height());
             if let Some(Some(cap)) = self.captures.get(port) {
-                cap.lock().push(&plane.read_all());
+                cap.lock().push_plane(&plane);
             }
         }
         // the reused output buffer of the "file writer"
@@ -268,14 +274,16 @@ impl Component for Downscale {
 /// overlaps (checked disjointness via `RegionBuf`), then forwards the
 /// background buffer to the output stream.
 ///
-/// A background that is a read-only [`Plane::view`] (straight from a
-/// [`PlaneSource`]) cannot be written. Then each copy writes its whole band
-/// of an output plane named by the label with [`blend_rows`], which copies
-/// the background band and overlays the picture. The model never sees that
-/// copy: in the paper's program the blend does run in place, in the stream
-/// buffer the source read the field into. So the output takes the view's
-/// simulated address instead of a new one, and both paths meter the same
-/// sweeps and cycles.
+/// A background that cannot be written — a [`Plane::view`] straight from a
+/// [`PlaneSource`], or the composite an earlier blend made over one — is
+/// not copied either. The output is a [`Plane::composite`] (named by the
+/// label) of the same field with the picture as one more overlay on top,
+/// and each copy writes only its band's rows of the overlays. Whoever reads
+/// the composite whole copies the field once (the capturing
+/// [`FrameSink`]). In the paper's program the blend runs in place, in the
+/// stream buffer the source read the field into, and so it does in the
+/// model: the composite takes the view's simulated address, and both paths
+/// meter the same sweeps and cycles.
 pub struct Blend {
     x: u32,
     y: u32,
@@ -310,23 +318,12 @@ impl Component for Blend {
         let (y0, y1) = (rows.start.clamp(py, py + ph), rows.end.clamp(py, py + ph));
         let (x0, x1) = (px.min(w), (px + pw).min(w));
         let covered = y1 > y0 && x1 > x0;
-        let out = if bg.is_view() {
+        let out = if bg.is_read_only() {
+            let (top, bottom) = (py.min(h), (py + ph).min(h));
             let out = ctx.write_shared(0, |old| {
-                Plane::renew_for_overwrite_at(old, &self.label, w, h, bg.sim_base())
+                Plane::composite(old, &bg, &self.label, x0, top, x1 - x0, bottom - top)
             });
-            let mut dst = out.write_rows(rows.clone());
-            blend_rows(
-                &bg.read_all(),
-                w,
-                &pip.read_all(),
-                pw,
-                ph,
-                px,
-                py,
-                rows,
-                &mut dst,
-            );
-            drop(dst);
+            out.fill_overlay_rows(&bg, &pip, rows);
             out
         } else {
             if covered {
@@ -773,15 +770,48 @@ mod tests {
     }
 
     #[test]
-    fn blend_over_a_view_fills_every_band_of_its_own_plane() {
+    fn blend_over_a_view_lays_the_picture_over_it() {
         let (video, pip, want) = blend_inputs();
         for slices in [1, 3, 8] {
             let [bg, out] = blend_sliced(Plane::view(&video, 0, 0), &pip, slices, None);
             let (bg, out) = (bg.read_as::<Plane>(0), out.read_as::<Plane>(0));
-            assert!(!out.is_view());
+            assert!(out.is_read_only() && !out.is_view(), "a composite");
             assert_eq!(out.sim_base(), bg.sim_base(), "the view's address");
             assert_eq!(out.to_vec(), want, "{slices} slices");
             assert_eq!(bg.to_vec(), video.field(0, 0), "the view is untouched");
+        }
+    }
+
+    #[test]
+    fn a_blend_over_a_composite_stacks_its_picture_on_top() {
+        let (video, pip, first) = blend_inputs();
+        // a 4×16 picture over the first one's lower right corner, clipped
+        // at the plane's bottom
+        let (pw, ph, px, py) = (4, 16, 9, 11);
+        let second: Vec<u8> = (0..pw * ph).map(|i| 100 + i as u8).collect();
+        let mut want = vec![0u8; BG.0 * BG.1];
+        crate::blend::blend_rows_scalar(&first, BG.0, &second, pw, ph, px, py, 0..BG.1, &mut want);
+        for slices in [1, 3, 8] {
+            let [_, under] = blend_sliced(Plane::view(&video, 0, 0), &pip, slices, None);
+            let out = Stream::new("out2");
+            let picture = Stream::new("pip2");
+            picture.write(
+                0,
+                Arc::new(Plane::from_pixels("pip2", pw, ph, second.clone())),
+            );
+            for index in 0..slices {
+                let mut b = Blend::new(px as u32, py as u32, "out2");
+                b.reconfigure(&ReconfigRequest::Slice(SliceAssign {
+                    index,
+                    total: slices,
+                }));
+                let inputs = [under.clone(), picture.clone()];
+                run_component(&mut b, &inputs, std::slice::from_ref(&out), 0);
+            }
+            let (under, out) = (under.read_as::<Plane>(0), out.read_as::<Plane>(0));
+            assert_eq!(out.sim_base(), under.sim_base());
+            assert_eq!(out.to_vec(), want, "{slices} slices");
+            assert_eq!(under.to_vec(), first, "the composite under it is untouched");
         }
     }
 
@@ -810,10 +840,12 @@ mod tests {
         assert_eq!(got[16 * BG.0..], want[16 * BG.0..]);
         assert_ne!(got[8 * BG.0..16 * BG.0], want[8 * BG.0..16 * BG.0]);
         if cfg!(debug_assertions) {
-            assert!(
-                got[8 * BG.0..16 * BG.0].iter().all(|&p| p == 0xA5),
-                "poisoned"
-            );
+            // the picture's rows of the band were never written
+            let (pw, ph, px, py) = PIP;
+            for y in py as usize..py as usize + ph {
+                let row = &got[y * BG.0 + px as usize..][..pw];
+                assert!(row.iter().all(|&p| p == 0xA5), "row {y} poisoned");
+            }
         }
     }
 
@@ -952,6 +984,15 @@ mod tests {
         let cap = cap.lock();
         let frames: Vec<&[u8]> = cap.frames().collect();
         assert_eq!(frames, [&[3; 8], &[4; 8]]);
+    }
+
+    #[test]
+    fn frame_sink_materialises_a_composite() {
+        let (video, pip, want) = blend_inputs();
+        let [_, blended] = blend_sliced(Plane::view(&video, 0, 0), &pip, 3, None);
+        let cap = capture();
+        run_component(&mut FrameSink::single(cap.clone()), &[blended], &[], 0);
+        assert_eq!(cap.lock().frames().collect::<Vec<_>>(), [&want[..]]);
     }
 
     /// One run of `frames` frames of 4×2 pixels through a sink of its own

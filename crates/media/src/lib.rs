@@ -5,8 +5,9 @@
 //!
 //! * [`frame`] — planar 8-bit image planes backed by
 //!   [`hinch::sharedbuf::RegionBuf`], so data-parallel slice copies can
-//!   concurrently fill disjoint row bands of one output frame, or
-//!   read-only views of an input video's fields;
+//!   concurrently fill disjoint row bands of one output frame,
+//!   read-only views of an input video's fields, or composites of a view
+//!   and the pictures blended over it;
 //! * [`video`] — deterministic synthetic video generation (the paper reads
 //!   uncompressed video files; we synthesize equivalent ones, seeded);
 //! * [`scale`] — the spatial down scaler (the paper's Fig. 2 component);

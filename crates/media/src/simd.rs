@@ -14,7 +14,7 @@
 //! Byte-exactness ground rules, enforced by the parity proptests in
 //! `tests/simd_parity.rs`:
 //!
-//! * integer kernels (blend, scale, blur) only reassociate integer adds,
+//! * integer kernels (scale, blur) only reassociate integer adds,
 //!   which is always exact;
 //! * the floating-point IDCT vectorizes *across output elements* (lanes),
 //!   keeping the per-element operation order identical to the scalar

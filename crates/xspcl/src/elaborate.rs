@@ -223,12 +223,13 @@ fn seq_of(mut parts: Vec<GraphSpec>) -> GraphSpec {
     }
 }
 
-/// Parse a parameter literal to a typed value: int, then float, else
-/// string.
+/// Parse a parameter literal to a typed value: int, then finite float,
+/// else string — `f64` also parses `nan`, `inf` and `infinity` in any
+/// case, and `<param name="file" value="Inf"/>` names a file.
 fn typed_value(raw: &str) -> ParamValue {
     if let Ok(i) = raw.parse::<i64>() {
         ParamValue::Int(i)
-    } else if let Ok(f) = raw.parse::<f64>() {
+    } else if let Some(f) = raw.parse::<f64>().ok().filter(|f| f.is_finite()) {
         ParamValue::Float(f)
     } else {
         ParamValue::Str(raw.to_string())
@@ -670,6 +671,12 @@ mod tests {
         assert_eq!(typed_value("42"), ParamValue::Int(42));
         assert_eq!(typed_value("-3"), ParamValue::Int(-3));
         assert_eq!(typed_value("2.5"), ParamValue::Float(2.5));
+        assert_eq!(typed_value("1e300"), ParamValue::Float(1e300));
         assert_eq!(typed_value("abc"), ParamValue::Str("abc".into()));
+        for name in [
+            "nan", "NaN", "inf", "Inf", "-inf", "+INF", "infinity", "Infinity", "1e400",
+        ] {
+            assert_eq!(typed_value(name), ParamValue::Str(name.into()), "{name}");
+        }
     }
 }

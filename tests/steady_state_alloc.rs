@@ -6,10 +6,12 @@
 //!
 //! This is the regression gate for every component that forgets to renew:
 //! a `Plane::new` in a `run` shows up here as one allocation a frame. It
-//! also proves the indirect cases — PiP-12's second Blend forwards the
+//! also proves the indirect cases — JPiP's Blend forwards the decoded
 //! background plane it blended into, and that alias must not keep the
-//! first Blend's output slot from getting its plane back; a source
-//! publishes a view of its input and must allocate nothing for it; a
+//! IDCT's output slot from getting its plane back; a source
+//! publishes a view of its input and must allocate nothing for it; a blend
+//! over a view or over another blend's composite renews its overlays and
+//! their list (PiP-2 stacks two, the mosaic four); a
 //! stream inside a disabled option must still hold its spares when the
 //! option comes back. A second leg runs one
 //! spec with a *capturing* sink twice through `run_native` and counts the
@@ -27,6 +29,8 @@
 //! harness is in it.
 
 use apps::experiment::{build_isolated, build_isolated_discarding, App, AppConfig};
+use apps::mosaic::{self, MosaicConfig};
+use apps::AppAssets;
 use hinch::graph::{ComponentFactory, GraphSpec};
 use hinch::{
     run_native, Component, ReconfigRequest, RunConfig, RunCtx, Runtime, RuntimeConfig, SpawnOpts,
@@ -158,14 +162,25 @@ fn run_frames(rt: &Runtime, id: hinch::GraphId, frames: u64, completed: &mut u64
 
 #[test]
 fn steady_state_frames_allocate_no_payload() {
-    for app in [App::Pip1, App::Pip12, App::Blur3, App::Jpip1] {
-        let built = build_isolated_discarding(AppConfig::small(app));
+    let apps = [App::Pip1, App::Pip2, App::Pip12, App::Blur3, App::Jpip1];
+    let mut graphs: Vec<(&str, GraphSpec)> = apps
+        .iter()
+        .map(|app| {
+            (
+                app.id(),
+                build_isolated_discarding(AppConfig::small(*app)).spec,
+            )
+        })
+        .collect();
+    // blends stacked four deep over one screen: composites carry up to
+    // four overlays
+    let mosaic = mosaic::build_on(&MosaicConfig::small(4), AppAssets::discarding()).unwrap();
+    graphs.push(("mosaic", mosaic.elaborated.spec));
+    for (app, spec) in graphs {
+        let toggles = app == App::Pip12.id();
         let rt = Runtime::new(RuntimeConfig::new(2));
         let id = rt
-            .spawn(
-                &marked(built.spec, 0),
-                SpawnOpts::new(app.id()).pipeline_depth(DEPTH),
-            )
+            .spawn(&marked(spec, 0), SpawnOpts::new(app).pipeline_depth(DEPTH))
             .unwrap();
         let mut completed = 0;
 
@@ -173,7 +188,7 @@ fn steady_state_frames_allocate_no_payload() {
         // goes through one full toggle cycle (second picture on, then off
         // again) so the streams of both variants have been filled.
         run_frames(&rt, id, DEPTH as u64, &mut completed);
-        if app == App::Pip12 {
+        if toggles {
             while rt.stats(id).unwrap().reconfigs < 2 {
                 run_frames(&rt, id, 1, &mut completed);
                 assert!(completed < 200, "PiP-12 did not toggle twice in 200 frames");
@@ -191,7 +206,7 @@ fn steady_state_frames_allocate_no_payload() {
         let stats = rt.drain(id).unwrap();
         assert_eq!(stats.completed, completed);
         assert!(stats.failure.is_none(), "{:?}", stats.failure);
-        if app == App::Pip12 {
+        if toggles {
             assert!(
                 stats.reconfigs >= 4,
                 "PiP-12 toggled {} times: the {FRAMES} checked frames saw no full cycle",
