@@ -15,7 +15,7 @@
 //! the XSPCL version's overhead is expected to be ≈ 0.
 
 use crate::registry::{registry, AppAssets};
-use hinch::meter::{AccessKind, MemAccess, Meter};
+use hinch::meter::{AccessKind, Meter, SimBuf};
 use media::blur::{blur_h_rows, blur_v_rows};
 use media::costs::*;
 use media::video::{RawVideo, VideoSpec};
@@ -188,10 +188,10 @@ pub fn sequential(
 ) -> Vec<Vec<u8>> {
     let video = assets.raw("video");
     let (w, h) = (cfg.width, cfg.height);
-    let buf_base = hinch::meter::sim_alloc((w * h) as u64);
-    let tmp_base = hinch::meter::sim_alloc((w * h) as u64);
-    let out_base = hinch::meter::sim_alloc((w * h) as u64);
-    let file_base = hinch::meter::sim_alloc((w * h) as u64);
+    let buf_sim = SimBuf::new((w * h) as u64);
+    let tmp_sim = SimBuf::new((w * h) as u64);
+    let out_sim = SimBuf::new((w * h) as u64);
+    let file_sim = SimBuf::new((w * h) as u64);
     let mut buf = vec![0u8; w * h];
     let mut tmp = vec![0u8; w * h];
     let mut out = vec![0u8; w * h];
@@ -202,24 +202,12 @@ pub fn sequential(
         // read the frame from the file into the working buffer
         meter.touch(video.read_access(frame as usize, 0));
         buf.copy_from_slice(video.field(frame as usize, 0));
-        meter.touch(MemAccess {
-            base: buf_base,
-            len: plane,
-            kind: AccessKind::Write,
-        });
+        meter.touch(buf_sim.access(0, plane, AccessKind::Write));
         meter.charge(CYC_SOURCE_PX * plane);
         // horizontal phase
         let px = blur_h_rows(&buf, w, h, ksize, 0..h, &mut tmp);
-        meter.touch(MemAccess {
-            base: buf_base,
-            len: plane,
-            kind: AccessKind::Read,
-        });
-        meter.touch(MemAccess {
-            base: tmp_base,
-            len: plane,
-            kind: AccessKind::Write,
-        });
+        meter.touch(buf_sim.access(0, plane, AccessKind::Read));
+        meter.touch(tmp_sim.access(0, plane, AccessKind::Write));
         meter.charge(
             if ksize == 3 {
                 CYC_BLUR_H3_PX
@@ -229,16 +217,8 @@ pub fn sequential(
         );
         // vertical phase
         let px = blur_v_rows(&tmp, w, h, ksize, 0..h, &mut out);
-        meter.touch(MemAccess {
-            base: tmp_base,
-            len: plane,
-            kind: AccessKind::Read,
-        });
-        meter.touch(MemAccess {
-            base: out_base,
-            len: plane,
-            kind: AccessKind::Write,
-        });
+        meter.touch(tmp_sim.access(0, plane, AccessKind::Read));
+        meter.touch(out_sim.access(0, plane, AccessKind::Write));
         meter.charge(
             if ksize == 3 {
                 CYC_BLUR_V3_PX
@@ -247,16 +227,8 @@ pub fn sequential(
             } * px,
         );
         // write out
-        meter.touch(MemAccess {
-            base: out_base,
-            len: plane,
-            kind: AccessKind::Read,
-        });
-        meter.touch(MemAccess {
-            base: file_base,
-            len: plane,
-            kind: AccessKind::Write,
-        });
+        meter.touch(out_sim.access(0, plane, AccessKind::Read));
+        meter.touch(file_sim.access(0, plane, AccessKind::Write));
         meter.charge(CYC_COPY_PX * plane);
         outputs.push(out.clone());
     }

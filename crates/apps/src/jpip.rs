@@ -15,7 +15,7 @@
 //! paper's profiling blames for JPiP's ~18 % sequential overhead.
 
 use crate::registry::{registry, AppAssets};
-use hinch::meter::{AccessKind, MemAccess, Meter};
+use hinch::meter::{AccessKind, Meter, SimBuf};
 use media::costs::*;
 use media::jpeg::codec::ScanDecoder;
 use media::jpeg::mjpeg::MjpegVideo;
@@ -421,17 +421,13 @@ fn decode_plane_fused(
     quality: u8,
     out: &mut [u8],
     meter: &mut dyn Meter,
-    out_base: u64,
+    out_sim: SimBuf,
 ) {
     let mut dec = ScanDecoder::new(scan, w, h, channel, quality);
     for by in 0..h / 8 {
         dec.next_block_row_to_pixels(w / 8, &mut out[by * 8 * w..(by + 1) * 8 * w]);
         // pixel stripe of this block row is written out
-        meter.touch(MemAccess {
-            base: out_base + (by * 8 * w) as u64,
-            len: (8 * w) as u64,
-            kind: AccessKind::Write,
-        });
+        meter.touch(out_sim.access((by * 8 * w) as u64, (8 * w) as u64, AccessKind::Write));
     }
     meter.charge(
         CYC_ENTROPY_BLOCK * dec.stats.blocks
@@ -455,9 +451,9 @@ pub fn sequential(
         .collect();
     let (w, h) = (cfg.width, cfg.height);
     let (pw, ph) = scaled_dims(w, h, cfg.factor);
-    let composed_base = hinch::meter::sim_alloc((w * h) as u64);
-    let pip_base = hinch::meter::sim_alloc((w * h) as u64);
-    let file_base = hinch::meter::sim_alloc((w * h * 3) as u64);
+    let composed_sim = SimBuf::new((w * h) as u64);
+    let pip_sim = SimBuf::new((w * h) as u64);
+    let file_sim = SimBuf::new((w * h * 3) as u64);
     let mut composed = vec![0u8; w * h];
     let mut pip_px = vec![0u8; w * h];
     let mut outputs = Vec::with_capacity(frames as usize);
@@ -476,7 +472,7 @@ pub fn sequential(
                 img.quality,
                 &mut composed,
                 meter,
-                composed_base,
+                composed_sim,
             );
             // decode each picture, then fused down scale + blend
             for (k, pip) in pips.iter().enumerate() {
@@ -491,7 +487,7 @@ pub fn sequential(
                     pimg.quality,
                     &mut pip_px,
                     meter,
-                    pip_base,
+                    pip_sim,
                 );
                 // The box filter is written out here on purpose, not a call
                 // to `media::scale::downscale_rows`: this function is the
@@ -512,27 +508,19 @@ pub fn sequential(
                         composed[(py + oy) * w + px + ox] = ((acc + area / 2) / area) as u8;
                     }
                 }
-                meter.touch(MemAccess {
-                    base: pip_base,
-                    len: (w * h) as u64,
-                    kind: AccessKind::Read,
-                });
+                meter.touch(pip_sim.access(0, (w * h) as u64, AccessKind::Read));
                 meter.charge(
                     CYC_DOWNSCALE_IN_PX * (pw * ph * cfg.factor * cfg.factor) as u64
                         + CYC_BLEND_PX * (pw * ph) as u64,
                 );
-                meter.touch(MemAccess {
-                    base: composed_base + (py * w) as u64,
-                    len: (ph * w) as u64,
-                    kind: AccessKind::Write,
-                });
+                meter.touch(composed_sim.access(
+                    (py * w) as u64,
+                    (ph * w) as u64,
+                    AccessKind::Write,
+                ));
             }
             // write the composed field to the output file
-            meter.touch(MemAccess {
-                base: file_base + (field * w * h) as u64,
-                len: (w * h) as u64,
-                kind: AccessKind::Write,
-            });
+            meter.touch(file_sim.access((field * w * h) as u64, (w * h) as u64, AccessKind::Write));
             meter.charge(CYC_COPY_PX * (w * h) as u64);
             fields[field] = composed.clone();
         }

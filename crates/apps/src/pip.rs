@@ -14,7 +14,7 @@
 //! ~5 % XSPCL overhead.
 
 use crate::registry::{registry, AppAssets};
-use hinch::meter::Meter;
+use hinch::meter::{AccessKind, Meter, SimBuf};
 use media::costs::*;
 use media::scale::scaled_dims;
 use media::video::{RawVideo, VideoSpec};
@@ -314,11 +314,9 @@ pub fn sequential(
     let (pw, ph) = scaled_dims(w, h, cfg.factor);
     // reused working buffers: the composed frame, one input buffer per
     // picture, and the output "file" region
-    let out_base = hinch::meter::sim_alloc((w * h) as u64);
-    let pip_bases: Vec<u64> = (0..cfg.pips)
-        .map(|_| hinch::meter::sim_alloc((w * h) as u64))
-        .collect();
-    let file_base = hinch::meter::sim_alloc((w * h * 3) as u64);
+    let out_sim = SimBuf::new((w * h) as u64);
+    let pip_sims: Vec<SimBuf> = (0..cfg.pips).map(|_| SimBuf::new((w * h) as u64)).collect();
+    let file_sim = SimBuf::new((w * h * 3) as u64);
     let mut outputs = Vec::with_capacity(frames as usize);
     let mut composed = vec![0u8; w * h];
     for frame in 0..frames as usize {
@@ -327,11 +325,7 @@ pub fn sequential(
             // read background from the file, copy into the working buffer
             meter.touch(bg.read_access(frame, field));
             composed.copy_from_slice(bg.field(frame, field));
-            meter.touch(hinch::meter::MemAccess {
-                base: out_base,
-                len: (w * h) as u64,
-                kind: hinch::meter::AccessKind::Write,
-            });
+            meter.touch(out_sim.access(0, (w * h) as u64, AccessKind::Write));
             meter.charge(CYC_COPY_PX * (w * h) as u64);
 
             // fused down scale + blend for each picture
@@ -341,11 +335,7 @@ pub fn sequential(
                 // read the picture frame from its file into the (reused)
                 // input buffer — both versions pay the input read-in
                 meter.touch(pip.read_access(frame, field));
-                meter.touch(hinch::meter::MemAccess {
-                    base: pip_bases[k],
-                    len: (w * h) as u64,
-                    kind: hinch::meter::AccessKind::Write,
-                });
+                meter.touch(pip_sims[k].access(0, (w * h) as u64, AccessKind::Write));
                 meter.charge(CYC_COPY_PX * (w * h) as u64);
                 // The box filter is written out here on purpose, not a call
                 // to `media::scale::downscale_rows`: this function is the
@@ -366,29 +356,17 @@ pub fn sequential(
                         composed[(py + oy) * w + px + ox] = ((acc + area / 2) / area) as u8;
                     }
                 }
-                meter.touch(hinch::meter::MemAccess {
-                    base: pip_bases[k],
-                    len: (w * h) as u64,
-                    kind: hinch::meter::AccessKind::Read,
-                });
+                meter.touch(pip_sims[k].access(0, (w * h) as u64, AccessKind::Read));
                 meter.charge(
                     CYC_DOWNSCALE_IN_PX * (pw * ph * cfg.factor * cfg.factor) as u64
                         + CYC_BLEND_PX * (pw * ph) as u64,
                 );
                 // the blended region of the working buffer is rewritten
-                meter.touch(hinch::meter::MemAccess {
-                    base: out_base + (py * w) as u64,
-                    len: (ph * w) as u64,
-                    kind: hinch::meter::AccessKind::Write,
-                });
+                meter.touch(out_sim.access((py * w) as u64, (ph * w) as u64, AccessKind::Write));
             }
 
             // write the composed field to the output file
-            meter.touch(hinch::meter::MemAccess {
-                base: file_base + (field * w * h) as u64,
-                len: (w * h) as u64,
-                kind: hinch::meter::AccessKind::Write,
-            });
+            meter.touch(file_sim.access((field * w * h) as u64, (w * h) as u64, AccessKind::Write));
             meter.charge(CYC_COPY_PX * (w * h) as u64);
             fields[field] = composed.clone();
         }

@@ -157,8 +157,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    // Last, so every section above keeps the simulated addresses (and the
-    // bytes) it prints without the ablation.
     if all || opts.fig == "ablation" {
         print_ablation();
     }

@@ -288,7 +288,7 @@ pub fn cache_comparison(app: App, scale: Scale, frames: u64) -> CacheComparison 
 pub const ABLATION_FRAMES: u64 = 8;
 
 /// The three ablation sweeps. Each run happens once: simulated cycles
-/// are deterministic per process, so there is nothing to time.
+/// are deterministic, so there is nothing to time.
 #[derive(Debug, Clone)]
 pub struct Ablation {
     /// `(pipeline_depth, cycles)`: PiP-1 small on 4 cores (the paper
@@ -437,10 +437,15 @@ mod tests {
 
     #[test]
     fn ablation_sweeps_move_the_right_way() {
-        // Relations, not values: rebuilding an app in one process moves
-        // its simulated addresses, so exact cycles differ between runs.
         let a = ablation();
         let cycles_at = |d: usize| a.depth.iter().find(|p| p.0 == d).unwrap().1;
+        let default_dispatch = OverheadModel::default().dispatch;
+        let at_default = a.dispatch.iter().find(|p| p.0 == default_dispatch);
+        assert_eq!(
+            Some(cycles_at(5)),
+            at_default.map(|p| p.1),
+            "depth 5 at the default dispatch is one configuration, built twice"
+        );
         assert!(
             cycles_at(1) as f64 >= 1.2 * cycles_at(5) as f64,
             "depth 1 should cost ≥ 1.2× depth 5: {:?}",

@@ -256,3 +256,39 @@ fn blur35_controller_outputs_are_admissible() {
 fn blur35_stepped_scenario_with_rebuilds_is_admissible() {
     scenario_is_admissible(ScenarioSpec::stepped(App::Blur35, 42), 110);
 }
+
+/// Golden snapshot of the controller's decision plane: the rendered
+/// replay log of every reconfigurable app at the benchmark seed,
+/// byte-for-byte against a committed fixture. The log is a pure
+/// function of the seed (virtual time, no wall clock, and simulated
+/// runs whose counts depend on nothing else the process does), so any
+/// diff is a *behaviour* change in the planner/controller — re-bless
+/// after an intentional one with:
+///
+/// ```text
+/// BLESS_FIXTURES=1 cargo test -p conformance --test adapt_scenarios adapt_replay_logs
+/// ```
+#[test]
+fn adapt_replay_logs_match_golden_snapshot() {
+    const FIXTURE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/adapt_replay.txt"
+    );
+    let mut log = String::new();
+    for app in App::RECONFIG {
+        log.push_str(&run_scenario(&ScenarioSpec::small(app, 42)).render_replay());
+    }
+    log.push_str(&run_scenario(&ScenarioSpec::stepped(App::Blur35, 42)).render_replay());
+
+    if std::env::var_os("BLESS_FIXTURES").is_some() {
+        std::fs::write(FIXTURE, &log).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(FIXTURE)
+        .expect("missing fixture; run with BLESS_FIXTURES=1 to create it");
+    assert_eq!(
+        log, want,
+        "adapt replay log diverged from the golden snapshot; if the \
+         change is intentional, regenerate with BLESS_FIXTURES=1"
+    );
+}

@@ -6,7 +6,7 @@
 //! spectrometer downstream has real peaks to find — deterministically,
 //! like every other input in this repository.
 
-use hinch::meter::{sim_alloc, AccessKind, MemAccess};
+use hinch::meter::{AccessKind, MemAccess, SimBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,7 +22,7 @@ pub struct Tone {
 pub struct AntennaSignal {
     pub block_len: usize,
     samples: Vec<Vec<f32>>,
-    sim_base: u64,
+    sim: SimBuf,
 }
 
 impl AntennaSignal {
@@ -59,7 +59,7 @@ impl AntennaSignal {
         Self {
             block_len,
             samples,
-            sim_base: sim_alloc(bytes),
+            sim: SimBuf::new(bytes),
         }
     }
 
@@ -75,11 +75,8 @@ impl AntennaSignal {
     /// The sweep of reading block `b` from the capture buffer.
     pub fn read_access(&self, b: usize) -> MemAccess {
         let b = b % self.samples.len();
-        MemAccess {
-            base: self.sim_base + (b * self.block_len * 4) as u64,
-            len: (self.block_len * 4) as u64,
-            kind: AccessKind::Read,
-        }
+        let len = (self.block_len * 4) as u64;
+        self.sim.access(b as u64 * len, len, AccessKind::Read)
     }
 }
 

@@ -14,7 +14,7 @@
 //! requests broadcast by managers (e.g. "move the blended picture").
 
 use crate::event::EventQueue;
-use crate::meter::{AccessKind, MemAccess, Meter};
+use crate::meter::{MemAccess, Meter};
 use crate::stream::Stream;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -354,26 +354,6 @@ impl<'a> RunCtx<'a> {
     #[inline]
     pub fn charge(&mut self, cycles: u64) {
         self.meter.charge(cycles);
-    }
-
-    /// Report a read sweep over simulated memory.
-    #[inline]
-    pub fn touch_read(&mut self, base: u64, len: u64) {
-        self.meter.touch(MemAccess {
-            base,
-            len,
-            kind: AccessKind::Read,
-        });
-    }
-
-    /// Report a write sweep over simulated memory.
-    #[inline]
-    pub fn touch_write(&mut self, base: u64, len: u64) {
-        self.meter.touch(MemAccess {
-            base,
-            len,
-            kind: AccessKind::Write,
-        });
     }
 
     /// Report a pre-built access record.

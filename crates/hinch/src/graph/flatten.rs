@@ -76,7 +76,8 @@ pub struct Dag {
     pub sources: Vec<u32>,
     /// Jobs with no successors.
     pub sinks: Vec<u32>,
-    /// All live streams — cleared per iteration at retirement.
+    /// All live streams, by name — cleared per iteration at retirement,
+    /// and sampled in this order into a trace.
     pub streams: Vec<Arc<Stream>>,
     /// Job index by stable node id (for cross-version bookkeeping).
     pub by_node: HashMap<NodeId, u32>,
@@ -303,12 +304,14 @@ pub fn flatten(root: &Node, streams: &super::instance::StreamTable, version: u64
         .enumerate()
         .map(|(i, j)| (j.kind.node_id(), i as u32))
         .collect();
+    let mut streams: Vec<Arc<Stream>> = streams.lock().values().cloned().collect();
+    streams.sort_unstable_by(|a, b| a.name().cmp(b.name()));
     Dag {
         version,
         jobs: b.jobs,
         sources,
         sinks,
-        streams: streams.lock().values().cloned().collect(),
+        streams,
         by_node,
     }
 }

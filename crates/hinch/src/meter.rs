@@ -7,9 +7,9 @@
 //! [`Platform`] implementation (e.g. the SpaceCAKE tile model) that turns
 //! the trace into cycle counts using a cache model.
 //!
-//! Simulated buffers obtain stable *virtual addresses* from [`sim_alloc`] so
-//! that the platform's cache model sees a consistent address space across
-//! both engines.
+//! A simulated buffer is a [`SimBuf`]: an identity and a length, with no
+//! address in it. The platform a run simulates on lays its buffers out, so
+//! the cache model's address space belongs to that run alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -20,15 +20,54 @@ pub enum AccessKind {
     Write,
 }
 
-/// A contiguous memory access in the simulated address space.
+/// A buffer of the simulated program: an identity and a length in bytes.
+///
+/// It carries no address. A platform places a buffer when a run first
+/// touches it, so where it sits depends on that run and nothing else.
+/// Every `new` is a fresh identity: two live buffers never alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SimBuf {
+    id: u64,
+    bytes: u64,
+}
+
+static NEXT_SIM_BUF: AtomicU64 = AtomicU64::new(0);
+
+impl SimBuf {
+    /// A fresh identity for a buffer of `bytes` bytes.
+    pub fn new(bytes: u64) -> Self {
+        Self {
+            id: NEXT_SIM_BUF.fetch_add(1, Ordering::Relaxed),
+            bytes,
+        }
+    }
+
+    /// Length of the buffer in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The sweep over bytes `offset..offset + len` of this buffer.
+    pub fn access(self, offset: u64, len: u64, kind: AccessKind) -> MemAccess {
+        MemAccess {
+            buf: self,
+            offset,
+            len,
+            kind,
+        }
+    }
+}
+
+/// A contiguous memory access to one simulated buffer.
 ///
 /// Accesses are *sweeps*: the platform expands them to cache-line
 /// granularity. Components should report one access per row / block of data
 /// they process, not one per byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccess {
-    /// Base virtual address (from [`sim_alloc`]).
-    pub base: u64,
+    pub buf: SimBuf,
+    /// Byte offset of the sweep into `buf`.
+    pub offset: u64,
     /// Length in bytes.
     pub len: u64,
     pub kind: AccessKind,
@@ -207,32 +246,16 @@ impl Platform for NullPlatform {
     }
 }
 
-static SIM_BRK: AtomicU64 = AtomicU64::new(0x1000);
-
-/// Allocate `len` bytes of *simulated* address space, 64-byte aligned.
-///
-/// This is a process-global monotone allocator: addresses are never reused,
-/// so two live buffers can never alias in the cache model. Buffers that want
-/// to participate in cache simulation store the returned base address and
-/// report accesses relative to it.
-pub fn sim_alloc(len: u64) -> u64 {
-    let padded = (len + 63) & !63;
-    SIM_BRK.fetch_add(padded, Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn sim_alloc_is_aligned_and_disjoint() {
-        let a = sim_alloc(10);
-        let b = sim_alloc(100);
-        let c = sim_alloc(1);
-        assert_eq!(a % 64, 0);
-        assert_eq!(b % 64, 0);
-        assert!(b >= a + 10);
-        assert!(c >= b + 100);
+    fn every_sim_buf_is_a_fresh_identity() {
+        let (a, b) = (SimBuf::new(64), SimBuf::new(64));
+        assert_ne!(a, b);
+        assert_eq!(a, a.access(0, 1, AccessKind::Read).buf);
+        assert_eq!(b.bytes(), 64);
     }
 
     #[test]
@@ -240,11 +263,7 @@ mod tests {
         let mut m = TallyMeter::default();
         m.charge(5);
         m.charge(7);
-        m.touch(MemAccess {
-            base: 0,
-            len: 64,
-            kind: AccessKind::Read,
-        });
+        m.touch(SimBuf::new(64).access(0, 64, AccessKind::Read));
         assert_eq!(m.cycles, 12);
         assert_eq!(m.accesses.len(), 1);
     }

@@ -23,7 +23,7 @@
 //! and a `ReadLease` only observes elements no writer can touch, so no data
 //! race is possible. Leases release their interval on `Drop`.
 
-use crate::meter::{sim_alloc, AccessKind, MemAccess};
+use crate::meter::{AccessKind, MemAccess, SimBuf};
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
@@ -175,7 +175,7 @@ pub struct RegionBuf<T> {
     data: Box<[UnsafeCell<T>]>,
     len: usize,
     name: String,
-    sim_base: u64,
+    sim: SimBuf,
     registry: Mutex<Registry>,
 }
 
@@ -188,16 +188,11 @@ unsafe impl<T: Send + Sync> Sync for RegionBuf<T> {}
 impl<T> RegionBuf<T> {
     /// Wrap an existing vector.
     pub fn from_vec(name: impl Into<String>, data: Vec<T>) -> Self {
-        let sim_base = sim_alloc(Self::bytes(data.len()));
-        Self::from_vec_at(name, data, sim_base)
-    }
-
-    fn from_vec_at(name: impl Into<String>, data: Vec<T>, sim_base: u64) -> Self {
         Self {
             len: data.len(),
+            sim: SimBuf::new(Self::bytes(data.len())),
             data: data.into_iter().map(UnsafeCell::new).collect(),
             name: name.into(),
-            sim_base,
             registry: Mutex::new(Registry { active: Vec::new() }),
         }
     }
@@ -227,20 +222,16 @@ impl<T> RegionBuf<T> {
         self.len == 0
     }
 
-    /// Base of this buffer in the simulated address space (see
-    /// [`crate::meter::sim_alloc`]).
-    pub fn sim_base(&self) -> u64 {
-        self.sim_base
+    /// This buffer's identity in the simulated address space.
+    pub fn sim_buf(&self) -> SimBuf {
+        self.sim
     }
 
-    /// Simulated-address access record covering elements `range`.
+    /// The simulated sweep over elements `range`.
     pub fn access(&self, range: Range<usize>, kind: AccessKind) -> MemAccess {
         let esz = std::mem::size_of::<T>() as u64;
-        MemAccess {
-            base: self.sim_base + range.start as u64 * esz,
-            len: (range.end - range.start) as u64 * esz,
-            kind,
-        }
+        let len = (range.end - range.start) as u64 * esz;
+        self.sim.access(range.start as u64 * esz, len, kind)
     }
 
     fn check_range(&self, range: &Range<usize>) {
@@ -319,18 +310,17 @@ impl<T: Default + Clone> RegionBuf<T> {
     /// slot retired (see [`crate::stream`]) — when it has exactly `len`
     /// elements; a fresh allocation otherwise. Either way every element
     /// is `T::default()`: a renewed buffer is indistinguishable from a
-    /// new one, including its (fresh) simulated address.
+    /// new one, including its (fresh) simulated identity.
     ///
     /// # Panics
     /// If `old` still has a lease registered (one was leaked).
     pub fn renew(old: Option<Self>, name: &str, len: usize) -> Self {
-        let sim_base = sim_alloc(Self::bytes(len));
-        match old.and_then(|buf| buf.reused(name, len, sim_base)) {
+        match old.and_then(|buf| buf.reused(name, len)) {
             Some(mut buf) => {
                 buf.fill(T::default());
                 buf
             }
-            None => Self::from_vec_at(name, vec![T::default(); len], sim_base),
+            None => Self::new(name, len),
         }
     }
 
@@ -341,35 +331,20 @@ impl<T: Default + Clone> RegionBuf<T> {
     /// fresh or reused alike — so an overwrite that turns out partial
     /// produces wrong output deterministically instead of stale pixels.
     pub fn renew_for_overwrite(old: Option<Self>, name: &str, len: usize, poison: T) -> Self {
-        Self::renew_for_overwrite_at(old, name, len, poison, sim_alloc(Self::bytes(len)))
-    }
-
-    /// [`RegionBuf::renew_for_overwrite`] at simulated address `sim_base`
-    /// instead of a fresh one: for a buffer that stands, in the model, for
-    /// memory some other payload already placed (a copy the host makes and
-    /// the modelled program does not).
-    pub fn renew_for_overwrite_at(
-        old: Option<Self>,
-        name: &str,
-        len: usize,
-        poison: T,
-        sim_base: u64,
-    ) -> Self {
         let mut buf = old
-            .and_then(|buf| buf.reused(name, len, sim_base))
-            .unwrap_or_else(|| Self::from_vec_at(name, vec![T::default(); len], sim_base));
+            .and_then(|buf| buf.reused(name, len))
+            .unwrap_or_else(|| Self::new(name, len));
         if cfg!(debug_assertions) {
             buf.fill(poison);
         }
         buf
     }
 
-    /// This buffer as a new one named `name` at simulated address
-    /// `sim_base` if it has `len` elements: same allocation, registry and
-    /// name `String`, stale contents. Renewal takes the address
-    /// [`RegionBuf::from_vec`] would, so simulated cache traffic cannot
-    /// tell it from allocation.
-    fn reused(mut self, name: &str, len: usize, sim_base: u64) -> Option<Self> {
+    /// This buffer as a new one named `name` if it has `len` elements:
+    /// same allocation, registry and name `String`, stale contents, and a
+    /// fresh simulated identity, so simulated cache traffic cannot tell it
+    /// from allocation.
+    fn reused(mut self, name: &str, len: usize) -> Option<Self> {
         if self.len != len {
             return None;
         }
@@ -382,7 +357,7 @@ impl<T: Default + Clone> RegionBuf<T> {
             self.name.clear();
             self.name.push_str(name);
         }
-        self.sim_base = sim_base;
+        self.sim = SimBuf::new(Self::bytes(len));
         Some(self)
     }
 
@@ -674,11 +649,11 @@ mod tests {
     fn renew_reuses_the_allocation_and_looks_new() {
         let old = RegionBuf::<u8>::new("first", 64);
         old.lease_write_all().fill(7);
-        let (ptr, sim) = (old.data.as_ptr(), old.sim_base());
+        let (ptr, sim) = (old.data.as_ptr(), old.sim_buf());
         let buf = RegionBuf::renew(Some(old), "second", 64);
         assert_eq!(buf.data.as_ptr(), ptr, "same storage");
         assert_eq!(buf.snapshot(), vec![0; 64], "zero-filled like `new`");
-        assert!(buf.sim_base() > sim, "fresh simulated address");
+        assert_ne!(buf.sim_buf(), sim, "fresh simulated identity");
         // the name follows the new owner (conflicts report it)
         let _w = buf.lease_write(0..4);
         assert_eq!(buf.try_lease_write(0..4).err().unwrap().buffer, "second");
@@ -705,18 +680,6 @@ mod tests {
         let fresh = RegionBuf::<u8>::renew_for_overwrite(None, "b", 8, 0xA5);
         let want = if cfg!(debug_assertions) { 0xA5 } else { 0 };
         assert_eq!(fresh.snapshot(), vec![want; 8]);
-    }
-
-    #[test]
-    fn renewal_at_an_address_takes_that_address() {
-        let old = RegionBuf::<u8>::new("b", 8);
-        let ptr = old.data.as_ptr();
-        let at = old.sim_base() + 4096;
-        let reused = RegionBuf::renew_for_overwrite_at(Some(old), "b", 8, 0xA5, at);
-        assert_eq!((reused.data.as_ptr(), reused.sim_base()), (ptr, at));
-        let fresh = RegionBuf::<u8>::renew_for_overwrite_at(None, "b", 8, 0xA5, at);
-        assert_eq!(fresh.sim_base(), at);
-        assert_eq!(fresh.access(2..4, AccessKind::Read).base, at + 2);
     }
 
     #[test]
@@ -764,11 +727,10 @@ mod tests {
     }
 
     #[test]
-    fn access_record_uses_sim_addresses() {
+    fn access_record_uses_the_sim_buf() {
         let buf = RegionBuf::<u16>::new("b", 100);
         let a = buf.access(10..20, AccessKind::Write);
-        assert_eq!(a.base, buf.sim_base() + 20);
-        assert_eq!(a.len, 20);
-        assert_eq!(a.kind, AccessKind::Write);
+        assert_eq!(a, buf.sim_buf().access(20, 20, AccessKind::Write));
+        assert_eq!(buf.sim_buf().bytes(), 200);
     }
 }

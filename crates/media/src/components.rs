@@ -18,7 +18,7 @@ use crate::jpeg::mjpeg::MjpegVideo;
 use crate::scale::{downscale_rows, scaled_dims};
 use crate::video::RawVideo;
 use hinch::component::{Component, ReconfigRequest, RunCtx, SliceAssign};
-use hinch::meter::{sim_alloc, AccessKind};
+use hinch::meter::{AccessKind, SimBuf};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -76,7 +76,7 @@ pub fn capture() -> Capture {
 ///
 /// In the model this is the paper's file read into a stream buffer, and
 /// it is metered as one: a read sweep over the field in the video, a write
-/// sweep over a stream buffer at a fresh simulated address, and
+/// sweep over a stream buffer of its own in the simulated memory, and
 /// [`CYC_SOURCE_PX`] a pixel. The host's "file" already sits in memory, so
 /// it publishes the field itself instead of copying it. A blend over it
 /// does not write it either: it lays its picture over it in a composite
@@ -150,7 +150,7 @@ impl Component for MjpegSource {
 /// at all.
 pub struct FrameSink {
     captures: Vec<Option<Capture>>,
-    out_base: Option<u64>,
+    out: Option<SimBuf>,
 }
 
 impl FrameSink {
@@ -158,7 +158,7 @@ impl FrameSink {
     pub fn new(captures: Vec<Option<Capture>>) -> Self {
         Self {
             captures,
-            out_base: None,
+            out: None,
         }
     }
 
@@ -195,8 +195,8 @@ impl Component for FrameSink {
             }
         }
         // the reused output buffer of the "file writer"
-        let base = *self.out_base.get_or_insert_with(|| sim_alloc(total_px));
-        ctx.touch_write(base, total_px);
+        let out = *self.out.get_or_insert_with(|| SimBuf::new(total_px));
+        ctx.touch(out.access(0, total_px, AccessKind::Write));
         ctx.charge(CYC_COPY_PX * total_px);
     }
 }
@@ -282,7 +282,7 @@ impl Component for Downscale {
 /// the composite whole copies the field once (the capturing
 /// [`FrameSink`]). In the paper's program the blend runs in place, in the
 /// stream buffer the source read the field into, and so it does in the
-/// model: the composite takes the view's simulated address, and both paths
+/// model: the composite is metered as the view's buffer, and both paths
 /// meter the same sweeps and cycles.
 pub struct Blend {
     x: u32,
@@ -776,7 +776,7 @@ mod tests {
             let [bg, out] = blend_sliced(Plane::view(&video, 0, 0), &pip, slices, None);
             let (bg, out) = (bg.read_as::<Plane>(0), out.read_as::<Plane>(0));
             assert!(out.is_read_only() && !out.is_view(), "a composite");
-            assert_eq!(out.sim_base(), bg.sim_base(), "the view's address");
+            assert_eq!(out.sim_buf(), bg.sim_buf(), "the view's buffer");
             assert_eq!(out.to_vec(), want, "{slices} slices");
             assert_eq!(bg.to_vec(), video.field(0, 0), "the view is untouched");
         }
@@ -809,7 +809,7 @@ mod tests {
                 run_component(&mut b, &inputs, std::slice::from_ref(&out), 0);
             }
             let (under, out) = (under.read_as::<Plane>(0), out.read_as::<Plane>(0));
-            assert_eq!(out.sim_base(), under.sim_base());
+            assert_eq!(out.sim_buf(), under.sim_buf());
             assert_eq!(out.to_vec(), want, "{slices} slices");
             assert_eq!(under.to_vec(), first, "the composite under it is untouched");
         }

@@ -3,28 +3,29 @@
 //! The paper's applications process the Y, U and V *color fields* of each
 //! frame as independent task-parallel subgraphs, so the streams carry
 //! single [`Plane`]s (not whole frames). A plane's pixel storage is one of
-//! three:
+//! two:
 //!
 //! - a [`RegionBuf`] it owns, which lets the copies of a sliced group fill
 //!   disjoint row bands of one shared output plane concurrently — the
 //!   shared-memory write pattern the paper's data parallelism relies on;
-//! - a read-only *view* of a field of an input video ([`Plane::view`]);
-//! - a read-only *composite* ([`Plane::composite`]): a view's field with
-//!   rectangles of the plane's own pixels over it, what a blend over a
-//!   view makes. Whoever needs its bytes in one piece materialises them
+//! - a read-only field of an input video with rectangles of the plane's own
+//!   pixels, *overlays*, over it. With none it is a *view* of the field
+//!   ([`Plane::view`]); with some it is a *composite*
+//!   ([`Plane::composite`]), what a blend over a view makes. Whoever needs
+//!   a composite's bytes in one piece materialises them
 //!   ([`Plane::append_rows_to`]), so the field is copied once, on its way
 //!   out of the graph.
 //!
 //! A view is the stream buffer the paper's source reads a frame into: the
-//! model places it at an address of its own and charges the read, while
+//! model gives it a simulated buffer of its own and charges the read, while
 //! the host, whose "file" already sits in memory, publishes the field
-//! itself. So a plane's simulated address lives beside its pixels, not in
-//! them: a view is never metered at the video's address, and a composite
-//! is metered at its view's.
+//! itself. So a plane's simulated identity lives beside its pixels, not in
+//! them: a view is never metered as the video, and a composite is metered
+//! as its view.
 
 use crate::video::RawVideo;
 use hinch::component::RunCtx;
-use hinch::meter::{sim_alloc, AccessKind, MemAccess};
+use hinch::meter::{AccessKind, MemAccess, SimBuf};
 use hinch::sharedbuf::{ReadLease, RegionBuf, WriteLease};
 use std::ops::{Deref, Range};
 use std::sync::Arc;
@@ -37,22 +38,19 @@ pub struct Plane {
 }
 
 enum Pixels {
-    /// A buffer of the plane's own, at its own simulated address.
+    /// A buffer of the plane's own, with its own simulated identity.
     Owned(RegionBuf<u8>),
-    View(Field),
-    /// `base` with `overlays` over it, later ones on top.
-    Composite {
-        base: Field,
-        overlays: Vec<Overlay>,
-    },
+    /// A field with overlays over it, later ones on top: a view when
+    /// there are none, a composite otherwise.
+    ReadOnly(Field, Vec<Overlay>),
 }
 
 /// Field `field` of frame `frame` of an input video, shared and never
-/// written, at simulated address `sim_base`.
+/// written, metered as simulated buffer `sim`.
 #[derive(Clone)]
 struct Field {
     bytes: Arc<[u8]>,
-    sim_base: u64,
+    sim: SimBuf,
     frame: usize,
     field: usize,
 }
@@ -116,27 +114,28 @@ impl Plane {
     }
 
     /// A read-only view of `field` of `frame` of `video` (frames wrap
-    /// around), at a fresh simulated address of its own — the stream
+    /// around), with a fresh simulated buffer of its own — the stream
     /// buffer the model reads the field into. Nothing is copied or
     /// allocated.
     pub fn view(video: &RawVideo, frame: usize, field: usize) -> Self {
         let (w, h) = (video.spec.width, video.spec.height);
+        let field = Field {
+            bytes: Arc::clone(video.shared_field(frame, field)),
+            sim: SimBuf::new((w * h) as u64),
+            frame: frame % video.frames(),
+            field,
+        };
         Self {
             w,
             h,
-            pixels: Pixels::View(Field {
-                bytes: Arc::clone(video.shared_field(frame, field)),
-                sim_base: sim_alloc((w * h) as u64),
-                frame: frame % video.frames(),
-                field,
-            }),
+            pixels: Pixels::ReadOnly(field, Vec::new()),
         }
     }
 
-    /// Whether this plane is a read-only view of an input field (a
-    /// composite is not).
+    /// Whether this plane is a read-only view of an input field: read-only,
+    /// with no overlays (a composite is not).
     pub fn is_view(&self) -> bool {
-        matches!(self.pixels, Pixels::View(_))
+        self.is_read_only() && self.overlays().is_empty()
     }
 
     /// Whether this plane cannot be written: a view, or a composite.
@@ -144,11 +143,11 @@ impl Plane {
         !matches!(self.pixels, Pixels::Owned(_))
     }
 
-    /// Base of the plane in the simulated address space.
-    pub fn sim_base(&self) -> u64 {
+    /// The plane's buffer in the simulated address space.
+    pub fn sim_buf(&self) -> SimBuf {
         match &self.pixels {
-            Pixels::Owned(data) => data.sim_base(),
-            Pixels::View(field) | Pixels::Composite { base: field, .. } => field.sim_base,
+            Pixels::Owned(data) => data.sim_buf(),
+            Pixels::ReadOnly(field, _) => field.sim,
         }
     }
 
@@ -169,7 +168,7 @@ impl Plane {
     fn buffer(old: Option<Plane>) -> Option<RegionBuf<u8>> {
         match old?.pixels {
             Pixels::Owned(data) => Some(data),
-            Pixels::View(_) | Pixels::Composite { .. } => None,
+            Pixels::ReadOnly(..) => None,
         }
     }
 
@@ -181,11 +180,11 @@ impl Plane {
     /// The overlay buffers, and the list that holds them, are those of
     /// `old` (the plane the stream slot retired, as handed to a
     /// `write_shared` closure) where it was a composite with overlays of
-    /// the same sizes, so a steady frame allocates nothing. They sit at
-    /// `under`'s simulated address — in the model the blend writes into the
-    /// view's stream buffer — and hold unspecified bytes (poisoned in debug
-    /// builds) until the copies of a sliced group fill them band by band,
-    /// [`Plane::fill_overlay_rows`].
+    /// the same sizes, so a steady frame allocates nothing. Nothing meters
+    /// them — in the model the blend writes into the view's stream buffer,
+    /// and the composite is metered as that — and they hold unspecified
+    /// bytes (poisoned in debug builds) until the copies of a sliced group
+    /// fill them band by band, [`Plane::fill_overlay_rows`].
     ///
     /// # Panics
     /// If `under` is owned (blend into it instead), or the rectangle is not
@@ -199,33 +198,28 @@ impl Plane {
         w: usize,
         h: usize,
     ) -> Self {
-        let (base, carried) = match &under.pixels {
-            Pixels::View(field) => (field, &[][..]),
-            Pixels::Composite { base, overlays } => (base, &overlays[..]),
-            Pixels::Owned(_) => panic!("{under:?} is writable: blend into it in place"),
+        let Pixels::ReadOnly(field, carried) = &under.pixels else {
+            panic!("{under:?} is writable: blend into it in place")
         };
         assert!(
             x + w <= under.w && y + h <= under.h,
             "a {w}x{h} overlay at ({x}, {y}) is not inside {under:?}"
         );
         let mut overlays = match old.map(|p| p.pixels) {
-            Some(Pixels::Composite { overlays, .. }) => overlays,
+            Some(Pixels::ReadOnly(_, overlays)) => overlays,
             _ => Vec::new(),
         };
         let rects = carried.iter().map(|o| (o.x, o.y, o.w, o.h));
         for (i, (x, y, w, h)) in rects.chain([(x, y, w, h)]).enumerate() {
             let spare = (i < overlays.len()).then(|| overlays.remove(i).pixels);
-            let pixels = RegionBuf::renew_for_overwrite_at(spare, name, w * h, 0xA5, base.sim_base);
+            let pixels = RegionBuf::renew_for_overwrite(spare, name, w * h, 0xA5);
             overlays.insert(i, Overlay { x, y, w, h, pixels });
         }
         overlays.truncate(carried.len() + 1);
         Self {
             w: under.w,
             h: under.h,
-            pixels: Pixels::Composite {
-                base: base.clone(),
-                overlays,
-            },
+            pixels: Pixels::ReadOnly(field.clone(), overlays),
         }
     }
 
@@ -237,10 +231,9 @@ impl Plane {
     /// # Panics
     /// If this plane is not a composite.
     pub fn fill_overlay_rows(&self, under: &Plane, picture: &Plane, rows: Range<usize>) {
-        let Pixels::Composite { overlays, .. } = &self.pixels else {
+        let Some((top, carried)) = self.overlays().split_last() else {
             panic!("{self:?} has no overlays: fill_overlay_rows({rows:?})");
         };
-        let (top, carried) = overlays.split_last().expect("a composite has an overlay");
         for (dst, src) in carried.iter().zip(under.overlays()) {
             let span = dst.span(&dst.rows_in(&rows));
             if !span.is_empty() {
@@ -262,8 +255,8 @@ impl Plane {
     /// The overlays of a composite, bottom first; none for other planes.
     fn overlays(&self) -> &[Overlay] {
         match &self.pixels {
-            Pixels::Composite { overlays, .. } => overlays,
-            Pixels::Owned(_) | Pixels::View(_) => &[],
+            Pixels::ReadOnly(_, overlays) => overlays,
+            Pixels::Owned(_) => &[],
         }
     }
 
@@ -289,9 +282,7 @@ impl Plane {
     pub fn write_rows(&self, rows: Range<usize>) -> WriteLease<'_, u8> {
         match &self.pixels {
             Pixels::Owned(data) => data.lease_write(rows.start * self.w..rows.end * self.w),
-            Pixels::View(_) | Pixels::Composite { .. } => {
-                panic!("{self:?} is read-only: write_rows({rows:?})")
-            }
+            Pixels::ReadOnly(..) => panic!("{self:?} is read-only: write_rows({rows:?})"),
         }
     }
 
@@ -304,8 +295,10 @@ impl Plane {
         let range = rows.start * self.w..rows.end * self.w;
         match &self.pixels {
             Pixels::Owned(data) => PlaneRead::Lease(data.lease_read(range)),
-            Pixels::View(field) => PlaneRead::View(&field.bytes[range]),
-            Pixels::Composite { .. } => {
+            Pixels::ReadOnly(field, overlays) if overlays.is_empty() => {
+                PlaneRead::View(&field.bytes[range])
+            }
+            Pixels::ReadOnly(..) => {
                 let mut bytes = Vec::with_capacity(range.len());
                 self.append_rows_to(rows, &mut bytes);
                 PlaneRead::Materialised(bytes)
@@ -333,10 +326,9 @@ impl Plane {
         let range = rows.start * self.w..rows.end * self.w;
         match &self.pixels {
             Pixels::Owned(data) => out.extend_from_slice(&data.lease_read(range)),
-            Pixels::View(field) => out.extend_from_slice(&field.bytes[range]),
-            Pixels::Composite { base, overlays } => {
+            Pixels::ReadOnly(field, overlays) => {
                 let start = out.len();
-                out.extend_from_slice(&base.bytes[range]);
+                out.extend_from_slice(&field.bytes[range]);
                 let dst = &mut out[start..];
                 for o in overlays.iter().filter(|o| o.w > 0) {
                     let band = o.rows_in(&rows);
@@ -350,13 +342,10 @@ impl Plane {
         }
     }
 
-    /// Simulated-address sweep over `rows`.
+    /// Simulated sweep over `rows`.
     fn access(&self, rows: Range<usize>, kind: AccessKind) -> MemAccess {
-        MemAccess {
-            base: self.sim_base() + (rows.start * self.w) as u64,
-            len: (rows.len() * self.w) as u64,
-            kind,
-        }
+        let (offset, len) = (rows.start * self.w, rows.len() * self.w);
+        self.sim_buf().access(offset as u64, len as u64, kind)
     }
 
     /// Report a read sweep over `rows` to the platform.
@@ -373,15 +362,15 @@ impl Plane {
 impl std::fmt::Debug for Plane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Plane({}x{}", self.w, self.h)?;
-        if let Pixels::View(field) | Pixels::Composite { base: field, .. } = &self.pixels {
+        if let Pixels::ReadOnly(field, overlays) = &self.pixels {
             write!(
                 f,
                 ", view of field {} of frame {}",
                 field.field, field.frame
             )?;
-        }
-        if let Pixels::Composite { overlays, .. } = &self.pixels {
-            write!(f, " under {} overlay(s)", overlays.len())?;
+            if !overlays.is_empty() {
+                write!(f, " under {} overlay(s)", overlays.len())?;
+            }
         }
         write!(f, ")")
     }
@@ -578,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn a_view_shows_the_field_itself_at_an_address_of_its_own() {
+    fn a_view_shows_the_field_itself_as_a_buffer_of_its_own() {
         let video = video();
         let view = Plane::view(&video, 3, 1);
         assert!(view.is_view());
@@ -586,8 +575,8 @@ mod tests {
         assert_eq!(view.to_vec(), video.field(1, 1), "frames wrap around");
         assert_eq!(storage(&view), video.field(1, 1).as_ptr(), "not a copy");
         assert_eq!(&*view.read_rows(1..2), &video.field(1, 1)[4..]);
-        assert_ne!(view.sim_base(), video.read_access(1, 1).base);
-        assert_ne!(view.sim_base(), Plane::view(&video, 3, 1).sim_base());
+        assert_ne!(view.sim_buf(), video.read_access(1, 1).buf);
+        assert_ne!(view.sim_buf(), Plane::view(&video, 3, 1).sim_buf());
         // a retired view has no buffer to give back
         let owned = Plane::renew_for_overwrite(Some(view), "p", 4, 2);
         assert!(!owned.is_view());
@@ -617,7 +606,7 @@ mod tests {
         let picture = Plane::from_pixels("picture", 3, 2, vec![10, 11, 12, 13, 14, 15]);
         let one = Plane::composite(None, &view, "c", 1, 0, 3, 2);
         assert!(one.is_read_only() && !one.is_view());
-        assert_eq!(one.sim_base(), view.sim_base(), "the view's address");
+        assert_eq!(one.sim_buf(), view.sim_buf(), "the view's buffer");
         one.fill_overlay_rows(&view, &picture, 1..2);
         one.fill_overlay_rows(&view, &picture, 0..1);
         let mut want = video.field(0, 0).to_vec();

@@ -15,6 +15,7 @@ use super::bitio::{category, magnitude_bits, BitReader, BitWriter};
 use super::dct::{fdct, idct_to_pixels};
 use super::huffman::{Decoder, Encoder, AC_CHROMA, AC_LUMA, DC_CHROMA, DC_LUMA, EOB, ZRL};
 use super::quant::{dequantize_one, quantize, scaled_table, Channel, ZIGZAG};
+use hinch::meter::{AccessKind, MemAccess, SimBuf};
 
 /// One compressed frame: per-plane entropy scans (non-interleaved 4:4:4).
 #[derive(Debug, Clone)]
@@ -24,8 +25,8 @@ pub struct JpegImage {
     pub quality: u8,
     /// Entropy-coded scans for Y, U, V.
     pub scans: [Vec<u8>; 3],
-    /// Simulated addresses of the three scans (for cache modelling).
-    pub sim_bases: [u64; 3],
+    /// Simulated buffers of the three scans (for cache modelling).
+    pub sim_bufs: [SimBuf; 3],
 }
 
 impl JpegImage {
@@ -248,28 +249,21 @@ pub fn encode_frame(planes: [&[u8]; 3], w: usize, h: usize, quality: u8) -> Jpeg
         encode_plane(planes[1], w, h, Channel::Chroma, quality),
         encode_plane(planes[2], w, h, Channel::Chroma, quality),
     ];
-    let sim_bases = [
-        hinch::meter::sim_alloc(scans[0].len() as u64),
-        hinch::meter::sim_alloc(scans[1].len() as u64),
-        hinch::meter::sim_alloc(scans[2].len() as u64),
-    ];
+    let sim_bufs = scans.each_ref().map(|scan| SimBuf::new(scan.len() as u64));
     JpegImage {
         w,
         h,
         quality,
         scans,
-        sim_bases,
+        sim_bufs,
     }
 }
 
 impl JpegImage {
     /// The sweep of reading scan `field`.
-    pub fn scan_access(&self, field: usize) -> hinch::meter::MemAccess {
-        hinch::meter::MemAccess {
-            base: self.sim_bases[field],
-            len: self.scans[field].len() as u64,
-            kind: hinch::meter::AccessKind::Read,
-        }
+    pub fn scan_access(&self, field: usize) -> MemAccess {
+        let len = self.scans[field].len() as u64;
+        self.sim_bufs[field].access(0, len, AccessKind::Read)
     }
 }
 

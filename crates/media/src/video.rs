@@ -8,7 +8,7 @@
 //! output and (b) have realistic entropy for the JPEG path — flat frames
 //! would make Huffman decode unrealistically cheap.
 
-use hinch::meter::{sim_alloc, AccessKind, MemAccess};
+use hinch::meter::{AccessKind, MemAccess, SimBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -49,7 +49,7 @@ impl VideoSpec {
 }
 
 /// An uncompressed planar video "file" held in memory, with a simulated
-/// address so that reading it produces cache traffic.
+/// buffer so that reading it produces cache traffic.
 ///
 /// Each field is shared and immutable: a source publishes it to its
 /// stream as a read-only [`crate::Plane`] view instead of copying it.
@@ -57,7 +57,7 @@ pub struct RawVideo {
     pub spec: VideoSpec,
     /// `planes[frame][field]`, field 0 = Y, 1 = U, 2 = V.
     planes: Vec<[Arc<[u8]>; 3]>,
-    sim_base: u64,
+    sim: SimBuf,
 }
 
 impl RawVideo {
@@ -73,7 +73,7 @@ impl RawVideo {
         Self {
             spec,
             planes,
-            sim_base: sim_alloc(bytes),
+            sim: SimBuf::new(bytes),
         }
     }
 
@@ -95,11 +95,8 @@ impl RawVideo {
     pub fn read_access(&self, frame: usize, field: usize) -> MemAccess {
         let frame = frame % self.planes.len();
         let plane_bytes = (self.spec.width * self.spec.height) as u64;
-        MemAccess {
-            base: self.sim_base + (frame as u64 * 3 + field as u64) * plane_bytes,
-            len: plane_bytes,
-            kind: AccessKind::Read,
-        }
+        let offset = (frame as u64 * 3 + field as u64) * plane_bytes;
+        self.sim.access(offset, plane_bytes, AccessKind::Read)
     }
 }
 
@@ -169,8 +166,8 @@ mod tests {
         let b = v.read_access(0, 1);
         let c = v.read_access(1, 0);
         assert_eq!(a.len, 256);
-        assert_eq!(a.base + 256, b.base);
-        assert_eq!(a.base + 3 * 256, c.base);
+        assert_eq!((a.buf, a.offset + 256), (b.buf, b.offset));
+        assert_eq!((a.buf, a.offset + 3 * 256), (c.buf, c.offset));
     }
 
     #[test]

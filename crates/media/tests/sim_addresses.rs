@@ -1,17 +1,13 @@
-//! Simulated addresses follow the data, not the host's bytes.
+//! Simulated buffers follow the data, not the host's bytes.
 //!
-//! A source publishes a view of a video field, and the model places that
-//! view at an address of its own: the stream buffer the paper's source
-//! reads a frame into. Every reader of a plane must sweep where its writer
+//! A source publishes a view of a video field, and the model gives that
+//! view a simulated buffer of its own: the stream buffer the paper's source
+//! reads a frame into. Every reader of a plane must sweep what its writer
 //! swept, and a blend over a view writes, in the model, into that very
-//! buffer: its output takes the view's address and allocates no simulated
-//! memory.
-//!
-//! One `#[test]`: it reads the process-global simulated break, which any
-//! test running beside it in this binary would move.
+//! buffer: its output is metered as the view's and makes no buffer.
 
 use hinch::component::{Component, ReconfigRequest, RunCtx, SliceAssign};
-use hinch::meter::{sim_alloc, AccessKind, MemAccess, TallyMeter};
+use hinch::meter::{AccessKind, MemAccess, TallyMeter};
 use hinch::stream::Stream;
 use media::components::{Blend, Downscale, FrameSink, PlaneSource};
 use media::video::{RawVideo, VideoSpec};
@@ -40,19 +36,15 @@ fn only(sweeps: &[MemAccess], kind: AccessKind) -> MemAccess {
     one
 }
 
-/// The simulated break, without moving it.
-fn sim_brk() -> u64 {
-    sim_alloc(0)
-}
+const W: usize = 32;
+const H: usize = 16;
+const FACTOR: usize = 4;
 
-#[test]
-fn simulated_addresses_follow_the_data() {
-    let (w, h, factor) = (32, 16, 4);
-    let bg_video = Arc::new(RawVideo::generate(VideoSpec::new(w, h, 1, 3)));
-    let inset_video = Arc::new(RawVideo::generate(VideoSpec::new(w, h, 1, 4)));
-    let [bg, inset, small, blended] = ["bg", "inset", "small", "blended"].map(Stream::new);
-
-    // PlaneSource → Downscale: the inset path.
+/// PlaneSource → Downscale, the inset path: the stream holding the down
+/// scaled picture, and the sweep that wrote it.
+fn scaled_inset() -> (Arc<Stream>, MemAccess) {
+    let inset_video = Arc::new(RawVideo::generate(VideoSpec::new(W, H, 1, 4)));
+    let [inset, small] = ["inset", "small"].map(Stream::new);
     let source = sweeps(
         &mut PlaneSource::new(inset_video.clone(), 0),
         &[],
@@ -62,27 +54,44 @@ fn simulated_addresses_follow_the_data() {
     let inset_write = only(&source[1..], AccessKind::Write);
     let inset_plane = inset.read_as::<Plane>(0);
     assert!(inset_plane.is_view());
-    assert_eq!(inset_write.base, inset_plane.sim_base());
-    assert_eq!(inset_write.len, (w * h) as u64);
+    assert_eq!(
+        inset_write,
+        inset_plane
+            .sim_buf()
+            .access(0, (W * H) as u64, AccessKind::Write)
+    );
     assert_ne!(
-        inset_write.base,
-        inset_video.read_access(0, 0).base,
+        inset_write.buf,
+        inset_video.read_access(0, 0).buf,
         "a view is a stream buffer of its own in the model, not the video"
     );
     let scaler = sweeps(
-        &mut Downscale::new(factor, "small"),
+        &mut Downscale::new(FACTOR, "small"),
         std::slice::from_ref(&inset),
         Some(&small),
     );
-    assert_eq!(only(&scaler, AccessKind::Read).base, inset_write.base);
-    let small_write = only(&scaler, AccessKind::Write);
+    assert_eq!(only(&scaler, AccessKind::Read).buf, inset_write.buf);
+    (small, only(&scaler, AccessKind::Write))
+}
 
-    // PlaneSource → Blend → FrameSink: the background path.
+#[test]
+fn a_reader_sweeps_what_its_writer_swept() {
+    let (small, small_write) = scaled_inset();
+    assert_eq!(small_write.buf, small.read_as::<Plane>(0).sim_buf());
+    assert_eq!(small_write.len, (W * H / FACTOR / FACTOR) as u64);
+}
+
+/// PlaneSource → Blend → FrameSink, the background path.
+#[test]
+fn a_blend_over_a_view_makes_no_buffer() {
+    let (w, h, factor) = (W, H, FACTOR);
+    let (small, small_write) = scaled_inset();
+    let bg_video = Arc::new(RawVideo::generate(VideoSpec::new(w, h, 1, 3)));
+    let [bg, blended] = ["bg", "blended"].map(Stream::new);
     let source = sweeps(&mut PlaneSource::new(bg_video.clone(), 0), &[], Some(&bg));
     let bg_write = only(&source[1..], AccessKind::Write);
-    assert_ne!(bg_write.base, bg_video.read_access(0, 0).base);
+    assert_ne!(bg_write.buf, bg_video.read_access(0, 0).buf);
     let (px, py) = (2, 3);
-    let before = sim_brk();
     let mut blend = Vec::new();
     for index in 0..2 {
         let mut copy = Blend::new(px as u32, py as u32, "blended");
@@ -93,29 +102,25 @@ fn simulated_addresses_follow_the_data() {
             Some(&blended),
         ));
     }
-    assert_eq!(sim_brk(), before, "a blend allocates no simulated memory");
     let out = blended.read_as::<Plane>(0);
     assert!(!out.is_view());
     assert_eq!(
-        out.sim_base(),
-        bg_write.base,
+        out.sim_buf(),
+        bg_write.buf,
         "the output is the view's buffer"
     );
-    // the picture covers rows 3..7, all in the first band of 0..8
+    // the picture covers rows 3..7, all in the first band of 0..8: the
+    // blend sweeps the view's buffer and the picture's, and no other
     let (pw, ph) = (w / factor, h / factor);
     assert_eq!(
         blend,
         [
-            MemAccess {
-                base: bg_write.base + (py * w) as u64,
-                len: (ph * w) as u64,
-                kind: AccessKind::Write
-            },
-            MemAccess {
-                base: small_write.base,
-                len: (ph * pw) as u64,
-                kind: AccessKind::Read
-            },
+            bg_write
+                .buf
+                .access((py * w) as u64, (ph * w) as u64, AccessKind::Write),
+            small_write
+                .buf
+                .access(0, (ph * pw) as u64, AccessKind::Read),
         ]
     );
 
@@ -124,5 +129,5 @@ fn simulated_addresses_follow_the_data() {
         std::slice::from_ref(&blended),
         None,
     );
-    assert_eq!(only(&sink, AccessKind::Read).base, bg_write.base);
+    assert_eq!(only(&sink, AccessKind::Read).buf, bg_write.buf);
 }

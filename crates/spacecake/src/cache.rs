@@ -1,7 +1,7 @@
 //! Set-associative LRU cache model.
 //!
-//! Operates at cache-line granularity on the simulated address space (see
-//! [`hinch::meter::sim_alloc`]). The model is intentionally simple — tag
+//! Operates at cache-line granularity on the simulated address space that
+//! [`crate::Machine`] lays out. The model is intentionally simple — tag
 //! array + LRU ages, no MESI/coherence traffic — because the paper's result
 //! shapes depend on *capacity and reuse*, not on coherence pathologies:
 //! streams hand frames between components, and the question is whether an

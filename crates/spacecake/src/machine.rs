@@ -6,13 +6,22 @@
 //! expanded to L1 lines; every L1 miss probes the shared L2, and every L2
 //! miss pays the DRAM latency.
 //!
+//! The machine owns the run's address space: it places each
+//! [`hinch::meter::SimBuf`] the first time a job touches it, 64-byte
+//! aligned after everything placed before, so a run's layout depends on
+//! the run alone — `reset` starts it over.
+//!
 //! The shared L2 is updated in host execution order rather than strict
 //! virtual-time order — an approximation (documented in `DESIGN.md`) that
 //! is exact for single-core runs and, for multi-core runs, only blurs
 //! which core caused a shared-line fill, not the total traffic.
 
 use crate::cache::{Cache, CacheConfig};
-use hinch::meter::{MemAccess, Platform, PlatformStats};
+use hinch::meter::{MemAccess, Platform, PlatformStats, SimBuf};
+use std::collections::HashMap;
+
+/// Where a run's address space starts.
+const LAYOUT_BASE: u64 = 0x1000;
 
 /// Geometry and latencies of one SpaceCAKE tile.
 #[derive(Debug, Clone)]
@@ -81,6 +90,9 @@ pub struct Machine {
     job_cycles: u64,
     compute_total: u64,
     mem_total: u64,
+    /// Base of every buffer touched so far, and the next free address.
+    layout: HashMap<SimBuf, u64>,
+    brk: u64,
 }
 
 impl Machine {
@@ -94,6 +106,8 @@ impl Machine {
             job_cycles: 0,
             compute_total: 0,
             mem_total: 0,
+            layout: HashMap::new(),
+            brk: LAYOUT_BASE,
         }
     }
 
@@ -104,6 +118,16 @@ impl Machine {
 
     pub fn config(&self) -> &TileConfig {
         &self.config
+    }
+
+    /// The base of `buf`, placed at the break if this is its first touch.
+    fn base_of(&mut self, buf: SimBuf) -> u64 {
+        let brk = &mut self.brk;
+        *self.layout.entry(buf).or_insert_with(|| {
+            let base = *brk;
+            *brk += (buf.bytes() + 63) & !63;
+            base
+        })
     }
 }
 
@@ -131,9 +155,14 @@ impl Platform for Machine {
         if access.len == 0 {
             return;
         }
+        debug_assert!(
+            access.offset + access.len <= access.buf.bytes(),
+            "{access:?} overruns its buffer"
+        );
+        let base = self.base_of(access.buf) + access.offset;
         let l1 = &mut self.l1[self.current_core];
-        let first = l1.line_of(access.base);
-        let last = l1.line_of(access.base + access.len - 1);
+        let first = l1.line_of(base);
+        let last = l1.line_of(base + access.len - 1);
         let mut stall = 0;
         let is_write = access.kind == hinch::meter::AccessKind::Write;
         for line in first..=last {
@@ -182,31 +211,29 @@ impl Platform for Machine {
         self.job_cycles = 0;
         self.compute_total = 0;
         self.mem_total = 0;
+        self.layout.clear();
+        self.brk = LAYOUT_BASE;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hinch::meter::{sim_alloc, AccessKind};
+    use hinch::meter::AccessKind;
 
-    fn read(base: u64, len: u64) -> MemAccess {
-        MemAccess {
-            base,
-            len,
-            kind: AccessKind::Read,
-        }
+    fn read(buf: SimBuf, len: u64) -> MemAccess {
+        buf.access(0, len, AccessKind::Read)
     }
 
     #[test]
     fn first_sweep_misses_second_hits() {
         let mut m = Machine::with_cores(1);
-        let base = sim_alloc(4096);
+        let buf = SimBuf::new(4096);
         m.begin_job(0);
-        m.touch(read(base, 4096)); // 64 L1 lines, all cold
+        m.touch(read(buf, 4096)); // 64 L1 lines, all cold
         let cold = m.end_job();
         m.begin_job(0);
-        m.touch(read(base, 4096)); // warm
+        m.touch(read(buf, 4096)); // warm
         let warm = m.end_job();
         assert!(cold > 0);
         assert_eq!(warm, 0, "fully warm sweep stalls zero cycles");
@@ -219,10 +246,10 @@ mod tests {
     fn l2_catches_l1_capacity_misses() {
         let mut m = Machine::with_cores(1);
         // 64 KiB working set: 4× the L1 (16 KiB), well within L2 (2 MiB).
-        let base = sim_alloc(64 * 1024);
+        let buf = SimBuf::new(64 * 1024);
         m.begin_job(0);
-        m.touch(read(base, 64 * 1024));
-        m.touch(read(base, 64 * 1024)); // L1 too small, but L2 warm
+        m.touch(read(buf, 64 * 1024));
+        m.touch(read(buf, 64 * 1024)); // L1 too small, but L2 warm
         let cycles = m.end_job();
         let s = m.stats();
         assert!(s.l2_hits > 0, "second sweep must hit in L2");
@@ -233,13 +260,13 @@ mod tests {
     #[test]
     fn per_core_l1_is_private() {
         let mut m = Machine::with_cores(2);
-        let base = sim_alloc(4096);
+        let buf = SimBuf::new(4096);
         m.begin_job(0);
-        m.touch(read(base, 4096));
+        m.touch(read(buf, 4096));
         m.end_job();
         // same data from core 1: misses L1 again (private), hits shared L2
         m.begin_job(1);
-        m.touch(read(base, 4096));
+        m.touch(read(buf, 4096));
         let cycles = m.end_job();
         assert_eq!(cycles, 64 * m.config().l2_latency);
     }
@@ -258,7 +285,7 @@ mod tests {
     fn zero_length_touch_is_free() {
         let mut m = Machine::with_cores(1);
         m.begin_job(0);
-        m.touch(read(64, 0));
+        m.touch(read(SimBuf::new(64), 0));
         assert_eq!(m.end_job(), 0);
         assert_eq!(m.stats().accesses(), 0);
     }
@@ -267,7 +294,7 @@ mod tests {
     fn heterogeneous_cores_scale_compute_not_memory() {
         let mut m = Machine::new(TileConfig::heterogeneous(vec![1.0, 4.0]));
         assert_eq!(m.cores(), 2);
-        let base = sim_alloc(4096);
+        let buf = SimBuf::new(4096);
         // compute scales with the core's speed factor
         m.begin_job(0);
         m.charge(1000);
@@ -278,25 +305,74 @@ mod tests {
         // memory stalls do not
         let mut cold = Machine::new(TileConfig::heterogeneous(vec![1.0, 4.0]));
         cold.begin_job(1);
-        cold.touch(read(base, 4096));
+        cold.touch(read(buf, 4096));
         let fast_core_mem = cold.end_job();
         let mut cold2 = Machine::new(TileConfig::heterogeneous(vec![1.0, 4.0]));
         cold2.begin_job(0);
-        cold2.touch(read(base, 4096));
+        cold2.touch(read(buf, 4096));
         assert_eq!(fast_core_mem, cold2.end_job());
     }
 
     #[test]
     fn reset_restores_cold_state() {
         let mut m = Machine::with_cores(1);
-        let base = sim_alloc(1024);
+        let buf = SimBuf::new(1024);
         m.begin_job(0);
-        m.touch(read(base, 1024));
+        m.touch(read(buf, 1024));
         let cold = m.end_job();
         m.reset();
         m.begin_job(0);
-        m.touch(read(base, 1024));
+        m.touch(read(buf, 1024));
         assert_eq!(m.end_job(), cold);
+    }
+
+    /// One run of a program that reads an input made before the run and
+    /// makes its own buffers as it goes, as a rebuilt app does: three
+    /// sweeps over 20 KiB through a 16 KiB L1, so which lines evict which
+    /// depends on where the buffers sit.
+    fn a_run(m: &mut Machine, input: SimBuf) -> PlatformStats {
+        let bufs = [SimBuf::new(5000), SimBuf::new(7000)];
+        m.begin_job(0);
+        for _ in 0..3 {
+            m.touch(read(input, input.bytes()));
+            for buf in bufs {
+                m.touch(buf.access(0, buf.bytes(), AccessKind::Write));
+            }
+        }
+        m.end_job();
+        m.stats()
+    }
+
+    #[test]
+    fn a_reset_machine_lays_out_a_repeated_run_identically() {
+        let input = SimBuf::new(8 * 1024 + 100);
+        let mut m = Machine::with_cores(1);
+        let first = a_run(&mut m, input);
+        assert!(first.l1_misses > 0);
+        // identities made in between, touched or not, move nothing
+        let others = [SimBuf::new(3000), SimBuf::new(64)];
+        m.begin_job(0);
+        m.touch(read(others[0], 3000));
+        m.end_job();
+        m.reset();
+        assert_eq!(a_run(&mut m, input), first);
+        assert_eq!(a_run(&mut Machine::with_cores(1), input), first);
+    }
+
+    #[test]
+    fn buffers_are_placed_in_first_touch_order() {
+        let mut m = Machine::with_cores(1);
+        let (a, b, never) = (SimBuf::new(100), SimBuf::new(10), SimBuf::new(4096));
+        m.begin_job(0);
+        m.touch(read(b, 10));
+        m.touch(read(a, 100));
+        m.touch(read(b, 1));
+        let _ = never; // made, never touched: takes no space
+        assert_eq!(m.base_of(b), LAYOUT_BASE);
+        assert_eq!(m.base_of(a), LAYOUT_BASE + 64);
+        assert_eq!(m.base_of(SimBuf::new(1)), LAYOUT_BASE + 64 + 128);
+        m.reset();
+        assert_eq!(m.base_of(a), LAYOUT_BASE, "reset starts the layout over");
     }
 
     #[test]
@@ -304,13 +380,13 @@ mod tests {
         let mut m = Machine::with_cores(1);
         // 4 MiB > 2 MiB L2, swept twice cyclically → second sweep still
         // misses L2 (LRU streaming) and pays DRAM latency.
-        let base = sim_alloc(4 * 1024 * 1024);
+        let buf = SimBuf::new(4 * 1024 * 1024);
         m.begin_job(0);
-        m.touch(read(base, 4 * 1024 * 1024));
+        m.touch(read(buf, 4 * 1024 * 1024));
         m.end_job();
         let s1 = m.stats();
         m.begin_job(0);
-        m.touch(read(base, 4 * 1024 * 1024));
+        m.touch(read(buf, 4 * 1024 * 1024));
         m.end_job();
         let s2 = m.stats();
         // Within one sweep, each 128 B L2 line serves two 64 B L1 lines

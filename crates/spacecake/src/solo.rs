@@ -68,7 +68,7 @@ impl Default for Solo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hinch::meter::{sim_alloc, AccessKind, MemAccess};
+    use hinch::meter::{AccessKind, SimBuf};
 
     #[test]
     fn accumulates_across_calls() {
@@ -83,12 +83,7 @@ mod tests {
     #[test]
     fn cache_state_persists_between_calls() {
         let mut solo = Solo::new();
-        let base = sim_alloc(4096);
-        let sweep = MemAccess {
-            base,
-            len: 4096,
-            kind: AccessKind::Read,
-        };
+        let sweep = SimBuf::new(4096).access(0, 4096, AccessKind::Read);
         let (_, cold) = solo.run(|m| m.touch(sweep));
         let (_, warm) = solo.run(|m| m.touch(sweep));
         assert!(cold > 0);

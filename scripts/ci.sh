@@ -9,7 +9,8 @@
 #   2. cargo clippy -D warnings (workspace, all targets), then two grep
 #      lints (engine and stream-slot sync goes through hinch::sync;
 #      nothing points at a deleted recorder, knob, measurement path,
-#      executor, trace summary or source copy)
+#      executor, trace summary, source copy or process-global simulated
+#      address allocator)
 #      and the schedcheck model suite under --cfg hinch_model (engine
 #      protocols, the recorder ring, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
@@ -35,7 +36,10 @@
 #      must parse and be byte-identical across two separate runs
 #   7. hinch-conformance gate: a quick differential matrix (3 apps ×
 #      2 core counts × 2 seeded policies) must pass and its JSON summary
-#      must be byte-identical across two separate runs
+#      must be byte-identical across two separate runs; so must the full
+#      13-app matrix's, sim digests of the reconfiguring apps included
+#      (a simulated run's cache layout belongs to the run, not to the
+#      process)
 #   8. hinch-serve smoke: start the serving front-end on real sockets,
 #      time 20 pings (a median of 10 ms or more fails: a frame sent in
 #      two writes, or an end without TCP_NODELAY, costs 88 ms a round
@@ -79,12 +83,14 @@ echo "facade lint: clean"
 # The metrics registry, the ring on/off knob, the pre-ledger measurement
 # stack, the Criterion benches, `paper-figures --insight`, the separate
 # reference executor (`engine::reference`, `RefReport`), the trace
-# crate's own summary (`utilization_summary`) and the source's field copy
-# (`Plane::renew_from_pixels`) are gone (benchmark/ is the one perf
-# ledger, insight the one trace analysis, engine/sim the one sequential
-# engine, a source publishes a view of its field): no code, doc or script
-# may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels' \
+# crate's own summary (`utilization_summary`), the source's field copy
+# (`Plane::renew_from_pixels`) and the process-global simulated address
+# allocator (`SIM_BRK`, `sim_alloc`, `renew_for_overwrite_at`) are gone
+# (benchmark/ is the one perf ledger, insight the one trace analysis,
+# engine/sim the one sequential engine, a source publishes a view of its
+# field, a spacecake::Machine lays out its run's buffers): no code, doc
+# or script may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2
@@ -176,6 +182,16 @@ if ! cmp -s "$conf_dir/run1.json" "$conf_dir/run2.json"; then
 fi
 python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$conf_dir/run1.json"
 echo "conformance: gate matrix passed, JSON byte-identical across runs"
+for run in 1 2; do
+    cargo run --offline -q --release -p conformance --bin hinch-conformance -- \
+        --full --format json > "$conf_dir/full$run.json"
+done
+if ! cmp -s "$conf_dir/full1.json" "$conf_dir/full2.json"; then
+    echo "conformance: the full matrix's summary is not stable across two processes" >&2
+    diff "$conf_dir/full1.json" "$conf_dir/full2.json" >&2 || true
+    exit 1
+fi
+echo "conformance: full matrix passed, JSON byte-identical across processes"
 
 echo "== serve smoke (sockets + ping gate + wire reconfig + /metrics validation) =="
 cargo run --offline -q --release -p serve --bin hinch-serve -- smoke

@@ -53,13 +53,39 @@ fn native_trace_is_well_formed() {
     }
 }
 
+/// Two traces, and everything exported from them, are identical.
+fn assert_same_traces(first: &[TraceEvent], second: &[TraceEvent]) {
+    assert!(!first.is_empty());
+    assert_eq!(
+        first, second,
+        "sim traces must be byte-identical across runs"
+    );
+    assert_eq!(
+        chrome_trace_json(first, Clock::VirtualCycles),
+        chrome_trace_json(second, Clock::VirtualCycles)
+    );
+    assert_eq!(csv(first), csv(second));
+    let render = |events: &[TraceEvent]| {
+        insight::render_human(&insight::analyze(events, Clock::VirtualCycles))
+    };
+    assert_eq!(render(first), render(second));
+}
+
 #[test]
 fn sim_trace_and_exports_are_deterministic() {
-    // A self-contained graph: rebuilding a media app allocates fresh
-    // virtual addresses from the process-global `sim_alloc`, which shifts
-    // the cache model's timings between in-process runs. Charge-only
-    // components on a `NullPlatform` exercise the engine's whole trace
-    // path with fully reproducible cycles.
+    // A media app on the SpaceCAKE machine, built afresh for each run: the
+    // cache model's timings depend on the run alone. Paper-scale PiP-1,
+    // whose planes are pages long, is where a layout that moved with the
+    // process would show.
+    let media_run = || {
+        run_sim_traced(AppConfig::paper(App::Pip1).frames(3), 2)
+            .1
+            .events()
+    };
+    assert_same_traces(&media_run(), &media_run());
+
+    // Charge-only components on a `NullPlatform` exercise the engine's
+    // whole trace path with no cache model in the way.
     use hinch::component::{Component, Params, RunCtx};
     use hinch::engine::{run_sim, RunConfig};
     use hinch::graph::{factory, ComponentSpec, GraphSpec};
@@ -96,22 +122,7 @@ fn sim_trace_and_exports_are_deterministic() {
         run_sim(&spec, &cfg, &mut platform).expect("sim run");
         recorder.events()
     };
-    let first = run();
-    let second = run();
-    assert!(!first.is_empty());
-    assert_eq!(
-        first, second,
-        "sim traces must be byte-identical across runs"
-    );
-    assert_eq!(
-        chrome_trace_json(&first, Clock::VirtualCycles),
-        chrome_trace_json(&second, Clock::VirtualCycles)
-    );
-    assert_eq!(csv(&first), csv(&second));
-    let render = |events: &[TraceEvent]| {
-        insight::render_human(&insight::analyze(events, Clock::VirtualCycles))
-    };
-    assert_eq!(render(&first), render(&second));
+    assert_same_traces(&run(), &run());
 }
 
 #[test]
