@@ -187,7 +187,10 @@ impl AppAssets {
             .clone()
     }
 
-    /// Captured frames of capture set `name`, port `port`.
+    /// Captured frames of capture set `name`, port `port`, materialised
+    /// here: a frame the sink recorded as a field and overlays
+    /// ([`media::components::CaptureBuf`]) is built into bytes of its own
+    /// when it is read, and reading does not drain.
     pub fn captured(&self, name: &str, port: usize) -> Vec<Vec<u8>> {
         let cap = {
             let caps = self.captures.lock();
@@ -196,7 +199,7 @@ impl AppAssets {
                 .unwrap_or_else(|| panic!("capture set '{name}' missing"));
             set[port].clone()
         };
-        let frames = cap.lock().frames().map(<[u8]>::to_vec).collect();
+        let frames = cap.lock().frames().collect();
         frames
     }
 

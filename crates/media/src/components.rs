@@ -12,7 +12,7 @@
 use crate::blend::unpack_pos;
 use crate::blur::{blur_h_rows_with, blur_v_rows_with, v_input_rows, Taps};
 use crate::costs::*;
-use crate::frame::{CoefPlane, Plane};
+use crate::frame::{materialise, CoefPlane, Plane, Rect};
 use crate::jpeg::codec::{decode_scan, idct_block_rows, JpegImage, ScanDecoder};
 use crate::jpeg::mjpeg::MjpegVideo;
 use crate::scale::{downscale_rows, scaled_dims};
@@ -20,42 +20,74 @@ use crate::video::RawVideo;
 use hinch::component::{Component, ReconfigRequest, RunCtx, SliceAssign};
 use hinch::meter::{AccessKind, SimBuf};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// One captured port: the frames of a run back to back in one growing
-/// buffer, `ends[i]` the end of frame `i`.
+/// One captured port: what a run's sink was handed, frame by frame, in
+/// flat buffers that keep their capacity.
 ///
-/// The buffer keeps its pages from run to run. [`CaptureBuf::clear`]
+/// A capture records; a reader materialises. An owned plane's pixels are
+/// appended whole. A read-only plane (a view, or a composite a blend made
+/// over one) is recorded as the input field it shows, shared and never
+/// written, plus a copy of its overlays' pixels and rectangles — for PiP-1
+/// at 720×576 that is 25 920 bytes a field instead of 414 720. When the sink
+/// returns, a recorded frame is complete and immutable; [`CaptureBuf::frames`]
+/// builds its bytes when they are read.
+///
+/// The buffers keep their pages from run to run. [`CaptureBuf::clear`]
 /// forgets the frames and not the capacity, so a run of the length of the
-/// one before it appends into memory that is already mapped; the
-/// [`FrameSink`] of a run, when dropped, trims the buffer to what that run
-/// filled, so a long run's pages do not outlive it under a short one.
+/// one before it records into memory that is already mapped; the
+/// [`FrameSink`] of a run, when dropped, trims the byte store to what that
+/// run filled, so a long run's pages do not outlive it under a short one.
 #[derive(Default)]
 pub struct CaptureBuf {
+    /// Owned planes' pixels and overlays' pixels, all frames back to back.
     bytes: Vec<u8>,
-    ends: Vec<usize>,
+    /// Overlay rectangles, all frames back to back.
+    rects: Vec<Rect>,
+    frames: Vec<Recorded>,
+}
+
+/// One frame of a [`CaptureBuf`]: where its pixels and its overlays'
+/// rectangles lie in the capture's buffers.
+struct Recorded {
+    w: usize,
+    /// The field a read-only plane shows; `None` for an owned plane.
+    field: Option<Arc<[u8]>>,
+    bytes: Range<usize>,
+    rects: Range<usize>,
 }
 
 impl CaptureBuf {
-    /// Append `plane` as one frame, materialised straight into the buffer
-    /// ([`Plane::append_rows_to`]): a composite's field is copied once.
+    /// Record `plane` as one frame.
     pub fn push_plane(&mut self, plane: &Plane) {
-        plane.append_rows_to(0..plane.height(), &mut self.bytes);
-        self.ends.push(self.bytes.len());
+        let (bytes, rects) = (self.bytes.len(), self.rects.len());
+        let field = plane.record(&mut self.bytes, &mut self.rects);
+        self.frames.push(Recorded {
+            w: plane.width(),
+            field,
+            bytes: bytes..self.bytes.len(),
+            rects: rects..self.rects.len(),
+        });
     }
 
-    /// The frames, in capture order.
-    pub fn frames(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        (0..self.ends.len()).map(|i| {
-            let start = if i == 0 { 0 } else { self.ends[i - 1] };
-            &self.bytes[start..self.ends[i]]
+    /// The frames' bytes, in capture order, each built when it is read: an
+    /// owned plane's pixels, or a field under its overlays.
+    pub fn frames(&self) -> impl ExactSizeIterator<Item = Vec<u8>> + '_ {
+        self.frames.iter().map(|f| {
+            let pixels = &self.bytes[f.bytes.clone()];
+            match &f.field {
+                Some(field) => materialise(field, f.w, &self.rects[f.rects.clone()], pixels),
+                None => pixels.to_vec(),
+            }
         })
     }
 
     /// Forget the frames, keep the memory.
     pub fn clear(&mut self) {
         self.bytes.clear();
-        self.ends.clear();
+        self.rects.clear();
+        self.frames.clear();
     }
 }
 
@@ -145,9 +177,10 @@ impl Component for MjpegSource {
 /// component.
 ///
 /// A composite ([`Plane::composite`], what a blend over a view makes) is
-/// materialised straight into the capture buffer, so its background field
-/// is read once and written once; a port without a capture reads no pixel
-/// at all.
+/// recorded, not copied: the capture shares its background field and keeps
+/// a copy of its overlays ([`CaptureBuf`]). A port without a capture reads
+/// no pixel at all. The model charges the write-out of every frame either
+/// way.
 pub struct FrameSink {
     captures: Vec<Option<Capture>>,
     out: Option<SimBuf>,
@@ -982,17 +1015,33 @@ mod tests {
         run_component(&mut sink, std::slice::from_ref(&input), &[], 0);
         run_component(&mut sink, &[input], &[], 1);
         let cap = cap.lock();
-        let frames: Vec<&[u8]> = cap.frames().collect();
-        assert_eq!(frames, [&[3; 8], &[4; 8]]);
+        assert_eq!(cap.frames().collect::<Vec<_>>(), [[3; 8], [4; 8]]);
     }
 
     #[test]
-    fn frame_sink_materialises_a_composite() {
+    fn frame_sink_records_a_composite() {
         let (video, pip, want) = blend_inputs();
         let [_, blended] = blend_sliced(Plane::view(&video, 0, 0), &pip, 3, None);
         let cap = capture();
         run_component(&mut FrameSink::single(cap.clone()), &[blended], &[], 0);
-        assert_eq!(cap.lock().frames().collect::<Vec<_>>(), [&want[..]]);
+        assert_eq!(cap.lock().frames().collect::<Vec<_>>(), [want]);
+    }
+
+    #[test]
+    fn a_capture_keeps_a_composites_overlays_and_an_owned_planes_pixels() {
+        let video = RawVideo::generate(VideoSpec::new(720, 576, 1, 3));
+        let view = Plane::view(&video, 0, 0);
+        let composite = Plane::composite(None, &view, "c", 40, 30, 180, 144);
+        let picture = Plane::new("picture", 180, 144);
+        composite.fill_overlay_rows(&view, &picture, 0..576);
+        let owned = Plane::new("owned", 720, 576);
+        let mut cap = CaptureBuf::default();
+        cap.push_plane(&composite);
+        assert_eq!(cap.bytes.len(), 180 * 144, "the overlay, not the field");
+        cap.push_plane(&owned);
+        assert_eq!(cap.bytes.len(), 180 * 144 + 720 * 576, "all of it");
+        let frames: Vec<_> = cap.frames().collect();
+        assert_eq!(frames, [composite.to_vec(), owned.to_vec()]);
     }
 
     /// One run of `frames` frames of 4×2 pixels through a sink of its own
@@ -1011,7 +1060,7 @@ mod tests {
     }
 
     fn frames_of(cap: &Capture) -> Vec<Vec<u8>> {
-        cap.lock().frames().map(<[u8]>::to_vec).collect()
+        cap.lock().frames().collect()
     }
 
     #[test]
@@ -1021,7 +1070,10 @@ mod tests {
         let first = frames_of(&cap);
         assert_eq!(first.len(), 6);
         assert_eq!(frames_of(&cap), first, "reading does not drain");
-        let buffer = |c: &CaptureBuf| (c.bytes.as_ptr(), c.bytes.capacity(), c.ends.capacity());
+        let buffer = |c: &CaptureBuf| {
+            let capacities = (c.bytes.capacity(), c.rects.capacity(), c.frames.capacity());
+            (c.bytes.as_ptr(), capacities)
+        };
         let before = buffer(&cap.lock());
 
         cap.lock().clear();

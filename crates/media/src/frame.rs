@@ -11,10 +11,10 @@
 //! - a read-only field of an input video with rectangles of the plane's own
 //!   pixels, *overlays*, over it. With none it is a *view* of the field
 //!   ([`Plane::view`]); with some it is a *composite*
-//!   ([`Plane::composite`]), what a blend over a view makes. Whoever needs
-//!   a composite's bytes in one piece materialises them
-//!   ([`Plane::append_rows_to`]), so the field is copied once, on its way
-//!   out of the graph.
+//!   ([`Plane::composite`]), what a blend over a view makes. A capture
+//!   records a composite as its field and a copy of its overlays; a reader
+//!   materialises its bytes ([`Plane::to_vec`],
+//!   [`crate::components::CaptureBuf::frames`]), copying the field once.
 //!
 //! A view is the stream buffer the paper's source reads a frame into: the
 //! model gives it a simulated buffer of its own and charges the read, while
@@ -55,37 +55,38 @@ struct Field {
     field: usize,
 }
 
-/// Columns `x..x + w` of rows `y..y + h` of a composite, `w` bytes a row in
-/// a buffer of the composite's own.
-struct Overlay {
+/// Columns `x..x + w` of rows `y..y + h` of a plane: where an overlay lies.
+#[derive(Clone, Copy)]
+pub(crate) struct Rect {
     x: usize,
     y: usize,
     w: usize,
     h: usize,
-    pixels: RegionBuf<u8>,
 }
 
-impl Overlay {
-    /// The overlay's rows, counted from its top, that lie in plane rows
+impl Rect {
+    /// The rectangle's rows, counted from its top, that lie in plane rows
     /// `rows`.
     fn rows_in(&self, rows: &Range<usize>) -> Range<usize> {
         let end = self.y + self.h;
         rows.start.clamp(self.y, end) - self.y..rows.end.clamp(self.y, end) - self.y
     }
 
-    /// The elements of its buffer that hold overlay rows `rows`.
+    /// The elements of its pixels, `w` a row, that hold its rows `rows`.
     fn span(&self, rows: &Range<usize>) -> Range<usize> {
         rows.start * self.w..rows.end * self.w
     }
 }
 
-/// Pixels of a plane being read: a read lease on an owned buffer, the bytes
-/// of a view (which nothing writes, so it needs no lease), or a composite's
-/// rows materialised into a buffer of their own.
+/// An overlay of a composite: where it lies, and its pixels in a buffer of
+/// the composite's own.
+type Overlay = (Rect, RegionBuf<u8>);
+
+/// Pixels of a plane being read: a read lease on an owned buffer, or the
+/// bytes of a view (which nothing writes, so it needs no lease).
 pub enum PlaneRead<'a> {
     Lease(ReadLease<'a, u8>),
     View(&'a [u8]),
-    Materialised(Vec<u8>),
 }
 
 impl Deref for PlaneRead<'_> {
@@ -94,9 +95,22 @@ impl Deref for PlaneRead<'_> {
         match self {
             PlaneRead::Lease(lease) => lease,
             PlaneRead::View(bytes) => bytes,
-            PlaneRead::Materialised(bytes) => bytes,
         }
     }
+}
+
+/// The bytes of a `w`-wide plane that shows `field` under overlays at
+/// `rects`, bottom first, their pixels back to back in `pixels`.
+pub(crate) fn materialise(field: &[u8], w: usize, rects: &[Rect], mut pixels: &[u8]) -> Vec<u8> {
+    let mut out = field.to_vec();
+    for r in rects {
+        let (own, rest) = pixels.split_at(r.w * r.h);
+        for (y, row) in (r.y..).zip(own.chunks_exact(r.w.max(1))) {
+            out[y * w + r.x..][..r.w].copy_from_slice(row);
+        }
+        pixels = rest;
+    }
+    out
 }
 
 impl Plane {
@@ -160,16 +174,15 @@ impl Plane {
     /// (poisoned in debug builds, so a row nobody wrote is a fingerprint
     /// mismatch, not a stale pixel) — see [`RegionBuf::renew_for_overwrite`].
     pub fn renew_for_overwrite(old: Option<Plane>, name: &str, w: usize, h: usize) -> Self {
-        let data = RegionBuf::renew_for_overwrite(Self::buffer(old), name, w * h, 0xA5);
-        Self::owned(w, h, data)
-    }
-
-    /// The buffer of a retired plane, if it owned one.
-    fn buffer(old: Option<Plane>) -> Option<RegionBuf<u8>> {
-        match old?.pixels {
+        let buffer = old.and_then(|old| match old.pixels {
             Pixels::Owned(data) => Some(data),
             Pixels::ReadOnly(..) => None,
-        }
+        });
+        Self::owned(
+            w,
+            h,
+            RegionBuf::renew_for_overwrite(buffer, name, w * h, 0xA5),
+        )
     }
 
     /// A composite: what `under` — a view, or a composite over one — shows,
@@ -209,11 +222,11 @@ impl Plane {
             Some(Pixels::ReadOnly(_, overlays)) => overlays,
             _ => Vec::new(),
         };
-        let rects = carried.iter().map(|o| (o.x, o.y, o.w, o.h));
-        for (i, (x, y, w, h)) in rects.chain([(x, y, w, h)]).enumerate() {
-            let spare = (i < overlays.len()).then(|| overlays.remove(i).pixels);
-            let pixels = RegionBuf::renew_for_overwrite(spare, name, w * h, 0xA5);
-            overlays.insert(i, Overlay { x, y, w, h, pixels });
+        let rects = carried.iter().map(|(rect, _)| *rect);
+        for (i, rect) in rects.chain([Rect { x, y, w, h }]).enumerate() {
+            let spare = (i < overlays.len()).then(|| overlays.remove(i).1);
+            let pixels = RegionBuf::renew_for_overwrite(spare, name, rect.w * rect.h, 0xA5);
+            overlays.insert(i, (rect, pixels));
         }
         overlays.truncate(carried.len() + 1);
         Self {
@@ -234,20 +247,20 @@ impl Plane {
         let Some((top, carried)) = self.overlays().split_last() else {
             panic!("{self:?} has no overlays: fill_overlay_rows({rows:?})");
         };
-        for (dst, src) in carried.iter().zip(under.overlays()) {
-            let span = dst.span(&dst.rows_in(&rows));
+        for ((rect, dst), (_, src)) in carried.iter().zip(under.overlays()) {
+            let span = rect.span(&rect.rows_in(&rows));
             if !span.is_empty() {
-                dst.pixels
-                    .lease_write(span.clone())
-                    .copy_from_slice(&src.pixels.lease_read(span));
+                dst.lease_write(span.clone())
+                    .copy_from_slice(&src.lease_read(span));
             }
         }
-        let band = top.rows_in(&rows);
-        if !band.is_empty() && top.w > 0 {
+        let (rect, top) = top;
+        let (band, w) = (rect.rows_in(&rows), rect.w);
+        if !band.is_empty() && w > 0 {
             let src = picture.read_rows(band.clone());
-            let mut dst = top.pixels.lease_write(top.span(&band));
-            for (d, s) in dst.chunks_exact_mut(top.w).zip(src.chunks_exact(picture.w)) {
-                d.copy_from_slice(&s[..top.w]);
+            let mut dst = top.lease_write(rect.span(&band));
+            for (d, s) in dst.chunks_exact_mut(w).zip(src.chunks_exact(picture.w)) {
+                d.copy_from_slice(&s[..w]);
             }
         }
     }
@@ -287,10 +300,10 @@ impl Plane {
     }
 
     /// Read rows `[rows.start, rows.end)`: under a read lease if the plane
-    /// is owned, the field itself if it is a view, and materialised into a
-    /// buffer of their own if it is a composite (which allocates: a graph
-    /// reads a composite whole, straight into where it keeps it, with
-    /// [`Plane::append_rows_to`]).
+    /// is owned, the field itself if it is a view.
+    ///
+    /// # Panics
+    /// On a composite, which no component reads by rows ([`Plane::to_vec`]).
     pub fn read_rows(&self, rows: Range<usize>) -> PlaneRead<'_> {
         let range = rows.start * self.w..rows.end * self.w;
         match &self.pixels {
@@ -298,11 +311,7 @@ impl Plane {
             Pixels::ReadOnly(field, overlays) if overlays.is_empty() => {
                 PlaneRead::View(&field.bytes[range])
             }
-            Pixels::ReadOnly(..) => {
-                let mut bytes = Vec::with_capacity(range.len());
-                self.append_rows_to(rows, &mut bytes);
-                PlaneRead::Materialised(bytes)
-            }
+            Pixels::ReadOnly(..) => panic!("{self:?} is a composite: read_rows({rows:?})"),
         }
     }
 
@@ -311,35 +320,28 @@ impl Plane {
         self.read_rows(0..self.h)
     }
 
-    /// Copy the pixels out.
+    /// Copy the pixels out; a composite's are materialised.
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.w * self.h);
-        self.append_rows_to(0..self.h, &mut bytes);
-        bytes
+        let (mut pixels, mut rects) = (Vec::new(), Vec::new());
+        match self.record(&mut pixels, &mut rects) {
+            Some(field) => materialise(&field, self.w, &rects, &pixels),
+            None => pixels,
+        }
     }
 
-    /// Append rows `[rows.start, rows.end)` to `out`. A composite's are
-    /// materialised there: its field's rows first, then the rows of each
-    /// overlay over them, bottom first, so the field is read once and
-    /// written once.
-    pub fn append_rows_to(&self, rows: Range<usize>, out: &mut Vec<u8>) {
-        let range = rows.start * self.w..rows.end * self.w;
-        match &self.pixels {
-            Pixels::Owned(data) => out.extend_from_slice(&data.lease_read(range)),
-            Pixels::ReadOnly(field, overlays) => {
-                let start = out.len();
-                out.extend_from_slice(&field.bytes[range]);
-                let dst = &mut out[start..];
-                for o in overlays.iter().filter(|o| o.w > 0) {
-                    let band = o.rows_in(&rows);
-                    let src = o.pixels.lease_read(o.span(&band));
-                    for (r, s) in band.zip(src.chunks_exact(o.w)) {
-                        let at = (o.y + r - rows.start) * self.w + o.x;
-                        dst[at..at + o.w].copy_from_slice(s);
-                    }
-                }
-            }
+    /// Append an owned plane's pixels to `pixels`, or each overlay's, bottom
+    /// first, and its rectangle to `rects`: what `materialise` takes. Returns
+    /// the field of a read-only plane, which nothing writes.
+    pub(crate) fn record(&self, pixels: &mut Vec<u8>, rects: &mut Vec<Rect>) -> Option<Arc<[u8]>> {
+        let Pixels::ReadOnly(field, overlays) = &self.pixels else {
+            pixels.extend_from_slice(&self.read_all());
+            return None;
+        };
+        for (rect, own) in overlays {
+            rects.push(*rect);
+            pixels.extend_from_slice(&own.lease_read_all());
         }
+        Some(Arc::clone(&field.bytes))
     }
 
     /// Simulated sweep over `rows`.
@@ -362,12 +364,8 @@ impl Plane {
 impl std::fmt::Debug for Plane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Plane({}x{}", self.w, self.h)?;
-        if let Pixels::ReadOnly(field, overlays) = &self.pixels {
-            write!(
-                f,
-                ", view of field {} of frame {}",
-                field.field, field.frame
-            )?;
+        if let Pixels::ReadOnly(Field { field, frame, .. }, overlays) = &self.pixels {
+            write!(f, ", view of field {field} of frame {frame}")?;
             if !overlays.is_empty() {
                 write!(f, " under {} overlay(s)", overlays.len())?;
             }
@@ -583,15 +581,18 @@ mod tests {
         assert_ne!(storage(&owned), video.field(1, 1).as_ptr());
     }
 
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("panics");
+        *payload.downcast().expect("formatted message")
+    }
+
     #[test]
     fn writing_a_view_panics_naming_it() {
         let video = video();
         let view = Plane::view(&video, 0, 2);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = view.write_rows(0..1);
-        }))
-        .expect_err("a view is read-only");
-        let message = payload.downcast_ref::<String>().expect("formatted message");
+        let message = panic_message(|| drop(view.write_rows(0..1)));
         assert!(
             message.contains("Plane(4x2, view of field 2 of frame 0)"),
             "{message}"
@@ -619,10 +620,10 @@ mod tests {
         two.fill_overlay_rows(&one, &dot, 0..2);
         want[6] = 99;
         assert_eq!(two.to_vec(), want);
-        assert_eq!(&*two.read_rows(1..2), &want[4..]);
         assert_eq!(
-            format!("{two:?}"),
-            "Plane(4x2, view of field 0 of frame 0 under 2 overlay(s))"
+            panic_message(|| drop(two.read_rows(1..2))),
+            "Plane(4x2, view of field 0 of frame 0 under 2 overlay(s)) is a composite: \
+             read_rows(1..2)"
         );
         assert_eq!(view.to_vec(), video.field(0, 0), "the view is untouched");
     }
@@ -633,9 +634,7 @@ mod tests {
         let view = Plane::view(&video, 0, 0);
         let storage = |p: &Plane| -> Vec<*const u8> {
             let overlays = p.overlays().iter();
-            overlays
-                .map(|o| o.pixels.lease_read_all().as_ptr())
-                .collect()
+            overlays.map(|(_, o)| o.lease_read_all().as_ptr()).collect()
         };
         let list = |p: &Plane| p.overlays().as_ptr();
         let one = Plane::composite(None, &view, "c", 0, 0, 2, 2);

@@ -3,9 +3,10 @@
 //! the bytes the scalar blend reference computes: for one to four pictures,
 //! overlapping ones (the later wins) and ones clipped at the right and
 //! bottom edges; whatever bands the rows are split into, bands that miss
-//! every picture included; read through the sink's path and through
-//! `read_rows` alike; and again in the buffers a retired composite hands
-//! back.
+//! every picture included; read through the sink's record and through
+//! `to_vec` alike; and again in the buffers a retired composite hands
+//! back. A capture owns what it records: renewing the plane it was handed
+//! for the next frame does not change the captured one.
 
 use media::blend::blend_rows_scalar;
 use media::components::CaptureBuf;
@@ -103,11 +104,11 @@ fn assert_stack_matches_reference(
         let mut capture = CaptureBuf::default();
         capture.push_plane(top);
         let what = format!("{w}x{h}, {placements:?}, bands {bands:?}, round {round}");
-        assert_eq!(capture.frames().next(), Some(&want[..]), "sink, {what}");
-        assert_eq!(&*top.read_all(), &want[..], "read_all, {what}");
+        assert_eq!(capture.frames().next(), Some(want.clone()), "sink, {what}");
+        let bytes = top.to_vec();
         for band in bands {
-            let rows = &want[band.start * w..band.end * w];
-            assert_eq!(&*top.read_rows(band.clone()), rows, "{band:?}, {what}");
+            let rows = band.start * w..band.end * w;
+            assert_eq!(bytes[rows.clone()], want[rows], "{band:?}, {what}");
         }
         old = levels.into_iter().map(Some).collect();
     }
@@ -145,4 +146,38 @@ fn every_split_of_the_rows_gives_the_reference_blend() {
         let cuts: Vec<usize> = (1..h).filter(|&r| split & 1 << (r - 1) != 0).collect();
         assert_stack_matches_reference(&video, &placements, &bands(h, &cuts), split.into());
     }
+}
+
+/// A composite pushed into a capture, then renewed for the next frame in
+/// the same overlay buffers and filled with another picture: the captured
+/// frame keeps the bytes it had when it was pushed.
+#[test]
+fn a_capture_keeps_a_composite_its_plane_is_renewed_over() {
+    let video = RawVideo::generate(VideoSpec::new(16, 12, 1, 9));
+    let view = Plane::view(&video, 0, 0);
+    let [first, second] = [1, 2].map(|seed| pictures(&[(6, 5, 3, 4)], seed));
+    let fill = |old, picture: &Plane| {
+        let composite = Plane::composite(old, &view, "composite", 3, 4, 6, 5);
+        composite.fill_overlay_rows(&view, picture, 0..12);
+        composite
+    };
+    let pushed = fill(None, &first[0].0);
+    let want = pushed.to_vec();
+    let mut capture = CaptureBuf::default();
+    capture.push_plane(&pushed);
+    let renewed = fill(Some(pushed), &second[0].0);
+    assert_ne!(renewed.to_vec(), want, "the next frame shows another one");
+    assert_eq!(capture.frames().collect::<Vec<_>>(), [want]);
+}
+
+/// The same for an owned plane renewed in its own buffer.
+#[test]
+fn a_capture_keeps_an_owned_plane_its_buffer_is_renewed_under() {
+    let want: Vec<u8> = (0..12).collect();
+    let pushed = Plane::from_pixels("plane", 4, 3, want.clone());
+    let mut capture = CaptureBuf::default();
+    capture.push_plane(&pushed);
+    let renewed = Plane::renew_for_overwrite(Some(pushed), "plane", 4, 3);
+    renewed.write_rows(0..3).fill(7);
+    assert_eq!(capture.frames().collect::<Vec<_>>(), [want]);
 }

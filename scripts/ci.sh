@@ -85,12 +85,14 @@ echo "facade lint: clean"
 # reference executor (`engine::reference`, `RefReport`), the trace
 # crate's own summary (`utilization_summary`), the source's field copy
 # (`Plane::renew_from_pixels`) and the process-global simulated address
-# allocator (`SIM_BRK`, `sim_alloc`, `renew_for_overwrite_at`) are gone
+# allocator (`SIM_BRK`, `sim_alloc`, `renew_for_overwrite_at`) and the
+# row-wise read of a composite (`PlaneRead::Materialised`) are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
 # engine/sim the one sequential engine, a source publishes a view of its
-# field, a spacecake::Machine lays out its run's buffers): no code, doc
-# or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at' \
+# field, a spacecake::Machine lays out its run's buffers, a capture records
+# a composite and a reader materialises it whole): no code, doc or script
+# may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2

@@ -18,8 +18,9 @@
 //! whole second run, from its first frame: the streams of a new instance
 //! start with the buffers the last one retired (they stay with the spec,
 //! `hinch::stream`, "The ring outlives the instance"), and the capture
-//! buffer keeps its pages over `clear_captures()`, so the second run
-//! allocates no payload at all.
+//! buffers keep their capacity over `clear_captures()`, so the second run
+//! allocates no payload at all, whether the sink records owned planes or
+//! composites.
 //!
 //! The counter is exact: a `#[global_allocator]` local to this test binary
 //! counts only what is allocated *inside a component's `run`* (every leaf
@@ -226,16 +227,25 @@ fn steady_state_frames_allocate_no_payload() {
     second_capturing_run_allocates_no_payload();
 }
 
-/// A second run of one spec allocates nothing, capturing sink included. A
-/// leg of the one `#[test]`, not a test of its own: the counter is
+/// A second run of one spec allocates nothing, capturing sink included:
+/// composites of one overlay (PiP-1), of two stacked (PiP-2) and of a
+/// count that changes with the toggle (PiP-12), and owned planes (JPiP-1).
+/// A leg of the one `#[test]`, not a test of its own: the counter is
 /// process-wide and `cargo test` would interleave two.
 fn second_capturing_run_allocates_no_payload() {
-    for app in [App::Pip1, App::Jpip1] {
+    for app in [App::Pip1, App::Pip2, App::Pip12, App::Jpip1] {
         let built = build_isolated(AppConfig::small(app));
         // Every `run_native` instantiates the graph anew; counted from
         // frame 0, ring slots and all.
         let spec = marked(built.spec, 0);
-        let cfg = RunConfig::new(FRAMES).pipeline_depth(DEPTH).workers(2);
+        // At depth > 1 a reconfiguration lands on a schedule-dependent
+        // frame: two PiP-12 runs could record different overlay counts.
+        let depth = if app.static_counterparts().is_empty() {
+            DEPTH
+        } else {
+            1
+        };
+        let cfg = RunConfig::new(FRAMES).pipeline_depth(depth).workers(2);
         let captured = || -> Vec<_> {
             (0..built.capture_ports)
                 .map(|p| built.assets.captured(built.capture, p))
