@@ -12,7 +12,7 @@
 //! exactly the locality difference behind the paper's 18 % JPiP overhead.
 
 use super::bitio::{category, magnitude_bits, BitReader, BitWriter};
-use super::dct::{fdct, idct_to_pixels};
+use super::dct::{fdct, idct_pair_to_pixels, idct_to_pixels_scalar};
 use super::huffman::{Decoder, Encoder, AC_CHROMA, AC_LUMA, DC_CHROMA, DC_LUMA, EOB, ZRL};
 use super::quant::{dequantize_one, quantize, scaled_table, Channel, ZIGZAG};
 use hinch::meter::{AccessKind, MemAccess, SimBuf};
@@ -184,15 +184,23 @@ impl<'a> ScanDecoder<'a> {
     }
 
     /// The fused path: decode the next `blocks_w` blocks and
-    /// inverse-transform each straight into `stripe`, their 8 pixel rows
-    /// of `blocks_w * 8` — a block's coefficients never leave the cache.
+    /// inverse-transform them, two at a time, straight into `stripe`,
+    /// their 8 pixel rows of `blocks_w * 8` — a block's coefficients never
+    /// leave the cache. An odd last block takes the scalar reference.
     pub fn next_block_row_to_pixels(&mut self, blocks_w: usize, stripe: &mut [u8]) {
         assert_eq!(stripe.len(), blocks_w * 64, "one stripe of 8 pixel rows");
-        let mut coefs = [0i16; 64];
-        for bx in 0..blocks_w {
-            let ok = self.next_block(&mut coefs);
+        let w = blocks_w * 8;
+        let [mut left, mut right] = [[0i16; 64]; 2];
+        for bx in (0..blocks_w).step_by(2) {
+            let ok = self.next_block(&mut left);
             debug_assert!(ok);
-            idct_to_pixels(&coefs, &mut stripe[bx * 8..], blocks_w * 8);
+            if bx + 1 == blocks_w {
+                idct_to_pixels_scalar(&left, &mut stripe[bx * 8..], w);
+            } else {
+                let ok = self.next_block(&mut right);
+                debug_assert!(ok);
+                idct_pair_to_pixels(&left, &right, &mut stripe[bx * 8..], w);
+            }
         }
     }
 }
@@ -220,7 +228,8 @@ pub fn decode_scan(
 
 /// IDCT the block rows `[0, n_block_rows)` of `coefs` (a lease over whole
 /// block rows, block-major) into `out` — the matching pixel rows
-/// (`n_block_rows * 8` rows of width `blocks_w * 8`).
+/// (`n_block_rows * 8` rows of width `blocks_w * 8`): two blocks a kernel
+/// call, an odd block row's last block through the scalar reference.
 pub fn idct_block_rows(coefs: &[i16], blocks_w: usize, out: &mut [u8]) -> u64 {
     assert_eq!(
         coefs.len() % (blocks_w * 64),
@@ -234,9 +243,12 @@ pub fn idct_block_rows(coefs: &[i16], blocks_w: usize, out: &mut [u8]) -> u64 {
         .chunks_exact(blocks_w * 64)
         .zip(out.chunks_exact_mut(8 * w));
     for (block_row, stripe) in stripes {
-        for (bx, block) in block_row.chunks_exact(64).enumerate() {
-            let block = block.try_into().expect("a 64-coefficient chunk");
-            idct_to_pixels(block, &mut stripe[bx * 8..], w);
+        let mut pairs = block_row.as_chunks::<64>().0.chunks_exact(2);
+        for (i, pair) in pairs.by_ref().enumerate() {
+            idct_pair_to_pixels(&pair[0], &pair[1], &mut stripe[i * 16..], w);
+        }
+        if let [last] = pairs.remainder() {
+            idct_to_pixels_scalar(last, &mut stripe[w - 8..], w);
         }
     }
     (n_block_rows * blocks_w) as u64

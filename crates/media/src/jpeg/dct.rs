@@ -1,15 +1,20 @@
 //! 8×8 forward and inverse DCT (type II / III), the JPEG transform.
 //!
-//! A separable float transform over a precomputed cosine table. The
-//! forward side and [`idct_scalar`] are the dense, obviously correct
-//! formulation; [`idct_to_pixels`] is the same arithmetic minus the empty
-//! part of the block. **The skipping rule:** a quantized block keeps its
-//! non-zero coefficients in its first `C` columns (at quality 75 about
-//! four for luma, two for chroma), and only those enter the sums. That is
-//! exact, not approximate — a skipped product is `±0.0` and would have
-//! left its accumulator unchanged; the vector kernel's header has the
-//! argument. Deterministic either way: the component charges its cycle
-//! cost from the documented constant, not from host speed.
+//! The forward side ([`fdct`], the encoder's) is a separable float
+//! transform over a precomputed cosine table. The inverse side is fixed
+//! point: the Loeffler–Ligtenberg–Moschytz factorisation that IJG
+//! libjpeg's `jidctint.c` ("islow") uses, with its 13-bit constants and
+//! `PASS1_BITS = 2` extra bits between the column and the row pass.
+//! [`idct_scalar`] defines the arithmetic exactly: wrapping `i32` products
+//! and sums, rounding shifts of 11 and 18, `i16` saturation after each
+//! pass, then `+128` and a clamp to a byte. Wrapping `i32` arithmetic is
+//! a ring, so any regrouping of the same products and sums is the same
+//! number bit for bit; the AVX2 kernel uses that to transform two blocks
+//! at once (one per 128-bit lane) with `vpmaddwd` on interleaved pairs.
+//! It matches the reference byte for byte on every input, and hosts
+//! without AVX2 run the reference. Deterministic either way: the
+//! component charges its cycle cost from the documented constant, not
+//! from host speed.
 
 /// `COS[x][u] = cos((2x+1)·u·π / 16)`.
 fn cos_table() -> &'static [[f32; 8]; 8] {
@@ -20,24 +25,6 @@ fn cos_table() -> &'static [[f32; 8]; 8] {
         for (x, row) in t.iter_mut().enumerate() {
             for (u, v) in row.iter_mut().enumerate() {
                 *v = ((2.0 * x as f64 + 1.0) * u as f64 * std::f64::consts::PI / 16.0).cos() as f32;
-            }
-        }
-        t
-    })
-}
-
-/// `COS_T[u][x] = COS[x][u]` — the transposed table the vectorized row
-/// pass loads contiguously (lanes across `x`).
-#[cfg(target_arch = "x86_64")]
-fn cos_t_table() -> &'static [[f32; 8]; 8] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[[f32; 8]; 8]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let cos = cos_table();
-        let mut t = [[0.0f32; 8]; 8];
-        for (u, row) in t.iter_mut().enumerate() {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = cos[x][u];
             }
         }
         t
@@ -84,68 +71,88 @@ pub fn fdct(samples: &[i16; 64]) -> [f32; 64] {
     out
 }
 
-/// Inverse DCT of one block straight to pixels: natural-order
-/// coefficients → samples → level shift (+128) → clamp, stored as the
-/// eight rows `out[y * stride..][..8]`. Dispatches to the widest
-/// byte-exact host kernel; [`idct_scalar`] is the reference.
-pub fn idct_to_pixels(coefs: &[i16; 64], out: &mut [u8], stride: usize) {
-    check_rows(out, stride);
-    #[cfg(target_arch = "x86_64")]
-    match crate::simd::level() {
-        // SAFETY (both arms): level() only reports Avx2/Sse2 when the host
-        // CPU has them, and check_rows accepted the destination.
-        crate::simd::Level::Avx2 => {
-            return unsafe { x86::idct_to_pixels_avx2(coefs, out.as_mut_ptr(), stride) }
-        }
-        crate::simd::Level::Sse2 => {
-            return unsafe { x86::idct_to_pixels_sse2(coefs, out.as_mut_ptr(), stride) }
-        }
-        crate::simd::Level::Scalar => {}
-    }
-    idct_to_pixels_scalar(coefs, out, stride)
+/// Fixed-point precision of the rotation constants.
+const CONST_BITS: u32 = 13;
+/// Extra precision the column pass keeps for the row pass.
+const PASS1_BITS: u32 = 2;
+/// The rounding shifts of the two passes: 11 and 18 (the row pass also
+/// removes the 1-D transforms' gain of 8).
+const SHIFT_1: u32 = CONST_BITS - PASS1_BITS;
+const SHIFT_2: u32 = CONST_BITS + PASS1_BITS + 3;
+
+/// `round(k · 2¹³)` for the factorisation's constants `k`.
+const F0_298: i32 = 2446;
+const F0_390: i32 = 3196;
+const F0_541: i32 = 4433;
+const F0_765: i32 = 6270;
+const F0_899: i32 = 7373;
+const F1_175: i32 = 9633;
+const F1_501: i32 = 12299;
+const F1_847: i32 = 15137;
+const F1_961: i32 = 16069;
+const F2_053: i32 = 16819;
+const F2_562: i32 = 20995;
+const F3_072: i32 = 25172;
+
+/// One 8-point inverse transform, `jidctint.c`'s butterfly: the even part
+/// from inputs 0, 2, 4, 6, the odd part from 1, 3, 5, 7, each output a
+/// rounding `>> shift` of their sum or difference, saturated to `i16`.
+fn idct_1d(v: [i32; 8], shift: u32) -> [i16; 8] {
+    let mul = i32::wrapping_mul;
+    let (add, sub) = (i32::wrapping_add, i32::wrapping_sub);
+    // even part
+    let z1 = mul(add(v[2], v[6]), F0_541);
+    let t2 = sub(z1, mul(v[6], F1_847));
+    let t3 = add(z1, mul(v[2], F0_765));
+    let t0 = add(v[0], v[4]).wrapping_shl(CONST_BITS);
+    let t1 = sub(v[0], v[4]).wrapping_shl(CONST_BITS);
+    let (e0, e3, e1, e2) = (add(t0, t3), sub(t0, t3), add(t1, t2), sub(t1, t2));
+    // odd part
+    let (a, b, c, d) = (v[7], v[5], v[3], v[1]);
+    let z5 = mul(add(add(a, c), add(b, d)), F1_175);
+    let z1 = mul(add(a, d), -F0_899);
+    let z2 = mul(add(b, c), -F2_562);
+    let z3 = add(mul(add(a, c), -F1_961), z5);
+    let z4 = add(mul(add(b, d), -F0_390), z5);
+    let o0 = add(mul(a, F0_298), add(z1, z3));
+    let o1 = add(mul(b, F2_053), add(z2, z4));
+    let o2 = add(mul(c, F3_072), add(z2, z3));
+    let o3 = add(mul(d, F1_501), add(z1, z4));
+    let descale = |x: i32| (add(x, 1 << (shift - 1)) >> shift).clamp(-32768, 32767) as i16;
+    [
+        add(e0, o3),
+        add(e1, o2),
+        add(e2, o1),
+        add(e3, o0),
+        sub(e3, o0),
+        sub(e2, o1),
+        sub(e1, o2),
+        sub(e0, o3),
+    ]
+    .map(descale)
 }
 
-/// The vector kernels store through a raw pointer: the eight rows must
-/// lie inside `out`.
-fn check_rows(out: &[u8], stride: usize) {
-    assert!(
-        out.len() >= 7 * stride + 8,
-        "eight rows of eight pixels at stride {stride} do not fit in {} bytes",
-        out.len()
-    );
-}
-
-/// The scalar inverse DCT — the byte-exact reference for the vector
-/// kernels: natural-order coefficients → level-shifted samples.
+/// The scalar inverse DCT — the reference the vector kernel matches byte
+/// for byte: natural-order coefficients → level-shifted samples. Columns
+/// first, then rows, the intermediate block saturated to `i16`.
 pub fn idct_scalar(coefs: &[i16; 64]) -> [i16; 64] {
-    let cos = cos_table();
-    let mut tmp = [0.0f32; 64];
-    // columns first
+    let mut tmp = [0i16; 64];
     for u in 0..8 {
-        for y in 0..8 {
-            let mut acc = 0.0f32;
-            for v in 0..8 {
-                acc += c(v) * coefs[v * 8 + u] as f32 * cos[y][v];
-            }
-            tmp[y * 8 + u] = acc;
+        let col = idct_1d(std::array::from_fn(|v| coefs[v * 8 + u] as i32), SHIFT_1);
+        for (y, s) in col.into_iter().enumerate() {
+            tmp[y * 8 + u] = s;
         }
     }
     let mut out = [0i16; 64];
-    for y in 0..8 {
-        for x in 0..8 {
-            let mut acc = 0.0f32;
-            for u in 0..8 {
-                acc += c(u) * tmp[y * 8 + u] * cos[x][u];
-            }
-            out[y * 8 + x] = (0.25 * acc).round() as i16;
-        }
+    for (src, dst) in tmp.chunks_exact(8).zip(out.chunks_exact_mut(8)) {
+        dst.copy_from_slice(&idct_1d(std::array::from_fn(|u| src[u] as i32), SHIFT_2));
     }
     out
 }
 
-/// [`idct_scalar`] to pixels: the scalar twin of [`idct_to_pixels`]. The
-/// level shift is taken in `i32` — `idct_scalar` saturates at ±32 767,
-/// which a corrupt scan's coefficients reach.
+/// [`idct_scalar`] to pixels, the eight rows `out[y * stride..][..8]`:
+/// the scalar twin of [`idct_pair_to_pixels`], and the path of an odd
+/// block row's last block.
 pub fn idct_to_pixels_scalar(coefs: &[i16; 64], out: &mut [u8], stride: usize) {
     let spatial = idct_scalar(coefs);
     for (y, row) in spatial.chunks_exact(8).enumerate() {
@@ -155,217 +162,203 @@ pub fn idct_to_pixels_scalar(coefs: &[i16; 64], out: &mut [u8], stride: usize) {
     }
 }
 
-/// Parity-test hook: run the SSE2 kernel whenever the host supports SSE2
-/// (ignoring dispatch); `false` when it does not.
-pub fn idct_to_pixels_sse2_checked(coefs: &[i16; 64], out: &mut [u8], stride: usize) -> bool {
+/// Inverse DCT of two horizontally adjacent blocks straight to pixels:
+/// `left` to the columns `0..8` and `right` to `8..16` of the eight rows
+/// `out[y * stride..][..16]`. Dispatches to the AVX2 kernel when the host
+/// has it, else to [`idct_to_pixels_scalar`] twice.
+pub fn idct_pair_to_pixels(left: &[i16; 64], right: &[i16; 64], out: &mut [u8], stride: usize) {
     check_rows(out, stride);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse2") {
-        // SAFETY: feature checked above, bounds by check_rows.
-        unsafe { x86::idct_to_pixels_sse2(coefs, out.as_mut_ptr(), stride) };
-        return true;
+    if !(crate::simd::use_avx2() && idct_pair_to_pixels_avx2_checked(left, right, out, stride)) {
+        idct_to_pixels_scalar(left, out, stride);
+        idct_to_pixels_scalar(right, &mut out[8..], stride);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = coefs;
-    false
 }
 
-/// Parity-test hook: run the AVX2 kernel whenever the host supports AVX2
-/// (ignoring dispatch); `false` when it does not.
-pub fn idct_to_pixels_avx2_checked(coefs: &[i16; 64], out: &mut [u8], stride: usize) -> bool {
+/// Run the AVX2 pair kernel whenever the host supports AVX2, ignoring
+/// dispatch (the parity tests' hook); `false` when it does not.
+pub fn idct_pair_to_pixels_avx2_checked(
+    left: &[i16; 64],
+    right: &[i16; 64],
+    out: &mut [u8],
+    stride: usize,
+) -> bool {
     check_rows(out, stride);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: feature checked above, bounds by check_rows.
-        unsafe { x86::idct_to_pixels_avx2(coefs, out.as_mut_ptr(), stride) };
+        unsafe { x86::idct_pair_to_pixels_avx2(left, right, out.as_mut_ptr(), stride) };
         return true;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = coefs;
+    let _ = (left, right);
     false
 }
 
-/// The vector IDCT-to-pixels kernel: one shape at two widths.
+/// The eight rows of 16 pixels must lie inside `out`: the vector kernel
+/// stores through a raw pointer, and both paths refuse alike.
+fn check_rows(out: &[u8], stride: usize) {
+    assert!(
+        out.len() >= 7 * stride + 16,
+        "eight rows of 16 pixels at stride {stride} do not fit in {} bytes",
+        out.len()
+    );
+}
+
+/// The AVX2 pair kernel: two blocks, one per 128-bit lane.
 ///
-/// The eight row loads, OR-ed, give `C`: the columns `u < C` hold every
-/// non-zero coefficient. For each of them a column pass over lanes = `y`
-/// (`tmp[·][u] += (c(v)·coef[v][u]) · cosᵀ[v]`, all eight `v`) feeds a
-/// row pass that also runs over lanes = `y` (`acc[x] += (c(u)·tmp[·][u]) ·
-/// cos[x][u]`, one accumulator per output column `x`): `16·C` eight-lane
-/// multiply-add pairs in place of the dense 128, every operand a vector
-/// already in a register or a broadcast load, no lane ever moved between
-/// the passes. The eight column accumulators are rounded, level-shifted
-/// and clamped in registers, transposed as bytes and stored as the eight
-/// 8-byte pixel rows. (Rows are not skipped as well: an inner
-/// trip count that changes from block to block costs more in branch
-/// misses than the products it saves — docs/PERFORMANCE.md.)
-///
-/// Byte-exactness: every lane performs [`super::idct_scalar`]'s operation
-/// sequence for its element — `(c·coef)·cos` products accumulated in
-/// ascending `v`, then `u`, separate multiply and add, no FMA — minus the
-/// terms of the columns `u ≥ C`. Such a term is `±0.0` (its `tmp` is a
-/// sum of products of zero coefficients), an accumulator starts at `+0.0`
-/// and is never `−0.0` (`x + (−x)` is `+0.0` under round-to-nearest), and
-/// adding `±0.0` to anything but `−0.0` returns it unchanged: leaving the
-/// term out is the same float, bit for bit. `trunc(q + copysign(pred(0.5),
-/// q))` is `f32::round(q)` (the expansion compilers use), and saturating
-/// to `i16` before a saturating `+128` clamps to the same byte as the
-/// twin's `i32` shift.
+/// Register `k` holds coefficient row `k` of the left block in its low
+/// lane and of the right one in its high lane. The column pass is
+/// [`idct_1d`] with lanes = columns: two rows interleaved as `(x, y)`
+/// pairs let one `vpmaddwd` form `x·c₀ + y·c₁` in `i32`, and each
+/// butterfly output is two of those and a sum — the reference's products
+/// regrouped (`(v₂ + v₆)·k₁ − v₆·k₂` is `v₂·k₁ + v₆·(k₁ − k₂)`), the
+/// same number in wrapping arithmetic. Every regrouped constant fits in
+/// `i16`, so no `vpmaddwd` meets its one overflow (`−32768 · −32768`
+/// twice). `vpackssdw` saturates as the reference does; an in-lane word
+/// transpose turns columns into rows for the row pass, and a saturating
+/// `+128`, an unsigned pack and a byte transpose leave each pixel row of
+/// both blocks as 16 contiguous bytes.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{cos_t_table, cos_table, C};
+    use super::*;
     use std::arch::x86_64::*;
 
-    /// `pred(0.5)`: the largest `f32` below one half.
-    const BELOW_HALF: f32 = 0.499_999_97;
-
-    /// Load the eight coefficient rows; with them `C`, one past the last
-    /// column that holds a non-zero coefficient (0 for an empty block).
-    #[inline(always)]
-    fn load_rows(coefs: &[i16; 64]) -> ([__m128i; 8], usize) {
-        // SAFETY: SSE2 is baseline on x86-64, and row `v` is the 16 bytes
-        // `coefs[v * 8..v * 8 + 8]`.
-        unsafe {
-            let mut rows = [_mm_setzero_si128(); 8];
-            let mut any = _mm_setzero_si128();
-            for (v, row) in rows.iter_mut().enumerate() {
-                *row = _mm_loadu_si128(coefs.as_ptr().add(v * 8) as *const __m128i);
-                any = _mm_or_si128(any, *row);
-            }
-            // two mask bits a column, set where the column is all zero
-            let zero = _mm_movemask_epi8(_mm_cmpeq_epi16(any, _mm_setzero_si128()));
-            let c = (16 - (!zero as u16).leading_zeros() as usize).div_ceil(2);
-            (rows, c)
-        }
+    /// The `vpmaddwd` multiplier `x·cx + y·cy` for pairs `(x, y)`.
+    const fn pair(cx: i32, cy: i32) -> i32 {
+        (cy << 16) | (cx & 0xFFFF)
     }
 
-    /// Store four pixel rows from their columns: `abef` and `cdgh` hold
-    /// columns a b e f and c d g h of four bytes each (a..h = x 0..8), so
-    /// that three rounds of interleaving leave whole rows a..h.
-    ///
-    /// # Safety
-    /// The four rows `out + y * stride` (`y < 4`) must each be 8 writable
-    /// bytes.
-    #[inline(always)]
-    unsafe fn store_four_rows(abef: __m128i, cdgh: __m128i, out: *mut u8, stride: usize) {
-        let (ac_bd, eg_fh) = (_mm_unpacklo_epi8(abef, cdgh), _mm_unpackhi_epi8(abef, cdgh));
-        let (aceg, bdfh) = (
-            _mm_unpacklo_epi16(ac_bd, eg_fh),
-            _mm_unpackhi_epi16(ac_bd, eg_fh),
-        );
-        let (r01, r23) = (_mm_unpacklo_epi8(aceg, bdfh), _mm_unpackhi_epi8(aceg, bdfh));
-        for (y, two_rows) in [(0, r01), (2, r23)] {
-            _mm_storel_epi64(out.add(y * stride) as *mut __m128i, two_rows);
-            _mm_storeh_pd(
-                out.add((y + 1) * stride) as *mut f64,
-                _mm_castsi128_pd(two_rows),
-            );
-        }
+    /// The odd outputs `o₀..o₃` of [`idct_1d`] multiplied out: the
+    /// constant of each input `v₇, v₅, v₃, v₁` in each.
+    const ODD: [[i32; 4]; 4] = [
+        [
+            F0_298 - F0_899 - F1_961 + F1_175,
+            F1_175,
+            F1_175 - F1_961,
+            F1_175 - F0_899,
+        ],
+        [
+            F1_175,
+            F2_053 - F2_562 - F0_390 + F1_175,
+            F1_175 - F2_562,
+            F1_175 - F0_390,
+        ],
+        [
+            F1_175 - F1_961,
+            F1_175 - F2_562,
+            F3_072 - F2_562 - F1_961 + F1_175,
+            F1_175,
+        ],
+        [
+            F1_175 - F0_899,
+            F1_175 - F0_390,
+            F1_175,
+            F1_501 - F0_899 - F0_390 + F1_175,
+        ],
+    ];
+
+    /// One round of a transpose: register `k` of the result interleaves
+    /// registers `k / 2` and `k / 2 + n / 2` of the `n` in `$r`, their
+    /// low halves for even `k`, their high halves for odd.
+    macro_rules! interleave {
+        ($r:expr, $lo:ident, $hi:ident) => {{
+            let r = $r;
+            let n = r.len() / 2;
+            let mut out = r;
+            for (k, o) in out.iter_mut().enumerate() {
+                let (x, y) = (r[k / 2], r[k / 2 + n]);
+                *o = if k % 2 == 0 { $lo(x, y) } else { $hi(x, y) };
+            }
+            out
+        }};
+    }
+
+    /// Half a pass (elements 0..4 of each lane, or with `HI` 4..8) of the
+    /// butterfly on register `k` = input `k`: the `i32` outputs 0..8,
+    /// rounded and shifted.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn butterfly<const SHIFT: i32, const HI: bool>(v: &[__m256i; 8]) -> [__m256i; 8] {
+        let il = |a: usize, b: usize| match HI {
+            false => _mm256_unpacklo_epi16(v[a], v[b]),
+            true => _mm256_unpackhi_epi16(v[a], v[b]),
+        };
+        let (x04, x26, x71, x53) = (il(0, 4), il(2, 6), il(7, 1), il(5, 3));
+        let madd = |x, cx, cy| _mm256_madd_epi16(x, _mm256_set1_epi32(pair(cx, cy)));
+        // the rounding goes in with the DC terms, which every output sums
+        let round = _mm256_set1_epi32(1 << (SHIFT - 1));
+        let t0 = _mm256_add_epi32(madd(x04, 1 << CONST_BITS, 1 << CONST_BITS), round);
+        let t1 = _mm256_add_epi32(madd(x04, 1 << CONST_BITS, -(1 << CONST_BITS)), round);
+        let t2 = madd(x26, F0_541, F0_541 - F1_847);
+        let t3 = madd(x26, F0_541 + F0_765, F0_541);
+        let (e0, e3) = (_mm256_add_epi32(t0, t3), _mm256_sub_epi32(t0, t3));
+        let (e1, e2) = (_mm256_add_epi32(t1, t2), _mm256_sub_epi32(t1, t2));
+        let [o0, o1, o2, o3] =
+            ODD.map(|[a, b, c, d]| _mm256_add_epi32(madd(x71, a, d), madd(x53, b, c)));
+        [
+            _mm256_add_epi32(e0, o3),
+            _mm256_add_epi32(e1, o2),
+            _mm256_add_epi32(e2, o1),
+            _mm256_add_epi32(e3, o0),
+            _mm256_sub_epi32(e3, o0),
+            _mm256_sub_epi32(e2, o1),
+            _mm256_sub_epi32(e1, o2),
+            _mm256_sub_epi32(e0, o3),
+        ]
+        .map(|x| _mm256_srai_epi32::<SHIFT>(x))
+    }
+
+    /// One pass over eight registers, lanes = independent transforms,
+    /// saturated to `i16`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn pass<const SHIFT: i32>(v: &[__m256i; 8]) -> [__m256i; 8] {
+        let (lo, hi) = (butterfly::<SHIFT, false>(v), butterfly::<SHIFT, true>(v));
+        std::array::from_fn(|k| _mm256_packs_epi32(lo[k], hi[k]))
     }
 
     /// # Safety
     /// The host must support AVX2, and the eight rows `out + y * stride`
-    /// (`y < 8`) must each be 8 writable bytes.
+    /// (`y < 8`) must each be 16 writable bytes.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn idct_to_pixels_avx2(coefs: &[i16; 64], out: *mut u8, stride: usize) {
-        let (cos, cost) = (cos_table(), cos_t_table());
-        let (rows, c) = load_rows(coefs);
-        // cf[v][u] = c(v) * coef[v][u], to broadcast from
-        let mut cf = [0.0f32; 64];
-        for v in 0..8 {
-            let f = _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(rows[v]));
-            _mm256_storeu_ps(
-                cf[v * 8..].as_mut_ptr(),
-                _mm256_mul_ps(_mm256_set1_ps(C[v]), f),
-            );
-        }
-        // acc[x] is output column x: lanes across y, like tmp
-        let mut acc = [_mm256_setzero_ps(); 8];
-        for u in 0..c {
-            // tmp[y][u] = sum_v cf[v][u] * cos[y][v]
-            let mut tmp = _mm256_setzero_ps();
-            for v in 0..8 {
-                let cv = _mm256_broadcast_ss(&cf[v * 8 + u]);
-                tmp = _mm256_add_ps(tmp, _mm256_mul_ps(cv, _mm256_loadu_ps(cost[v].as_ptr())));
+    pub unsafe fn idct_pair_to_pixels_avx2(
+        left: &[i16; 64],
+        right: &[i16; 64],
+        out: *mut u8,
+        stride: usize,
+    ) {
+        let (l, r) = (
+            left.as_ptr().cast::<__m128i>(),
+            right.as_ptr().cast::<__m128i>(),
+        );
+        // SAFETY: row k of a block is the 16 bytes at k * 16
+        let rows = std::array::from_fn(|k| unsafe { _mm256_loadu2_m128i(r.add(k), l.add(k)) });
+        let ws = pass::<{ SHIFT_1 as i32 }>(&rows);
+        // the word transpose: three rounds of interleaving take the rows
+        // in bit-reversed order to the columns in order
+        let ws = [ws[0], ws[4], ws[2], ws[6], ws[1], ws[5], ws[3], ws[7]];
+        let ws = interleave!(ws, _mm256_unpacklo_epi16, _mm256_unpackhi_epi16);
+        let ws = interleave!(ws, _mm256_unpacklo_epi32, _mm256_unpackhi_epi32);
+        let ws = interleave!(ws, _mm256_unpacklo_epi64, _mm256_unpackhi_epi64);
+        // register x of `cols` is output column x
+        let cols = pass::<{ SHIFT_2 as i32 }>(&ws);
+        let px = cols.map(|c| _mm256_adds_epi16(c, _mm256_set1_epi16(128)));
+        // columns 2j and 2j + 1 as bytes; three rounds of interleaving
+        // leave rows 2j and 2j + 1
+        let two: [__m256i; 4] =
+            std::array::from_fn(|j| _mm256_packus_epi16(px[2 * j], px[2 * j + 1]));
+        let two = interleave!(two, _mm256_unpacklo_epi8, _mm256_unpackhi_epi8);
+        let two = interleave!(two, _mm256_unpacklo_epi8, _mm256_unpackhi_epi8);
+        let two = interleave!(two, _mm256_unpacklo_epi8, _mm256_unpackhi_epi8);
+        for (j, rows) in two.into_iter().enumerate() {
+            // left row 2j, right row 2j | left row 2j + 1, right row 2j + 1
+            let rows = _mm256_permute4x64_epi64::<0b11_01_10_00>(rows);
+            // SAFETY: rows 2j and 2j + 1 are 16 writable bytes each
+            unsafe {
+                let at = |y: usize| out.add(y * stride).cast::<__m128i>();
+                _mm_storeu_si128(at(2 * j), _mm256_castsi256_si128(rows));
+                _mm_storeu_si128(at(2 * j + 1), _mm256_extracti128_si256::<1>(rows));
             }
-            // acc[x][y] += (c(u) * tmp[y][u]) * cos[x][u]
-            let s = _mm256_mul_ps(_mm256_set1_ps(C[u]), tmp);
-            for x in 0..8 {
-                let term = _mm256_mul_ps(s, _mm256_broadcast_ss(&cos[x][u]));
-                acc[x] = _mm256_add_ps(acc[x], term);
-            }
-        }
-        // round, level shift and clamp two columns at a time
-        let sign = _mm256_set1_ps(-0.0);
-        let round = |acc: __m256| {
-            let q = _mm256_mul_ps(_mm256_set1_ps(0.25), acc);
-            let half = _mm256_or_ps(_mm256_and_ps(q, sign), _mm256_set1_ps(BELOW_HALF));
-            _mm256_cvttps_epi32(_mm256_add_ps(q, half))
-        };
-        let pair = |x: usize| {
-            let words = _mm256_packs_epi32(round(acc[x]), round(acc[x + 1]));
-            _mm256_adds_epi16(words, _mm256_set1_epi16(128))
-        };
-        // four columns of four bytes per 128-bit half: y 0..4 | y 4..8
-        let abef = _mm256_packus_epi16(pair(0), pair(4));
-        let cdgh = _mm256_packus_epi16(pair(2), pair(6));
-        let (top, bottom) = (_mm256_castsi256_si128, _mm256_extracti128_si256::<1>);
-        store_four_rows(top(abef), top(cdgh), out, stride);
-        store_four_rows(bottom(abef), bottom(cdgh), out.add(4 * stride), stride);
-    }
-
-    /// # Safety
-    /// The host must support SSE2, and the eight rows `out + y * stride`
-    /// (`y < 8`) must each be 8 writable bytes.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn idct_to_pixels_sse2(coefs: &[i16; 64], out: *mut u8, stride: usize) {
-        let (cos, cost) = (cos_table(), cos_t_table());
-        let (rows, c) = load_rows(coefs);
-        // cf[v][u] = c(v) * coef[v][u], to broadcast from
-        let mut cf = [0.0f32; 64];
-        for v in 0..8 {
-            // 8 i16 -> two f32x4 (exact, as in `coef as f32`)
-            let sign = _mm_srai_epi16::<15>(rows[v]);
-            let lo = _mm_cvtepi32_ps(_mm_unpacklo_epi16(rows[v], sign));
-            let hi = _mm_cvtepi32_ps(_mm_unpackhi_epi16(rows[v], sign));
-            _mm_storeu_ps(cf[v * 8..].as_mut_ptr(), _mm_mul_ps(_mm_set1_ps(C[v]), lo));
-            _mm_storeu_ps(
-                cf[v * 8 + 4..].as_mut_ptr(),
-                _mm_mul_ps(_mm_set1_ps(C[v]), hi),
-            );
-        }
-        // half the lanes: y 0..4, then y 4..8
-        for y0 in [0, 4] {
-            // acc[x] is output column x: lanes across y, like tmp
-            let mut acc = [_mm_setzero_ps(); 8];
-            for u in 0..c {
-                // tmp[y][u] = sum_v cf[v][u] * cos[y][v]
-                let mut tmp = _mm_setzero_ps();
-                for v in 0..8 {
-                    let cv = _mm_set1_ps(cf[v * 8 + u]);
-                    tmp = _mm_add_ps(tmp, _mm_mul_ps(cv, _mm_loadu_ps(cost[v][y0..].as_ptr())));
-                }
-                // acc[x][y] += (c(u) * tmp[y][u]) * cos[x][u]
-                let s = _mm_mul_ps(_mm_set1_ps(C[u]), tmp);
-                for x in 0..8 {
-                    let term = _mm_mul_ps(s, _mm_set1_ps(cos[x][u]));
-                    acc[x] = _mm_add_ps(acc[x], term);
-                }
-            }
-            // round, level shift and clamp two columns at a time
-            let sign = _mm_set1_ps(-0.0);
-            let round = |acc: __m128| {
-                let q = _mm_mul_ps(_mm_set1_ps(0.25), acc);
-                let half = _mm_or_ps(_mm_and_ps(q, sign), _mm_set1_ps(BELOW_HALF));
-                _mm_cvttps_epi32(_mm_add_ps(q, half))
-            };
-            let pair = |x: usize| {
-                let words = _mm_packs_epi32(round(acc[x]), round(acc[x + 1]));
-                _mm_adds_epi16(words, _mm_set1_epi16(128))
-            };
-            let abef = _mm_packus_epi16(pair(0), pair(4));
-            let cdgh = _mm_packus_epi16(pair(2), pair(6));
-            store_four_rows(abef, cdgh, out.add(y0 * stride), stride);
         }
     }
 }
@@ -422,18 +415,19 @@ mod tests {
         // is far above +32 767, and the level shift must not wrap it to 0
         // (tests/simd_parity.rs holds every kernel to the whole block)
         let coefs = [i16::MAX; 64];
-        assert_eq!(idct_scalar(&coefs)[0], i16::MAX);
-        for kernel in [idct_to_pixels, idct_to_pixels_scalar] {
-            let mut pixels = [0u8; 64];
-            kernel(&coefs, &mut pixels, 8);
-            assert_eq!(pixels[0], 255);
-        }
+        let mut want = [0u8; 128];
+        idct_to_pixels_scalar(&coefs, &mut want, 16);
+        idct_to_pixels_scalar(&coefs, &mut want[8..], 16);
+        assert_eq!(want[0], 255);
+        let mut pixels = [0u8; 128];
+        idct_pair_to_pixels(&coefs, &coefs, &mut pixels, 16);
+        assert_eq!(pixels, want);
     }
 
     #[test]
     #[should_panic(expected = "do not fit")]
     fn rows_past_the_destination_are_refused() {
-        idct_to_pixels(&[0; 64], &mut [0u8; 7 * 16 + 8], 17);
+        idct_pair_to_pixels(&[0; 64], &[0; 64], &mut [0u8; 7 * 24 + 16], 25);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!
 //! * integer kernels (scale, blur) only reassociate integer adds,
 //!   which is always exact;
-//! * the floating-point IDCT vectorizes *across output elements* (lanes),
-//!   keeping the per-element operation order identical to the scalar
-//!   reference — no FMA contraction, no reassociation within a lane.
+//! * the fixed-point IDCT regroups the reference's wrapping `i32`
+//!   products and sums (a ring: the same number bit for bit) and
+//!   saturates where the reference does.
 
 use std::sync::OnceLock;
 

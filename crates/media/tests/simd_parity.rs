@@ -15,8 +15,7 @@ use media::blur::{
 };
 use media::jpeg::bitio::{self, BitReader, BitWriter};
 use media::jpeg::dct::{
-    idct_scalar, idct_to_pixels, idct_to_pixels_avx2_checked, idct_to_pixels_scalar,
-    idct_to_pixels_sse2_checked,
+    idct_pair_to_pixels, idct_pair_to_pixels_avx2_checked, idct_scalar, idct_to_pixels_scalar,
 };
 use media::jpeg::huffman::{Decoder, Encoder, AC_CHROMA, AC_LUMA, DC_CHROMA, DC_LUMA};
 use media::jpeg::quant::Channel;
@@ -116,11 +115,12 @@ proptest! {
         assert_downscale_parity(&src, sw, factor, r0.min(oh - 1)..oh);
     }
 
-    // IDCT-to-pixels parity over every extent the kernel can skip to and
-    // the full coefficient range, saturated blocks included.
+    // IDCT-to-pixels parity over pairs of blocks of every shape, the two
+    // lanes of the pair kernel independent, and the full coefficient
+    // range, saturated blocks included.
     #[test]
-    fn idct_parity(coefs in idct_block()) {
-        assert_idct_parity(&coefs);
+    fn idct_parity(left in idct_block(), right in idct_block()) {
+        assert_idct_parity(&left, &right);
     }
 
     // Refill bit reader vs the per-bit reference on arbitrary streams
@@ -262,10 +262,11 @@ fn downscale_parity_at_shipped_geometries() {
     }
 }
 
-/// Coefficient blocks shaped like what the skipping kernel branches on:
-/// DC only, one coefficient in the last position, a top-left corner of at
-/// most 3×3, one full row, one full column, dense, and blocks at the
-/// `i16` limits a corrupt scan dequantizes to.
+/// Coefficient blocks of the shapes a quantized scan and a corrupt one
+/// produce: DC only, one coefficient in the last position, a top-left
+/// corner of at most 3×3, one full row, one full column, dense, and
+/// blocks at the `i16` limits a corrupt scan dequantizes to (where the
+/// fixed-point passes saturate).
 fn idct_block() -> impl Strategy<Value = [i16; 64]> {
     (
         0usize..8,
@@ -293,45 +294,70 @@ fn idct_block() -> impl Strategy<Value = [i16; 64]> {
         })
 }
 
-/// Dispatch, the scalar twin and both vector hooks against `idct_scalar`
-/// with a widened level shift and a clamp, into a tight 8×8 and into the
-/// middle of a wider plane (whose other bytes must stay untouched).
-fn assert_idct_parity(coefs: &[i16; 64]) {
-    let want = idct_scalar(coefs).map(|s| (s as i32 + 128).clamp(0, 255) as u8);
-    type Kernel = fn(&[i16; 64], &mut [u8], usize) -> bool;
-    let kernels: [(&str, Kernel); 4] = [
-        ("dispatch", |c, o, s| {
-            idct_to_pixels(c, o, s);
+/// `idct_scalar` with a widened level shift and a clamp: the pixels every
+/// IDCT kernel must produce for `coefs`.
+fn idct_want(coefs: &[i16; 64]) -> [u8; 64] {
+    idct_scalar(coefs).map(|s| (s as i32 + 128).clamp(0, 255) as u8)
+}
+
+/// Two blocks side by side, through the scalar twin a block at a time,
+/// the dispatching pair entry and the AVX2 pair hook, against
+/// [`idct_want`], into a tight 16×8 and into the middle of a wider plane
+/// (whose other bytes must stay untouched).
+fn assert_idct_parity(left: &[i16; 64], right: &[i16; 64]) {
+    let want = [idct_want(left), idct_want(right)];
+    type Kernel = fn(&[i16; 64], &[i16; 64], &mut [u8], usize) -> bool;
+    let kernels: [(&str, Kernel); 3] = [
+        ("scalar", |l, r, o, s| {
+            idct_to_pixels_scalar(l, o, s);
+            idct_to_pixels_scalar(r, &mut o[8..], s);
             true
         }),
-        ("scalar", |c, o, s| {
-            idct_to_pixels_scalar(c, o, s);
+        ("dispatch", |l, r, o, s| {
+            idct_pair_to_pixels(l, r, o, s);
             true
         }),
-        ("sse2", idct_to_pixels_sse2_checked),
-        ("avx2", idct_to_pixels_avx2_checked),
+        ("avx2", idct_pair_to_pixels_avx2_checked),
     ];
     for (name, kernel) in kernels {
-        for (stride, offset) in [(8usize, 0usize), (40, 83)] {
-            let mut plane = vec![0x5au8; offset + 7 * stride + 8 + 5];
-            if !kernel(coefs, &mut plane[offset..], stride) {
+        for (stride, offset) in [(16usize, 0usize), (40, 83)] {
+            let mut plane = vec![0x5au8; offset + 7 * stride + 16 + 5];
+            if !kernel(left, right, &mut plane[offset..], stride) {
                 continue;
             }
             for (i, &p) in plane.iter().enumerate() {
                 let at = i
                     .checked_sub(offset)
-                    .filter(|at| at % stride < 8 && at / stride < 8);
-                let expect = at.map_or(0x5a, |at| want[at / stride * 8 + at % stride]);
-                assert_eq!(p, expect, "{name}, stride {stride}, byte {i} of {coefs:?}");
+                    .filter(|at| at % stride < 16 && at / stride < 8);
+                let expect = at.map_or(0x5a, |at| {
+                    let x = at % stride;
+                    want[x / 8][at / stride * 8 + x % 8]
+                });
+                assert_eq!(
+                    p, expect,
+                    "{name}, stride {stride}, byte {i} of {left:?} | {right:?}"
+                );
             }
         }
     }
 }
 
 /// The block shapes of [`idct_block`] once each without a generator, so a
-/// kernel that mishandles one fails the same way on every run.
+/// kernel that mishandles one fails the same way on every run: each block
+/// beside an empty one on either side, and beside the next block.
 #[test]
 fn idct_parity_at_the_extents() {
+    let blocks = idct_extent_blocks();
+    for (i, block) in blocks.iter().enumerate() {
+        assert_idct_parity(block, &[0; 64]);
+        assert_idct_parity(&[0; 64], block);
+        assert_idct_parity(block, &blocks[(i + 1) % blocks.len()]);
+    }
+}
+
+/// Zero and saturated blocks, every single coefficient at six values, and
+/// for each `rc` an `rc × rc` corner and the full row and column `rc − 1`.
+fn idct_extent_blocks() -> Vec<[i16; 64]> {
     let mut blocks = vec![[0i16; 64], [i16::MAX; 64], [i16::MIN; 64], [-i16::MAX; 64]];
     for i in 0..64 {
         for v in [1, -1, 1016, -2040, i16::MAX, i16::MIN] {
@@ -341,7 +367,6 @@ fn idct_parity_at_the_extents() {
         }
     }
     for rc in 1..=8 {
-        // an rc × rc corner, and the full row / column rc - 1
         let at = |keep: &dyn Fn(usize, usize) -> bool| -> [i16; 64] {
             std::array::from_fn(|i| {
                 if keep(i / 8, i % 8) {
@@ -355,8 +380,68 @@ fn idct_parity_at_the_extents() {
         blocks.push(at(&|row, _| row == rc - 1));
         blocks.push(at(&|_, col| col == rc - 1));
     }
-    for block in &blocks {
-        assert_idct_parity(block);
+    blocks
+}
+
+/// `idct_block_rows` against a per-block loop over [`idct_want`] on
+/// planes 1 and 9 blocks wide (a lone block, four pairs and an odd last
+/// block a row) and on an even width whose pairs put a block dense at the
+/// `i16` limits beside a DC-only one, in both orders.
+#[test]
+fn idct_block_rows_match_a_per_block_scalar_loop() {
+    use media::jpeg::codec::idct_block_rows;
+    let shapes = idct_extent_blocks();
+    let dense_limits: [i16; 64] =
+        std::array::from_fn(|i| [i16::MAX, i16::MIN, -i16::MAX][splat(3, i) as usize % 3]);
+    let dc_only: [i16; 64] = std::array::from_fn(|i| if i == 0 { -1016 } else { 0 });
+    let mixed: Vec<[i16; 64]> = (0..12)
+        .map(|b| if b % 3 == 0 { dc_only } else { dense_limits })
+        .collect();
+    for (blocks_w, blocks) in [
+        (1, shapes.clone()),
+        (9, shapes[..9 * (shapes.len() / 9)].to_vec()),
+        (4, mixed),
+    ] {
+        let coefs: Vec<i16> = blocks.iter().flatten().copied().collect();
+        let w = blocks_w * 8;
+        let mut pixels = vec![0u8; blocks.len() * 64];
+        assert_eq!(
+            idct_block_rows(&coefs, blocks_w, &mut pixels),
+            blocks.len() as u64
+        );
+        for (b, block) in blocks.iter().enumerate() {
+            let (bx, by) = (b % blocks_w, b / blocks_w);
+            for (i, &want) in idct_want(block).iter().enumerate() {
+                let at = (by * 8 + i / 8) * w + bx * 8 + i % 8;
+                assert_eq!(
+                    pixels[at], want,
+                    "{blocks_w} blocks wide, block {b}, pixel {i}"
+                );
+            }
+        }
+    }
+}
+
+/// The fused path (`ScanDecoder::next_block_row_to_pixels`, two blocks a
+/// kernel call) at an odd block width equals `decode_scan` followed by
+/// `idct_block_rows`, for both channels' tables.
+#[test]
+fn fused_decode_at_an_odd_block_width_matches_the_two_stages() {
+    use media::jpeg::codec::{decode_scan, idct_block_rows, ScanDecoder};
+    let (w, h, quality) = (72, 24, 75);
+    let noise: Vec<u8> = (0..w * h).map(|i| splat(0x0DD, i)).collect();
+    for channel in [Channel::Luma, Channel::Chroma] {
+        let scan = media::jpeg::encode_plane(&noise, w, h, channel, quality);
+        let mut coefs = vec![0i16; w * h];
+        decode_scan(&scan, w, h, channel, quality, &mut coefs);
+        let mut want = vec![0u8; w * h];
+        idct_block_rows(&coefs, w / 8, &mut want);
+        let mut dec = ScanDecoder::new(&scan, w, h, channel, quality);
+        let mut got = vec![0u8; w * h];
+        for stripe in got.chunks_exact_mut(8 * w) {
+            dec.next_block_row_to_pixels(w / 8, stripe);
+        }
+        assert_eq!(got, want, "{channel:?}");
     }
 }
 
@@ -519,8 +604,10 @@ fn downscale_kernel_floor() {
 
 /// The same floor for the IDCT: on the quality-75 luma plane of a
 /// synthetic 1280×720 frame (JPiP's paper geometry) the dispatching
-/// `idct_block_rows` must be at least 2× faster than a loop over the
-/// dense `idct_scalar` — the extent skipping alone is worth more.
+/// `idct_block_rows` must be at least 2× faster than a loop over
+/// `idct_scalar` (about 4× on the development host: the pair kernel does
+/// two blocks' butterflies in one set of 256-bit instructions, where the
+/// reference does one element's at a time).
 #[test]
 #[ignore = "timing; scripts/ci.sh runs it in release"]
 fn idct_kernel_floor() {
@@ -563,7 +650,7 @@ fn idct_kernel_floor() {
     assert!(
         dispatched * 2 <= scalar,
         "idct_block_rows {dispatched:?} against a loop over idct_scalar {scalar:?} for the \
-         {} blocks of a {w}x{h} plane at quality {quality}: the sparse kernel is not being \
+         {} blocks of a {w}x{h} plane at quality {quality}: the pair kernel is not being \
          dispatched to",
         w * h / 64
     );
@@ -620,4 +707,177 @@ fn entropy_kernel_floor() {
         per_block(reference),
         per_block(decoded)
     );
+}
+
+/// Where `decode_scan`'s time a block goes, over the six quality-75 planes
+/// of a JPiP frame (frame 0 of the two 1280×720 inputs, seeds 1729 and
+/// 1730), each stage the one before it plus one kind of work, ns a block,
+/// best of 9 rounds:
+///
+/// 1. **refill**: the bit reader consumes each symbol's code and
+///    magnitude bits, replayed from a recording (a 10-bit peek, then
+///    two consumes; the recording's own loads included);
+/// 2. **+ lookup**: `get_extended` on the Annex K tables and the block
+///    loop's run/EOB/ZRL bookkeeping, nothing stored;
+/// 3. **+ dequantise and scatter**: each coefficient multiplied by its
+///    step and stored at its zig-zag position in one L1-resident block;
+/// 4. **+ `fill(0)`**: `ScanDecoder::next_block` into that one block;
+/// 5. **+ plane write**: `decode_scan` into the dense coefficient plane.
+///
+/// A measurement, not a gate: it asserts nothing about speed and CI does
+/// not run it (docs/PERFORMANCE.md has the table).
+#[test]
+#[ignore = "timing; run in release with --nocapture"]
+fn entropy_decode_attribution() {
+    use media::jpeg::codec::{decode_scan, ScanDecoder};
+    use media::jpeg::huffman::ZRL;
+    use media::jpeg::quant::{dequantize_one, scaled_table, ZIGZAG};
+    use media::video::{RawVideo, VideoSpec};
+    use std::time::Instant;
+
+    /// Steps 2 and 3: the block loop of `next_block` on a local reader,
+    /// storing when `STORE`, else folding the values into a checksum;
+    /// `record` gets every symbol's table and symbol.
+    fn walk<const STORE: bool>(
+        scan: &[u8],
+        blocks: usize,
+        channel: Channel,
+        out: &mut [i16; 64],
+        mut record: impl FnMut(usize, u8),
+    ) -> i32 {
+        let (dc, ac) = Decoder::annex_k(channel);
+        let table = scaled_table(channel, 75);
+        let steps = ZIGZAG.map(|nat| table[nat as usize]);
+        let mut r = BitReader::new(scan);
+        let (mut pred, mut check) = (0i32, 0i32);
+        for _ in 0..blocks {
+            let (sym, diff) = dc.get_extended(&mut r);
+            record(0, sym);
+            pred += diff;
+            if STORE {
+                out[0] = dequantize_one(pred as i16, steps[0]);
+            }
+            let mut k = 1usize;
+            while k <= 63 {
+                let (sym, v) = ac.get_extended(&mut r);
+                record(1, sym);
+                if sym & 0x0F == 0 {
+                    if sym != ZRL {
+                        break;
+                    }
+                    k += 16;
+                    assert!(k <= 63);
+                    continue;
+                }
+                k += (sym >> 4) as usize;
+                assert!(k <= 63);
+                if STORE {
+                    out[(ZIGZAG[k] & 63) as usize] = dequantize_one(v as i16, steps[k]);
+                } else {
+                    check ^= v;
+                }
+                k += 1;
+            }
+        }
+        check ^ pred
+    }
+
+    let (w, h) = (1280, 720);
+    let blocks = w * h / 64;
+    let mut planes = Vec::new();
+    for seed in [1729, 1730] {
+        let video = RawVideo::generate(VideoSpec::jpip(1, seed));
+        assert_eq!((video.spec.width, video.spec.height), (w, h));
+        for field in 0..3 {
+            let channel = media::jpeg::JpegImage::channel_of(field);
+            let scan = media::jpeg::encode_plane(video.field(0, field), w, h, channel, 75);
+            // the bits each symbol takes: its code, then its magnitude
+            let code_len = |spec| -> [u8; 256] {
+                let enc = Encoder::new(spec);
+                std::array::from_fn(|sym| {
+                    let mut bw = BitWriter::new();
+                    if spec.values.contains(&(sym as u8)) {
+                        enc.put(&mut bw, sym as u8);
+                    }
+                    bw.bit_len() as u8
+                })
+            };
+            let lens = match channel {
+                Channel::Luma => [code_len(&DC_LUMA), code_len(&AC_LUMA)],
+                Channel::Chroma => [code_len(&DC_CHROMA), code_len(&AC_CHROMA)],
+            };
+            let mut bits = Vec::new();
+            walk::<false>(&scan, blocks, channel, &mut [0; 64], |t, sym| {
+                let size = if t == 0 { sym } else { sym & 0x0F };
+                bits.push((lens[t][sym as usize] as u32, size as u32));
+            });
+            assert!(bits.iter().all(|&(code, _)| code > 0));
+            planes.push((scan, channel, bits));
+        }
+    }
+    let frame_blocks = (planes.len() * blocks) as f64;
+    let mut block = [0i16; 64];
+    let mut plane = vec![0i16; w * h];
+    let mut check = 0u32;
+    let mut stage = |s: usize| {
+        for (scan, channel, bits) in &planes {
+            let (scan, channel) = (std::hint::black_box(scan), *channel);
+            match s {
+                0 => {
+                    let mut r = BitReader::new(scan);
+                    for &(code, size) in bits {
+                        check ^= r.peek(10);
+                        r.consume(code);
+                        r.consume(size);
+                    }
+                }
+                1 => check ^= walk::<false>(scan, blocks, channel, &mut block, |_, _| {}) as u32,
+                2 => check ^= walk::<true>(scan, blocks, channel, &mut block, |_, _| {}) as u32,
+                3 => {
+                    let mut dec = ScanDecoder::new(scan, w, h, channel, 75);
+                    while dec.next_block(&mut block) {
+                        std::hint::black_box(&mut block);
+                    }
+                }
+                _ => {
+                    decode_scan(scan, w, h, channel, 75, &mut plane);
+                }
+            }
+            std::hint::black_box((&mut block, &mut plane));
+        }
+    };
+    // the stages take turns, so that a drift of the host's speed reaches
+    // every one of them
+    let mut stages = [f64::INFINITY; 5];
+    for _ in 0..9 {
+        for (s, best) in stages.iter_mut().enumerate() {
+            let t = Instant::now();
+            stage(s);
+            *best = best.min(t.elapsed().as_nanos() as f64 / frame_blocks);
+        }
+    }
+    std::hint::black_box(check);
+    let symbols: usize = planes.iter().map(|(_, _, bits)| bits.len()).sum();
+    let bits: u32 = planes
+        .iter()
+        .flat_map(|(_, _, b)| b)
+        .map(|(c, s)| c + s)
+        .sum();
+    eprintln!(
+        "{:.1} symbols and {:.1} bits a block",
+        symbols as f64 / frame_blocks,
+        bits as f64 / frame_blocks
+    );
+    let names = [
+        "refill",
+        "+ lookup",
+        "+ dequantise and scatter",
+        "+ fill(0)",
+        "+ plane write",
+    ];
+    let mut before = 0.0;
+    for (name, ns) in names.into_iter().zip(stages) {
+        eprintln!("{name:<26} {ns:6.1} ns/block  (+{:.1})", ns - before);
+        before = ns;
+    }
 }

@@ -23,7 +23,9 @@
 #      crate once more under HINCH_FORCE_SCALAR=1 so the scalar kernel
 #      references run even on hosts whose SIMD paths won the dispatch
 #      (both legs run tests/simd_parity.rs, whose `*_checked` hooks reach
-#      the SSE2 and AVX2 kernels whatever the dispatch picked); then the
+#      the SSE2 and AVX2 kernels whatever the dispatch picked), and the
+#      oracle corpus's digests under HINCH_FORCE_SCALAR=1 too (JPiP's
+#      decoded pixels, blessed on the vector path); then the
 #      kernel floors in release: the dispatched box filter at PiP's paper
 #      geometry must beat its scalar reference 3×, the dispatched IDCT on
 #      JPiP's quality-75 luma plane a loop over `idct_scalar` 2×, and
@@ -85,14 +87,16 @@ echo "facade lint: clean"
 # reference executor (`engine::reference`, `RefReport`), the trace
 # crate's own summary (`utilization_summary`), the source's field copy
 # (`Plane::renew_from_pixels`) and the process-global simulated address
-# allocator (`SIM_BRK`, `sim_alloc`, `renew_for_overwrite_at`) and the
-# row-wise read of a composite (`PlaneRead::Materialised`) are gone
+# allocator (`SIM_BRK`, `sim_alloc`, `renew_for_overwrite_at`), the
+# row-wise read of a composite (`PlaneRead::Materialised`) and the float
+# IDCT's SSE2 twin and transposed cosine table (`idct_to_pixels_sse2`,
+# `cos_t_table`) are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
 # engine/sim the one sequential engine, a source publishes a view of its
 # field, a spacecake::Machine lays out its run's buffers, a capture records
-# a composite and a reader materialises it whole): no code, doc or script
-# may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised' \
+# a composite and a reader materialises it whole, the IDCT is fixed point
+# with one AVX2 twin): no code, doc or script may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2
@@ -132,6 +136,9 @@ echo "== test (media: forced-scalar kernel path) =="
 # both sides of the scalar-vs-SIMD parity contract are executed on every
 # host regardless of its feature set.
 HINCH_FORCE_SCALAR=1 cargo test --offline -q -p media
+# the JPiP digests of the oracle corpus were blessed on the vector path:
+# the scalar IDCT must reproduce them
+HINCH_FORCE_SCALAR=1 cargo test --offline -q -p conformance --test oracle_corpus
 echo "media: scalar fallback suite passed"
 
 if [[ $quick -eq 0 ]]; then
