@@ -35,7 +35,7 @@
 use super::{apply_plans, exec_manager_entry, PreparedReconfig};
 use crate::component::RunCtx;
 use crate::graph::flatten::{Dag, JobKind};
-use crate::graph::instance::InstanceGraph;
+use crate::graph::instance::{InstanceGraph, LeafRt};
 use crate::meter::NullMeter;
 use crate::sched::JobRef;
 use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -109,14 +109,16 @@ pub(super) struct AdmitState {
     pending_retires: Vec<u64>,
     version: u64,
     pub(super) reconfigs: u64,
+    /// Jobs and busy nanoseconds of the leaves of every window swapped
+    /// out so far, by name (see [`GraphCore::node_times`]).
+    per_node: HashMap<Arc<str>, (u64, u64)>,
 }
 
-/// Called under the admit lock after each in-order retirement, with the
-/// retired iteration index, whether that retirement left the graph
-/// drained (every requested iteration retired) and the worker applying
-/// it. The runtime hooks frame-latency recording and the drain wake-up
-/// here; it must be cheap and must not re-enter the core.
-pub(super) type RetireHook = Box<dyn Fn(u64, bool, u32) + Send + Sync>;
+/// Called under the admit lock after each in-order retirement, with
+/// whether that retirement left the graph drained (every requested
+/// iteration retired). The runtime hooks frame-latency recording and the
+/// drain wake-up here; it must be cheap and must not re-enter the core.
+pub(super) type RetireHook = Box<dyn Fn(bool) + Send + Sync>;
 
 /// One graph instance's complete scheduling state: window, watermarks,
 /// admission machinery and the live instance tree it executes.
@@ -178,6 +180,7 @@ impl GraphCore {
                 pending_retires: Vec::new(),
                 version: 0,
                 reconfigs: 0,
+                per_node: HashMap::new(),
             }),
             inst,
             trace,
@@ -330,7 +333,7 @@ impl GraphCore {
     /// wait their turn in `pending_retires`). Readied follow-up jobs
     /// (fresh admissions, or a quiesce resume) are pushed into `seeded` so
     /// the caller publishes and wakes only when there is work to take.
-    pub(super) fn retire(&self, iter: u64, worker: u32, seeded: &mut Vec<JobRef>) {
+    pub(super) fn retire(&self, iter: u64, seeded: &mut Vec<JobRef>) {
         let mut st = self.admit.lock();
         st.pending_retires.push(iter);
         loop {
@@ -339,18 +342,12 @@ impl GraphCore {
                 break;
             };
             st.pending_retires.swap_remove(pos);
-            self.process_retire(&mut st, next, worker, seeded);
+            self.process_retire(&mut st, next, seeded);
         }
     }
 
     /// Apply one in-order retirement. Under the admit lock.
-    fn process_retire(
-        &self,
-        st: &mut AdmitState,
-        iter: u64,
-        worker: u32,
-        seeded: &mut Vec<JobRef>,
-    ) {
+    fn process_retire(&self, st: &mut AdmitState, iter: u64, seeded: &mut Vec<JobRef>) {
         // SAFETY: admit lock held.
         let window = unsafe { self.load_window() };
         for s in &window.dag.streams {
@@ -359,7 +356,7 @@ impl GraphCore {
         let completed = self.completed.fetch_add(1, Ordering::SeqCst) + 1;
         // `total` only moves under the admit lock, which we hold.
         let drained = completed >= self.total.load(Ordering::Relaxed);
-        (self.retire_hook)(iter, drained, worker);
+        (self.retire_hook)(drained);
         if let Some(sink) = &self.trace {
             let at = self.now();
             sink.record(TraceEvent::IterationRetired { iter, at });
@@ -384,12 +381,20 @@ impl GraphCore {
     /// resume as-is), install the new window, and re-open admission. Under
     /// the admit lock — this is the *only* place the window is replaced.
     fn quiesce_resume(&self, st: &mut AdmitState, seeded: &mut Vec<JobRef>) {
+        // SAFETY: admit lock held.
+        let old = unsafe { self.load_window() };
+        // Quiescent: no job is adding to a counter. A leaf the plans
+        // disable keeps its counts in the map.
+        for leaf in comp_leaves(&old.dag) {
+            let e = st.per_node.entry(leaf.tag.clone()).or_default();
+            e.0 += leaf.jobs.swap(0, Ordering::Relaxed);
+            e.1 += leaf.busy_ns.swap(0, Ordering::Relaxed);
+        }
         let plans = std::mem::take(&mut st.pending);
         let start = self.admitted.load(Ordering::Relaxed);
         let (dag, applied) = if plans.is_empty() {
             // halted but no plans (defensive): resume with the same dag
-            // SAFETY: admit lock held.
-            (unsafe { self.load_window() }.dag.clone(), None)
+            (old.dag.clone(), None)
         } else {
             st.version += 1;
             let outcome = apply_plans(&self.inst, plans, st.version);
@@ -422,20 +427,18 @@ impl GraphCore {
     }
 
     /// Run one job against its window and feed the completion back.
-    /// Returns `Some(iter)` when the job retired its iteration.
+    /// Returns `Some(iter)` when the job retired its iteration, and the
+    /// time from `started` (the caller's stopwatch) to the job's end: the
+    /// one clock read a job pays here.
     pub(super) fn execute(
         &self,
         window: &Window,
         job: JobRef,
         core: u32,
-        // The caller's per-job stopwatch, reused here so an observed
-        // component job pays one clock read (the `elapsed` below), not two.
         started: Instant,
-        // Per-node busy time, when the graph's owner reads it.
-        per_node: Option<&mut HashMap<String, (u64, Duration)>>,
         ready: &mut Vec<JobRef>,
-    ) -> Option<u64> {
-        match &window.dag.jobs[job.idx as usize].kind {
+    ) -> (Option<u64>, Duration) {
+        let busy = match &window.dag.jobs[job.idx as usize].kind {
             JobKind::Comp(leaf) => {
                 let mut meter = NullMeter;
                 let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter);
@@ -448,35 +451,26 @@ impl GraphCore {
                         .expect("per-node mutual exclusion violated (scheduler bug)")
                         .run(&mut ctx);
                 }
-                // Timed only for an observer: a serving tenant (no sink, no
-                // per-node map) skips the clock read.
-                if self.trace.is_some() || per_node.is_some() {
-                    let busy = started.elapsed();
-                    if let Some(sink) = &self.trace {
-                        let end = self.now();
-                        sink.record(TraceEvent::JobSpan {
-                            label: leaf.name.clone(),
-                            kind: SpanKind::Component,
-                            iter: job.iter,
-                            core,
-                            start: end.saturating_sub(busy.as_nanos() as u64),
-                            end,
-                            cycles: 0,
-                            cache: None,
-                        });
-                    }
-                    if let Some(per_node) = per_node {
-                        match per_node.get_mut(&leaf.name) {
-                            Some(e) => {
-                                e.0 += 1;
-                                e.1 += busy;
-                            }
-                            None => {
-                                per_node.insert(leaf.name.clone(), (1, busy));
-                            }
-                        }
-                    }
+                let busy = started.elapsed();
+                // Added before `complete` bumps `ndone`: once the window
+                // is quiescent, every add happened before the fold.
+                leaf.jobs.fetch_add(1, Ordering::Relaxed);
+                leaf.busy_ns
+                    .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+                if let Some(sink) = &self.trace {
+                    let end = self.now();
+                    sink.record(TraceEvent::JobSpan {
+                        label: leaf.name.clone(),
+                        kind: SpanKind::Component,
+                        iter: job.iter,
+                        core,
+                        start: end.saturating_sub(busy.as_nanos() as u64),
+                        end,
+                        cycles: 0,
+                        cache: None,
+                    });
                 }
+                busy
             }
             JobKind::MgrEntry(mgr) => {
                 // Manager machinery stays centralized: one admit-lock hold
@@ -510,6 +504,7 @@ impl GraphCore {
                     st.pending.push(plan);
                     self.halted.store(true, Ordering::SeqCst);
                 }
+                started.elapsed()
             }
             JobKind::MgrExit(mgr) => {
                 // Synchronization point only.
@@ -526,15 +521,52 @@ impl GraphCore {
                         cache: None,
                     });
                 }
+                started.elapsed()
             }
+        };
+        (self.complete(window, job, ready), busy)
+    }
+
+    /// Jobs and busy time of every leaf that ran, by name: the totals
+    /// folded at each window swap plus the current window's counters.
+    /// Under the admit lock, so a swap is never half seen; names are
+    /// copied after it is released.
+    pub(super) fn node_times(&self) -> HashMap<String, (u64, Duration)> {
+        let counts: Vec<(Arc<str>, u64, u64)> = {
+            let st = self.admit.lock();
+            // SAFETY: admit lock held.
+            let window = unsafe { self.load_window() };
+            let current = comp_leaves(&window.dag).map(|leaf| {
+                let jobs = leaf.jobs.load(Ordering::Relaxed);
+                (leaf.tag.clone(), jobs, leaf.busy_ns.load(Ordering::Relaxed))
+            });
+            st.per_node
+                .iter()
+                .map(|(name, &(jobs, busy))| (name.clone(), jobs, busy))
+                .chain(current)
+                .collect()
+        };
+        let mut out: HashMap<String, (u64, Duration)> = HashMap::new();
+        for (name, jobs, busy) in counts.into_iter().filter(|c| c.1 > 0) {
+            let e = out.entry(name.to_string()).or_default();
+            e.0 += jobs;
+            e.1 += Duration::from_nanos(busy);
         }
-        self.complete(window, job, ready)
+        out
     }
 
     /// Reconfiguration batches applied so far (report bookkeeping).
     pub(super) fn reconfigs(&self) -> u64 {
         self.admit.lock().reconfigs
     }
+}
+
+/// The component leaves of `dag`.
+fn comp_leaves(dag: &Dag) -> impl Iterator<Item = &Arc<LeafRt>> {
+    dag.jobs.iter().filter_map(|j| match &j.kind {
+        JobKind::Comp(leaf) => Some(leaf),
+        _ => None,
+    })
 }
 
 /// Deliver the self-dependency for `(iter, idx)`: the completer of the

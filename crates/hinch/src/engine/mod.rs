@@ -33,7 +33,7 @@ pub mod sim;
 
 pub use multi::{
     GraphId, GraphStats, PoolTelemetry, Runtime, RuntimeConfig, ServeError, SpawnOpts,
-    WorkerTelemetry, DEFAULT_RING_CAPACITY,
+    WorkerTelemetry,
 };
 pub use native::run_native;
 pub use sim::{run_reference, run_sim};

@@ -52,7 +52,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::metrics::LogHistogram;
-use trace::ring::{RingEvent, RingSet};
 use trace::{StallCause, TraceEvent, TraceSink};
 
 /// Handle to a spawned graph instance.
@@ -95,11 +94,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Per-worker flight-recorder capacity (slots) of every serving pool.
-/// 4096 events at 40 bytes/slot is 160 KiB per worker — cheap enough to
-/// stay always on.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Pool configuration for [`Runtime::new`].
 #[derive(Debug, Clone)]
@@ -285,7 +279,8 @@ impl Tenant {
 #[derive(Default)]
 struct WorkerStats {
     busy_ns: AtomicU64,
-    idle_ns: AtomicU64,
+    /// Parked nanoseconds per [`StallCause`], by [`StallCause::index`].
+    stall_ns: [AtomicU64; StallCause::ALL.len()],
     jobs: AtomicU64,
     parks: AtomicU64,
     steals: AtomicU64,
@@ -296,7 +291,7 @@ struct WorkerStats {
 pub struct WorkerTelemetry {
     /// Time spent executing jobs, nanoseconds.
     pub busy_ns: u64,
-    /// Time spent parked, nanoseconds.
+    /// Time spent parked, nanoseconds: the sum over stall causes.
     pub idle_ns: u64,
     /// Jobs executed.
     pub jobs: u64,
@@ -315,22 +310,20 @@ pub struct PoolTelemetry {
     pub queued_jobs: usize,
     /// Workers currently parked.
     pub idle_workers: usize,
-    /// Nanoseconds since the runtime started (the flight-recorder
-    /// timestamps share this epoch).
+    /// Nanoseconds since the runtime started.
     pub uptime_ns: u64,
+    /// Parked nanoseconds of all workers per [`StallCause`], by
+    /// [`StallCause::index`]; sums to the workers' `idle_ns`.
+    pub stall_ns: [u64; StallCause::ALL.len()],
 }
 
 /// What [`super::native::run_native`] asks of the pool it owns and a
 /// serving pool never pays for: its tenant's trace sink, the pick hook's
-/// exploration policy, per-node busy time, and a component's panic
-/// payload (to re-raise, or return as a structured lease conflict). Such
-/// a pool has no flight-recorder rings: nothing would read them.
+/// exploration policy, and a component's panic payload (to re-raise, or
+/// return as a structured lease conflict).
 pub(super) struct RunProbe {
     pub(super) trace: Option<Arc<dyn TraceSink>>,
     pub(super) sched: SchedPolicy,
-    /// Keyed by the owner; each worker adds its private map when it
-    /// exits, so it is complete once [`Runtime::shutdown`] joined the pool.
-    pub(super) per_node: Mutex<HashMap<String, (u64, Duration)>>,
     /// First panic payload caught from a component of the run.
     pub(super) panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
@@ -352,12 +345,9 @@ struct MultiShared {
     /// `min(workers, hardware threads)` — the wake-up throttle ceiling.
     parallelism: usize,
     shutdown: AtomicBool,
-    /// Common time base for flight-recorder timestamps and uptime.
+    /// Common time base for trace timestamps and uptime.
     epoch: Instant,
-    /// Always-on per-worker flight recorder of a serving pool (None for
-    /// a `run_native` pool).
-    rings: Option<Arc<RingSet>>,
-    /// Per-worker busy/idle/steal/park counters (one slot per worker).
+    /// Per-worker busy/stall/steal/park counters (one slot per worker).
     wstats: Box<[WorkerStats]>,
     /// Set when the pool belongs to one `run_native` call.
     probe: Option<Arc<RunProbe>>,
@@ -500,9 +490,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
     let ws = &shared.wstats[wid as usize];
     let probe = shared.probe.as_deref();
     let sched = probe.map_or(SchedPolicy::Default, |p| p.sched);
-    let ring = shared.rings.as_ref().map(|rs| rs.ring(wid as usize));
-    // Per-node busy time is kept only for a run whose owner reads it.
-    let mut per_node = probe.map(|_| HashMap::new());
     let mut ready: Vec<JobRef> = Vec::new();
     let mut seq = 0u64;
     let mut cache: Option<Cached> = None;
@@ -529,7 +516,7 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                 cache = None;
                 // Classify the stall *at park time* (the tenants'
                 // admission state explains why there is no work), time
-                // the sleep, and record it when it ends.
+                // the sleep, and count it against that cause when it ends.
                 let cause = classify_park(shared);
                 let parked = Instant::now();
                 shared.active.fetch_sub(1, Ordering::Relaxed);
@@ -537,18 +524,10 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                 shared.active.fetch_add(1, Ordering::Relaxed);
                 let idle = parked.elapsed().as_nanos() as u64;
                 ws.parks.fetch_add(1, Ordering::Relaxed);
-                ws.idle_ns.fetch_add(idle, Ordering::Relaxed);
-                let start = parked.duration_since(shared.epoch).as_nanos() as u64;
-                if let Some(r) = &ring {
-                    r.record(RingEvent::Stall {
-                        worker: wid,
-                        cause,
-                        start,
-                        end: start + idle,
-                    });
-                }
+                ws.stall_ns[cause.index()].fetch_add(idle, Ordering::Relaxed);
                 if let Some(p) = probe {
                     if let Some(sink) = &p.trace {
+                        let start = parked.duration_since(shared.epoch).as_nanos() as u64;
                         sink.record(TraceEvent::CoreStall {
                             core: wid,
                             cause,
@@ -588,22 +567,13 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
         let window: &Window = &c.window;
         let started = Instant::now();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            g.execute(window, mj.job, wid, started, per_node.as_mut(), &mut ready)
+            g.execute(window, mj.job, wid, started, &mut ready)
         }));
         match result {
-            Ok(retired) => {
-                let busy = started.elapsed().as_nanos() as u64;
+            Ok((retired, busy)) => {
                 ws.jobs.fetch_add(1, Ordering::Relaxed);
-                ws.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                if let Some(r) = &ring {
-                    let start = started.duration_since(shared.epoch).as_nanos() as u64;
-                    r.record(RingEvent::Job {
-                        graph: mj.graph,
-                        node: mj.job.idx,
-                        start,
-                        end: start + busy,
-                    });
-                }
+                ws.busy_ns
+                    .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
                 // The handoff never crosses a graph boundary (successors
                 // share the completer's graph). The rest are published
                 // with one targeted wake-up each.
@@ -626,7 +596,7 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                     // admitted jobs wait on self-dependencies that
                     // completers deliver — so retirement stays silent.
                     let mut seeded = Vec::new();
-                    g.retire(iter, wid, &mut seeded);
+                    g.retire(iter, &mut seeded);
                     if !seeded.is_empty() {
                         let n = seeded.len();
                         shared.injector.push_many(seeded.into_iter().map(tag));
@@ -643,14 +613,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                     p.panic.lock().get_or_insert(payload);
                 }
             }
-        }
-    }
-    if let (Some(p), Some(mine)) = (probe, per_node) {
-        let mut all = p.per_node.lock();
-        for (name, (jobs, busy)) in mine {
-            let e = all.entry(name).or_default();
-            e.0 += jobs;
-            e.1 += busy;
         }
     }
 }
@@ -683,9 +645,6 @@ impl Runtime {
             parallelism: workers.min(crate::sync::hardware_parallelism(workers)),
             shutdown: AtomicBool::new(false),
             epoch: Instant::now(),
-            rings: probe
-                .is_none()
-                .then(|| Arc::new(RingSet::new(workers, DEFAULT_RING_CAPACITY))),
             wstats: (0..workers).map(|_| WorkerStats::default()).collect(),
             probe,
         });
@@ -734,23 +693,10 @@ impl Runtime {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let hook: RetireHook = {
             let clock = Arc::clone(&clock);
-            let epoch = self.shared.epoch;
-            let rings = self.shared.rings.clone();
-            Box::new(move |iter, drained, worker| {
+            Box::new(move |drained| {
                 let accepted = clock.times.lock().pop_front();
                 if let Some(at) = accepted {
-                    let latency = at.elapsed().as_nanos() as u64;
-                    clock.latency.record(latency);
-                    // Retirements are applied on worker threads only, so
-                    // the applying worker's ring stays single-writer.
-                    if let Some(rs) = &rings {
-                        rs.ring(worker as usize).record(RingEvent::Retire {
-                            graph: id,
-                            iter: iter as u32,
-                            at: epoch.elapsed().as_nanos() as u64,
-                            latency,
-                        });
-                    }
+                    clock.latency.record(at.elapsed().as_nanos() as u64);
                 }
                 // Only a drained tenant can release a `Runtime::drain`
                 // waiter; waking it per frame just has it re-check and
@@ -894,6 +840,16 @@ impl Runtime {
     /// Returns the tenant's final stats. A failed graph is torn down too,
     /// but reported as [`ServeError::GraphFailed`].
     pub fn drain(&self, id: GraphId) -> Result<GraphStats, ServeError> {
+        self.drain_then(id, |_| ())
+    }
+
+    /// [`Runtime::drain`], handing `drained` the tenant's core once every
+    /// accepted frame retired (or the graph failed), before the teardown.
+    pub(super) fn drain_then(
+        &self,
+        id: GraphId,
+        drained: impl FnOnce(&GraphCore),
+    ) -> Result<GraphStats, ServeError> {
         let tenant = self.get(id)?;
         // Close admission first (under the admit lock, which serializes
         // against in-flight submits): any submit that already accepted
@@ -928,6 +884,7 @@ impl Runtime {
                 tenant.clock.cv.wait(&mut gate);
             }
         }
+        drained(&tenant.core);
         // Teardown: unregister first so new submits/stats see a consistent
         // "gone" state, then verify resource release.
         {
@@ -992,34 +949,46 @@ impl Runtime {
         self.shared.locals.len()
     }
 
-    /// The per-worker flight recorder (every pool from [`Runtime::new`]
-    /// has one). Consumers keep their own cursor set
-    /// (`rings().cursors()`) and call `snapshot` on it — draining never
-    /// pauses the workers.
-    pub fn rings(&self) -> Option<Arc<RingSet>> {
-        self.shared.rings.clone()
+    /// Cumulative jobs and busy time of every component leaf of graph
+    /// `id` that ran, by instance name — the same map
+    /// [`crate::RunReport::per_node`] is. Exact: a job adds to its leaf's
+    /// counters before its completion is published, so once the graph is
+    /// drained nothing is missing. Takes the tenant's admit lock once.
+    pub fn node_times(&self, id: GraphId) -> Result<HashMap<String, (u64, Duration)>, ServeError> {
+        Ok(self.get(id)?.core.node_times())
     }
 
-    /// Point-in-time per-worker and pool counters (busy/idle time,
-    /// jobs, parks, steals, queue depth). Relaxed reads: monotone but
-    /// approximate while the pool is running.
+    /// Point-in-time per-worker and pool counters (busy time, parked time
+    /// per stall cause, jobs, parks, steals, queue depth). Relaxed reads:
+    /// monotone but approximate while the pool is running.
     pub fn telemetry(&self) -> PoolTelemetry {
-        PoolTelemetry {
-            workers: self
-                .shared
-                .wstats
-                .iter()
-                .map(|w| WorkerTelemetry {
+        let mut stall_ns = [0; StallCause::ALL.len()];
+        let workers = self
+            .shared
+            .wstats
+            .iter()
+            .map(|w| {
+                let mut idle_ns = 0;
+                for (total, ns) in stall_ns.iter_mut().zip(&w.stall_ns) {
+                    let ns = ns.load(Ordering::Relaxed);
+                    *total += ns;
+                    idle_ns += ns;
+                }
+                WorkerTelemetry {
                     busy_ns: w.busy_ns.load(Ordering::Relaxed),
-                    idle_ns: w.idle_ns.load(Ordering::Relaxed),
+                    idle_ns,
                     jobs: w.jobs.load(Ordering::Relaxed),
                     parks: w.parks.load(Ordering::Relaxed),
                     steals: w.steals.load(Ordering::Relaxed),
-                })
-                .collect(),
+                }
+            })
+            .collect();
+        PoolTelemetry {
+            workers,
             queued_jobs: self.queued_jobs(),
             idle_workers: self.idle_workers(),
             uptime_ns: self.shared.epoch.elapsed().as_nanos() as u64,
+            stall_ns,
         }
     }
 
@@ -1272,15 +1241,9 @@ mod tests {
         }
         assert_eq!(rt.graph_count(), 0);
         assert_eq!(rt.queued_jobs(), 0);
-        // The always-on flight recorder of a `Runtime::new` pool saw them.
-        let rings = rt.rings().expect("a serving pool always has rings");
-        let events = rings.snapshot(&mut rings.cursors()).events;
-        assert!(events
-            .iter()
-            .any(|(_, e)| matches!(e, RingEvent::Job { .. })));
-        assert!(events
-            .iter()
-            .any(|(_, e)| matches!(e, RingEvent::Retire { .. })));
+        // The pool's counters outlive the tenants and saw every job.
+        let jobs: u64 = rt.telemetry().workers.iter().map(|w| w.jobs).sum();
+        assert_eq!(jobs, 100 * 5 * 3, "100 rounds x 5 frames x 3 nodes");
         // Workers drop their tenant caches and park once the pool is dry.
         let deadline = Instant::now() + Duration::from_secs(5);
         while rt.idle_workers() < rt.workers() {
@@ -1434,45 +1397,49 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_jobs_and_retirements() {
+    fn counters_capture_jobs_nodes_and_stalls() {
         let rt = Runtime::new(RuntimeConfig::new(2));
-        let rings = rt.rings().expect("a serving pool always has rings");
-        let mut curs = rings.cursors();
         let id = rt
             .spawn(&pipeline_spec(), SpawnOpts::new("pipe").pipeline_depth(2))
             .unwrap();
         assert_eq!(rt.submit(id, 8).unwrap(), 8);
-        rt.drain(id).unwrap();
-        let snap = rings.snapshot(&mut curs);
-        assert_eq!(snap.dropped, 0);
-        let (mut jobs, mut retires) = (0u64, 0u64);
-        for (w, ev) in &snap.events {
-            assert!((*w as usize) < rt.workers());
-            match ev {
-                RingEvent::Job {
-                    graph, start, end, ..
-                } => {
-                    assert_eq!(*graph, id.0);
-                    assert!(end >= start);
-                    jobs += 1;
-                }
-                RingEvent::Retire { graph, latency, .. } => {
-                    assert_eq!(*graph, id.0);
-                    assert!(*latency > 0);
-                    retires += 1;
-                }
-                RingEvent::Stall { worker, .. } => {
-                    assert!((*worker as usize) < rt.workers());
-                }
-            }
+        rt.drain_frames(id, 8);
+        let nodes = rt.node_times(id).unwrap();
+        let mut names: Vec<_> = nodes.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["mid", "snk", "src"]);
+        for (name, (jobs, busy)) in &nodes {
+            assert_eq!(*jobs, 8, "{name}: one job a frame");
+            assert!(!busy.is_zero(), "{name}");
         }
-        assert_eq!(jobs, 24, "8 frames x 3 nodes");
-        assert_eq!(retires, 8);
+        rt.drain(id).unwrap();
+        assert!(rt.node_times(id).is_err(), "a drained graph is gone");
+        // Parked workers add their park once they wake: wait for both to
+        // park, wake them, and let them park again.
+        let park_all = || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while rt.idle_workers() < rt.workers() {
+                assert!(Instant::now() < deadline, "workers failed to park");
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        park_all();
+        rt.shared.ec.notify_all();
+        thread::sleep(Duration::from_millis(5));
+        park_all();
         let t = rt.telemetry();
         assert_eq!(t.workers.len(), 2);
         assert_eq!(t.workers.iter().map(|w| w.jobs).sum::<u64>(), 24);
         assert!(t.workers.iter().map(|w| w.busy_ns).sum::<u64>() > 0);
         assert!(t.uptime_ns > 0);
+        // Parked time is the per-cause sum, per worker and pool-wide.
+        for (w, ws) in t.workers.iter().zip(rt.shared.wstats.iter()) {
+            let by_cause: u64 = ws.stall_ns.iter().map(|n| n.load(Ordering::Relaxed)).sum();
+            assert_eq!(by_cause, w.idle_ns);
+        }
+        let idle: u64 = t.workers.iter().map(|w| w.idle_ns).sum();
+        assert_eq!(t.stall_ns.iter().sum::<u64>(), idle);
+        assert!(idle > 0, "the wake-up ended at least one park");
         rt.shutdown();
     }
 

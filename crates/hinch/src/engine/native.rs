@@ -13,6 +13,7 @@ use crate::graph::instance::instantiate_graph_sized;
 use crate::graph::GraphSpec;
 use crate::report::RunReport;
 use crate::sync::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,21 +30,9 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
     spec.validate()?;
     cfg.validate()?;
     let inst = instantiate_graph_sized(spec, cfg.pipeline_depth);
-    // The report's map, keyed on this thread with every leaf (each runs in
-    // iteration 0): an exiting worker then only adds to entries and frees
-    // its own keys. What a worker allocates and leaves behind pins its
-    // allocator arena, and the memory the run freed there (captured frames,
-    // stream payloads) is then never returned to the system.
-    let per_node = {
-        let mut leaves = Vec::new();
-        inst.root.collect_leaves(&mut leaves);
-        let zero = (0, Duration::ZERO);
-        leaves.iter().map(|l| (l.name.clone(), zero)).collect()
-    };
     let probe = Arc::new(RunProbe {
         trace: cfg.trace.clone(),
         sched: cfg.sched,
-        per_node: Mutex::new(per_node),
         panic: Mutex::new(None),
     });
 
@@ -51,8 +40,6 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
     // run from its first admission to the join — and not building the
     // graph's scheduling state in between.
     let spawning = Instant::now();
-    // A pool with a probe has no rings: the flight recorder is the serving
-    // plane's; a run that wants events attaches `cfg.trace`.
     let rt = Runtime::start(RuntimeConfig::new(cfg.workers), Some(Arc::clone(&probe)));
     let spawned = spawning.elapsed();
     let opts = SpawnOpts::new("run_native")
@@ -64,9 +51,15 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
         .submit(id, cfg.iterations)
         .expect("a fresh tenant on a live pool accepts frames");
     assert_eq!(accepted, cfg.iterations, "the backlog bound is the run");
-    let drained = rt.drain(id);
-    // Joins the pool: every worker merged its per-node map and any panic
-    // payload is in place before the probe is read below.
+    // Per-node time is read from the tenant's counters after its last
+    // retirement, on this thread: a worker then allocates nothing the
+    // report keeps. (What a worker allocates and leaves behind pins its
+    // allocator arena, and the memory the run freed there — captured
+    // frames, stream payloads — is then never returned to the system.)
+    let mut per_node = HashMap::new();
+    let drained = rt.drain_then(id, |core| per_node = core.node_times());
+    // Joins the pool: any panic payload is in place before the probe is
+    // read below.
     rt.shutdown();
     let elapsed = spawned + running.elapsed();
 
@@ -87,9 +80,6 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
             };
         }
     };
-    // Copied, not taken: entries of nodes a reconfiguration grafted were
-    // added by workers, and the report must hold none of their memory.
-    let per_node = probe.per_node.lock().clone();
     let workers = rt.telemetry().workers;
     let times = |ns: fn(&WorkerTelemetry) -> u64| -> Vec<Duration> {
         workers
@@ -245,6 +235,37 @@ mod tests {
             report.reconfigs
         );
         assert_eq!(out.lock().len(), 24);
+    }
+
+    /// A leaf's counts survive the reconfiguration that removes it: the
+    /// window swap folds them into the tenant's totals.
+    #[test]
+    fn disabled_leaf_keeps_its_counts() {
+        let q = EventQueue::new("mq");
+        let mgr =
+            ManagerSpec::new("m", q.clone()).on("flip", vec![EventAction::Toggle("extra".into())]);
+        let g = GraphSpec::managed(
+            mgr,
+            GraphSpec::seq(vec![
+                leaf("src", &[], &["a"], 1),
+                GraphSpec::option("extra", true, leaf("opt", &["a"], &["b"], 1)),
+                leaf("snk", &["a"], &[], 0),
+            ]),
+        );
+        // Polled by iteration 0's manager entry: with one iteration in
+        // flight, `opt` runs in iteration 0 alone.
+        q.send(Event::new("flip"));
+        for workers in [1, 2] {
+            let cfg = RunConfig::new(6).workers(workers).pipeline_depth(1);
+            let report = run_native(&g, &cfg).unwrap();
+            assert_eq!(report.reconfigs, 1);
+            assert_eq!(report.per_node["opt"].0, 1, "{workers} workers");
+            assert_eq!(report.per_node["src"].0, 6);
+            assert_eq!(report.per_node["snk"].0, 6);
+            let jobs: u64 = report.per_node.values().map(|(jobs, _)| jobs).sum();
+            assert_eq!(jobs, report.jobs_executed - 2 * 6, "every component job");
+            q.send(Event::new("flip")); // the next run starts as this one did
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::component::{Component, ReconfigRequest, SliceAssign};
 use crate::event::EventQueue;
 use crate::manager::EventRule;
 use crate::stream::Stream;
+use crate::sync::atomic::AtomicU64;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -98,6 +99,13 @@ pub struct LeafRt {
     /// therefore acquire this lock with `try_lock().expect(..)` — a
     /// blocked acquisition is a scheduler bug, never legitimate waiting.
     pub comp: Mutex<Box<dyn Component>>,
+    /// Jobs run and nanoseconds spent in `run` since the last window swap.
+    /// Beside `comp`, whose lock the executing worker has just taken; the
+    /// same self-dependency makes that worker the only writer. A swap folds
+    /// them into its tenant's per-node totals and zeroes them (see
+    /// `GraphCore::node_times`).
+    pub jobs: AtomicU64,
+    pub busy_ns: AtomicU64,
 }
 
 impl LeafRt {
@@ -125,6 +133,8 @@ impl LeafRt {
             outputs,
             slice,
             comp: Mutex::new(comp),
+            jobs: AtomicU64::new(0),
+            busy_ns: AtomicU64::new(0),
         })
     }
 }

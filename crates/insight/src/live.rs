@@ -2,23 +2,24 @@
 //! serving runtime.
 //!
 //! [`crate::analyze`] is post-hoc — it wants the complete trace of a
-//! finished run. A serving runtime never finishes, so this module folds
-//! the always-on flight recorder (`trace::ring`) plus cheap cumulative
-//! counters into a **rolling window** of fixed wall-clock intervals:
+//! finished run. A serving runtime never finishes, so this module diffs
+//! the runtime's cumulative counters into a **rolling window** of fixed
+//! wall-clock intervals:
 //!
-//! * [`LiveAnalyzer::fold`] accumulates ring snapshots (job spans,
-//!   park-time stall intervals, frame retirements) into the current
-//!   interval;
-//! * [`LiveAnalyzer::tick`] closes the interval against a set of
-//!   per-graph cumulative [`GraphSample`]s (completed/shed counters and
-//!   latency *bucket counts* — monotone, so two snapshots subtract into
-//!   the exact distribution of the interval, no per-frame storage);
+//! * [`LiveAnalyzer::tick`] closes the interval against the pool's
+//!   parked time per stall cause and a set of per-graph cumulative
+//!   [`GraphSample`]s (completed/shed counters, busy time per component
+//!   leaf and latency *bucket counts* — all monotone, so two samples
+//!   subtract into the exact figures of the interval, no per-frame or
+//!   per-job storage);
 //! * [`LiveAnalyzer::summary`] renders the window: per-graph rolling
 //!   throughput, p50/p99 latency, backlog, shed, and a
 //!   **dominant-cause estimate** — either the stall cause that explains
-//!   the graph's lack of progress or the critical-path-dominant node
-//!   (largest busy share from the ring's job spans); plus pool-level
-//!   stall attribution summed from the recorded park intervals.
+//!   the graph's lack of progress or the dominant leaf (largest share of
+//!   the graph's busy time); plus pool-level stall attribution.
+//!
+//! Nothing is sampled, so nothing can be dropped: every job and every
+//! park of the window is in it.
 //!
 //! Everything here is a pure fold over its inputs — no clocks, no
 //! threads — so a fixed input sequence yields a byte-identical summary
@@ -28,8 +29,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use trace::metrics::{LogHistogram, LOG_BUCKETS};
-use trace::ring::RingEvent;
 use trace::StallCause;
+
+/// Parked nanoseconds per [`StallCause`], by [`StallCause::index`].
+pub type StallNs = [u64; StallCause::ALL.len()];
 
 /// Cumulative per-graph counters sampled at a tick (from the runtime's
 /// `GraphStats` / telemetry). All counts are totals since spawn; the
@@ -48,6 +51,8 @@ pub struct GraphSample {
     /// ([`LogHistogram::bucket_counts`] layout). May be shorter than
     /// [`LOG_BUCKETS`]; missing tail buckets are treated as 0.
     pub latency_counts: Vec<u64>,
+    /// Busy nanoseconds per component leaf (instance name), cumulative.
+    pub busy_per_node: BTreeMap<String, u64>,
 }
 
 /// Reconstruct full-width bucket counts from the sparse
@@ -65,10 +70,10 @@ pub fn counts_from_nonzero(buckets: &[(u64, u64, u64)]) -> Vec<u64> {
 pub enum Dominant {
     /// The graph made no progress; the estimated reason.
     Stalled(StallCause),
-    /// The graph is flowing; its busy time is dominated by flattened-DAG
-    /// node `node` with `share` (0–1] of the graph's recorded busy time
+    /// The graph is flowing; its busy time is dominated by the component
+    /// leaf named `node`, with `share` (0–1] of the graph's busy time
     /// — the live critical-path-dominant-cause estimate.
-    Node { node: u32, share: f64 },
+    Node { node: String, share: f64 },
     /// Nothing happened (no frames, no backlog, no recorded work).
     Idle,
 }
@@ -112,15 +117,11 @@ pub struct LiveSummary {
     pub window_ns: u64,
     /// Per-graph views, ordered by graph id.
     pub graphs: Vec<GraphWindow>,
-    /// Worker park time per cause over the window (from ring stall
-    /// intervals), indexed by [`StallCause::index`].
-    pub stall_ns: [u64; StallCause::ALL.len()],
+    /// Worker park time per cause over the window, indexed by
+    /// [`StallCause::index`].
+    pub stall_ns: StallNs,
     /// The cause with the largest share of park time, if any was parked.
     pub dominant_cause: Option<StallCause>,
-    /// Ring events folded into the window.
-    pub events: u64,
-    /// Ring events lost to overwrite (consumer lag) in the window.
-    pub dropped: u64,
 }
 
 /// Per-graph delta of one closed interval.
@@ -131,8 +132,8 @@ struct GraphDelta {
     shed: u64,
     inflight: u64,
     latency_counts: Vec<u64>,
-    /// Busy nanoseconds per flattened-DAG node (from ring job spans).
-    busy_per_node: BTreeMap<u32, u64>,
+    /// Busy nanoseconds per component leaf in the interval.
+    busy_per_node: BTreeMap<String, u64>,
 }
 
 /// One closed interval of the rolling window.
@@ -140,9 +141,7 @@ struct GraphDelta {
 struct TickSlot {
     span_ns: u64,
     per_graph: BTreeMap<u32, GraphDelta>,
-    stall_ns: [u64; StallCause::ALL.len()],
-    events: u64,
-    dropped: u64,
+    stall_ns: StallNs,
 }
 
 /// Cumulative baseline of one graph at the previous tick.
@@ -151,22 +150,18 @@ struct Baseline {
     completed: u64,
     shed: u64,
     latency_counts: Vec<u64>,
+    busy_per_node: BTreeMap<String, u64>,
 }
 
 /// The incremental windowed analyzer. Feed it with
-/// [`LiveAnalyzer::fold`] + [`LiveAnalyzer::tick`]; read it with
-/// [`LiveAnalyzer::summary`].
+/// [`LiveAnalyzer::tick`]; read it with [`LiveAnalyzer::summary`].
 #[derive(Debug)]
 pub struct LiveAnalyzer {
     window_ticks: usize,
     ticks: VecDeque<TickSlot>,
     prev: HashMap<u32, Baseline>,
+    prev_stall: StallNs,
     last_tick_ns: Option<u64>,
-    // current (open) interval accumulators, filled by fold()
-    cur_busy: BTreeMap<u32, BTreeMap<u32, u64>>,
-    cur_stall: [u64; StallCause::ALL.len()],
-    cur_events: u64,
-    cur_dropped: u64,
 }
 
 impl LiveAnalyzer {
@@ -177,68 +172,31 @@ impl LiveAnalyzer {
             window_ticks: window_ticks.max(1),
             ticks: VecDeque::new(),
             prev: HashMap::new(),
+            prev_stall: StallNs::default(),
             last_tick_ns: None,
-            cur_busy: BTreeMap::new(),
-            cur_stall: [0; StallCause::ALL.len()],
-            cur_events: 0,
-            cur_dropped: 0,
-        }
-    }
-
-    /// Accumulate one ring snapshot into the current interval. Callers
-    /// pass the merged `(worker, event)` pairs plus the snapshot's
-    /// dropped count.
-    pub fn fold(&mut self, events: &[(u32, RingEvent)], dropped: u64) {
-        self.cur_dropped += dropped;
-        self.cur_events += events.len() as u64;
-        for (_, ev) in events {
-            match *ev {
-                RingEvent::Job {
-                    graph,
-                    node,
-                    start,
-                    end,
-                } => {
-                    *self
-                        .cur_busy
-                        .entry(graph)
-                        .or_default()
-                        .entry(node)
-                        .or_default() += end.saturating_sub(start);
-                }
-                RingEvent::Stall {
-                    cause, start, end, ..
-                } => {
-                    self.cur_stall[cause.index()] += end.saturating_sub(start);
-                }
-                // Retirement counting comes from the cumulative samples
-                // (lossless even when the ring overwrites); the retire
-                // events themselves only matter for offline export.
-                RingEvent::Retire { .. } => {}
-            }
         }
     }
 
     /// Close the current interval at time `now_ns` (same monotone clock
-    /// across ticks, e.g. the runtime's uptime) against the current
-    /// cumulative per-graph samples. Graphs absent from `samples`
-    /// (drained) are dropped from the baseline; graphs seen for the
-    /// first time contribute their full history to this interval.
-    pub fn tick(&mut self, now_ns: u64, samples: &[GraphSample]) {
+    /// across ticks, e.g. the runtime's uptime) against the pool's
+    /// cumulative parked time per cause and the current cumulative
+    /// per-graph samples. Graphs absent from `samples` (drained) are
+    /// dropped from the baseline; graphs seen for the first time, like
+    /// the first tick's park time, contribute their full history to this
+    /// interval.
+    pub fn tick(&mut self, now_ns: u64, stall_ns: StallNs, samples: &[GraphSample]) {
         let span_ns = match self.last_tick_ns {
             Some(prev) => now_ns.saturating_sub(prev),
             None => now_ns,
         };
         self.last_tick_ns = Some(now_ns);
 
+        let prev_stall = std::mem::replace(&mut self.prev_stall, stall_ns);
         let mut slot = TickSlot {
             span_ns,
-            stall_ns: std::mem::take(&mut self.cur_stall),
-            events: std::mem::take(&mut self.cur_events),
-            dropped: std::mem::take(&mut self.cur_dropped),
+            stall_ns: std::array::from_fn(|i| stall_ns[i].saturating_sub(prev_stall[i])),
             ..TickSlot::default()
         };
-        let busy = std::mem::take(&mut self.cur_busy);
 
         let mut next_prev: HashMap<u32, Baseline> = HashMap::new();
         for s in samples {
@@ -258,7 +216,15 @@ impl LiveAnalyzer {
                     shed: s.shed.saturating_sub(base.shed),
                     inflight: s.inflight,
                     latency_counts: diff_counts,
-                    busy_per_node: busy.get(&s.graph).cloned().unwrap_or_default(),
+                    busy_per_node: s
+                        .busy_per_node
+                        .iter()
+                        .map(|(node, &ns)| {
+                            let then = base.busy_per_node.get(node).copied().unwrap_or(0);
+                            (node.clone(), ns.saturating_sub(then))
+                        })
+                        .filter(|&(_, ns)| ns > 0)
+                        .collect(),
                 },
             );
             next_prev.insert(
@@ -267,6 +233,7 @@ impl LiveAnalyzer {
                     completed: s.completed,
                     shed: s.shed,
                     latency_counts: s.latency_counts.clone(),
+                    busy_per_node: s.busy_per_node.clone(),
                 },
             );
         }
@@ -278,17 +245,15 @@ impl LiveAnalyzer {
         }
     }
 
-    /// Render the rolling window. Deterministic: a fixed fold/tick
+    /// Render the rolling window. Deterministic: a fixed tick
     /// sequence yields an identical summary.
     pub fn summary(&self) -> LiveSummary {
         let mut out = LiveSummary::default();
         let mut agg: BTreeMap<u32, GraphWindow> = BTreeMap::new();
         let mut counts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        let mut busy: BTreeMap<u32, BTreeMap<u32, u64>> = BTreeMap::new();
+        let mut busy: BTreeMap<u32, BTreeMap<String, u64>> = BTreeMap::new();
         for slot in &self.ticks {
             out.window_ns += slot.span_ns;
-            out.events += slot.events;
-            out.dropped += slot.dropped;
             for (i, ns) in slot.stall_ns.iter().enumerate() {
                 out.stall_ns[i] += ns;
             }
@@ -313,8 +278,8 @@ impl LiveAnalyzer {
                     *a += b;
                 }
                 let gb = busy.entry(g).or_default();
-                for (&node, &ns) in &d.busy_per_node {
-                    *gb.entry(node).or_default() += ns;
+                for (node, &ns) in &d.busy_per_node {
+                    *gb.entry(node.clone()).or_default() += ns;
                 }
             }
         }
@@ -341,8 +306,8 @@ impl LiveAnalyzer {
 }
 
 /// Estimate what dominates a graph's window: a stall cause when it made
-/// no progress, otherwise the busiest node of its recorded job spans.
-fn dominant_for(w: &GraphWindow, busy: Option<&BTreeMap<u32, u64>>) -> Dominant {
+/// no progress, otherwise its busiest leaf.
+fn dominant_for(w: &GraphWindow, busy: Option<&BTreeMap<String, u64>>) -> Dominant {
     if w.completed == 0 {
         return if w.backlog > 0 {
             // Accepted frames exist but none retired: the pipeline is
@@ -359,13 +324,13 @@ fn dominant_for(w: &GraphWindow, busy: Option<&BTreeMap<u32, u64>>) -> Dominant 
     match busy {
         Some(per_node) if !per_node.is_empty() => {
             let total: u64 = per_node.values().sum();
-            // Deterministic tie-break: highest busy, then lowest node id.
-            let (&node, &ns) = per_node
+            // Deterministic tie-break: highest busy, then lowest name.
+            let (node, &ns) = per_node
                 .iter()
                 .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
                 .expect("non-empty");
             Dominant::Node {
-                node,
+                node: node.clone(),
                 share: if total > 0 {
                     ns as f64 / total as f64
                 } else {
@@ -373,11 +338,10 @@ fn dominant_for(w: &GraphWindow, busy: Option<&BTreeMap<u32, u64>>) -> Dominant 
                 },
             }
         }
-        // Frames retired but the ring had no spans for this graph
-        // (overwritten, or telemetry off): report progress without a
-        // node attribution.
+        // Frames retired whose jobs all ran before the window: report
+        // progress without a leaf attribution.
         _ => Dominant::Node {
-            node: 0,
+            node: String::new(),
             share: 0.0,
         },
     }
@@ -400,17 +364,25 @@ mod tests {
             shed,
             inflight,
             latency_counts: h.bucket_counts().to_vec(),
+            busy_per_node: BTreeMap::new(),
         }
     }
+
+    fn busy(nodes: &[(&str, u64)]) -> BTreeMap<String, u64> {
+        nodes.iter().map(|&(n, ns)| (n.to_string(), ns)).collect()
+    }
+
+    const NO_STALL: StallNs = [0; StallCause::ALL.len()];
 
     #[test]
     fn window_diffs_cumulative_counters() {
         let mut la = LiveAnalyzer::new(4);
         // Tick 1: graph 0 has retired 10 frames total.
-        la.tick(1_000_000_000, &[sample(0, 10, 2, 1, &[100, 100])]);
+        la.tick(1_000_000_000, NO_STALL, &[sample(0, 10, 2, 1, &[100, 100])]);
         // Tick 2: 25 total → 15 in this interval.
         la.tick(
             2_000_000_000,
+            NO_STALL,
             &[sample(0, 25, 2, 3, &[100, 100, 800, 800, 800])],
         );
         let s = la.summary();
@@ -430,9 +402,9 @@ mod tests {
     #[test]
     fn old_ticks_roll_off_the_window() {
         let mut la = LiveAnalyzer::new(2);
-        la.tick(1_000, &[sample(0, 5, 0, 0, &[])]);
-        la.tick(2_000, &[sample(0, 6, 0, 0, &[])]);
-        la.tick(3_000, &[sample(0, 9, 0, 0, &[])]);
+        la.tick(1_000, NO_STALL, &[sample(0, 5, 0, 0, &[])]);
+        la.tick(2_000, NO_STALL, &[sample(0, 6, 0, 0, &[])]);
+        la.tick(3_000, NO_STALL, &[sample(0, 9, 0, 0, &[])]);
         let s = la.summary();
         // Window holds the last two ticks: (6-5) + (9-6) = 4 frames.
         assert_eq!(s.graphs[0].completed, 4);
@@ -440,69 +412,57 @@ mod tests {
     }
 
     #[test]
-    fn fold_attributes_busy_and_stalls() {
-        let mut la = LiveAnalyzer::new(4);
-        la.fold(
-            &[
-                (
-                    0,
-                    RingEvent::Job {
-                        graph: 0,
-                        node: 2,
-                        start: 0,
-                        end: 700,
-                    },
-                ),
-                (
-                    0,
-                    RingEvent::Job {
-                        graph: 0,
-                        node: 1,
-                        start: 700,
-                        end: 1000,
-                    },
-                ),
-                (
-                    1,
-                    RingEvent::Stall {
-                        worker: 1,
-                        cause: StallCause::Backpressure,
-                        start: 0,
-                        end: 400,
-                    },
-                ),
-                (
-                    1,
-                    RingEvent::Retire {
-                        graph: 0,
-                        iter: 0,
-                        at: 1000,
-                        latency: 1000,
-                    },
-                ),
-            ],
-            3,
-        );
-        la.tick(10_000, &[sample(0, 1, 0, 0, &[1000])]);
-        let s = la.summary();
-        assert_eq!(s.events, 4);
-        assert_eq!(s.dropped, 3);
-        assert_eq!(s.stall_ns[StallCause::Backpressure.index()], 400);
+    fn ticks_diff_busy_and_stall_counters() {
+        let backpressure = StallCause::Backpressure.index();
+        let (mut la, mut last) = (LiveAnalyzer::new(4), LiveAnalyzer::new(1));
+        let mut stall = NO_STALL;
+        stall[backpressure] = 100;
+        let mut g = sample(0, 1, 0, 0, &[1000]);
+        g.busy_per_node = busy(&[("a", 50), ("b", 500)]);
+        for a in [&mut la, &mut last] {
+            a.tick(1_000, stall, std::slice::from_ref(&g));
+        }
+        // In the second interval `a` ran 300 ns, `c` 700 and `b` nothing.
+        stall[backpressure] = 500;
+        g.completed = 2;
+        g.busy_per_node = busy(&[("a", 350), ("b", 500), ("c", 700)]);
+        for a in [&mut la, &mut last] {
+            a.tick(2_000, stall, std::slice::from_ref(&g));
+        }
+        let s = last.summary();
+        assert_eq!(s.stall_ns[backpressure], 400);
         assert_eq!(s.dominant_cause, Some(StallCause::Backpressure));
         match &s.graphs[0].dominant {
             Dominant::Node { node, share } => {
-                assert_eq!(*node, 2);
-                assert!((share - 0.7).abs() < 1e-9);
+                assert_eq!(node, "c");
+                assert!((share - 0.7).abs() < 1e-9, "{share}");
             }
             other => panic!("expected node dominance, got {other:?}"),
         }
+        assert_eq!(s.graphs[0].dominant.render(), "node:c (70%)");
+        // Over both intervals: c's 700 of 1550 ns.
+        let s = la.summary();
+        assert_eq!(s.stall_ns[backpressure], 500);
+        assert_eq!(s.graphs[0].dominant.render(), "node:c (45%)");
+        // A third interval with no park and only `a` busy.
+        g.completed = 3;
+        g.busy_per_node = busy(&[("a", 1350), ("b", 500), ("c", 700)]);
+        last.tick(3_000, stall, &[g]);
+        let s = last.summary();
+        assert_eq!(s.stall_ns, NO_STALL);
+        assert_eq!(s.dominant_cause, None);
+        assert_eq!(s.graphs[0].dominant.render(), "node:a (100%)");
     }
 
     #[test]
     fn stalled_graphs_are_classified() {
         let mut la = LiveAnalyzer::new(1);
         // Backlog but no retirements: starved.
-        la.tick(1_000, &[sample(0, 0, 0, 4, &[]), sample(1, 0, 9, 0, &[])]);
+        la.tick(
+            1_000,
+            NO_STALL,
+            &[sample(0, 0, 0, 4, &[]), sample(1, 0, 9, 0, &[])],
+        );
         let s = la.summary();
         assert_eq!(
             s.graphs[0].dominant,
@@ -518,10 +478,10 @@ mod tests {
     #[test]
     fn drained_graphs_leave_the_baseline() {
         let mut la = LiveAnalyzer::new(3);
-        la.tick(1_000, &[sample(7, 50, 0, 0, &[])]);
-        la.tick(2_000, &[]); // graph 7 drained
-                             // Re-spawned id restarts from its own totals, not the old base.
-        la.tick(3_000, &[sample(7, 3, 0, 0, &[])]);
+        la.tick(1_000, NO_STALL, &[sample(7, 50, 0, 0, &[])]);
+        la.tick(2_000, NO_STALL, &[]); // graph 7 drained
+                                       // Re-spawned id restarts from its own totals, not the old base.
+        la.tick(3_000, NO_STALL, &[sample(7, 3, 0, 0, &[])]);
         let s = la.summary();
         // Window: tick1 (50 history) + tick3 (3 fresh after re-baseline).
         assert_eq!(s.graphs[0].completed, 53);
@@ -531,20 +491,10 @@ mod tests {
     fn summary_is_deterministic() {
         let build = || {
             let mut la = LiveAnalyzer::new(4);
-            la.fold(
-                &[(
-                    0,
-                    RingEvent::Job {
-                        graph: 1,
-                        node: 0,
-                        start: 5,
-                        end: 10,
-                    },
-                )],
-                0,
-            );
-            la.tick(1_000, &[sample(1, 2, 1, 1, &[64, 65])]);
-            la.tick(2_000, &[sample(1, 4, 1, 0, &[64, 65, 66])]);
+            let mut g = sample(1, 2, 1, 1, &[64, 65]);
+            g.busy_per_node = busy(&[("x", 5), ("y", 5)]);
+            la.tick(1_000, [1, 2, 3, 4], &[g]);
+            la.tick(2_000, NO_STALL, &[sample(1, 4, 1, 0, &[64, 65, 66])]);
             format!("{:?}", la.summary())
         };
         assert_eq!(build(), build());

@@ -222,12 +222,13 @@ fn runtime_two_rounds_restore_baseline() {
 /// shutdown, then a report folded from what the pool observed. Two
 /// hand-offs in that driver are only as good as their ordering: the
 /// drain waiter is woken once, by the retirement that leaves the tenant
-/// drained (not per frame), and the per-node map is merged by each worker
-/// as it exits and read after the join. On every explored schedule — a
-/// queued event makes the first manager entry quiesce and graft the
-/// option mid-run — the run must end (no lost drain wake-up) and the
-/// report must be complete: every iteration retired, every executed
-/// component job accounted to a node.
+/// drained (not per frame), and the per-node counters — added by a job
+/// before its completion is published, folded into the tenant's totals
+/// at each window swap — are read after that wake-up. On every explored
+/// schedule — a queued event makes the first manager entry quiesce and
+/// graft the option mid-run — the run must end (no lost drain wake-up)
+/// and the report must be complete: every iteration retired, every
+/// executed component job accounted to a node.
 #[test]
 fn run_native_report_is_complete_on_every_schedule() {
     let _serial = runtime_lock();
@@ -257,7 +258,7 @@ fn run_native_report_is_complete_on_every_schedule() {
         // component jobs, each of which some worker timed for its node.
         let component_jobs = report.jobs_executed - 2 * frames;
         let accounted: u64 = report.per_node.values().map(|(jobs, _)| jobs).sum();
-        assert_eq!(accounted, component_jobs, "per-node map merged in full");
+        assert_eq!(accounted, component_jobs, "per-node counters complete");
         assert_eq!(report.per_node["src"].0, frames);
         assert_eq!(report.per_node["snk"].0, frames);
         assert_eq!(report.core_busy.len(), 2);

@@ -21,7 +21,7 @@
 //!   `scripts/ci.sh` diffs two runs;
 //! * `top` — live rolling-window view of a running server (throughput,
 //!   p50/p99, backlog, dominant stall per graph), rendered server-side
-//!   from the flight recorder; `--once` prints one snapshot and exits
+//!   from the pool's counters; `--once` prints one snapshot and exits
 //!   (deterministic for a fixed runtime state);
 //! * `smoke` — end-to-end self-test over real sockets (used by
 //!   `scripts/ci.sh`): start a server, time 20 pings (a median of 10 ms

@@ -106,7 +106,7 @@ pub enum Request {
         pipeline_depth: u32,
         max_backlog: u64,
     },
-    /// Live-telemetry export: the server samples its flight recorder and
+    /// Live-telemetry export: the server samples its pool's counters and
     /// returns one rendered snapshot. `format` selects the rendering
     /// (see `crate::telemetry::{FORMAT_JSON, FORMAT_PROMETHEUS,
     /// FORMAT_TABLE}`), so clients stay parser-free.

@@ -44,9 +44,8 @@ use trace::json::{array, JsonObject};
 /// connected client after a shutdown request.
 const READ_POLL: Duration = Duration::from_millis(250);
 
-/// Cadence of the background telemetry collector: each wakeup drains the
-/// flight recorder (wait-free for the workers) and closes one rolling-
-/// window interval. Also bounds shutdown latency of the collector
+/// Cadence of the background telemetry collector: each wakeup reads the
+/// pool's cumulative counters and closes one rolling-window interval. Also bounds shutdown latency of the collector
 /// thread, so it doubles as its stop-poll granularity.
 const COLLECT_INTERVAL: Duration = Duration::from_millis(250);
 
@@ -196,7 +195,7 @@ pub(crate) struct Inner {
     pub(crate) scale: Scale,
     workers: usize,
     pub(crate) stop: AtomicBool,
-    /// Live-telemetry state: flight-recorder cursors + windowed analyzer.
+    /// Live-telemetry state: the windowed analyzer.
     pub(crate) telemetry: Telemetry,
     /// Attached SLO governors, keyed by graph id. Ticked by the
     /// collector thread after each telemetry sample.
@@ -311,7 +310,7 @@ impl Inner {
         }
     }
 
-    /// Sample the flight recorder and render one consistent telemetry
+    /// Sample the pool's counters and render one consistent telemetry
     /// snapshot in the requested format. Shared by the wire `Telemetry`
     /// opcode and the HTTP `GET /metrics` route.
     pub(crate) fn telemetry_payload(&self, format: u8) -> Result<String, Refusal> {
@@ -597,7 +596,7 @@ impl Server {
                     .spawn(move || crate::http::accept_loop(http, inner, tcp_addr))?,
             );
         }
-        // Collector: drains the flight recorder and closes one analyzer
+        // Collector: samples the pool's counters and closes one analyzer
         // interval at a fixed cadence, so the rolling window advances
         // even when nobody is scraping; each closed interval then feeds
         // one observation window to every attached SLO governor

@@ -2,15 +2,16 @@
 //!
 //! Three consumers, one data path:
 //!
-//! * the **flight recorder** (`trace::ring`) is always on in the shared
-//!   pool — each worker records job spans, park-time stall intervals and
-//!   frame retirements into its own bounded ring;
-//! * a [`Telemetry`] instance owns the ring cursors and an
-//!   [`insight::LiveAnalyzer`]: [`Telemetry::sample`] drains the rings
-//!   (wait-free for the workers) and closes one analyzer interval
-//!   against the runtime's cumulative per-graph counters. The server
-//!   runs a collector thread doing this at a fixed cadence, and every
-//!   on-demand export samples once more so it never serves stale data;
+//! * the **counters** every pool keeps: per worker, parked time per
+//!   stall cause; per component leaf, jobs and busy time
+//!   ([`Runtime::node_times`]); per graph, frames and latency buckets.
+//!   All cumulative and exact — a job or a park adds to them, nothing is
+//!   sampled or dropped;
+//! * a [`Telemetry`] instance owns an [`insight::LiveAnalyzer`]:
+//!   [`Telemetry::sample`] closes one analyzer interval against the
+//!   runtime's current counters. The server runs a collector thread
+//!   doing this at a fixed cadence, and every on-demand export samples
+//!   once more so it never serves stale data;
 //! * the renderers: [`prometheus_text`] (the HTTP `GET /metrics` body),
 //!   [`telemetry_json`] (the wire `Telemetry` opcode payload) and
 //!   [`render_top`] (the `hinch-serve top` table) are pure functions of
@@ -31,7 +32,6 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use trace::json::{array, JsonObject};
 use trace::metrics::LogHistogram;
-use trace::ring::Cursor;
 use trace::StallCause;
 
 /// `Telemetry` request payload formats (the wire carries the selector so
@@ -70,15 +70,10 @@ pub struct AdaptStatus {
     pub last_reason: String,
 }
 
-struct State {
-    analyzer: LiveAnalyzer,
-    cursors: Vec<Cursor>,
-}
-
-/// Shared live-telemetry state: ring cursors plus the windowed analyzer.
-/// One per server; cheap to sample (a wait-free ring drain and a fold).
+/// Shared live-telemetry state: the windowed analyzer. One per server;
+/// cheap to sample (one admit-lock hold per graph and a diff).
 pub struct Telemetry {
-    state: Mutex<State>,
+    analyzer: Mutex<LiveAnalyzer>,
 }
 
 impl Default for Telemetry {
@@ -90,22 +85,15 @@ impl Default for Telemetry {
 impl Telemetry {
     pub fn new() -> Self {
         Self {
-            state: Mutex::new(State {
-                analyzer: LiveAnalyzer::new(WINDOW_TICKS),
-                cursors: Vec::new(),
-            }),
+            analyzer: Mutex::new(LiveAnalyzer::new(WINDOW_TICKS)),
         }
     }
 
-    /// Drain the flight recorder and close one analyzer interval against
-    /// the runtime's current cumulative counters. Wait-free for the
-    /// workers; serialized across samplers by the state lock.
+    /// Close one analyzer interval against the runtime's current
+    /// cumulative counters. Serialized across samplers by the analyzer
+    /// lock.
     pub fn sample(&self, runtime: &Runtime) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(rings) = runtime.rings() {
-            let snap = rings.snapshot(&mut st.cursors);
-            st.analyzer.fold(&snap.events, snap.dropped);
-        }
+        let mut analyzer = self.analyzer.lock().unwrap();
         let samples: Vec<GraphSample> = runtime
             .all_stats()
             .iter()
@@ -116,14 +104,22 @@ impl Telemetry {
                 shed: s.shed,
                 inflight: s.inflight,
                 latency_counts: counts_from_nonzero(&s.latency_buckets),
+                // Empty for a graph drained since `all_stats`.
+                busy_per_node: runtime
+                    .node_times(s.id)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|(node, (_, busy))| (node, busy.as_nanos() as u64))
+                    .collect(),
             })
             .collect();
-        st.analyzer.tick(runtime.telemetry().uptime_ns, &samples);
+        let pool = runtime.telemetry();
+        analyzer.tick(pool.uptime_ns, pool.stall_ns, &samples);
     }
 
     /// The rolling-window view as of the last [`Telemetry::sample`].
     pub fn summary(&self) -> LiveSummary {
-        self.state.lock().unwrap().analyzer.summary()
+        self.analyzer.lock().unwrap().summary()
     }
 }
 
@@ -143,7 +139,7 @@ fn prom_type(out: &mut String, name: &str, kind: &str) {
 /// Render one consistent snapshot as Prometheus text exposition: pool
 /// gauges, per-worker counters, per-graph counters and cumulative
 /// latency-bucket histograms, plus the rolling stall attribution from
-/// the flight recorder. Validated by [`validate_prometheus`] in tests
+/// the pool's counters. Validated by [`validate_prometheus`] in tests
 /// and the smoke gate.
 pub fn prometheus_text(
     pool: &PoolTelemetry,
@@ -238,7 +234,7 @@ pub fn prometheus_text(
         let _ = writeln!(o, "hinch_graph_frame_latency_ns_count{{{labels}}} {total}");
     }
 
-    // Rolling-window attribution from the flight recorder.
+    // Rolling-window attribution from the pool's counters.
     prom_type(&mut o, "hinch_live_window_seconds", "gauge");
     let _ = writeln!(
         o,
@@ -254,10 +250,6 @@ pub fn prometheus_text(
             live.stall_ns[cause.index()] as f64 / 1e9
         );
     }
-    prom_type(&mut o, "hinch_live_ring_events", "gauge");
-    let _ = writeln!(o, "hinch_live_ring_events {}", live.events);
-    prom_type(&mut o, "hinch_live_ring_dropped", "gauge");
-    let _ = writeln!(o, "hinch_live_ring_dropped {}", live.dropped);
     prom_type(&mut o, "hinch_live_graph_fps", "gauge");
     for g in &live.graphs {
         let _ = writeln!(
@@ -393,8 +385,6 @@ pub fn telemetry_json(
         )
         .num("graphs", stats.len() as u64)
         .num("window_ns", live.window_ns)
-        .num("ring_events", live.events)
-        .num("ring_dropped", live.dropped)
         .raw("stalls", &array(stalls))
         .raw("live", &array(live.graphs.iter().map(live_graph_json)))
         .raw("adapt", &array(adapt.iter().map(adapt_json)))
@@ -425,11 +415,7 @@ pub fn render_top(pool: &PoolTelemetry, live: &LiveSummary) -> String {
         Some(c) => format!(", dominant stall {}", c.as_str()),
         None => String::new(),
     };
-    let _ = writeln!(
-        o,
-        "window: {:.1}s, {} ring events ({} dropped){}",
-        window, live.events, live.dropped, dominant
-    );
+    let _ = writeln!(o, "window: {window:.1}s{dominant}");
     let _ = writeln!(
         o,
         "{:>5} {:<10} {:>9} {:>11} {:>11} {:>7}  dominant",
@@ -700,10 +686,12 @@ mod tests {
             queued_jobs: 0,
             idle_workers: 2,
             uptime_ns: 5_000_000_000,
+            stall_ns: [1_500_000, 500_000, 0, 0],
         };
         let mut la = LiveAnalyzer::new(4);
         la.tick(
             1_000_000_000,
+            pool.stall_ns,
             &[GraphSample {
                 graph: 0,
                 app: "pip1\"x".into(),
@@ -711,6 +699,9 @@ mod tests {
                 shed: 2,
                 inflight: 1,
                 latency_counts: counts_from_nonzero(&stats[0].latency_buckets),
+                busy_per_node: [("src".to_string(), 250_000), ("blend".to_string(), 750_000)]
+                    .into_iter()
+                    .collect(),
             }],
         );
         (pool, stats, la.summary())
@@ -744,7 +735,7 @@ mod tests {
             "hinch_graph_frame_latency_ns_bucket{graph=\"0\",app=\"pip1\\\"x\",le=\"+Inf\"} 4",
             "hinch_graph_backlog{graph=\"0\"",
             "hinch_graph_shed_total",
-            "hinch_live_stall_seconds{cause=\"backpressure\"}",
+            "hinch_live_stall_seconds{cause=\"backpressure\"} 0.0005",
             "hinch_worker_steals_total",
             "hinch_worker_parks_total",
             "hinch_adapt_target_p99_ns{graph=\"0\",app=\"pip1\\\"x\"} 2000000",
@@ -769,7 +760,8 @@ mod tests {
             "\"workers\":[{\"worker\":0,",
             "\"steals\":1",
             "\"app\":\"pip1\\\"x\"",
-            "\"stalls\":[{\"cause\":\"starvation\"",
+            "\"stalls\":[{\"cause\":\"starvation\",\"stall_ns\":1500000}",
+            "\"dominant\":\"node:blend (75%)\"",
             "\"backlog\":1",
             "\"adapt\":[{\"graph\":0,",
             "\"config\":\"full/s4/d1\"",
@@ -782,6 +774,12 @@ mod tests {
             telemetry_json(&pool, &stats, &live, &[]).contains("\"adapt\":[]"),
             "empty adapt array when nothing is attached"
         );
+        // The benchmark sums every `busy_ns` / `idle_ns` / `jobs` /
+        // `parks` / `steals` it finds: only the worker objects carry them.
+        for key in ["busy_ns", "idle_ns", "jobs", "parks", "steals"] {
+            let n = json.matches(&format!("\"{key}\":")).count();
+            assert_eq!(n, pool.workers.len(), "{key}:\n{json}");
+        }
     }
 
     #[test]
@@ -791,6 +789,11 @@ mod tests {
         let table = render_top(&pool, &live);
         assert!(table.contains("pool: 2 workers"), "{table}");
         assert!(table.contains("dominant"), "{table}");
+        assert!(
+            table.contains("window: 1.0s, dominant stall starvation"),
+            "{table}"
+        );
+        assert!(table.contains("node:blend (75%)"), "{table}");
         assert!(table.contains("pip1\"x"), "{table}");
         // Deterministic: same snapshot, same bytes.
         assert_eq!(table, render_top(&pool, &live));

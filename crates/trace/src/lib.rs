@@ -24,7 +24,6 @@ pub mod export;
 pub mod input;
 pub mod json;
 pub mod metrics;
-pub mod ring;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,7 +12,7 @@
 #      executor, trace summary, source copy or process-global simulated
 #      address allocator)
 #      and the schedcheck model suite under --cfg hinch_model (engine
-#      protocols, the recorder ring, the stream slot ring)
+#      protocols and their counters, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
 #      tests/steady_state_alloc.rs (one #[test], its own counting
 #      allocator): a steady-state frame allocates no stream payload, and
@@ -82,7 +82,10 @@ if grep -RnE 'std::sync::atomic|std::thread|parking_lot|UnsafeCell' \
     exit 1
 fi
 echo "facade lint: clean"
-# The metrics registry, the ring on/off knob, the pre-ledger measurement
+# The metrics registry, the ring on/off knob, the per-worker flight
+# recorder ring and its seqlock model (`trace::ring`, `RingEvent`,
+# `RingSet`, `ring_model.rs`, `DEFAULT_RING_CAPACITY`, the
+# `hinch_live_ring_*` series), the pre-ledger measurement
 # stack, the Criterion benches, `paper-figures --insight`, the separate
 # reference executor (`engine::reference`, `RefReport`), the trace
 # crate's own summary (`utilization_summary`), the source's field copy
@@ -92,11 +95,12 @@ echo "facade lint: clean"
 # IDCT's SSE2 twin and transposed cosine table (`idct_to_pixels_sse2`,
 # `cos_t_table`) are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
-# engine/sim the one sequential engine, a source publishes a view of its
+# engine/sim the one sequential engine, the pools' counters the one
+# live source, a source publishes a view of its
 # field, a spacecake::Machine lays out its run's buffers, a capture records
 # a composite and a reader materialises it whole, the IDCT is fixed point
 # with one AVX2 twin): no code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table' \
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2
@@ -107,9 +111,9 @@ echo "dangling-reference lint: clean"
 echo "== schedcheck (model-checked engine protocols) =="
 # Seeded, bounded exploration of the engine's sync protocols under
 # `--cfg hinch_model` (separate target dir: the cfg changes every
-# crate's build): engine_model.rs, ring_model.rs, adapt_model.rs and
-# stream_model.rs (the real hinch::stream::Stream, slot hand-over
-# included). The smoke budget keeps CI fast; MODEL_DEEP=1 runs the same
+# crate's build): engine_model.rs (the real Runtime and run_native,
+# per-node counters included), adapt_model.rs and stream_model.rs (the
+# real hinch::stream::Stream, slot hand-over included). The smoke budget keeps CI fast; MODEL_DEEP=1 runs the same
 # tests with a much larger schedule budget.
 model_iters=96
 [[ "${MODEL_DEEP:-0}" == "1" ]] && model_iters=1024
