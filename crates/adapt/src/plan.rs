@@ -74,18 +74,6 @@ impl Planner {
         }
     }
 
-    /// Rate the lattice for `app` on `cores` workers and wrap it in a
-    /// planner with the given frame budget.
-    pub fn for_app(
-        app: App,
-        scale: Scale,
-        lattice: &Lattice,
-        cores: usize,
-        deadline_cycles: f64,
-    ) -> Self {
-        Self::new(rate_app(app, scale, lattice, cores), deadline_cycles)
-    }
-
     pub fn deadline(&self) -> f64 {
         self.deadline
     }

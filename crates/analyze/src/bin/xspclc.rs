@@ -7,7 +7,7 @@
 //! xspclc dot     app.xml [out.dot]  elaborated topology as Graphviz DOT
 //! xspclc rust    app.xml [out.rs]   Rust glue source (the paper's C glue)
 //! xspclc format  app.xml            pretty-print the document
-//! xspclc analyze app.xml [--format json|human] [--legacy-slices]
+//! xspclc analyze app.xml [--format json|human]
 //!                                   static analysis (XA0xx diagnostics)
 //! ```
 //!
@@ -24,7 +24,7 @@ use std::process::ExitCode;
 use xspcl::elaborate::ComponentRegistry;
 
 const USAGE: &str = "usage: xspclc <check|dot|rust|format> <file.xml> [output]\n\
-       xspclc analyze <file.xml> [--format json|human] [--legacy-slices]";
+       xspclc analyze <file.xml> [--format json|human]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,7 +37,6 @@ fn main() -> ExitCode {
 fn main_analyze(args: &[String]) -> ExitCode {
     let mut path = None;
     let mut format = "human".to_string();
-    let mut opts = AnalyzeOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -48,7 +47,6 @@ fn main_analyze(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--legacy-slices" => opts.legacy_uncomposed_slices = true,
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
             other => {
                 eprintln!("xspclc: unexpected argument '{other}'\n{USAGE}");
@@ -67,7 +65,7 @@ fn main_analyze(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match run_analyze(&source, &format, &opts) {
+    match run_analyze(&source, &format) {
         Ok((report, clean)) => {
             print!("{report}");
             if clean {
@@ -84,12 +82,9 @@ fn main_analyze(args: &[String]) -> ExitCode {
 }
 
 /// Returns the rendered report plus whether the spec was clean.
-fn run_analyze(
-    source: &str,
-    format: &str,
-    opts: &AnalyzeOptions,
-) -> Result<(String, bool), String> {
-    let diags = analyze::check_source(source, opts).map_err(|e| e.to_string())?;
+fn run_analyze(source: &str, format: &str) -> Result<(String, bool), String> {
+    let diags =
+        analyze::check_source(source, &AnalyzeOptions::default()).map_err(|e| e.to_string())?;
     let clean = diags.is_empty();
     let report = match format {
         "json" => {
@@ -188,7 +183,6 @@ fn run(cmd: &str, source: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::{run, run_analyze};
-    use analyze::AnalyzeOptions;
 
     const SAMPLE: &str = r#"<xspcl>
       <queue name="mq"/>
@@ -253,7 +247,7 @@ mod tests {
 
     #[test]
     fn analyze_reports_clean_sample() {
-        let (report, clean) = run_analyze(SAMPLE, "human", &AnalyzeOptions::default()).unwrap();
+        let (report, clean) = run_analyze(SAMPLE, "human").unwrap();
         assert!(clean, "{report}");
         assert!(report.contains("no diagnostics"), "{report}");
     }
@@ -263,7 +257,7 @@ mod tests {
         // option 'o' never targeted + stream 's' read by nobody when 'o'
         // is disabled? — here: remove the rule so XA013 fires
         let src = SAMPLE.replace("<on event=\"t\"><toggle option=\"o\"/></on>", "");
-        let (report, clean) = run_analyze(&src, "json", &AnalyzeOptions::default()).unwrap();
+        let (report, clean) = run_analyze(&src, "json").unwrap();
         assert!(!clean, "{report}");
         assert!(report.contains("\"code\":\"XA013\""), "{report}");
         assert!(report.contains("\"errors\":0"), "{report}");

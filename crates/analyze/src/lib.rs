@@ -45,32 +45,23 @@ pub use xspcl::{Diagnostic, Diagnostics, Elaborated, Severity};
 pub const ELABORATION: &str = "XA091";
 pub const RESIDUAL: &str = "XA099";
 
-/// Knobs for the analysis.
+/// Knobs for the analysis. There are none: every analysis has one
+/// behaviour. The type stays because callers of [`check_source`] (the
+/// benchmark's layer pass, `serve`'s spawn admission) pass one.
 #[derive(Debug, Clone, Default)]
-pub struct AnalyzeOptions {
-    /// Model the pre-fix replication semantics in which nested slice
-    /// assignments were *not* composed across nesting levels (every level
-    /// restarted at `index = i, total = n`). Used to demonstrate that the
-    /// region-overlap analysis rejects the historic overlapping-lease bug.
-    pub legacy_uncomposed_slices: bool,
-}
+pub struct AnalyzeOptions {}
 
-/// Analyze an elaborated application with default options. This is what
-/// the apps crate runs over every registered application.
+/// Analyze an elaborated application. This is what the apps crate runs
+/// over every registered application.
 pub fn check_app(e: &Elaborated) -> Diagnostics {
-    check_elaborated(e, &AnalyzeOptions::default())
-}
-
-/// Analyze an elaborated application.
-pub fn check_elaborated(e: &Elaborated, opts: &AnalyzeOptions) -> Diagnostics {
     let declared: Vec<String> = e.queues.keys().cloned().collect();
-    analyze_graph(&e.spec, &e.spans, Some(&declared), opts)
+    analyze_graph(&e.spec, &e.spans, Some(&declared))
 }
 
 /// Analyze a programmatically built graph (no source spans, no queue
 /// declarations).
 pub fn check_spec(spec: &GraphSpec) -> Diagnostics {
-    analyze_graph(spec, &HashMap::new(), None, &AnalyzeOptions::default())
+    analyze_graph(spec, &HashMap::new(), None)
 }
 
 /// Parse, validate and analyze XSPCL source. Unreadable documents (XML
@@ -78,7 +69,7 @@ pub fn check_spec(spec: &GraphSpec) -> Diagnostics {
 /// diagnostics — semantic errors (XA090) short-circuit elaboration, an
 /// elaboration failure becomes XA091, and an elaborated graph gets the
 /// full graph analysis.
-pub fn check_source(source: &str, opts: &AnalyzeOptions) -> Result<Diagnostics, XspclError> {
+pub fn check_source(source: &str, _opts: &AnalyzeOptions) -> Result<Diagnostics, XspclError> {
     let root = xspcl::xml::parse(source).map_err(XspclError::from)?;
     let doc = xspcl::parse::document(&root)?;
     let mut semantic = xspcl::validate::check_all(&doc);
@@ -94,20 +85,19 @@ pub fn check_source(source: &str, opts: &AnalyzeOptions) -> Result<Diagnostics, 
             return Ok(diags);
         }
     };
-    Ok(check_elaborated(&e, opts))
+    Ok(check_app(&e))
 }
 
 fn analyze_graph(
     spec: &GraphSpec,
     spans: &HashMap<String, Span>,
     declared_queues: Option<&[String]>,
-    opts: &AnalyzeOptions,
 ) -> Diagnostics {
     let model = model::build(spec);
     let mut items: Vec<Diagnostic> = Vec::new();
     items.extend(wiring::check(&model, spans, declared_queues));
     items.extend(cycle::check(&model, spans));
-    items.extend(overlap::check(spec, spans, opts));
+    items.extend(overlap::check(&model, spans));
     items.extend(quiesce::check(&model, spans));
     // residual structural rules the runtime enforces that none of the
     // passes above subsume (empty graphs, zero-width groups, options in

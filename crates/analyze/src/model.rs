@@ -9,10 +9,15 @@
 //! options and slice groups never branch, so they contribute no steps
 //! (slice copies of the same leaf share its spec-level path; their
 //! interaction is the region-overlap analysis' job, not scheduling).
+//! What the runtime's replication does to a leaf — how many copies, and
+//! which of its outputs each copy gets alone — is recorded too, without
+//! expanding any group.
 
 use hinch::component::ParamValue;
+use hinch::graph::instance::private_keys;
 use hinch::graph::GraphSpec;
 use hinch::manager::EventAction;
+use std::collections::HashSet;
 
 /// The branching node kinds that decide scheduling order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +48,15 @@ pub struct LeafNode {
     /// Names of queues this leaf holds a handle to via its parameters —
     /// the leaf may post events there.
     pub queue_params: Vec<String>,
+    /// The number of copies the runtime makes of this leaf — the product
+    /// of the widths of its enclosing slice/crossdep groups — or `None`
+    /// outside every group.
+    pub copies: Option<usize>,
+    /// Per output, the groups that give each copy its own instance of the
+    /// stream, outermost first: `@group` for a slice body, `@group.bJ` for
+    /// crossdep block `J` (the runtime's renames without their `#i`).
+    /// Empty for a stream every copy shares.
+    pub output_scopes: Vec<String>,
 }
 
 /// An option subgraph.
@@ -88,11 +102,30 @@ pub struct Model {
 /// Extract the analyzer model from a graph spec.
 pub fn build(spec: &GraphSpec) -> Model {
     let mut model = Model::default();
-    walk(spec, &mut Vec::new(), &mut Vec::new(), &mut model);
+    walk(spec, &mut Ctx::default(), &mut model);
     model
 }
 
-fn walk(spec: &GraphSpec, path: &mut Vec<Step>, options: &mut Vec<String>, model: &mut Model) {
+/// Where the walk is: the branch path, the enclosing options and the
+/// enclosing replicated bodies.
+#[derive(Default)]
+struct Ctx {
+    path: Vec<Step>,
+    options: Vec<String>,
+    bodies: Vec<Body>,
+}
+
+/// A slice body or crossdep block on the way down.
+struct Body {
+    /// `@group` or `@group.bJ`.
+    scope: String,
+    /// The group's width.
+    n: usize,
+    /// Streams each copy of the body has alone.
+    private: HashSet<String>,
+}
+
+fn walk(spec: &GraphSpec, ctx: &mut Ctx, model: &mut Model) {
     match spec {
         GraphSpec::Leaf(c) => {
             let mut queue_params = Vec::new();
@@ -101,22 +134,42 @@ fn walk(spec: &GraphSpec, path: &mut Vec<Step>, options: &mut Vec<String>, model
                     queue_params.push(q.name().to_string());
                 }
             }
+            let output_scopes = c
+                .outputs
+                .iter()
+                .map(|k| {
+                    ctx.bodies
+                        .iter()
+                        .filter(|b| b.private.contains(k))
+                        .map(|b| b.scope.as_str())
+                        .collect()
+                })
+                .collect();
             model.leaves.push(LeafNode {
                 name: c.name.clone(),
                 class: c.class.clone(),
                 inputs: c.inputs.clone(),
                 outputs: c.outputs.clone(),
-                path: path.clone(),
-                option_path: options.clone(),
+                path: ctx.path.clone(),
+                option_path: ctx.options.clone(),
                 queue_params,
+                copies: (!ctx.bodies.is_empty()).then(|| ctx.bodies.iter().map(|b| b.n).product()),
+                output_scopes,
             });
         }
-        GraphSpec::Seq(cs) => branch(cs, StepKind::Seq, path, options, model),
-        GraphSpec::Task(cs) => branch(cs, StepKind::Task, path, options, model),
-        GraphSpec::CrossDep { blocks, .. } => {
-            branch(blocks, StepKind::CrossDep, path, options, model)
+        GraphSpec::Seq(cs) => branch(cs, StepKind::Seq, ctx, model),
+        GraphSpec::Task(cs) => branch(cs, StepKind::Task, ctx, model),
+        GraphSpec::CrossDep { name, n, blocks } => {
+            for (index, block) in blocks.iter().enumerate() {
+                ctx.path.push(Step {
+                    kind: StepKind::CrossDep,
+                    index,
+                });
+                replicated(block, format!("@{name}.b{index}"), *n, ctx, model);
+                ctx.path.pop();
+            }
         }
-        GraphSpec::Slice { body, .. } => walk(body, path, options, model),
+        GraphSpec::Slice { name, n, body } => replicated(body, format!("@{name}"), *n, ctx, model),
         GraphSpec::Managed { manager, body } => {
             model.managers.push(ManagerInfo {
                 name: manager.name.clone(),
@@ -130,7 +183,7 @@ fn walk(spec: &GraphSpec, path: &mut Vec<Step>, options: &mut Vec<String>, model
                     })
                     .collect(),
             });
-            walk(body, path, options, model);
+            walk(body, ctx, model);
         }
         GraphSpec::Option {
             name,
@@ -141,11 +194,19 @@ fn walk(spec: &GraphSpec, path: &mut Vec<Step>, options: &mut Vec<String>, model
                 name: name.clone(),
                 enabled: *enabled,
             });
-            options.push(name.clone());
-            walk(body, path, options, model);
-            options.pop();
+            ctx.options.push(name.clone());
+            walk(body, ctx, model);
+            ctx.options.pop();
         }
     }
+}
+
+/// Walk one body of an `n`-way slice/crossdep group.
+fn replicated(body: &GraphSpec, scope: String, n: usize, ctx: &mut Ctx, model: &mut Model) {
+    let private = private_keys(body);
+    ctx.bodies.push(Body { scope, n, private });
+    walk(body, ctx, model);
+    ctx.bodies.pop();
 }
 
 fn action_info(a: &EventAction) -> ActionInfo {
@@ -158,17 +219,11 @@ fn action_info(a: &EventAction) -> ActionInfo {
     }
 }
 
-fn branch(
-    children: &[GraphSpec],
-    kind: StepKind,
-    path: &mut Vec<Step>,
-    options: &mut Vec<String>,
-    model: &mut Model,
-) {
+fn branch(children: &[GraphSpec], kind: StepKind, ctx: &mut Ctx, model: &mut Model) {
     for (index, child) in children.iter().enumerate() {
-        path.push(Step { kind, index });
-        walk(child, path, options, model);
-        path.pop();
+        ctx.path.push(Step { kind, index });
+        walk(child, ctx, model);
+        ctx.path.pop();
     }
 }
 

@@ -8,45 +8,42 @@
 //! BLESS_FIXTURES=1 cargo test -p analyze --test fixtures
 //! ```
 
-use analyze::AnalyzeOptions;
 use std::fs;
 use std::path::PathBuf;
 
-/// (fixture stem, code that must appear, analyze under legacy slice semantics)
-const FIXTURES: &[(&str, &str, bool)] = &[
-    ("xa001_nested_slice_overlap", "XA001", true),
-    ("xa002_backward_seq_read", "XA002", false),
-    ("xa003_task_sibling_race", "XA003", false),
-    ("xa010_dead_stream", "XA010", false),
-    ("xa011_double_writer", "XA011", false),
-    ("xa012_queue_wiring", "XA012", false),
-    ("xa013_untargeted_option", "XA013", false),
-    ("xa014_writerless_stream", "XA014", false),
-    ("xa020_orphaned_reader", "XA020", false),
-    ("xa090_semantic_errors", "XA090", false),
-    ("xa091_zero_width_slice", "XA091", false),
-    ("xa099_duplicate_option", "XA099", false),
+/// (fixture stem, code that must appear)
+const FIXTURES: &[(&str, &str)] = &[
+    ("xa001_nested_option_writers", "XA001"),
+    ("xa002_backward_seq_read", "XA002"),
+    ("xa003_task_sibling_race", "XA003"),
+    ("xa010_dead_stream", "XA010"),
+    ("xa011_double_writer", "XA011"),
+    ("xa012_queue_wiring", "XA012"),
+    ("xa013_untargeted_option", "XA013"),
+    ("xa014_writerless_stream", "XA014"),
+    ("xa020_orphaned_reader", "XA020"),
+    ("xa090_semantic_errors", "XA090"),
+    ("xa091_zero_width_slice", "XA091"),
+    ("xa099_duplicate_option", "XA099"),
 ];
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-fn analyze_fixture(stem: &str, legacy: bool) -> analyze::Diagnostics {
+fn analyze_fixture(stem: &str) -> analyze::Diagnostics {
     let source = fs::read_to_string(fixture_dir().join(format!("{stem}.xml")))
         .unwrap_or_else(|e| panic!("{stem}: read fixture: {e}"));
-    let opts = AnalyzeOptions {
-        legacy_uncomposed_slices: legacy,
-    };
-    analyze::check_source(&source, &opts).unwrap_or_else(|e| panic!("{stem}: unreadable: {e}"))
+    analyze::check_source(&source, &analyze::AnalyzeOptions::default())
+        .unwrap_or_else(|e| panic!("{stem}: unreadable: {e}"))
 }
 
 #[test]
 fn every_fixture_matches_its_golden_report() {
     let bless = std::env::var_os("BLESS_FIXTURES").is_some();
     let mut failures = Vec::new();
-    for &(stem, code, legacy) in FIXTURES {
-        let diags = analyze_fixture(stem, legacy);
+    for &(stem, code) in FIXTURES {
+        let diags = analyze_fixture(stem);
         assert!(
             diags.iter().any(|d| d.code == code),
             "{stem}: expected {code}, got:\n{}",
@@ -69,16 +66,16 @@ fn every_fixture_matches_its_golden_report() {
 }
 
 #[test]
-fn nested_slices_are_clean_under_composed_semantics() {
-    // the XA001 fixture only overlaps under the historic uncomposed
-    // replication; the shipped (fixed) semantics prove disjointness
-    let diags = analyze_fixture("xa001_nested_slice_overlap", false);
+fn nested_slices_analyze_clean() {
+    // composed assignments: the four copies of one writer partition its
+    // output, whatever the nesting
+    let diags = analyze_fixture("nested_slices_clean");
     assert!(diags.is_empty(), "{}", diags.render_human());
 }
 
 #[test]
 fn fixture_diagnostics_carry_spans_and_json() {
-    let diags = analyze_fixture("xa002_backward_seq_read", false);
+    let diags = analyze_fixture("xa002_backward_seq_read");
     let d = diags.iter().find(|d| d.code == "XA002").unwrap();
     assert_ne!(d.span, xspcl::xml::Span::UNKNOWN, "cycle has a source span");
     let json = diags.render_json();

@@ -48,10 +48,6 @@ impl StreamMap {
 
 pub type StreamTable = Arc<StreamMap>;
 
-pub fn new_stream_table() -> StreamTable {
-    new_stream_table_sized(crate::stream::DEFAULT_CAPACITY)
-}
-
 /// A stream table whose streams hold `slot_capacity` ring slots each.
 pub fn new_stream_table_sized(slot_capacity: usize) -> StreamTable {
     Arc::new(StreamMap {
@@ -85,7 +81,7 @@ pub struct LeafRt {
     pub inputs: Vec<Arc<Stream>>,
     pub outputs: Vec<Arc<Stream>>,
     /// The composed slice assignment delivered to this instance, if it
-    /// lives inside a replication group (for introspection/diagnostics).
+    /// lives inside a replication group (see `compose_assign`).
     pub slice: Option<SliceAssign>,
     /// The instance itself.
     ///
@@ -317,7 +313,7 @@ impl InstEnv {
 /// write a stream shared across the outer copies still lease disjoint
 /// regions (without composition, inner copies of different outer copies
 /// would collide on the same range, making results schedule-dependent).
-pub(crate) fn compose_assign(outer: Option<SliceAssign>, i: usize, n: usize) -> SliceAssign {
+fn compose_assign(outer: Option<SliceAssign>, i: usize, n: usize) -> SliceAssign {
     match outer {
         Some(o) => SliceAssign {
             index: o.index * n + i,
@@ -328,7 +324,9 @@ pub(crate) fn compose_assign(outer: Option<SliceAssign>, i: usize, n: usize) -> 
 }
 
 /// Stream keys that are *private* to `body`: written and read inside it.
-pub(crate) fn private_keys(body: &GraphSpec) -> HashSet<String> {
+/// Each copy of a replicated body gets its own instance of these; every
+/// other stream is one instance its copies share.
+pub fn private_keys(body: &GraphSpec) -> HashSet<String> {
     let mut written = HashSet::new();
     let mut read = HashSet::new();
     body.visit_leaves(&mut |c| {
@@ -366,55 +364,14 @@ pub fn instantiate(spec: &GraphSpec, env: &mut InstEnv) -> Node {
         }
         GraphSpec::Seq(cs) => Node::Seq(cs.iter().map(|c| instantiate(c, env)).collect()),
         GraphSpec::Task(cs) => Node::Par(cs.iter().map(|c| instantiate(c, env)).collect()),
-        GraphSpec::Slice { name, n, body } => {
-            let private = private_keys(body);
-            let copies = (0..*n)
-                .map(|i| {
-                    let mut rename = env.rename.clone();
-                    for key in &private {
-                        rename.insert(key.clone(), format!("{}@{name}#{i}", env.resolve(key)));
-                    }
-                    let mut child = InstEnv {
-                        streams: env.streams.clone(),
-                        rename,
-                        slice: Some(compose_assign(env.slice, i, *n)),
-                        mgr_stack: env.mgr_stack.clone(),
-                        name_suffix: format!("{}#{i}", env.name_suffix),
-                    };
-                    instantiate(body, &mut child)
-                })
-                .collect();
-            Node::Par(copies)
-        }
-        GraphSpec::CrossDep { name, n, blocks } => {
-            let expanded = blocks
+        GraphSpec::Slice { name, n, body } => Node::Par(replicate(body, name, "", *n, env)),
+        GraphSpec::CrossDep { name, n, blocks } => Node::CrossDep {
+            blocks: blocks
                 .iter()
                 .enumerate()
-                .map(|(j, block)| {
-                    let private = private_keys(block);
-                    (0..*n)
-                        .map(|i| {
-                            let mut rename = env.rename.clone();
-                            for key in &private {
-                                rename.insert(
-                                    key.clone(),
-                                    format!("{}@{name}.b{j}#{i}", env.resolve(key)),
-                                );
-                            }
-                            let mut child = InstEnv {
-                                streams: env.streams.clone(),
-                                rename,
-                                slice: Some(compose_assign(env.slice, i, *n)),
-                                mgr_stack: env.mgr_stack.clone(),
-                                name_suffix: format!("{}.b{j}#{i}", env.name_suffix),
-                            };
-                            instantiate(block, &mut child)
-                        })
-                        .collect()
-                })
-                .collect();
-            Node::CrossDep { blocks: expanded }
-        }
+                .map(|(j, block)| replicate(block, name, &format!(".b{j}"), *n, env))
+                .collect(),
+        },
         GraphSpec::Managed { manager, body } => {
             let mgr = Arc::new(make_manager_rt(manager));
             env.mgr_stack.push(mgr.clone());
@@ -453,6 +410,33 @@ pub fn instantiate(spec: &GraphSpec, env: &mut InstEnv) -> Node {
     }
 }
 
+/// The `n` copies of one replicated body of group `group`: a slice body
+/// (`tag` empty) or crossdep block `j` (`tag` `.b{j}`). Copy `i` gets the
+/// composed assignment, the name suffix `{tag}#i` and its own instance of
+/// each stream private to the body (`key@{group}{tag}#i`).
+fn replicate(body: &GraphSpec, group: &str, tag: &str, n: usize, env: &InstEnv) -> Vec<Node> {
+    let private = private_keys(body);
+    (0..n)
+        .map(|i| {
+            let mut rename = env.rename.clone();
+            for key in &private {
+                rename.insert(
+                    key.clone(),
+                    format!("{}@{group}{tag}#{i}", env.resolve(key)),
+                );
+            }
+            let mut child = InstEnv {
+                streams: env.streams.clone(),
+                rename,
+                slice: Some(compose_assign(env.slice, i, n)),
+                mgr_stack: env.mgr_stack.clone(),
+                name_suffix: format!("{}{tag}#{i}", env.name_suffix),
+            };
+            instantiate(body, &mut child)
+        })
+        .collect()
+}
+
 fn make_manager_rt(spec: &ManagerSpec) -> ManagerRt {
     ManagerRt {
         entry_id: NodeId::fresh(),
@@ -489,33 +473,7 @@ pub fn instantiate_graph_sized(spec: &GraphSpec, slot_capacity: usize) -> Instan
         name_suffix: String::new(),
     };
     let root = instantiate(spec, &mut env);
-    #[cfg(debug_assertions)]
-    cross_check_expansion(spec, &root);
     InstanceGraph { root, streams }
-}
-
-/// Debug-build cross-check: the symbolic expansion model in
-/// [`super::introspect`] (which the static analyzer's region-overlap
-/// verdicts are built on) must agree with what was actually instantiated —
-/// same live copies, same composed slice assignments. A divergence would
-/// mean the analyzer certifies graphs the runtime lease registry rejects.
-#[cfg(debug_assertions)]
-fn cross_check_expansion(spec: &GraphSpec, root: &Node) {
-    let mut expected: Vec<(String, Option<SliceAssign>)> = super::introspect::expand_copies(spec)
-        .into_iter()
-        .filter(|c| c.enabled)
-        .map(|c| (c.name, c.assign))
-        .collect();
-    let mut live = Vec::new();
-    root.collect_leaves(&mut live);
-    let mut actual: Vec<(String, Option<SliceAssign>)> =
-        live.iter().map(|l| (l.name.clone(), l.slice)).collect();
-    expected.sort_by(|a, b| a.0.cmp(&b.0));
-    actual.sort_by(|a, b| a.0.cmp(&b.0));
-    debug_assert_eq!(
-        expected, actual,
-        "introspect::expand_copies diverged from runtime instantiation"
-    );
 }
 
 #[cfg(test)]
@@ -861,6 +819,81 @@ mod tests {
         // smallest ring that drew from it held, the reference's one.
         assert_eq!(shelf_of(&spec, "src").count("a"), 1);
         assert_eq!(shelf_of(&spec, "w").count("b"), 1);
+    }
+
+    /// `(name, index, total)` of the live leaves named `prefix…`, by name.
+    fn assignments(inst: &InstanceGraph, prefix: &str) -> Vec<(String, usize, usize)> {
+        let mut leaves = Vec::new();
+        inst.root.collect_leaves(&mut leaves);
+        let mut out: Vec<_> = leaves
+            .iter()
+            .filter(|l| l.name.starts_with(prefix))
+            .map(|l| {
+                let a = l.slice.expect("a replicated leaf is assigned");
+                (l.name.clone(), a.index, a.total)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn owned(v: &[(&str, usize, usize)]) -> Vec<(String, usize, usize)> {
+        v.iter().map(|&(n, i, t)| (n.to_string(), i, t)).collect()
+    }
+
+    #[test]
+    fn nested_slices_compose_assignments() {
+        let g = GraphSpec::seq(vec![
+            leaf("src", &[], &["x"], 0),
+            GraphSpec::slice(
+                "outer",
+                2,
+                GraphSpec::slice("inner", 2, leaf("w", &["x"], &["y"], 0)),
+            ),
+            leaf("snk", &["y"], &[], 0),
+        ]);
+        let inst = instantiate_graph(&g);
+        let want = [
+            ("w#0#0", 0, 4),
+            ("w#0#1", 1, 4),
+            ("w#1#0", 2, 4),
+            ("w#1#1", 3, 4),
+        ];
+        assert_eq!(assignments(&inst, "w"), owned(&want));
+    }
+
+    #[test]
+    fn crossdep_copies_compose_with_an_enclosing_slice() {
+        let g = GraphSpec::seq(vec![
+            leaf("src", &[], &["in"], 1),
+            GraphSpec::slice(
+                "sl",
+                2,
+                GraphSpec::crossdep(
+                    "cd",
+                    3,
+                    vec![
+                        leaf("h", &["in"], &["hout"], 0),
+                        leaf("v", &["hout"], &["out"], 0),
+                    ],
+                ),
+            ),
+            leaf("snk", &["out"], &[], 0),
+        ]);
+        let inst = instantiate_graph(&g);
+        let want = [
+            ("v#0.b1#0", 0, 6),
+            ("v#0.b1#1", 1, 6),
+            ("v#0.b1#2", 2, 6),
+            ("v#1.b1#0", 3, 6),
+            ("v#1.b1#1", 4, 6),
+            ("v#1.b1#2", 5, 6),
+        ];
+        assert_eq!(assignments(&inst, "v"), owned(&want));
+        // 'hout' crosses the blocks, so each slice copy has its own
+        let table = inst.streams.lock();
+        assert!(table.contains_key("hout@sl#0") && table.contains_key("hout@sl#1"));
+        assert!(!table.contains_key("hout"));
     }
 
     #[test]

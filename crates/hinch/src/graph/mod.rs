@@ -11,7 +11,6 @@
 
 pub mod flatten;
 pub mod instance;
-pub mod introspect;
 
 use crate::component::{Component, Params, ReconfigRequest};
 use crate::error::HinchError;

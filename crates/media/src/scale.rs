@@ -26,16 +26,10 @@ pub fn downscale_rows(
 ) -> u64 {
     check_band(src, sw, sh, factor, &out_rows, dst);
     #[cfg(target_arch = "x86_64")]
-    match crate::simd::level() {
-        // SAFETY (both arms): level() only reports Avx2/Sse2 when the host
-        // CPU has them, and check_band accepted the arguments.
-        crate::simd::Level::Avx2 => {
-            return unsafe { x86::downscale_rows_avx2(src, sw, factor, out_rows, dst) }
-        }
-        crate::simd::Level::Sse2 => {
-            return unsafe { x86::downscale_rows_sse2(src, sw, factor, out_rows, dst) }
-        }
-        crate::simd::Level::Scalar => {}
+    if crate::simd::use_avx2() {
+        // SAFETY: use_avx2() implies the host supports AVX2, and
+        // check_band accepted the arguments.
+        return unsafe { x86::downscale_rows_avx2(src, sw, factor, out_rows, dst) };
     }
     downscale_rows_scalar(src, sw, factor, out_rows, dst)
 }
@@ -92,25 +86,6 @@ pub fn downscale_rows_scalar(
     (out_rows.len() * ow * factor * factor) as u64
 }
 
-/// Parity-test hook: run the SSE2 box filter whenever the host supports
-/// SSE2 (ignoring dispatch), else `None`.
-pub fn downscale_rows_sse2_checked(
-    src: &[u8],
-    sw: usize,
-    sh: usize,
-    factor: usize,
-    out_rows: Range<usize>,
-    dst: &mut [u8],
-) -> Option<u64> {
-    check_band(src, sw, sh, factor, &out_rows, dst);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse2") {
-        // SAFETY: feature checked above, bounds by check_band.
-        return Some(unsafe { x86::downscale_rows_sse2(src, sw, factor, out_rows, dst) });
-    }
-    None
-}
-
 /// Parity-test hook: run the AVX2 box filter whenever the host supports
 /// AVX2 (ignoring dispatch), else `None`.
 pub fn downscale_rows_avx2_checked(
@@ -130,11 +105,11 @@ pub fn downscale_rows_avx2_checked(
     None
 }
 
-/// Vector box filter for the power-of-two factors 2, 4, 8 and 16 (the
-/// mosaic scales by 2, PiP by 4, JPiP by 8 and 16): one kernel shape at
-/// two widths.
+/// AVX2 box filter for the power-of-two factors 2, 4, 8 and 16 (the
+/// mosaic scales by 2, PiP by 4, JPiP by 8 and 16). Hosts without AVX2 run
+/// the scalar reference.
 ///
-/// An output row is walked in chunks of one vector of input bytes. Per
+/// An output row is walked in chunks of 32 input bytes. Per
 /// chunk the `F` rows of the block are folded into 16-bit sums of
 /// horizontally adjacent byte pairs (at most 16 × 510: no overflow), those
 /// are widened and halved `log2(F) - 1` more times into 32-bit block sums,
@@ -230,70 +205,6 @@ mod x86 {
     }
 
     /// # Safety
-    /// The host must support SSE2; `src` must hold `out_rows.end * F` rows
-    /// of `sw >= F` bytes and `dst` `out_rows.len() * (sw / F)` bytes.
-    #[target_feature(enable = "sse2")]
-    unsafe fn rows_sse2<const F: usize>(
-        src: &[u8],
-        sw: usize,
-        out_rows: Range<usize>,
-        dst: &mut [u8],
-    ) {
-        const CHUNK: usize = 16;
-        let ow = sw / F;
-        // the bytes of a source row that end up in an output pixel
-        let used = ow * F;
-        if used < CHUNK {
-            downscale_rows_scalar(src, sw, F, out_rows, dst);
-            return;
-        }
-        let low8 = _mm_set1_epi16(0x00ff);
-        let ones16 = _mm_set1_epi16(1);
-        let shift = _mm_cvtsi32_si128((F * F).trailing_zeros() as i32);
-        for (ri, oy) in out_rows.enumerate() {
-            let rows = src.as_ptr().add(oy * F * sw);
-            let out = &mut dst[ri * ow..(ri + 1) * ow];
-            // The last chunk ends where the row does: it recomputes pixels
-            // of the one before it rather than leave a scalar tail.
-            for c in 0..used.div_ceil(CHUNK) {
-                let x = (c * CHUNK).min(used - CHUNK);
-                // 8 × u16: byte pairs summed over the F rows
-                let mut pairs = _mm_setzero_si128();
-                for dy in 0..F {
-                    // in bounds: x + CHUNK <= used <= sw, and row oy * F + dy
-                    // is one of the out_rows.end * F the caller vouched for
-                    let v = _mm_loadu_si128(rows.add(dy * sw + x) as *const __m128i);
-                    let pair = _mm_add_epi16(_mm_and_si128(v, low8), _mm_srli_epi16::<8>(v));
-                    pairs = _mm_add_epi16(pairs, pair);
-                }
-                let words = if F == 2 {
-                    let half = _mm_set1_epi16((F * F / 2) as i16);
-                    _mm_srl_epi16(_mm_add_epi16(pairs, half), shift)
-                } else {
-                    // 4 × u32: a block sum in every lane (F = 4), every
-                    // second (8) or the first (16)
-                    let mut sum = _mm_madd_epi16(pairs, ones16);
-                    if F >= 8 {
-                        sum = _mm_add_epi32(sum, _mm_srli_epi64::<32>(sum));
-                    }
-                    if F >= 16 {
-                        sum = _mm_add_epi32(sum, _mm_srli_si128::<8>(sum));
-                    }
-                    let half = _mm_set1_epi32((F * F / 2) as i32);
-                    let mut mean = _mm_srl_epi32(_mm_add_epi32(sum, half), shift);
-                    if F >= 8 {
-                        // lanes 0 and 2 to the front
-                        mean = _mm_shuffle_epi32::<0b1000>(mean);
-                    }
-                    _mm_packs_epi32(mean, mean)
-                };
-                let bytes = _mm_packus_epi16(words, words);
-                store_front(bytes, &mut out[x / F..][..CHUNK / F]);
-            }
-        }
-    }
-
-    /// # Safety
     /// The host must support AVX2, and `super::check_band` must have
     /// accepted the arguments.
     #[target_feature(enable = "avx2")]
@@ -310,28 +221,6 @@ mod x86 {
             4 => rows_avx2::<4>(src, sw, out_rows, dst),
             8 => rows_avx2::<8>(src, sw, out_rows, dst),
             16 => rows_avx2::<16>(src, sw, out_rows, dst),
-            _ => return downscale_rows_scalar(src, sw, factor, out_rows, dst),
-        }
-        consumed
-    }
-
-    /// # Safety
-    /// The host must support SSE2, and `super::check_band` must have
-    /// accepted the arguments.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn downscale_rows_sse2(
-        src: &[u8],
-        sw: usize,
-        factor: usize,
-        out_rows: Range<usize>,
-        dst: &mut [u8],
-    ) -> u64 {
-        let consumed = (out_rows.len() * (sw / factor) * factor * factor) as u64;
-        match factor {
-            2 => rows_sse2::<2>(src, sw, out_rows, dst),
-            4 => rows_sse2::<4>(src, sw, out_rows, dst),
-            8 => rows_sse2::<8>(src, sw, out_rows, dst),
-            16 => rows_sse2::<16>(src, sw, out_rows, dst),
             _ => return downscale_rows_scalar(src, sw, factor, out_rows, dst),
         }
         consumed

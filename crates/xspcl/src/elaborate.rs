@@ -120,13 +120,6 @@ pub struct Elaborated {
     pub spans: HashMap<String, Span>,
 }
 
-impl Elaborated {
-    /// The span recorded for elaborated construct `key`, if any.
-    pub fn span_of(&self, key: &str) -> Option<Span> {
-        self.spans.get(key).copied()
-    }
-}
-
 impl std::fmt::Debug for Elaborated {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Elaborated")

@@ -93,14 +93,20 @@ echo "facade lint: clean"
 # allocator (`SIM_BRK`, `sim_alloc`, `renew_for_overwrite_at`), the
 # row-wise read of a composite (`PlaneRead::Materialised`) and the float
 # IDCT's SSE2 twin and transposed cosine table (`idct_to_pixels_sse2`,
-# `cos_t_table`) are gone
+# `cos_t_table`), the analyzer's second replication expander and its
+# debug cross-check (`graph::introspect`, `expand_copies`, `ComposeFn`,
+# `cross_check_expansion`), the uncomposed-slices knob
+# (`legacy_uncomposed_slices`, `--legacy-slices`), the downscale's SSE2
+# twin (`downscale_rows_sse2`) and the default-capacity stream table
+# (`new_stream_table`) are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
 # engine/sim the one sequential engine, the pools' counters the one
 # live source, a source publishes a view of its
 # field, a spacecake::Machine lays out its run's buffers, a capture records
 # a composite and a reader materialises it whole, the IDCT is fixed point
-# with one AVX2 twin): no code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_' \
+# with one AVX2 twin, XA001 is decided on the spec, replication is
+# expanded once): no code, doc or script may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2

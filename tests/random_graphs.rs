@@ -10,6 +10,7 @@ use conformance::randspec::{build_app, shape_strategy};
 use hinch::component::{Component, Params, RunCtx};
 use hinch::engine::{run_native, run_sim, RunConfig};
 use hinch::event::{Event, EventQueue};
+use hinch::graph::instance::instantiate_graph;
 use hinch::graph::{factory, ComponentSpec, GraphSpec, ManagerSpec};
 use hinch::manager::EventAction;
 use hinch::meter::NullPlatform;
@@ -27,6 +28,7 @@ proptest! {
     ) {
         // reference: native, single worker
         let (spec, out) = build_app(&shape);
+        copies_partition_their_buffers(&spec);
         run_native(&spec, &RunConfig::new(iters).workers(1).pipeline_depth(depth)).unwrap();
         let reference = out.lock().clone();
         prop_assert_eq!(reference.len(), iters as usize);
@@ -44,6 +46,49 @@ proptest! {
             prop_assert_eq!(r.iterations, iters);
             prop_assert_eq!(&*out.lock(), &reference);
         }
+    }
+}
+
+/// The premise of the analyzer's XA001: every copy of a replicated leaf
+/// carries the same total, and the copies hold the indices `0..total`, each
+/// once, so together they cover a shared output exactly. An unreplicated
+/// leaf is one instance with no assignment.
+fn copies_partition_their_buffers(spec: &GraphSpec) {
+    let inst = instantiate_graph(spec);
+    let mut live = Vec::new();
+    inst.root.collect_leaves(&mut live);
+    let mut names = Vec::new();
+    spec.visit_leaves(&mut |c| names.push(c.name.clone()));
+    for name in &names {
+        // copy names are the spec name plus `#i` / `.bJ#i` suffixes
+        let copies: Vec<_> = live
+            .iter()
+            .filter(|l| {
+                l.name.strip_prefix(name.as_str()).is_some_and(|rest| {
+                    rest.is_empty() || rest.starts_with('#') || rest.starts_with(".b")
+                })
+            })
+            .collect();
+        let Some(total) = copies[0].slice.map(|a| a.total) else {
+            assert_eq!(copies.len(), 1, "unreplicated '{name}'");
+            continue;
+        };
+        let mut indices: Vec<_> = copies
+            .iter()
+            .map(|copy| {
+                let assign = copy
+                    .slice
+                    .expect("every copy of a replicated leaf is assigned");
+                assert_eq!(assign.total, total, "copy '{}'", copy.name);
+                assign.index
+            })
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(
+            indices,
+            (0..total).collect::<Vec<_>>(),
+            "copies of '{name}'"
+        );
     }
 }
 
