@@ -120,21 +120,6 @@ struct Profile {
     fallback: f64,
 }
 
-/// Strip the data-parallel copy suffix (`#i`, `.bj#i`) from a label,
-/// mirroring `predict::CostDb`'s lookup fallback.
-fn base_of(label: &str) -> &str {
-    match label.find('#') {
-        Some(pos) => {
-            let head = &label[..pos];
-            match head.rfind(".b") {
-                Some(b) if head[b + 2..].chars().all(|c| c.is_ascii_digit()) => &head[..b],
-                _ => head,
-            }
-        }
-        None => label,
-    }
-}
-
 fn profile_of(app: App, scale: Scale) -> Profile {
     // The calibration sim builds on the process-wide shared asset cache
     // (`experiment::build`), whose captures concurrent builders would
@@ -159,7 +144,7 @@ fn profile_of(app: App, scale: Scale) -> Profile {
     for (label, node) in &report.per_node {
         total_cycles += node.cycles;
         total_jobs += node.jobs;
-        let base = base_of(label);
+        let base = CostDb::base_of(label);
         if base == label {
             profile.exact.push((label.clone(), node.mean()));
         } else {
@@ -280,15 +265,6 @@ fn rate_app_uncached(app: App, scale: Scale, lattice: &Lattice, cores: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn base_stripping_matches_costdb_semantics() {
-        assert_eq!(base_of("main/w#3"), "main/w");
-        assert_eq!(base_of("main/h.b0#2"), "main/h");
-        assert_eq!(base_of("main/plain"), "main/plain");
-        assert_eq!(base_of("m.entry"), "m.entry");
-        assert_eq!(base_of("main/x.blend#1"), "main/x.blend");
-    }
 
     #[test]
     fn planner_feasibility_tracks_deadline() {

@@ -5,7 +5,9 @@
 //! planner's *predicted* period for the configuration in force — all in
 //! virtual cycles, with no wall clock and no threads. The controller
 //! ticks on a fixed virtual cadence, sees windowed p99/completed/backlog
-//! exactly as it would from `insight::live`, and its decisions (with
+//! in the shape `insight::live` delivers them (the p99 here is the exact
+//! sorted-window value; the live window's is a histogram bucket's upper
+//! bound), and its decisions (with
 //! actuation lag: a quality toggle waits for a pipeline flush, a
 //! resize/depth step additionally pays a drain + respawn pause) steer
 //! the service period. Deadline misses are counted per frame and

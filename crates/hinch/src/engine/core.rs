@@ -72,9 +72,9 @@ impl IterSlot {
 }
 
 /// One DAG version's in-flight window: `depth` iteration slots over a
-/// single [`Dag`]. Replaced wholesale at a quiescent reconfiguration,
-/// mirroring `Tracker::resume_with` — self-dependencies never cross a
-/// window boundary.
+/// single [`Dag`]. Replaced wholesale at a quiescent reconfiguration
+/// (`sched`'s rule: two DAG versions are never in flight together), so
+/// self-dependencies never cross a window boundary.
 pub(super) struct Window {
     pub(super) dag: Arc<Dag>,
     pub(super) start: u64,
@@ -230,7 +230,8 @@ impl GraphCore {
         let slot = window.slot(j);
         let njobs = window.dag.jobs.len();
         // A self-dependency is only owed while iteration j-1 is still in
-        // flight (mirrors `Tracker::admit`'s "previous run exists" check).
+        // flight (`sched`'s readiness rule: the same job done in the
+        // previous iteration, or that iteration retired).
         // Crucially, with pipeline depth 1 the previous iteration always
         // retired before this admission *and* `slot(j-1)` is this very
         // slot — sweeping it after the reset below would read back our own

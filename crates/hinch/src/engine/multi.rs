@@ -51,7 +51,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trace::metrics::LogHistogram;
+use trace::metrics::{Histogram, LogHistogram};
 use trace::{StallCause, TraceEvent, TraceSink};
 
 /// Handle to a spawned graph instance.
@@ -156,15 +156,10 @@ pub struct GraphStats {
     /// Reconfiguration batches applied.
     pub reconfigs: u64,
     pub jobs_executed: u64,
-    /// Frame latency (accept → retire), nanoseconds.
-    pub latency_mean_ns: f64,
-    pub latency_p50_ns: u64,
-    pub latency_p99_ns: u64,
-    /// Non-empty latency histogram buckets `(low, high, count)` — same
-    /// power-of-two layout as [`LogHistogram`], so per-tenant histograms
-    /// merge exactly into an aggregate (the load harness does this for a
-    /// fleet-wide p99).
-    pub latency_buckets: Vec<(u64, u64, u64)>,
+    /// Frame latency (accept → retire), nanoseconds: per-tenant
+    /// histograms merge exactly into an aggregate (the load harness does
+    /// this for a fleet-wide p99).
+    pub latency: Histogram,
     /// Frames offered to [`Runtime::submit`] but refused by admission
     /// control (the tenant's backlog was full) — the shed/rejection
     /// counter a front-end exports.
@@ -264,10 +259,7 @@ impl Tenant {
             inflight: submitted.saturating_sub(completed),
             reconfigs,
             jobs_executed: self.core.jobs_executed.load(Ordering::Relaxed),
-            latency_mean_ns: self.clock.latency.mean(),
-            latency_p50_ns: self.clock.latency.quantile(0.50),
-            latency_p99_ns: self.clock.latency.quantile(0.99),
-            latency_buckets: self.clock.latency.nonzero_buckets(),
+            latency: self.clock.latency.snapshot(),
             shed: self.shed.load(Ordering::Relaxed),
             failure: self.failure.lock().clone(),
         }
@@ -1052,7 +1044,7 @@ mod tests {
         assert_eq!(stats.completed, 10);
         assert_eq!(stats.inflight, 0);
         assert_eq!(stats.jobs_executed, 30);
-        assert!(stats.latency_p99_ns > 0);
+        assert!(stats.latency.quantile(0.99) > 0);
         assert_eq!(rt.graph_count(), 0);
         rt.shutdown();
     }

@@ -307,7 +307,7 @@ fn simulate(
                     iter: done.job.iter,
                     at: clock,
                 });
-                for stream in tracker.dag_of(done.job.iter).streams.iter() {
+                for stream in tracker.dag().streams.iter() {
                     sink.record(TraceEvent::StreamOccupancy {
                         stream: stream.name().to_string(),
                         live_slots: stream.live_slots() as u64,

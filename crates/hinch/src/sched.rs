@@ -10,20 +10,27 @@
 //! [`Tracker`] implements the data-flow iteration machinery: it *admits* up
 //! to `pipeline_depth` concurrent iterations (pipeline parallelism — no
 //! special tags needed, the run-time starts multiple iterations by
-//! itself), tracks per-job dependency counters within each iteration,
-//! enforces the per-node ordering between consecutive iterations (a
-//! component instance runs its iterations in order, one at a time), and
-//! retires iterations — reclaiming stream slots — once all their jobs are
-//! done.
+//! itself) and keeps one completion flag per job of every iteration in
+//! flight. Two rules are stated over those flags:
+//!
+//! * **readiness** — a job is ready when its predecessors are done in the
+//!   same iteration, and the same job is done in the previous iteration
+//!   or that iteration has retired (a component instance runs its
+//!   iterations in order, one at a time);
+//! * **retirement** — an iteration retires, reclaiming its stream slots,
+//!   when its sinks are done: every job reaches a sink and a sink runs
+//!   after all its ancestors, so that is every job. Iterations retire in
+//!   order, since each sink waits for itself in the iteration before.
 //!
 //! Reconfiguration support: [`Tracker::halt`] stops admission; when the
 //! last in-flight iteration retires the tracker reports quiescence, the
 //! engine mutates the instance tree, and [`Tracker::resume_with`] installs
-//! the re-flattened DAG. The new *version window* starts with no
-//! cross-iteration dependencies (everything before it already completed).
+//! the re-flattened DAG. Two DAG versions are therefore never in flight
+//! together, and the first iteration after a swap owes nothing to the
+//! retired one before it.
 
 use crate::graph::flatten::{Dag, JobKind};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A job instance: job `idx` of the DAG for iteration `iter`.
@@ -117,16 +124,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Per-iteration execution state.
-struct IterRun {
-    dag: Arc<Dag>,
-    /// Unsatisfied dependency count per job (structural preds + the
-    /// self-dependency on the previous iteration of the same node).
-    pending: Vec<u32>,
-    done: Vec<bool>,
-    ndone: usize,
-}
-
 /// Result of processing a job completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effect {
@@ -141,13 +138,12 @@ pub enum Effect {
 
 pub struct Tracker {
     dag: Arc<Dag>,
-    runs: HashMap<u64, IterRun>,
+    /// Completion flag per job of every iteration in flight, oldest
+    /// (iteration `completed`) first.
+    done: VecDeque<Vec<bool>>,
     depth: usize,
     total: u64,
-    next_admit: u64,
-    /// First iteration of the current DAG version window.
-    window_start: u64,
-    in_flight: usize,
+    /// Iterations retired — also the oldest iteration in flight.
     completed: u64,
     halted: bool,
     jobs_executed: u64,
@@ -157,12 +153,9 @@ impl Tracker {
     pub fn new(dag: Arc<Dag>, pipeline_depth: usize, total_iterations: u64) -> Self {
         Self {
             dag,
-            runs: HashMap::new(),
+            done: VecDeque::new(),
             depth: pipeline_depth.max(1),
             total: total_iterations,
-            next_admit: 0,
-            window_start: 0,
-            in_flight: 0,
             completed: 0,
             halted: false,
             jobs_executed: 0,
@@ -178,14 +171,14 @@ impl Tracker {
     }
 
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.done.len()
     }
 
     /// Iterations admitted so far (the next iteration to admit). The
     /// engines diff this across [`Tracker::complete`] /
     /// [`Tracker::resume_with`] calls to emit admission trace events.
     pub fn next_admit(&self) -> u64 {
-        self.next_admit
+        self.completed + self.done.len() as u64
     }
 
     pub fn is_halted(&self) -> bool {
@@ -197,65 +190,39 @@ impl Tracker {
         self.completed == self.total
     }
 
-    /// The DAG executing iteration `iter` (current window's version).
-    /// Borrowed, not cloned — the engines hit this on every retirement
-    /// (and the sim on every dispatch), so the refcount stays untouched
-    /// unless a caller actually keeps the `Arc`.
-    pub fn dag_of(&self, iter: u64) -> &Arc<Dag> {
-        self.runs.get(&iter).map(|r| &r.dag).unwrap_or(&self.dag)
+    /// The DAG every in-flight iteration executes.
+    pub fn dag(&self) -> &Arc<Dag> {
+        &self.dag
+    }
+
+    /// The readiness rule for job `idx` of in-flight iteration `iter`.
+    fn ready(&self, iter: u64, idx: usize) -> bool {
+        let at = (iter - self.completed) as usize;
+        let done = &self.done[at];
+        self.dag.jobs[idx].preds.iter().all(|&p| done[p as usize])
+            && (at == 0 || self.done[at - 1][idx])
     }
 
     /// Admit as many iterations as the pipeline depth allows, appending the
-    /// immediately-ready jobs to `ready`.
+    /// immediately-ready jobs to `ready` in index order.
     pub fn admit(&mut self, ready: &mut Vec<JobRef>) {
-        while !self.halted && self.next_admit < self.total && self.in_flight < self.depth {
-            let iter = self.next_admit;
-            let dag = self.dag.clone();
-            let njobs = dag.jobs.len();
-            let mut pending = vec![0u32; njobs];
-            let prev = if iter > self.window_start {
-                self.runs.get(&(iter - 1))
-            } else {
-                None
-            };
-            for (idx, slot) in pending.iter_mut().enumerate() {
-                let mut p = dag.jobs[idx].preds.len() as u32;
-                if iter > self.window_start {
-                    // Self-dependency on the previous iteration of the same
-                    // node: pending unless that iteration already retired
-                    // (run removed) or that job already completed.
-                    match prev {
-                        Some(prev_run) if !prev_run.done[idx] => p += 1,
-                        _ => {}
-                    }
-                }
-                *slot = p;
-            }
-            for (idx, &p) in pending.iter().enumerate() {
-                if p == 0 {
+        while !self.halted && self.next_admit() < self.total && self.done.len() < self.depth {
+            let iter = self.next_admit();
+            self.done.push_back(vec![false; self.dag.jobs.len()]);
+            for idx in 0..self.dag.jobs.len() {
+                if self.ready(iter, idx) {
                     ready.push(JobRef {
                         iter,
                         idx: idx as u32,
                     });
                 }
             }
-            self.runs.insert(
-                iter,
-                IterRun {
-                    dag,
-                    pending,
-                    done: vec![false; njobs],
-                    ndone: 0,
-                },
-            );
-            self.next_admit += 1;
-            self.in_flight += 1;
         }
     }
 
     /// Kind of a job (for execution).
     pub fn kind(&self, job: JobRef) -> JobKind {
-        self.runs[&job.iter].dag.jobs[job.idx as usize].kind.clone()
+        self.dag.jobs[job.idx as usize].kind.clone()
     }
 
     /// Stop admitting new iterations (a reconfiguration is pending).
@@ -267,66 +234,55 @@ impl Tracker {
     ///
     /// Must only be called when quiescent (`in_flight == 0`).
     pub fn resume_with(&mut self, dag: Arc<Dag>, ready: &mut Vec<JobRef>) {
-        assert_eq!(self.in_flight, 0, "resume_with requires quiescence");
+        assert!(self.done.is_empty(), "resume_with requires quiescence");
         self.dag = dag;
-        self.window_start = self.next_admit;
         self.halted = false;
         self.admit(ready);
     }
 
-    /// Record the completion of `job`, appending newly-ready jobs to
-    /// `ready`.
+    /// Record the completion of `job`, appending the jobs it readied to
+    /// `ready`: its successors in `succs` order, then the same job of the
+    /// next iteration.
     pub fn complete(&mut self, job: JobRef, ready: &mut Vec<JobRef>) -> Effect {
         self.jobs_executed += 1;
-        let (retired, dag) = {
-            let run = self
-                .runs
-                .get_mut(&job.iter)
-                .expect("completing job of a live iteration");
-            let idx = job.idx as usize;
-            assert!(!run.done[idx], "job completed twice: {job:?}");
-            run.done[idx] = true;
-            run.ndone += 1;
-            // Collect successor indices first (borrow juggling).
-            let succs: Vec<u32> = run.dag.jobs[idx].succs.clone();
-            for s in succs {
-                let p = &mut run.pending[s as usize];
-                *p -= 1;
-                if *p == 0 {
-                    ready.push(JobRef {
-                        iter: job.iter,
-                        idx: s,
-                    });
-                }
-            }
-            (run.ndone == run.dag.jobs.len(), run.dag.clone())
-        };
-        // Self-dependency: the same node in the next iteration (if admitted).
-        if let Some(next) = self.runs.get_mut(&(job.iter + 1)) {
-            // Same version window ⇒ same DAG ⇒ same job indexing.
-            if Arc::ptr_eq(&next.dag, &dag) {
-                let p = &mut next.pending[job.idx as usize];
-                *p -= 1;
-                if *p == 0 {
-                    ready.push(JobRef {
-                        iter: job.iter + 1,
-                        idx: job.idx,
-                    });
-                }
+        let idx = job.idx as usize;
+        let at = job
+            .iter
+            .checked_sub(self.completed)
+            .map(|at| at as usize)
+            .filter(|&at| at < self.done.len())
+            .expect("completing job of a live iteration");
+        let flag = &mut self.done[at][idx];
+        assert!(!*flag, "job completed twice: {job:?}");
+        *flag = true;
+        for &s in &self.dag.jobs[idx].succs {
+            if self.ready(job.iter, s as usize) {
+                ready.push(JobRef {
+                    iter: job.iter,
+                    idx: s,
+                });
             }
         }
+        if at + 1 < self.done.len() && self.ready(job.iter + 1, idx) {
+            ready.push(JobRef {
+                iter: job.iter + 1,
+                idx: job.idx,
+            });
+        }
+        let retired = self.dag.jobs[idx].succs.is_empty()
+            && self.dag.sinks.iter().all(|&k| self.done[at][k as usize]);
         if !retired {
             return Effect::None;
         }
-        // Retire the iteration: reclaim stream slots, admit a successor.
-        self.runs.remove(&job.iter);
-        for s in &dag.streams {
+        // Retire the iteration (the oldest: see the module doc): reclaim
+        // stream slots, admit a successor.
+        self.done.pop_front();
+        for s in &self.dag.streams {
             s.clear(job.iter);
         }
-        self.in_flight -= 1;
         self.completed += 1;
         if self.halted {
-            if self.in_flight == 0 {
+            if self.done.is_empty() {
                 Effect::Quiescent
             } else {
                 Effect::Retired

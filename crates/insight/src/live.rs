@@ -9,12 +9,12 @@
 //! * [`LiveAnalyzer::tick`] closes the interval against the pool's
 //!   parked time per stall cause and a set of per-graph cumulative
 //!   [`GraphSample`]s (completed/shed counters, busy time per component
-//!   leaf and latency *bucket counts* — all monotone, so two samples
+//!   leaf and the latency [`Histogram`] — all monotone, so two samples
 //!   subtract into the exact figures of the interval, no per-frame or
 //!   per-job storage);
-//! * [`LiveAnalyzer::summary`] renders the window: per-graph rolling
-//!   throughput, p50/p99 latency, backlog, shed, and a
-//!   **dominant-cause estimate** — either the stall cause that explains
+//! * [`LiveAnalyzer::summary`] merges the window's intervals and renders
+//!   it: per-graph rolling throughput, p50/p99 latency, backlog, shed,
+//!   and a **dominant-cause estimate** — either the stall cause that explains
 //!   the graph's lack of progress or the dominant leaf (largest share of
 //!   the graph's busy time); plus pool-level stall attribution.
 //!
@@ -28,7 +28,7 @@
 //! collector thread).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use trace::metrics::{LogHistogram, LOG_BUCKETS};
+use trace::metrics::Histogram;
 use trace::StallCause;
 
 /// Parked nanoseconds per [`StallCause`], by [`StallCause::index`].
@@ -36,8 +36,9 @@ pub type StallNs = [u64; StallCause::ALL.len()];
 
 /// Cumulative per-graph counters sampled at a tick (from the runtime's
 /// `GraphStats` / telemetry). All counts are totals since spawn; the
-/// analyzer diffs consecutive samples itself.
-#[derive(Debug, Clone)]
+/// analyzer diffs consecutive samples itself, and keeps each interval
+/// as the same struct.
+#[derive(Debug, Clone, Default)]
 pub struct GraphSample {
     pub graph: u32,
     pub app: String,
@@ -47,22 +48,47 @@ pub struct GraphSample {
     pub shed: u64,
     /// Accepted-but-not-retired frames right now.
     pub inflight: u64,
-    /// Cumulative latency histogram bucket counts
-    /// ([`LogHistogram::bucket_counts`] layout). May be shorter than
-    /// [`LOG_BUCKETS`]; missing tail buckets are treated as 0.
-    pub latency_counts: Vec<u64>,
+    /// Frame latency, cumulative.
+    pub latency: Histogram,
     /// Busy nanoseconds per component leaf (instance name), cumulative.
     pub busy_per_node: BTreeMap<String, u64>,
 }
 
-/// Reconstruct full-width bucket counts from the sparse
-/// `(low, high, count)` form `GraphStats::latency_buckets` carries.
-pub fn counts_from_nonzero(buckets: &[(u64, u64, u64)]) -> Vec<u64> {
-    let mut counts = vec![0u64; LOG_BUCKETS];
-    for &(low, _, c) in buckets {
-        counts[LogHistogram::bucket_of(low)] += c;
+impl GraphSample {
+    /// The interval from `earlier` (this graph's previous sample) to this
+    /// sample: counters subtract, the backlog is this sample's.
+    fn since(&self, earlier: &GraphSample) -> GraphSample {
+        GraphSample {
+            graph: self.graph,
+            app: self.app.clone(),
+            completed: self.completed.saturating_sub(earlier.completed),
+            shed: self.shed.saturating_sub(earlier.shed),
+            inflight: self.inflight,
+            latency: self.latency.since(&earlier.latency),
+            busy_per_node: self
+                .busy_per_node
+                .iter()
+                .map(|(node, &ns)| {
+                    let then = earlier.busy_per_node.get(node).copied().unwrap_or(0);
+                    (node.clone(), ns.saturating_sub(then))
+                })
+                .filter(|&(_, ns)| ns > 0)
+                .collect(),
+        }
     }
-    counts
+
+    /// Extend this interval by the one that follows it: counters add,
+    /// the backlog and app name are the later interval's.
+    fn merge(&mut self, later: &GraphSample) {
+        self.app.clone_from(&later.app);
+        self.completed += later.completed;
+        self.shed += later.shed;
+        self.inflight = later.inflight;
+        self.latency.merge(&later.latency);
+        for (node, &ns) in &later.busy_per_node {
+            *self.busy_per_node.entry(node.clone()).or_default() += ns;
+        }
+    }
 }
 
 /// What dominates a graph's behavior over the window.
@@ -124,33 +150,13 @@ pub struct LiveSummary {
     pub dominant_cause: Option<StallCause>,
 }
 
-/// Per-graph delta of one closed interval.
-#[derive(Debug, Clone, Default)]
-struct GraphDelta {
-    app: String,
-    completed: u64,
-    shed: u64,
-    inflight: u64,
-    latency_counts: Vec<u64>,
-    /// Busy nanoseconds per component leaf in the interval.
-    busy_per_node: BTreeMap<String, u64>,
-}
-
 /// One closed interval of the rolling window.
 #[derive(Debug, Clone, Default)]
 struct TickSlot {
     span_ns: u64,
-    per_graph: BTreeMap<u32, GraphDelta>,
+    /// Each graph's interval ([`GraphSample::since`] its previous sample).
+    per_graph: BTreeMap<u32, GraphSample>,
     stall_ns: StallNs,
-}
-
-/// Cumulative baseline of one graph at the previous tick.
-#[derive(Debug, Clone, Default)]
-struct Baseline {
-    completed: u64,
-    shed: u64,
-    latency_counts: Vec<u64>,
-    busy_per_node: BTreeMap<String, u64>,
 }
 
 /// The incremental windowed analyzer. Feed it with
@@ -159,7 +165,8 @@ struct Baseline {
 pub struct LiveAnalyzer {
     window_ticks: usize,
     ticks: VecDeque<TickSlot>,
-    prev: HashMap<u32, Baseline>,
+    /// Each live graph's sample at the previous tick.
+    prev: HashMap<u32, GraphSample>,
     prev_stall: StallNs,
     last_tick_ns: Option<u64>,
 }
@@ -198,46 +205,12 @@ impl LiveAnalyzer {
             ..TickSlot::default()
         };
 
-        let mut next_prev: HashMap<u32, Baseline> = HashMap::new();
+        let none = GraphSample::default();
         for s in samples {
-            let base = self.prev.remove(&s.graph).unwrap_or_default();
-            let diff_counts: Vec<u64> = (0..LOG_BUCKETS)
-                .map(|b| {
-                    let now = s.latency_counts.get(b).copied().unwrap_or(0);
-                    let then = base.latency_counts.get(b).copied().unwrap_or(0);
-                    now.saturating_sub(then)
-                })
-                .collect();
-            slot.per_graph.insert(
-                s.graph,
-                GraphDelta {
-                    app: s.app.clone(),
-                    completed: s.completed.saturating_sub(base.completed),
-                    shed: s.shed.saturating_sub(base.shed),
-                    inflight: s.inflight,
-                    latency_counts: diff_counts,
-                    busy_per_node: s
-                        .busy_per_node
-                        .iter()
-                        .map(|(node, &ns)| {
-                            let then = base.busy_per_node.get(node).copied().unwrap_or(0);
-                            (node.clone(), ns.saturating_sub(then))
-                        })
-                        .filter(|&(_, ns)| ns > 0)
-                        .collect(),
-                },
-            );
-            next_prev.insert(
-                s.graph,
-                Baseline {
-                    completed: s.completed,
-                    shed: s.shed,
-                    latency_counts: s.latency_counts.clone(),
-                    busy_per_node: s.busy_per_node.clone(),
-                },
-            );
+            let earlier = self.prev.get(&s.graph).unwrap_or(&none);
+            slot.per_graph.insert(s.graph, s.since(earlier));
         }
-        self.prev = next_prev;
+        self.prev = samples.iter().map(|s| (s.graph, s.clone())).collect();
 
         self.ticks.push_back(slot);
         while self.ticks.len() > self.window_ticks {
@@ -249,52 +222,38 @@ impl LiveAnalyzer {
     /// sequence yields an identical summary.
     pub fn summary(&self) -> LiveSummary {
         let mut out = LiveSummary::default();
-        let mut agg: BTreeMap<u32, GraphWindow> = BTreeMap::new();
-        let mut counts: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        let mut busy: BTreeMap<u32, BTreeMap<String, u64>> = BTreeMap::new();
+        let mut window: BTreeMap<u32, GraphSample> = BTreeMap::new();
         for slot in &self.ticks {
             out.window_ns += slot.span_ns;
             for (i, ns) in slot.stall_ns.iter().enumerate() {
                 out.stall_ns[i] += ns;
             }
-            for (&g, d) in &slot.per_graph {
-                let w = agg.entry(g).or_insert_with(|| GraphWindow {
-                    graph: g,
-                    app: d.app.clone(),
-                    completed: 0,
-                    shed: 0,
-                    throughput_fps: 0.0,
-                    p50_ns: 0,
-                    p99_ns: 0,
-                    backlog: 0,
-                    dominant: Dominant::Idle,
-                });
-                w.completed += d.completed;
-                w.shed += d.shed;
-                w.backlog = d.inflight; // later slots overwrite: latest wins
-                w.app.clone_from(&d.app);
-                let gc = counts.entry(g).or_insert_with(|| vec![0; LOG_BUCKETS]);
-                for (a, b) in gc.iter_mut().zip(&d.latency_counts) {
-                    *a += b;
-                }
-                let gb = busy.entry(g).or_default();
-                for (node, &ns) in &d.busy_per_node {
-                    *gb.entry(node.clone()).or_default() += ns;
-                }
+            for (&g, interval) in &slot.per_graph {
+                window
+                    .entry(g)
+                    .and_modify(|w| w.merge(interval))
+                    .or_insert_with(|| interval.clone());
             }
         }
         let secs = out.window_ns as f64 / 1e9;
-        for (g, w) in &mut agg {
-            if secs > 0.0 {
-                w.throughput_fps = w.completed as f64 / secs;
-            }
-            if let Some(c) = counts.get(g) {
-                w.p50_ns = LogHistogram::quantile_from_counts(c, 0.5);
-                w.p99_ns = LogHistogram::quantile_from_counts(c, 0.99);
-            }
-            w.dominant = dominant_for(w, busy.get(g));
-        }
-        out.graphs = agg.into_values().collect();
+        out.graphs = window
+            .into_values()
+            .map(|w| GraphWindow {
+                throughput_fps: if secs > 0.0 {
+                    w.completed as f64 / secs
+                } else {
+                    0.0
+                },
+                p50_ns: w.latency.quantile(0.5),
+                p99_ns: w.latency.quantile(0.99),
+                dominant: dominant_for(&w),
+                graph: w.graph,
+                app: w.app,
+                completed: w.completed,
+                shed: w.shed,
+                backlog: w.inflight,
+            })
+            .collect();
         let parked: u64 = out.stall_ns.iter().sum();
         if parked > 0 {
             out.dominant_cause = StallCause::ALL
@@ -307,9 +266,9 @@ impl LiveAnalyzer {
 
 /// Estimate what dominates a graph's window: a stall cause when it made
 /// no progress, otherwise its busiest leaf.
-fn dominant_for(w: &GraphWindow, busy: Option<&BTreeMap<String, u64>>) -> Dominant {
+fn dominant_for(w: &GraphSample) -> Dominant {
     if w.completed == 0 {
-        return if w.backlog > 0 {
+        return if w.inflight > 0 {
             // Accepted frames exist but none retired: the pipeline is
             // blocked upstream of retirement.
             Dominant::Stalled(StallCause::Starvation)
@@ -321,26 +280,24 @@ fn dominant_for(w: &GraphWindow, busy: Option<&BTreeMap<String, u64>>) -> Domina
             Dominant::Idle
         };
     }
-    match busy {
-        Some(per_node) if !per_node.is_empty() => {
-            let total: u64 = per_node.values().sum();
-            // Deterministic tie-break: highest busy, then lowest name.
-            let (node, &ns) = per_node
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-                .expect("non-empty");
-            Dominant::Node {
-                node: node.clone(),
-                share: if total > 0 {
-                    ns as f64 / total as f64
-                } else {
-                    0.0
-                },
-            }
-        }
+    let total: u64 = w.busy_per_node.values().sum();
+    // Deterministic tie-break: highest busy, then lowest name.
+    match w
+        .busy_per_node
+        .iter()
+        .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+    {
+        Some((node, &ns)) => Dominant::Node {
+            node: node.clone(),
+            share: if total > 0 {
+                ns as f64 / total as f64
+            } else {
+                0.0
+            },
+        },
         // Frames retired whose jobs all ran before the window: report
         // progress without a leaf attribution.
-        _ => Dominant::Node {
+        None => Dominant::Node {
             node: String::new(),
             share: 0.0,
         },
@@ -352,7 +309,7 @@ mod tests {
     use super::*;
 
     fn sample(graph: u32, completed: u64, shed: u64, inflight: u64, lat: &[u64]) -> GraphSample {
-        let h = LogHistogram::default();
+        let h = trace::metrics::LogHistogram::default();
         for &v in lat {
             h.record(v);
         }
@@ -363,7 +320,7 @@ mod tests {
             completed,
             shed,
             inflight,
-            latency_counts: h.bucket_counts().to_vec(),
+            latency: h.snapshot(),
             busy_per_node: BTreeMap::new(),
         }
     }
@@ -498,15 +455,5 @@ mod tests {
             format!("{:?}", la.summary())
         };
         assert_eq!(build(), build());
-    }
-
-    #[test]
-    fn counts_from_nonzero_round_trips() {
-        let h = LogHistogram::default();
-        for v in [0u64, 1, 5, 5, 900] {
-            h.record(v);
-        }
-        let sparse: Vec<(u64, u64, u64)> = h.nonzero_buckets();
-        assert_eq!(counts_from_nonzero(&sparse), h.bucket_counts().to_vec());
     }
 }

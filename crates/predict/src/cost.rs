@@ -60,9 +60,10 @@ impl CostDb {
         self
     }
 
-    /// Strip the data-parallel copy suffix (`#i`, `.bj#i`) from a label.
-    fn base_of(label: &str) -> &str {
-        match label.find(['#']) {
+    /// Strip the data-parallel copy suffix (`#i`, `.bj#i`) from a label:
+    /// the base name the copies of one replicated component share.
+    pub fn base_of(label: &str) -> &str {
+        match label.find('#') {
             Some(pos) => {
                 // also strip a crossdep block marker directly before it
                 let head = &label[..pos];

@@ -20,7 +20,7 @@ use adapt::{run_scenario, Action, Quality, ScenarioReport, ScenarioSpec};
 use apps::experiment::{
     build_isolated, build_isolated_adaptive, reconfig_handle, App, AppConfig, Built, Scale,
 };
-use hinch::trace::metrics::{LogHistogram, LOG_BUCKETS};
+use hinch::trace::metrics::Histogram;
 use hinch::{Event, GraphId, GraphStats, Runtime, RuntimeConfig, SpawnOpts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,35 +102,12 @@ pub struct LoadReport {
     pub per_graph: Vec<GraphStats>,
 }
 
-/// Merge per-tenant latency histograms (identical power-of-two bucket
-/// layouts) and return `(mean, p50, p99)` of the aggregate.
-fn merge_latencies(stats: &[GraphStats]) -> (f64, u64, u64) {
-    let mut buckets = [0u64; LOG_BUCKETS];
-    let mut count = 0u64;
-    let mut weighted_sum = 0.0f64;
-    for s in stats {
-        let n: u64 = s.latency_buckets.iter().map(|(_, _, c)| c).sum();
-        count += n;
-        weighted_sum += s.latency_mean_ns * n as f64;
-        for &(low, _, c) in &s.latency_buckets {
-            buckets[LogHistogram::bucket_of(low)] += c;
-        }
-    }
-    if count == 0 {
-        return (0.0, 0, 0);
-    }
-    let quantile = |q: f64| -> u64 {
-        let rank = ((q * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &c) in buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return LogHistogram::bucket_high(b);
-            }
-        }
-        LogHistogram::bucket_high(LOG_BUCKETS - 1)
-    };
-    (weighted_sum / count as f64, quantile(0.5), quantile(0.99))
+/// The fleet's latency distribution: the per-tenant histograms merged.
+fn fleet_latency(stats: &[GraphStats]) -> Histogram {
+    stats.iter().fold(Histogram::default(), |mut fleet, s| {
+        fleet.merge(&s.latency);
+        fleet
+    })
 }
 
 /// Exponential inter-arrival sample for rate `rate` (events/sec).
@@ -221,7 +198,7 @@ pub fn run_open_loop(cfg: &LoadConfig) -> LoadReport {
 
     let completed: u64 = per_graph.iter().map(|s| s.completed).sum();
     let reconfigs: u64 = per_graph.iter().map(|s| s.reconfigs).sum();
-    let (latency_mean_ns, latency_p50_ns, latency_p99_ns) = merge_latencies(&per_graph);
+    let latency = fleet_latency(&per_graph);
     LoadReport {
         graphs: per_graph.len(),
         workers: cfg.workers,
@@ -231,9 +208,9 @@ pub fn run_open_loop(cfg: &LoadConfig) -> LoadReport {
         completed,
         elapsed,
         agg_fps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency_mean_ns,
-        latency_p50_ns,
-        latency_p99_ns,
+        latency_mean_ns: latency.mean(),
+        latency_p50_ns: latency.quantile(0.5),
+        latency_p99_ns: latency.quantile(0.99),
         reconfigs,
         per_graph,
     }
@@ -439,7 +416,6 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
     retired.push(stats);
     runtime.shutdown();
 
-    let (_, _, latency_p99_ns) = merge_latencies(&retired);
     ReplayReport {
         scenario,
         frames,
@@ -448,13 +424,14 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
         reconfigs,
         output_digest: format!("{digest:016x}"),
         completed,
-        latency_p99_ns,
+        latency_p99_ns: fleet_latency(&retired).quantile(0.99),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hinch::trace::metrics::LogHistogram;
 
     #[test]
     fn open_loop_small_fleet_completes_and_reports() {
@@ -569,36 +546,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn merged_latency_quantiles_match_single_histogram() {
-        use hinch::trace::metrics::LogHistogram;
-        let h = LogHistogram::default();
-        for v in [100u64, 200, 400, 800, 100_000] {
-            h.record(v);
-        }
-        let stats = GraphStats {
-            id: GraphId(0),
-            label: "x".into(),
-            submitted: 5,
-            completed: 5,
-            inflight: 0,
-            reconfigs: 0,
-            jobs_executed: 0,
-            latency_mean_ns: h.mean(),
-            latency_p50_ns: h.quantile(0.5),
-            latency_p99_ns: h.quantile(0.99),
-            latency_buckets: h.nonzero_buckets(),
-            shed: 0,
-            failure: None,
-        };
-        let (mean, p50, p99) = merge_latencies(&[stats]);
-        assert!((mean - h.mean()).abs() < 1e-9);
-        assert_eq!(p50, h.quantile(0.5));
-        assert_eq!(p99, h.quantile(0.99));
-    }
-
     fn graph_stats_for(id: u32, h: &LogHistogram) -> GraphStats {
-        let n: u64 = h.count();
+        let latency = h.snapshot();
+        let n = latency.count();
         GraphStats {
             id: GraphId(id),
             label: format!("g{id}"),
@@ -607,10 +557,7 @@ mod tests {
             inflight: 0,
             reconfigs: 0,
             jobs_executed: 0,
-            latency_mean_ns: h.mean(),
-            latency_p50_ns: h.quantile(0.5),
-            latency_p99_ns: h.quantile(0.99),
-            latency_buckets: h.nonzero_buckets(),
+            latency,
             shed: 0,
             failure: None,
         }
@@ -619,13 +566,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        // Satellite: bucket-merged p50/p99 equals (a) the quantile of a
-        // single histogram over the whole stream *exactly*, and (b) the
-        // true percentile of the unmerged value stream within one
-        // bucket width — with values adversarially hugging the
-        // power-of-two bucket edges (2^k - 1, 2^k, 2^k + 1), where an
-        // off-by-one in the merge re-bucketing would shift the result a
-        // whole bucket.
+        // The merged fleet histogram equals (a) a single histogram over
+        // the whole stream *exactly*, and its p50/p99 (b) the true
+        // percentile of the unmerged value stream within one bucket
+        // width — with values adversarially hugging the power-of-two
+        // bucket edges (2^k - 1, 2^k, 2^k + 1), where an off-by-one in
+        // a merge would shift the result a whole bucket.
         #[test]
         fn merged_quantiles_match_unmerged_stream(
             raw in proptest::collection::vec(
@@ -652,23 +598,23 @@ mod tests {
                 .enumerate()
                 .map(|(i, h)| graph_stats_for(i as u32, h))
                 .collect();
-            let (_, p50, p99) = merge_latencies(&stats);
+            let fleet = fleet_latency(&stats);
 
-            // (a) merge is exact against the single-histogram quantile.
-            prop_assert_eq!(p50, combined.quantile(0.5));
-            prop_assert_eq!(p99, combined.quantile(0.99));
+            // (a) merge is exact against the single histogram.
+            prop_assert_eq!(&fleet, &combined.snapshot());
 
-            // (b) against the raw stream: same bucket, so within one
-            // bucket width.
+            // (b) against the raw stream: the bucket of the exact
+            // percentile, so within one bucket width.
             let mut sorted: Vec<u64> = values.iter().map(|&(v, _)| v).collect();
             sorted.sort_unstable();
-            for (q, merged) in [(0.5f64, p50), (0.99, p99)] {
+            for q in [0.5f64, 0.99] {
                 let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-                let exact = sorted[rank - 1];
+                let exact = LogHistogram::default();
+                exact.record(sorted[rank - 1]);
                 prop_assert_eq!(
-                    merged,
-                    LogHistogram::bucket_high(LogHistogram::bucket_of(exact)),
-                    "q={} exact={} merged={}", q, exact, merged
+                    fleet.quantile(q),
+                    exact.snapshot().quantile(q),
+                    "q={} exact={}", q, sorted[rank - 1]
                 );
             }
         }

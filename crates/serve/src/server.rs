@@ -106,7 +106,7 @@ impl Default for ServerConfig {
 }
 
 /// Render one [`GraphStats`] as a JSON object, via the crate's single
-/// JSON writer ([`crate::json`] — the workspace is dependency-free by
+/// JSON writer ([`trace::json`] — the workspace is dependency-free by
 /// design, so JSON is hand-rolled, but only once).
 pub fn stats_json(s: &GraphStats) -> String {
     JsonObject::new()
@@ -117,9 +117,9 @@ pub fn stats_json(s: &GraphStats) -> String {
         .num("inflight", s.inflight)
         .num("reconfigs", s.reconfigs)
         .num("jobs_executed", s.jobs_executed)
-        .f1("latency_mean_ns", s.latency_mean_ns)
-        .num("latency_p50_ns", s.latency_p50_ns)
-        .num("latency_p99_ns", s.latency_p99_ns)
+        .f1("latency_mean_ns", s.latency.mean())
+        .num("latency_p50_ns", s.latency.quantile(0.5))
+        .num("latency_p99_ns", s.latency.quantile(0.99))
         .num("shed", s.shed)
         .opt_str("failure", s.failure.as_deref())
         .build()

@@ -27,11 +27,10 @@
 //! in CI by the same code a scraper would trip over.
 
 use hinch::{GraphStats, PoolTelemetry, Runtime};
-use insight::live::{counts_from_nonzero, GraphSample, LiveAnalyzer, LiveSummary};
+use insight::live::{GraphSample, LiveAnalyzer, LiveSummary};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 use trace::json::{array, JsonObject};
-use trace::metrics::LogHistogram;
 use trace::StallCause;
 
 /// `Telemetry` request payload formats (the wire carries the selector so
@@ -103,7 +102,7 @@ impl Telemetry {
                 completed: s.completed,
                 shed: s.shed,
                 inflight: s.inflight,
-                latency_counts: counts_from_nonzero(&s.latency_buckets),
+                latency: s.latency.clone(),
                 // Empty for a graph drained since `all_stats`.
                 busy_per_node: runtime
                     .node_times(s.id)
@@ -207,16 +206,13 @@ pub fn prometheus_text(
         );
     }
 
-    // Per-graph frame-latency histograms: power-of-two buckets rendered
-    // cumulative, Prometheus-style. The exact sum is not tracked by the
-    // histogram, so `_sum` is mean x count (same information the stats
-    // JSON reports).
+    // Per-graph frame-latency histograms: the recorded buckets rendered
+    // cumulative, Prometheus-style, with the exact sum.
     prom_type(&mut o, "hinch_graph_frame_latency_ns", "histogram");
     for s in stats {
         let labels = format!("graph=\"{}\",app=\"{}\"", s.id.0, prom_escape(&s.label));
-        let counts = counts_from_nonzero(&s.latency_buckets);
-        let total: u64 = counts.iter().sum();
-        for (le, cum) in LogHistogram::cumulative_from_counts(&counts) {
+        let total = s.latency.count();
+        for (le, cum) in s.latency.cumulative() {
             let _ = writeln!(
                 o,
                 "hinch_graph_frame_latency_ns_bucket{{{labels},le=\"{le}\"}} {cum}"
@@ -229,7 +225,7 @@ pub fn prometheus_text(
         let _ = writeln!(
             o,
             "hinch_graph_frame_latency_ns_sum{{{labels}}} {}",
-            s.latency_mean_ns * total as f64
+            s.latency.sum()
         );
         let _ = writeln!(o, "hinch_graph_frame_latency_ns_count{{{labels}}} {total}");
     }
@@ -653,7 +649,7 @@ mod tests {
     use hinch::{GraphId, WorkerTelemetry};
 
     fn snapshot() -> (PoolTelemetry, Vec<GraphStats>, LiveSummary) {
-        let h = LogHistogram::default();
+        let h = trace::metrics::LogHistogram::default();
         for v in [100u64, 200, 400, 90_000] {
             h.record(v);
         }
@@ -665,10 +661,7 @@ mod tests {
             inflight: 1,
             reconfigs: 0,
             jobs_executed: 12,
-            latency_mean_ns: h.mean(),
-            latency_p50_ns: h.quantile(0.5),
-            latency_p99_ns: h.quantile(0.99),
-            latency_buckets: h.nonzero_buckets(),
+            latency: h.snapshot(),
             shed: 2,
             failure: None,
         }];
@@ -698,7 +691,7 @@ mod tests {
                 completed: 4,
                 shed: 2,
                 inflight: 1,
-                latency_counts: counts_from_nonzero(&stats[0].latency_buckets),
+                latency: stats[0].latency.clone(),
                 busy_per_node: [("src".to_string(), 250_000), ("blend".to_string(), 750_000)]
                     .into_iter()
                     .collect(),

@@ -6,11 +6,12 @@
 #
 # Mirrors what the repository expects of every change:
 #   1. cargo fmt --check      — no unformatted code
-#   2. cargo clippy -D warnings (workspace, all targets), then two grep
+#   2. cargo clippy -D warnings (workspace, all targets), then three grep
 #      lints (engine and stream-slot sync goes through hinch::sync;
 #      nothing points at a deleted recorder, knob, measurement path,
 #      executor, trace summary, source copy or process-global simulated
-#      address allocator)
+#      address allocator; only trace::metrics knows the latency
+#      histogram's bucket layout)
 #      and the schedcheck model suite under --cfg hinch_model (engine
 #      protocols and their counters, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
@@ -97,22 +98,38 @@ echo "facade lint: clean"
 # debug cross-check (`graph::introspect`, `expand_copies`, `ComposeFn`,
 # `cross_check_expansion`), the uncomposed-slices knob
 # (`legacy_uncomposed_slices`, `--legacy-slices`), the downscale's SSE2
-# twin (`downscale_rows_sse2`) and the default-capacity stream table
-# (`new_stream_table`) are gone
+# twin (`downscale_rows_sse2`), the default-capacity stream table
+# (`new_stream_table`), the latency histogram's sparse triples and the
+# bucket rebuilds and quantile loops around them (`nonzero_buckets`,
+# `bucket_counts`, `counts_from_nonzero`, `quantile_from_counts`,
+# `cumulative_from_counts`, `cumulative_buckets`, `merge_latencies`,
+# `latency_buckets`), the live analyzer's partial sample copy
+# (`GraphDelta`), the tracker's per-iteration DAG (`dag_of`) and the PiP
+# trace example (`trace_pip`) are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
 # engine/sim the one sequential engine, the pools' counters the one
 # live source, a source publishes a view of its
 # field, a spacecake::Machine lays out its run's buffers, a capture records
 # a composite and a reader materialises it whole, the IDCT is fixed point
 # with one AVX2 twin, XA001 is decided on the spec, replication is
-# expanded once): no code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b' \
+# expanded once, a recorded latency distribution is one
+# `trace::metrics::Histogram` value): no code, doc or script may still
+# point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b|nonzero_buckets|bucket_counts|counts_from_nonzero|quantile_from_counts|cumulative_from_counts|cumulative_buckets|merge_latencies|latency_buckets|GraphDelta|dag_of|trace_pip' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2
     exit 1
 fi
 echo "dangling-reference lint: clean"
+# The latency histogram's bucket layout is trace::metrics's alone: a
+# layout change (say, log-linear buckets) must stay a one-file change.
+if grep -rn 'LOG_BUCKETS' --exclude=ci.sh crates src tests examples docs scripts README.md \
+    DESIGN.md EXPERIMENTS.md | grep -v '^crates/trace/src/metrics.rs:'; then
+    echo "LOG_BUCKETS named outside crates/trace/src/metrics.rs" >&2
+    exit 1
+fi
+echo "histogram-layout lint: clean"
 
 echo "== schedcheck (model-checked engine protocols) =="
 # Seeded, bounded exploration of the engine's sync protocols under

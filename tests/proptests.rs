@@ -356,7 +356,9 @@ impl Component for BandWriter {
 /// `src -> (nested slice/crossdep groups around a BandWriter) -> sink`.
 /// `levels` lists the replication groups outermost first: `(0, n)` is an
 /// n-way slice, `(1, n)` an n-copy crossdep (with an inert second block,
-/// since crossdep requires at least two).
+/// since crossdep requires at least two). When the writers honor their
+/// assignments, the sink checks every band element against the one copy
+/// whose composed assignment (of the product of the widths) covers it.
 fn replicated_band_graph(levels: &[(usize, usize)], honor_assign: bool) -> GraphSpec {
     struct Src;
     impl Component for Src {
@@ -367,14 +369,23 @@ fn replicated_band_graph(levels: &[(usize, usize)], honor_assign: bool) -> Graph
             ctx.write(0, 7i64);
         }
     }
-    struct BandReader;
+    /// `Some(total)`: element `e` must hold 1 + the index of the copy
+    /// (of `total`) whose [`SliceAssign::range`] covers `e`.
+    struct BandReader(Option<usize>);
     impl Component for BandReader {
         fn class(&self) -> &'static str {
             "band_reader"
         }
         fn run(&mut self, ctx: &mut RunCtx<'_>) {
             let buf = ctx.read::<RegionBuf<i64>>(0);
-            let _sum: i64 = buf.lease_read_all().iter().sum();
+            let band = buf.lease_read_all();
+            let Some(total) = self.0 else { return };
+            for index in 0..total {
+                let copy = SliceAssign { index, total };
+                for e in copy.range(BAND_LEN) {
+                    assert_eq!(band[e], index as i64 + 1, "element {e} of {total} copies");
+                }
+            }
         }
     }
     struct Nop;
@@ -415,8 +426,9 @@ fn replicated_band_graph(levels: &[(usize, usize)], honor_assign: bool) -> Graph
         |_p: &Params| -> Box<dyn Component> { Box::new(Src) },
         Params::new(),
     );
+    let total = honor_assign.then(|| levels.iter().map(|&(_, n)| n).product());
     let sink = factory(
-        |_p: &Params| -> Box<dyn Component> { Box::new(BandReader) },
+        move |_p: &Params| -> Box<dyn Component> { Box::new(BandReader(total)) },
         Params::new(),
     );
     GraphSpec::seq(vec![
