@@ -121,9 +121,8 @@ struct Profile {
 }
 
 fn profile_of(app: App, scale: Scale) -> Profile {
-    // The calibration sim builds on the process-wide shared asset cache
-    // (`experiment::build`), whose captures concurrent builders would
-    // clobber; serialize calibrations and memoize the digest.
+    // One calibration sim per (app, scale): memoized, and the lock keeps
+    // two planners from simulating the same calibration at once.
     static CACHE: Mutex<Option<HashMap<(App, Scale), Profile>>> = Mutex::new(None);
     let mut guard = CACHE.lock();
     let map = guard.get_or_insert_with(HashMap::new);
@@ -234,7 +233,7 @@ fn rate_app_uncached(app: App, scale: Scale, lattice: &Lattice, cores: usize) ->
         let profile = profile_of(proxy, scale);
         let s_ref = experiment::default_slices(proxy, scale);
         for &s in &lattice.slices {
-            let built = experiment::build_isolated_sliced(
+            let built = experiment::build_sliced(
                 AppConfig {
                     app: proxy,
                     scale,

@@ -6,10 +6,14 @@
 //! baseline on the same cache model, and [`AppConfig`] selects between the
 //! paper's full-size setup and a reduced one for quick runs.
 //!
-//! Input videos are generated once per (app family, scale) and cached
-//! process-wide — the generation and JPEG encoding are by far the most
+//! Every build owns its outputs: [`build`] and its variants make a fresh
+//! asset set whose captures only that build's runs write
+//! ([`Built::outputs`]), so builds of one app can run side by side. Input
+//! videos are generated once per (app family, scale) and adopted by every
+//! build by `Arc` — the generation and JPEG encoding are by far the most
 //! expensive host-side steps.
 
+use crate::output::Ports;
 use crate::registry::AppAssets;
 use crate::{blur, jpip, pip};
 use hinch::engine::{run_native, run_sim as hinch_run_sim, RunConfig};
@@ -19,6 +23,7 @@ use hinch::trace;
 use parking_lot::Mutex;
 use spacecake::{Machine, Solo, TileConfig};
 use std::collections::HashMap;
+use std::mem::{self, Discriminant};
 use std::sync::Arc;
 
 /// The nine applications of the paper's evaluation.
@@ -149,6 +154,14 @@ impl AppConfig {
         }
     }
 
+    /// [`AppConfig::paper`] or [`AppConfig::small`], by `scale`.
+    pub fn at(app: App, scale: Scale) -> Self {
+        match scale {
+            Scale::Paper => Self::paper(app),
+            Scale::Small => Self::small(app),
+        }
+    }
+
     /// A fast configuration for tests/demos.
     pub fn small(app: App) -> Self {
         Self {
@@ -164,34 +177,59 @@ impl AppConfig {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, Hash, Clone, Copy)]
+/// An app's family configuration at a scale: the one place an [`App`]
+/// maps onto its family's builder, sequential baseline and slice count.
 enum Family {
-    Pip,
-    Jpip,
-    Blur,
+    Pip(pip::PipConfig),
+    Jpip(jpip::JpipConfig),
+    Blur(blur::BlurConfig),
 }
 
 impl App {
-    fn family(&self) -> Family {
+    fn family(self, scale: Scale) -> Family {
+        let paper = scale == Scale::Paper;
         match self {
-            App::Pip1 | App::Pip2 | App::Pip12 => Family::Pip,
-            App::Jpip1 | App::Jpip2 | App::Jpip12 => Family::Jpip,
-            App::Blur3 | App::Blur5 | App::Blur35 => Family::Blur,
+            App::Pip1 | App::Pip2 | App::Pip12 => {
+                let pips = if self == App::Pip1 { 1 } else { 2 };
+                Family::Pip(if paper {
+                    pip::PipConfig::paper(pips)
+                } else {
+                    pip::PipConfig::small(pips)
+                })
+            }
+            App::Jpip1 | App::Jpip2 | App::Jpip12 => {
+                let pips = if self == App::Jpip1 { 1 } else { 2 };
+                Family::Jpip(if paper {
+                    jpip::JpipConfig::paper(pips)
+                } else {
+                    jpip::JpipConfig::small(pips)
+                })
+            }
+            App::Blur3 | App::Blur5 | App::Blur35 => {
+                let ksize = if self == App::Blur5 { 5 } else { 3 };
+                Family::Blur(if paper {
+                    blur::BlurConfig::paper(ksize)
+                } else {
+                    blur::BlurConfig::small(ksize)
+                })
+            }
         }
     }
 }
 
-/// Process-wide input cache: videos are generated/encoded once per
-/// (family, scale).
-fn cached_assets(app: App, scale: Scale) -> Arc<AppAssets> {
-    type AssetCache = HashMap<(Family, Scale), Arc<AppAssets>>;
-    static CACHE: Mutex<Option<AssetCache>> = Mutex::new(None);
+/// Process-wide input cache, one asset set per (family, scale): every
+/// build adopts the input videos from it, and it holds no output.
+fn cached_inputs(app: App, scale: Scale) -> Arc<AppAssets> {
+    type InputCache = HashMap<(Discriminant<Family>, Scale), Arc<AppAssets>>;
+    static CACHE: Mutex<Option<InputCache>> = Mutex::new(None);
+    let key = (mem::discriminant(&app.family(scale)), scale);
     let mut guard = CACHE.lock();
     let map = guard.get_or_insert_with(HashMap::new);
-    map.entry((app.family(), scale)).or_default().clone()
+    map.entry(key).or_default().clone()
 }
 
-/// A built application, ready to run.
+/// A built application, ready to run. It owns its outputs: only its own
+/// runs write the capture set of its `assets`.
 pub struct Built {
     pub spec: hinch::GraphSpec,
     pub assets: Arc<AppAssets>,
@@ -202,83 +240,74 @@ pub struct Built {
     pub capture_ports: usize,
 }
 
-/// Build `cfg.app` (reusing cached inputs).
-///
-/// The returned [`Built`] shares the process-wide asset cache, including
-/// its capture buffers — concurrent runs of the same family would clobber
-/// each other's outputs, so callers serialize (the conformance harness
-/// takes a run lock). For concurrent instances use [`build_isolated`].
+impl Built {
+    /// What the runs of this build captured since it was built (or since
+    /// [`AppAssets::clear_captures`]).
+    pub fn outputs(&self) -> Ports {
+        (0..self.capture_ports)
+            .map(|p| self.assets.captured(self.capture, p))
+            .collect()
+    }
+}
+
+/// Build `cfg.app` on an asset set of its own: the inputs are adopted
+/// (refcount-only) from the process-wide cache, the captures are fresh
+/// and unshared, so any number of builds can run at the same time.
 pub fn build(cfg: AppConfig) -> Built {
-    let assets = cached_assets(cfg.app, cfg.scale);
-    // Fresh capture contents per build/run.
-    assets.clear_captures();
-    build_with(cfg, assets)
+    build_sliced(cfg, None)
 }
 
-/// Build `cfg.app` on a *private* asset set: the expensive generated
-/// input videos are adopted (refcount-only) from the process-wide cache,
-/// but captures are fresh and unshared, so any number of isolated
-/// instances can run concurrently — the serving runtime's mode.
-pub fn build_isolated(cfg: AppConfig) -> Built {
-    build_isolated_sliced(cfg, None)
+/// [`build`] with the data-parallel slice count overridden (`None` keeps
+/// the scale's default). The adaptation controller uses this to respawn a
+/// graph at a different parallelization.
+pub fn build_sliced(cfg: AppConfig, slices: Option<usize>) -> Built {
+    build_own(cfg, AppAssets::new(), slices, false, false)
 }
 
-/// [`build_isolated`] for a graph whose output nobody can read: the
-/// private asset set is [`AppAssets::discarding`], so the sinks copy and
-/// keep nothing (`Built::assets` captures stay empty). What a serving
-/// front-end spawns.
-pub fn build_isolated_discarding(cfg: AppConfig) -> Built {
-    build_with_opts(
-        cfg,
-        isolated(cfg, AppAssets::discarding()),
-        None,
-        false,
-        false,
-    )
+/// [`build`] with tile-granular decode+IDCT fusion enabled. JPiP apps
+/// only — fusion is the JPiP cache-tax fix; other families have no
+/// decode/IDCT boundary to fuse.
+pub fn build_fused(cfg: AppConfig) -> Built {
+    build_own(cfg, AppAssets::new(), None, false, true)
 }
 
-/// [`build_isolated`] with the data-parallel slice count overridden
-/// (`None` keeps the scale's default). The adaptation controller uses
-/// this to respawn a graph at a different parallelization.
-pub fn build_isolated_sliced(cfg: AppConfig, slices: Option<usize>) -> Built {
-    build_with_opts(cfg, isolated(cfg, AppAssets::new()), slices, false, false)
+/// [`build`] for a graph whose output nobody can read: the asset set is
+/// [`AppAssets::discarding`], so the sinks copy and keep nothing
+/// ([`Built::outputs`] stays empty). What a serving front-end spawns.
+pub fn build_discarding(cfg: AppConfig) -> Built {
+    build_own(cfg, AppAssets::discarding(), None, false, false)
 }
 
-/// [`build_isolated`] with tile-granular decode+IDCT fusion enabled.
-/// JPiP apps only — fusion is the JPiP cache-tax fix; other families
-/// have no decode/IDCT boundary to fuse.
-pub fn build_isolated_fused(cfg: AppConfig) -> Built {
-    assert_eq!(
-        cfg.app.family(),
-        Family::Jpip,
-        "fusion applies to JPiP apps only"
-    );
-    build_with_opts(cfg, isolated(cfg, AppAssets::new()), None, false, true)
-}
-
-/// [`build_isolated_sliced`] for *externally driven* reconfiguration: the
+/// [`build_sliced`] for *externally driven* reconfiguration: the
 /// manager, options and event rules of a reconfig app are wired exactly
 /// as usual, but the in-graph injector's cadence is parked past any real
 /// run, so the only reconfigurations are events delivered from outside
 /// (`Runtime::inject`). Static apps build unchanged.
-pub fn build_isolated_adaptive(cfg: AppConfig, slices: Option<usize>) -> Built {
-    build_with_opts(cfg, isolated(cfg, AppAssets::new()), slices, true, false)
+pub fn build_adaptive(cfg: AppConfig, slices: Option<usize>) -> Built {
+    build_own(cfg, AppAssets::new(), slices, true, false)
 }
 
-/// Make the fresh `assets` an instance's private set: the inputs of
-/// `cfg.app` adopted from the process-wide cache, outputs its own.
-fn isolated(cfg: AppConfig, assets: Arc<AppAssets>) -> Arc<AppAssets> {
-    let shared = cached_assets(cfg.app, cfg.scale);
-    // Warm the process-wide input cache once: generation/encoding is the
-    // expensive step; the discarded spec elaboration is cheap. Generation
-    // runs under the asset-map lock, so concurrent warms don't duplicate.
-    let _ = build_with(cfg, shared.clone());
-    assets.adopt_inputs(&shared);
-    assets
+/// Build `cfg.app` against a caller-provided asset set; the caller
+/// decides what the build shares with others.
+pub fn build_with(cfg: AppConfig, assets: Arc<AppAssets>) -> Built {
+    build_with_opts(cfg, assets, None, false, false)
+}
+
+/// Build on `assets`, a fresh set, with the cached inputs of the family.
+fn build_own(
+    cfg: AppConfig,
+    assets: Arc<AppAssets>,
+    slices: Option<usize>,
+    external: bool,
+    fuse: bool,
+) -> Built {
+    assets.with_cached_inputs(&cached_inputs(cfg.app, cfg.scale), |assets| {
+        build_with_opts(cfg, assets, slices, external, fuse)
+    })
 }
 
 /// Injector cadence that never fires within a real run (see
-/// [`build_isolated_adaptive`]).
+/// [`build_adaptive`]).
 pub const EXTERNAL_RECONFIG_CADENCE: u64 = u64::MAX / 2;
 
 /// How to reconfigure `app` from outside the graph: the manager queue,
@@ -321,32 +350,14 @@ pub fn reconfig_handle(app: App) -> Option<ReconfigHandle> {
     }
 }
 
-/// The scale's default data-parallel slice count for `cfg.app`'s family
+/// The scale's default data-parallel slice count for `app`'s family
 /// (the reference point for slice-resizing candidates).
 pub fn default_slices(app: App, scale: Scale) -> usize {
-    match (app.family(), scale) {
-        (Family::Pip, Scale::Paper) => pip::PipConfig::paper(1).slices,
-        (Family::Pip, Scale::Small) => pip::PipConfig::small(1).slices,
-        (Family::Jpip, Scale::Paper) => jpip::JpipConfig::paper(1).slices,
-        (Family::Jpip, Scale::Small) => jpip::JpipConfig::small(1).slices,
-        (Family::Blur, Scale::Paper) => blur::BlurConfig::paper(3).slices,
-        (Family::Blur, Scale::Small) => blur::BlurConfig::small(3).slices,
+    match app.family(scale) {
+        Family::Pip(c) => c.slices,
+        Family::Jpip(c) => c.slices,
+        Family::Blur(c) => c.slices,
     }
-}
-
-/// Build `cfg.app` against a caller-provided asset set.
-pub fn build_with(cfg: AppConfig, assets: Arc<AppAssets>) -> Built {
-    build_with_opts(cfg, assets, None, false, false)
-}
-
-/// Reconfig cadence: the paper's 12-frame stimulus, or parked for
-/// externally driven graphs.
-fn cadence(external: bool) -> Option<u64> {
-    Some(if external {
-        EXTERNAL_RECONFIG_CADENCE
-    } else {
-        12
-    })
 }
 
 fn build_with_opts(
@@ -356,96 +367,58 @@ fn build_with_opts(
     external: bool,
     fuse: bool,
 ) -> Built {
+    let family = cfg.app.family(cfg.scale);
     assert!(
-        !fuse || cfg.app.family() == Family::Jpip,
+        !fuse || matches!(family, Family::Jpip(_)),
         "fusion applies to JPiP apps only"
     );
-    match cfg.app {
-        App::Pip1 | App::Pip2 | App::Pip12 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => pip::PipConfig::paper(if cfg.app == App::Pip1 { 1 } else { 2 }),
-                Scale::Small => pip::PipConfig::small(if cfg.app == App::Pip1 { 1 } else { 2 }),
-            };
-            if cfg.app == App::Pip12 {
-                c.reconfig_every = cadence(external);
-            }
-            if let Some(s) = slices {
-                c.slices = s;
-            }
+    // The paper's 12-frame stimulus, or parked for externally driven
+    // graphs.
+    let cadence = App::RECONFIG.contains(&cfg.app).then_some(if external {
+        EXTERNAL_RECONFIG_CADENCE
+    } else {
+        12
+    });
+    let (spec, assets, xml, capture_ports) = match family {
+        Family::Pip(mut c) => {
+            c.reconfig_every = cadence;
+            c.slices = slices.unwrap_or(c.slices);
             let app = pip::build_on(&c, assets).expect("PiP compiles");
-            Built {
-                spec: app.elaborated.spec,
-                assets: app.assets,
-                xml: app.xml,
-                capture: "out",
-                capture_ports: 3,
-            }
+            (app.elaborated.spec, app.assets, app.xml, 3)
         }
-        App::Jpip1 | App::Jpip2 | App::Jpip12 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => jpip::JpipConfig::paper(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-                Scale::Small => jpip::JpipConfig::small(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-            };
-            if cfg.app == App::Jpip12 {
-                c.reconfig_every = cadence(external);
-            }
-            if let Some(s) = slices {
-                c.slices = s;
-            }
+        Family::Jpip(mut c) => {
+            c.reconfig_every = cadence;
+            c.slices = slices.unwrap_or(c.slices);
             c.fuse = fuse;
             let app = jpip::build_on(&c, assets).expect("JPiP compiles");
-            Built {
-                spec: app.elaborated.spec,
-                assets: app.assets,
-                xml: app.xml,
-                capture: "out",
-                capture_ports: 3,
-            }
+            (app.elaborated.spec, app.assets, app.xml, 3)
         }
-        App::Blur3 | App::Blur5 | App::Blur35 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => blur::BlurConfig::paper(if cfg.app == App::Blur5 { 5 } else { 3 }),
-                Scale::Small => blur::BlurConfig::small(if cfg.app == App::Blur5 { 5 } else { 3 }),
-            };
-            if cfg.app == App::Blur35 {
-                c.reconfig_every = cadence(external);
-            }
-            if let Some(s) = slices {
-                c.slices = s;
-            }
+        Family::Blur(mut c) => {
+            c.reconfig_every = cadence;
+            c.slices = slices.unwrap_or(c.slices);
             let app = blur::build_on(&c, assets).expect("Blur compiles");
-            Built {
-                spec: app.elaborated.spec,
-                assets: app.assets,
-                xml: app.xml,
-                capture: "out",
-                capture_ports: 1,
-            }
+            (app.elaborated.spec, app.assets, app.xml, 1)
         }
+    };
+    Built {
+        spec,
+        assets,
+        xml,
+        capture: "out",
+        capture_ports,
     }
-}
-
-/// [`build`] with tile-granular decode+IDCT fusion on the shared asset
-/// cache (JPiP only; callers serialize like [`build`]'s).
-pub fn build_fused(cfg: AppConfig) -> Built {
-    let assets = cached_assets(cfg.app, cfg.scale);
-    assets.clear_captures();
-    build_with_opts(cfg, assets, None, false, true)
 }
 
 /// Run `cfg.app` on a simulated tile with `cores` cores (the paper's
 /// measurement mode). Pipeline depth 5, as in §4.
 pub fn run_sim(cfg: AppConfig, cores: usize) -> SimReport {
-    sim_built(build(cfg), cfg.frames, cores)
+    sim_built(&build(cfg), cfg.frames, cores)
 }
 
-/// [`run_sim`] with tile-granular decode+IDCT fusion (JPiP only) — the
-/// post-fusion Fig. 8 measurement.
-pub fn run_sim_fused(cfg: AppConfig, cores: usize) -> SimReport {
-    sim_built(build_fused(cfg), cfg.frames, cores)
-}
-
-fn sim_built(built: Built, frames: u64, cores: usize) -> SimReport {
+/// [`run_sim`] of a build: `frames` frames of `built` on `cores`
+/// simulated cores, pipeline depth 5 ([`build_fused`] gives the
+/// post-fusion Fig. 8 measurement).
+pub fn sim_built(built: &Built, frames: u64, cores: usize) -> SimReport {
     let mut machine = Machine::new(TileConfig::with_cores(cores));
     let run_cfg = RunConfig::new(frames).pipeline_depth(5);
     hinch_run_sim(&built.spec, &run_cfg, &mut machine).expect("sim run")
@@ -493,44 +466,19 @@ pub fn sequential_cycles(cfg: AppConfig) -> u64 {
 /// Execute the sequential baseline of `cfg.app` against `assets`,
 /// charging `meter` (exposed for the benchmark harness).
 pub fn run_baseline(cfg: AppConfig, assets: &Arc<AppAssets>, meter: &mut dyn Meter) {
-    match cfg.app {
-        App::Pip1 | App::Pip2 | App::Pip12 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => pip::PipConfig::paper(if cfg.app == App::Pip1 { 1 } else { 2 }),
-                Scale::Small => pip::PipConfig::small(if cfg.app == App::Pip1 { 1 } else { 2 }),
-            };
-            if cfg.app == App::Pip12 {
-                c.pips = 2;
-            }
-            let _ = pip::sequential(&c, assets, cfg.frames, meter);
+    match cfg.app.family(cfg.scale) {
+        Family::Pip(c) => {
+            pip::sequential(&c, assets, cfg.frames, meter);
         }
-        App::Jpip1 | App::Jpip2 | App::Jpip12 => {
-            let c = match cfg.scale {
-                Scale::Paper => jpip::JpipConfig::paper(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-                Scale::Small => jpip::JpipConfig::small(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-            };
-            let _ = jpip::sequential(&c, assets, cfg.frames, meter);
+        Family::Jpip(c) => {
+            jpip::sequential(&c, assets, cfg.frames, meter);
         }
-        App::Blur3 | App::Blur5 => {
-            let ksize = if cfg.app == App::Blur5 { 5 } else { 3 };
-            let c = match cfg.scale {
-                Scale::Paper => blur::BlurConfig::paper(ksize),
-                Scale::Small => blur::BlurConfig::small(ksize),
+        Family::Blur(c) => {
+            let ksize = |i| match cfg.app {
+                App::Blur35 => blur::baseline_ksize(i, 12, c.ksize),
+                _ => c.ksize,
             };
-            let _ = blur::sequential(&c, assets, cfg.frames, |_| ksize, meter);
-        }
-        App::Blur35 => {
-            let c = match cfg.scale {
-                Scale::Paper => blur::BlurConfig::paper(3),
-                Scale::Small => blur::BlurConfig::small(3),
-            };
-            let _ = blur::sequential(
-                &c,
-                assets,
-                cfg.frames,
-                |i| blur::baseline_ksize(i, 12, 3),
-                meter,
-            );
+            blur::sequential(&c, assets, cfg.frames, ksize, meter);
         }
     }
 }

@@ -18,12 +18,14 @@
 //! | Blur | 360×288 luminance, 96 frames | H/V phases crossdep ×9 | Blur-35: 3×3 ↔ 5×5 every 12 frames |
 //!
 //! [`experiment`] wraps everything into the one-call runners the
-//! benchmark harness and the examples use.
+//! benchmark harness and the examples use; every build it makes owns its
+//! outputs ([`output::Ports`]) and shares its inputs by `Arc`.
 
 pub mod blur;
 pub mod experiment;
 pub mod jpip;
 pub mod mosaic;
+pub mod output;
 pub mod pip;
 pub mod reconfig;
 pub mod registry;

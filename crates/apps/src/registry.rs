@@ -121,9 +121,7 @@ impl AppAssets {
     /// Adopt the *input* assets of `src` (raw/MJPEG videos, antenna
     /// signals) without touching the output state (captures,
     /// accumulators). Inputs are immutable `Arc`s, so adopting is
-    /// refcount-only — this is how an isolated per-instance asset set
-    /// (see [`crate::experiment::build_isolated`]) reuses the expensive
-    /// process-wide generated videos while keeping captures private.
+    /// refcount-only.
     pub fn adopt_inputs(&self, src: &AppAssets) {
         {
             let mut raw = self.raw.lock();
@@ -143,6 +141,22 @@ impl AppAssets {
                 signals.entry(k.clone()).or_insert_with(|| v.clone());
             }
         }
+    }
+
+    /// Run `build` on this asset set with the inputs of `cache` adopted,
+    /// then adopt into `cache` whatever inputs `build` generated. This is
+    /// how every build owns its outputs (captures, accumulators) while the
+    /// expensive generated inputs are made once per process: `cache` is a
+    /// process-wide input cache and never holds an output.
+    pub fn with_cached_inputs<T>(
+        self: Arc<Self>,
+        cache: &AppAssets,
+        build: impl FnOnce(Arc<Self>) -> T,
+    ) -> T {
+        self.adopt_inputs(cache);
+        let built = build(self.clone());
+        cache.adopt_inputs(&self);
+        built
     }
 
     pub fn signal(&self, name: &str) -> Arc<AntennaSignal> {

@@ -216,7 +216,6 @@ mod tests {
         let native = mean_spectrum(&app);
 
         let app = build(&cfg).unwrap();
-        app.assets.clear_captures();
         let mut m = Machine::with_cores(4);
         run_sim(&app.elaborated.spec, &RunConfig::new(4), &mut m).unwrap();
         let sim = mean_spectrum(&app);
@@ -231,7 +230,6 @@ mod tests {
         let cfg = TelescopeConfig::small();
         let cycles = |cores: usize| {
             let app = build(&cfg).unwrap();
-            app.assets.clear_captures();
             let mut m = Machine::with_cores(cores);
             run_sim(&app.elaborated.spec, &RunConfig::new(6), &mut m)
                 .unwrap()

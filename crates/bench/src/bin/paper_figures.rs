@@ -193,13 +193,8 @@ fn run_trace(opts: &Options, name: &str) -> Result<(), String> {
             "unknown app '{name}' (try pip, pip2, pip12, jpip, jpip2, jpip12, blur, blur5, blur35)"
         )
     })?;
-    let mut cfg = match opts.scale {
-        Scale::Paper => AppConfig::paper(app),
-        Scale::Small => AppConfig::small(app),
-    };
-    if let Some(frames) = opts.frames {
-        cfg = cfg.frames(frames);
-    }
+    let cfg = AppConfig::at(app, opts.scale);
+    let cfg = opts.frames.map_or(cfg, |frames| cfg.frames(frames));
     println!(
         "== trace: {} — {} frames on {} simulated cores ==",
         app.label(),

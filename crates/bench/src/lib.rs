@@ -49,13 +49,8 @@ pub fn figure8(scale: Scale, frames_override: Option<u64>) -> Vec<Fig8Row> {
     App::STATIC
         .iter()
         .map(|&app| {
-            let mut cfg = match scale {
-                Scale::Paper => AppConfig::paper(app),
-                Scale::Small => AppConfig::small(app),
-            };
-            if let Some(f) = frames_override {
-                cfg = cfg.frames(f);
-            }
+            let cfg = AppConfig::at(app, scale);
+            let cfg = frames_override.map_or(cfg, |f| cfg.frames(f));
             let sequential = sequential_cycles(cfg);
             let xspcl = run_sim(cfg, 1).cycles;
             Fig8Row {
@@ -85,13 +80,8 @@ pub fn figure9(scale: Scale, nodes: &[usize], frames_override: Option<u64>) -> V
     App::STATIC
         .iter()
         .map(|&app| {
-            let mut cfg = match scale {
-                Scale::Paper => AppConfig::paper(app),
-                Scale::Small => AppConfig::small(app),
-            };
-            if let Some(f) = frames_override {
-                cfg = cfg.frames(f);
-            }
+            let cfg = AppConfig::at(app, scale);
+            let cfg = frames_override.map_or(cfg, |f| cfg.frames(f));
             let sequential = sequential_cycles(cfg);
             let one_node = run_sim(cfg, 1).cycles;
             // "All speedup measurements are relative to the fastest
@@ -131,16 +121,10 @@ pub fn figure10(scale: Scale, nodes: &[usize], frames_override: Option<u64>) -> 
     App::RECONFIG
         .iter()
         .map(|&app| {
-            let mk = |a: App| {
-                let mut cfg = match scale {
-                    Scale::Paper => AppConfig::paper(a),
-                    Scale::Small => AppConfig::small(a),
-                };
-                // the reconfigurable app and its counterparts must process
-                // the same frame count
-                cfg = cfg.frames(frames_override.unwrap_or(app.paper_frames()));
-                cfg
-            };
+            // the reconfigurable app and its counterparts must process the
+            // same frame count
+            let frames = frames_override.unwrap_or(app.paper_frames());
+            let mk = |a: App| AppConfig::at(a, scale).frames(frames);
             let points = nodes
                 .iter()
                 .map(|&n| {
@@ -162,11 +146,7 @@ pub fn figure10(scale: Scale, nodes: &[usize], frames_override: Option<u64>) -> 
 
 /// The JPiP task graph (the paper's Fig. 7) as Graphviz DOT.
 pub fn figure7_dot(scale: Scale) -> String {
-    let cfg = match scale {
-        Scale::Paper => AppConfig::paper(App::Jpip1),
-        Scale::Small => AppConfig::small(App::Jpip1),
-    };
-    let built = apps::experiment::build(cfg);
+    let built = apps::experiment::build(AppConfig::at(App::Jpip1, scale));
     xspcl::codegen::to_dot(&built.spec)
 }
 
@@ -196,13 +176,8 @@ pub fn prediction_validation(
 ) -> Vec<PredictRow> {
     let mut rows = Vec::new();
     for &app in &App::STATIC {
-        let mut cfg = match scale {
-            Scale::Paper => AppConfig::paper(app),
-            Scale::Small => AppConfig::small(app),
-        };
-        if let Some(f) = frames_override {
-            cfg = cfg.frames(f);
-        }
+        let cfg = AppConfig::at(app, scale);
+        let cfg = frames_override.map_or(cfg, |f| cfg.frames(f));
         // calibrate from one core
         let profile_run = run_sim(cfg, 1);
         let mut db = predict::CostDb::new();
@@ -260,13 +235,13 @@ impl CacheComparison {
 
 /// Compare cache behaviour of the XSPCL app and its baseline on one core.
 pub fn cache_comparison(app: App, scale: Scale, frames: u64) -> CacheComparison {
-    let cfg = match scale {
-        Scale::Paper => AppConfig::paper(app).frames(frames),
-        Scale::Small => AppConfig::small(app).frames(frames),
-    };
+    let cfg = AppConfig::at(app, scale).frames(frames);
     let xspcl = run_sim(cfg, 1).stats;
     let fused = match app {
-        App::Jpip1 | App::Jpip2 => Some(apps::experiment::run_sim_fused(cfg, 1).stats),
+        App::Jpip1 | App::Jpip2 => {
+            let fused = apps::experiment::build_fused(cfg);
+            Some(apps::experiment::sim_built(&fused, cfg.frames, 1).stats)
+        }
         _ => None,
     };
     // rerun the baseline on a fresh solo machine to get its stats

@@ -12,25 +12,25 @@
 //! video planes for the media apps, the bit-exact integrated spectrum
 //! for the telescope.
 //!
-//! Captures and input assets are cached process-wide per application
-//! family (regenerating and re-encoding the input videos dominates
-//! host-side cost), which means two concurrent runs of the same family
-//! would stomp each other's capture buffers. All run functions therefore
-//! serialize on a process-wide lock; the harness is about schedule
-//! diversity *inside* a run, not about running the matrix itself in
-//! parallel.
+//! Every run builds its app anew, and every build owns its outputs: the
+//! expensive input videos and signals are cached process-wide and
+//! adopted by `Arc`, the captures and the spectrum accumulator are the
+//! build's own. Runs are therefore independent of each other, concurrent
+//! ones included; the harness is about schedule diversity *inside* a
+//! run.
 
 use crate::fingerprint::{digest_ports, spectrum_frame, Digest};
-use apps::experiment::{self, App, AppConfig};
+use apps::experiment::{self, App, AppConfig, Built};
 use apps::{mosaic, telescope, AppAssets};
 use hinch::engine::{
     run_native as hinch_run_native, run_reference as hinch_run_reference, run_sim as hinch_run_sim,
     RunConfig,
 };
 use hinch::{GraphSpec, HinchError, RunReport, SchedPolicy, SimReport};
-use parking_lot::Mutex;
 use spacecake::Machine;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
+
+pub use apps::output::Ports;
 
 /// One of the thirteen shipped applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,9 +41,26 @@ pub enum ConfApp {
     /// it a pure differential subject: every engine/schedule cell must
     /// stay fingerprint-equal to its own reference run, and that run is
     /// byte-identical to the unfused app's (checked in `apps::jpip`).
-    Fused(App),
+    Fused(FusedJpip),
     Mosaic,
     Telescope,
+}
+
+/// The static JPiP apps, the ones decode+IDCT fusion applies to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FusedJpip {
+    Jpip1,
+    Jpip2,
+}
+
+impl FusedJpip {
+    /// The unfused app.
+    pub fn app(self) -> App {
+        match self {
+            FusedJpip::Jpip1 => App::Jpip1,
+            FusedJpip::Jpip2 => App::Jpip2,
+        }
+    }
 }
 
 /// Every shipped application, in presentation order.
@@ -57,8 +74,8 @@ pub const ALL: [ConfApp; 13] = [
     ConfApp::Experiment(App::Pip12),
     ConfApp::Experiment(App::Jpip12),
     ConfApp::Experiment(App::Blur35),
-    ConfApp::Fused(App::Jpip1),
-    ConfApp::Fused(App::Jpip2),
+    ConfApp::Fused(FusedJpip::Jpip1),
+    ConfApp::Fused(FusedJpip::Jpip2),
     ConfApp::Mosaic,
     ConfApp::Telescope,
 ];
@@ -67,18 +84,9 @@ impl ConfApp {
     /// Stable machine-readable identifier (CLI `--apps`, JSON key).
     pub fn id(self) -> &'static str {
         match self {
-            ConfApp::Experiment(App::Pip1) => "pip1",
-            ConfApp::Experiment(App::Pip2) => "pip2",
-            ConfApp::Experiment(App::Jpip1) => "jpip1",
-            ConfApp::Experiment(App::Jpip2) => "jpip2",
-            ConfApp::Experiment(App::Blur3) => "blur3",
-            ConfApp::Experiment(App::Blur5) => "blur5",
-            ConfApp::Experiment(App::Pip12) => "pip12",
-            ConfApp::Experiment(App::Jpip12) => "jpip12",
-            ConfApp::Experiment(App::Blur35) => "blur35",
-            ConfApp::Fused(App::Jpip1) => "jpip1-fused",
-            ConfApp::Fused(App::Jpip2) => "jpip2-fused",
-            ConfApp::Fused(_) => unreachable!("fusion is JPiP-only"),
+            ConfApp::Experiment(a) => a.id(),
+            ConfApp::Fused(FusedJpip::Jpip1) => "jpip1-fused",
+            ConfApp::Fused(FusedJpip::Jpip2) => "jpip2-fused",
             ConfApp::Mosaic => "mosaic",
             ConfApp::Telescope => "telescope",
         }
@@ -88,9 +96,8 @@ impl ConfApp {
     pub fn label(self) -> &'static str {
         match self {
             ConfApp::Experiment(a) => a.label(),
-            ConfApp::Fused(App::Jpip1) => "JPiP-1 (fused)",
-            ConfApp::Fused(App::Jpip2) => "JPiP-2 (fused)",
-            ConfApp::Fused(_) => unreachable!("fusion is JPiP-only"),
+            ConfApp::Fused(FusedJpip::Jpip1) => "JPiP-1 (fused)",
+            ConfApp::Fused(FusedJpip::Jpip2) => "JPiP-2 (fused)",
             ConfApp::Mosaic => "Mosaic",
             ConfApp::Telescope => "Telescope",
         }
@@ -127,9 +134,6 @@ impl ConfApp {
     }
 }
 
-/// `ports[p][frame]` — the complete output of one run.
-pub type Ports = Vec<Vec<Vec<u8>>>;
-
 /// A run's report plus its collected output.
 pub struct RunOutcome<R> {
     pub report: R,
@@ -142,39 +146,26 @@ impl<R> RunOutcome<R> {
     }
 }
 
-/// Process-wide run lock: capture buffers are shared per app family.
-fn run_lock() -> &'static Mutex<()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    &LOCK
-}
-
-fn mosaic_assets() -> Arc<AppAssets> {
-    static CACHE: Mutex<Option<Arc<AppAssets>>> = Mutex::new(None);
-    CACHE.lock().get_or_insert_with(AppAssets::new).clone()
-}
-
-fn telescope_assets() -> Arc<AppAssets> {
-    static CACHE: Mutex<Option<Arc<AppAssets>>> = Mutex::new(None);
-    CACHE.lock().get_or_insert_with(AppAssets::new).clone()
-}
-
-enum Collector {
-    /// Frames of capture set `"out"` on `ports` ports.
-    Frames {
-        assets: Arc<AppAssets>,
-        ports: usize,
-    },
+/// A corpus app built for its runs, with its own outputs.
+enum Instance {
+    /// Frames of capture set `"out"`.
+    Frames(Built),
     /// The telescope's integrated spectrum, one bit-exact frame.
-    Spectrum(Box<telescope::TelescopeApp>),
+    Spectrum(telescope::TelescopeApp),
 }
 
-impl Collector {
+impl Instance {
+    fn spec(&self) -> &GraphSpec {
+        match self {
+            Instance::Frames(built) => &built.spec,
+            Instance::Spectrum(app) => &app.elaborated.spec,
+        }
+    }
+
     fn collect(&self) -> Ports {
         match self {
-            Collector::Frames { assets, ports } => {
-                (0..*ports).map(|p| assets.captured("out", p)).collect()
-            }
-            Collector::Spectrum(app) => {
+            Instance::Frames(built) => built.outputs(),
+            Instance::Spectrum(app) => {
                 vec![vec![spectrum_frame(&telescope::mean_spectrum(app))]]
             }
         }
@@ -183,54 +174,42 @@ impl Collector {
     /// Forget what a run left.
     fn clear(&self) {
         match self {
-            Collector::Frames { assets, .. } => assets.clear_captures(),
-            Collector::Spectrum(app) => app.assets.clear_captures(),
+            Instance::Frames(built) => built.assets.clear_captures(),
+            Instance::Spectrum(app) => app.assets.clear_captures(),
         }
     }
 }
 
-/// Build `app` with cleared captures. Must run under the corpus lock.
-fn build(app: ConfApp, frames: u64) -> (GraphSpec, Collector) {
+/// Build `app` on an asset set of its own.
+fn build(app: ConfApp, frames: u64) -> Instance {
+    // The inputs of the apps built here, cached like `apps::experiment`'s.
+    static MOSAIC_INPUTS: LazyLock<Arc<AppAssets>> = LazyLock::new(AppAssets::new);
+    static TELESCOPE_INPUTS: LazyLock<Arc<AppAssets>> = LazyLock::new(AppAssets::new);
+    let cfg = |a: App| AppConfig::small(a).frames(frames);
     match app {
-        ConfApp::Experiment(a) => {
-            let built = experiment::build(AppConfig::small(a).frames(frames));
-            let ports = built.capture_ports;
-            (
-                built.spec,
-                Collector::Frames {
-                    assets: built.assets,
-                    ports,
-                },
-            )
-        }
-        ConfApp::Fused(a) => {
-            let built = experiment::build_fused(AppConfig::small(a).frames(frames));
-            let ports = built.capture_ports;
-            (
-                built.spec,
-                Collector::Frames {
-                    assets: built.assets,
-                    ports,
-                },
-            )
-        }
+        ConfApp::Experiment(a) => Instance::Frames(experiment::build(cfg(a))),
+        ConfApp::Fused(j) => Instance::Frames(experiment::build_fused(cfg(j.app()))),
         ConfApp::Mosaic => {
-            let assets = mosaic_assets();
-            let app =
-                mosaic::build_on(&mosaic::MosaicConfig::small(4), assets).expect("mosaic compiles");
-            app.assets.clear_captures();
-            let assets = app.assets;
-            (app.elaborated.spec, Collector::Frames { assets, ports: 3 })
+            let app = AppAssets::new()
+                .with_cached_inputs(&MOSAIC_INPUTS, |assets| {
+                    mosaic::build_on(&mosaic::MosaicConfig::small(4), assets)
+                })
+                .expect("mosaic compiles");
+            Instance::Frames(Built {
+                spec: app.elaborated.spec,
+                assets: app.assets,
+                xml: app.xml,
+                capture: "out",
+                capture_ports: 3,
+            })
         }
         ConfApp::Telescope => {
-            let assets = telescope_assets();
-            let app = telescope::build_on(&telescope::TelescopeConfig::small(), assets)
+            let app = AppAssets::new()
+                .with_cached_inputs(&TELESCOPE_INPUTS, |assets| {
+                    telescope::build_on(&telescope::TelescopeConfig::small(), assets)
+                })
                 .expect("telescope compiles");
-            app.assets.clear_captures();
-            (
-                app.elaborated.spec.clone(),
-                Collector::Spectrum(Box::new(app)),
-            )
+            Instance::Spectrum(app)
         }
     }
 }
@@ -251,15 +230,14 @@ pub fn run_reference_runs(
     frames: u64,
     runs: usize,
 ) -> Result<Vec<RunOutcome<SimReport>>, HinchError> {
-    let _guard = run_lock().lock();
-    let (spec, collector) = build(app, frames);
+    let instance = build(app, frames);
     (0..runs)
         .map(|_| {
-            collector.clear();
-            let report = hinch_run_reference(&spec, &RunConfig::new(frames))?;
+            instance.clear();
+            let report = hinch_run_reference(instance.spec(), &RunConfig::new(frames))?;
             Ok(RunOutcome {
                 report,
-                output: collector.collect(),
+                output: instance.collect(),
             })
         })
         .collect()
@@ -274,14 +252,13 @@ pub fn run_sim(
     depth: usize,
     policy: SchedPolicy,
 ) -> Result<RunOutcome<SimReport>, HinchError> {
-    let _guard = run_lock().lock();
-    let (spec, collector) = build(app, frames);
+    let instance = build(app, frames);
     let mut machine = Machine::with_cores(cores);
     let cfg = RunConfig::new(frames).pipeline_depth(depth).sched(policy);
-    let report = hinch_run_sim(&spec, &cfg, &mut machine)?;
+    let report = hinch_run_sim(instance.spec(), &cfg, &mut machine)?;
     Ok(RunOutcome {
         report,
-        output: collector.collect(),
+        output: instance.collect(),
     })
 }
 
@@ -294,19 +271,18 @@ pub fn run_sim_traced(
     depth: usize,
     policy: SchedPolicy,
 ) -> Result<(RunOutcome<SimReport>, Vec<trace::TraceEvent>), HinchError> {
-    let _guard = run_lock().lock();
-    let (spec, collector) = build(app, frames);
+    let instance = build(app, frames);
     let mut machine = Machine::with_cores(cores);
     let recorder = trace::Recorder::new(trace::Clock::VirtualCycles);
     let cfg = RunConfig::new(frames)
         .pipeline_depth(depth)
         .sched(policy)
         .trace(recorder.sink());
-    let report = hinch_run_sim(&spec, &cfg, &mut machine)?;
+    let report = hinch_run_sim(instance.spec(), &cfg, &mut machine)?;
     Ok((
         RunOutcome {
             report,
-            output: collector.collect(),
+            output: instance.collect(),
         },
         recorder.events(),
     ))
@@ -320,16 +296,15 @@ pub fn run_native(
     depth: usize,
     policy: SchedPolicy,
 ) -> Result<RunOutcome<RunReport>, HinchError> {
-    let _guard = run_lock().lock();
-    let (spec, collector) = build(app, frames);
+    let instance = build(app, frames);
     let cfg = RunConfig::new(frames)
         .pipeline_depth(depth)
         .workers(workers)
         .sched(policy);
-    let report = hinch_run_native(&spec, &cfg)?;
+    let report = hinch_run_native(instance.spec(), &cfg)?;
     Ok(RunOutcome {
         report,
-        output: collector.collect(),
+        output: instance.collect(),
     })
 }
 
@@ -373,6 +348,32 @@ mod tests {
         assert_eq!(sim.report.iterations, frames);
         assert_eq!(oracle.digest(), sim.digest());
         assert_eq!(oracle.report.jobs_executed, sim.report.jobs_executed);
+    }
+
+    /// Two builds of one app, run at the same time, each capture exactly
+    /// their own run: neither sees the other's frames.
+    #[test]
+    fn concurrent_builds_of_one_app_own_their_outputs() {
+        let frames = 6;
+        let want = run_reference(ConfApp::Experiment(App::Pip1), frames)
+            .unwrap()
+            .digest();
+        let start = std::sync::Barrier::new(2);
+        let digests: Vec<Digest> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let built = experiment::build(AppConfig::small(App::Pip1));
+                        start.wait();
+                        let cfg = RunConfig::new(frames).workers(2);
+                        hinch_run_native(&built.spec, &cfg).unwrap();
+                        digest_ports(&built.outputs())
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(digests, [want, want]);
     }
 
     #[test]

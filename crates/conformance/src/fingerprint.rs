@@ -1,70 +1,10 @@
-//! Byte-exact output fingerprints.
-//!
-//! The differential driver compares application outputs across engines,
-//! core counts, pipeline depths and schedule policies. Holding every
-//! captured frame of every run in memory would be wasteful, so each run
-//! is reduced to a [`Digest`]: an FNV-1a/64 hash over the complete
-//! output structure (port count, frame counts, frame lengths, frame
-//! bytes). Two runs with the same digest produced the same bytes for all
-//! practical purposes; where the harness needs the actual frames (the
-//! reconfiguration admissibility check) it keeps them alongside.
+//! Byte-exact output fingerprints: [`apps::output`]'s [`Digest`] of a
+//! run's [`apps::output::Ports`], plus the encoding that puts the
+//! telescope's spectrum into that shape. Where the harness needs the
+//! actual frames (the reconfiguration admissibility check) it keeps them
+//! alongside the digest.
 
-use std::fmt;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A 64-bit FNV-1a output digest, rendered as fixed-width hex so JSON
-/// summaries are byte-stable.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Digest(pub u64);
-
-impl fmt::Display for Digest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
-impl fmt::Debug for Digest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Digest({:016x})", self.0)
-    }
-}
-
-/// Plain FNV-1a over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-fn mix_u64(h: u64, v: u64) -> u64 {
-    v.to_le_bytes()
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-fn mix_bytes(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-/// Digest of a structured output: `ports[p][frame]` are the captured
-/// frames of output port `p`, in production order. Structure (counts and
-/// lengths) is folded in before content, so a missing frame can never
-/// alias a shifted one.
-pub fn digest_ports(ports: &[Vec<Vec<u8>>]) -> Digest {
-    let mut h = mix_u64(FNV_OFFSET, ports.len() as u64);
-    for port in ports {
-        h = mix_u64(h, port.len() as u64);
-        for frame in port {
-            h = mix_u64(h, frame.len() as u64);
-            h = mix_bytes(h, frame);
-        }
-    }
-    Digest(h)
-}
+pub use apps::output::{digest_ports, Digest};
 
 /// Encode an `f64` spectrum as the byte frames the harness compares:
 /// one frame of little-endian `f64::to_bits` words. Bit-exact — no
@@ -81,31 +21,6 @@ pub fn spectrum_frame(bins: &[f64]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a/64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn digest_is_structure_sensitive() {
-        // Same bytes, different framing => different digests.
-        let flat = vec![vec![vec![1u8, 2, 3, 4]]];
-        let split = vec![vec![vec![1u8, 2], vec![3u8, 4]]];
-        let two_ports = vec![vec![vec![1u8, 2]], vec![vec![3u8, 4]]];
-        assert_ne!(digest_ports(&flat), digest_ports(&split));
-        assert_ne!(digest_ports(&split), digest_ports(&two_ports));
-        assert_eq!(digest_ports(&flat), digest_ports(&flat.clone()));
-    }
-
-    #[test]
-    fn digest_renders_fixed_width_hex() {
-        assert_eq!(Digest(0xab).to_string(), "00000000000000ab");
-        assert_eq!(format!("{:?}", Digest(1)), "Digest(0000000000000001)");
-    }
 
     #[test]
     fn spectrum_encoding_is_bit_exact() {

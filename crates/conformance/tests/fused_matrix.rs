@@ -11,12 +11,16 @@
 //!    fused matrix transitively agrees with the unfused pipeline.
 
 use apps::experiment::App;
+use conformance::corpus::FusedJpip;
 use conformance::{corpus, run_matrix, ConfApp, MatrixConfig};
 
 #[test]
 fn fused_jpip_matrix_is_fingerprint_equal_to_reference() {
     let cfg = MatrixConfig {
-        apps: vec![ConfApp::Fused(App::Jpip1), ConfApp::Fused(App::Jpip2)],
+        apps: vec![
+            ConfApp::Fused(FusedJpip::Jpip1),
+            ConfApp::Fused(FusedJpip::Jpip2),
+        ],
         cores: vec![1, 4],
         depths: vec![1, 5],
         seeds: 4,
@@ -43,8 +47,14 @@ fn fused_jpip_matrix_is_fingerprint_equal_to_reference() {
 #[test]
 fn fused_oracle_matches_unfused_oracle() {
     for (fused, unfused) in [
-        (ConfApp::Fused(App::Jpip1), ConfApp::Experiment(App::Jpip1)),
-        (ConfApp::Fused(App::Jpip2), ConfApp::Experiment(App::Jpip2)),
+        (
+            ConfApp::Fused(FusedJpip::Jpip1),
+            ConfApp::Experiment(App::Jpip1),
+        ),
+        (
+            ConfApp::Fused(FusedJpip::Jpip2),
+            ConfApp::Experiment(App::Jpip2),
+        ),
     ] {
         let frames = 6;
         let f = corpus::run_reference(fused, frames).expect("fused reference");

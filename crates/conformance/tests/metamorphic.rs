@@ -11,7 +11,7 @@
 //! case index). The engine configuration of the failing run is named in
 //! the assertion message, completing the `(spec, seed, config)` triple.
 
-use apps::experiment::App;
+use conformance::corpus::FusedJpip;
 use conformance::randspec::{build_app, shape_strategy};
 use conformance::{corpus, ConfApp};
 use hinch::engine::{run_native, run_reference, run_sim, RunConfig};
@@ -100,13 +100,13 @@ proptest! {
     // fused graph's fingerprint equals the unfused oracle's.
     #[test]
     fn fused_jpip_is_output_invariant_under_random_schedules(
-        pip in prop_oneof![Just(App::Jpip1), Just(App::Jpip2)],
+        pip in prop_oneof![Just(FusedJpip::Jpip1), Just(FusedJpip::Jpip2)],
         frames in 3u64..8,
         depth in 1usize..4,
         workers in 2usize..9,
         seed in 0u64..1 << 48,
     ) {
-        let want = corpus::run_reference(ConfApp::Experiment(pip), frames)
+        let want = corpus::run_reference(ConfApp::Experiment(pip.app()), frames)
             .unwrap_or_else(|e| panic!("unfused reference failed: {e}"))
             .digest();
         let fused_ref = corpus::run_reference(ConfApp::Fused(pip), frames)

@@ -9,10 +9,9 @@
 //! bound (so backpressure and re-admission genuinely engage), drained
 //! per graph — and every instance's captured output must fingerprint
 //! identically to a dedicated [`conformance::corpus::run_reference`] run
-//! of the same app. Isolated per-instance assets
-//! ([`apps::experiment::build_isolated`]) are what make the concurrent
-//! fleet possible at all: captures are private per tenant, inputs shared
-//! refcount-only.
+//! of the same app. Every [`apps::experiment::build`] owning its outputs
+//! is what makes the concurrent fleet possible at all: captures are
+//! private per tenant, inputs shared refcount-only.
 //!
 //! Reconfiguration rides along two ways: PiP-12 tenants reconfigure
 //! *internally* (the in-graph injector flips the second picture every 12
@@ -23,10 +22,10 @@
 //! reconfigurable app's toggle boundary is schedule-independent only
 //! there (see `conformance::matrix`); the static apps run at depths 2–5.
 
-use apps::experiment::{build_isolated, App, AppConfig};
+use apps::experiment::{build, App, AppConfig};
 use conformance::corpus::{self, ConfApp};
 use conformance::fingerprint::{digest_ports, Digest};
-use hinch::{Event, GraphId, Runtime, RuntimeConfig, SpawnOpts};
+use hinch::{Event, Runtime, RuntimeConfig, SpawnOpts};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -91,18 +90,6 @@ fn reference_digest(app: App, frames: u64) -> Digest {
     digest
 }
 
-fn wait_quiescent(rt: &Runtime, id: GraphId) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let s = rt.stats(id).expect("stats");
-        if s.inflight == 0 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "tenant never quiesced: {s:?}");
-        std::thread::yield_now();
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
@@ -120,7 +107,7 @@ proptest! {
         let tenants: Vec<_> = plans
             .iter()
             .map(|plan| {
-                let built = build_isolated(AppConfig::small(plan.app).frames(plan.frames));
+                let built = build(AppConfig::small(plan.app).frames(plan.frames));
                 let id = rt
                     .spawn(
                         &built.spec,
@@ -148,7 +135,7 @@ proptest! {
                     continue;
                 }
                 if plan.wire_flip && !flipped && *submitted >= plan.frames / 2 {
-                    wait_quiescent(&rt, *id);
+                    rt.wait_retired(*id).expect("wait");
                     rt.inject(*id, "mq", Event::new("flip")).expect("inject");
                     rt.inject(*id, "mq", Event::new("flip")).expect("inject");
                     flipped = true;
@@ -176,11 +163,8 @@ proptest! {
                     plan.wire_flip
                 );
             }
-            let output: Vec<Vec<Vec<u8>>> = (0..built.capture_ports)
-                .map(|p| built.assets.captured(built.capture, p))
-                .collect();
             prop_assert_eq!(
-                digest_ports(&output),
+                digest_ports(&built.outputs()),
                 reference_digest(plan.app, plan.frames),
                 "{} x{} diverged from reference (depth={}, chunk={}, wire_flip={}, workers={})",
                 plan.app.id(),

@@ -244,6 +244,24 @@ impl Tenant {
             + u64::from(self.core.aborted.load(Ordering::Relaxed))
     }
 
+    /// Block until every frame accepted so far has retired, or the
+    /// tenant failed. Lost-wakeup free: the retire hook and
+    /// [`Tenant::fail`] notify under the gate after their counters moved.
+    fn wait_retired(&self) {
+        let mut gate = self.clock.gate.lock();
+        loop {
+            if self.failure.lock().is_some() {
+                return;
+            }
+            let total = self.core.total.load(Ordering::SeqCst);
+            let completed = self.core.completed.load(Ordering::SeqCst);
+            if completed >= total {
+                return;
+            }
+            self.clock.cv.wait(&mut gate);
+        }
+    }
+
     fn stats(&self) -> GraphStats {
         // First the one read that takes the admit lock: a snapshot that
         // had to wait for a retirement in progress then reports it,
@@ -822,12 +840,29 @@ impl Runtime {
         all
     }
 
-    /// Block until every accepted frame of `id` retired, then tear the
-    /// instance down. Verifies on the way out that the drained graph
-    /// released every stream ring slot (the stream rings are part of the
-    /// tenant, but a leaked BUSY/FULL slot would mean a completer raced
-    /// past retirement — the invariant the core's in-order retirement
-    /// protocol exists to protect).
+    /// Block until every frame graph `id` has accepted so far retired, or
+    /// the graph failed, without tearing anything down: the graph stays
+    /// live and admission open, so a frame another thread submits during
+    /// the wait may be waited for too, and one submitted after it returns
+    /// is in flight again. Returns the tenant's stats at that point; a
+    /// failed graph is reported as [`ServeError::GraphFailed`].
+    pub fn wait_retired(&self, id: GraphId) -> Result<GraphStats, ServeError> {
+        let tenant = self.get(id)?;
+        tenant.wait_retired();
+        let stats = tenant.stats();
+        match stats.failure {
+            Some(msg) => Err(ServeError::GraphFailed(msg)),
+            None => Ok(stats),
+        }
+    }
+
+    /// Close admission, block until every accepted frame of `id` retired
+    /// ([`Runtime::wait_retired`]), then tear the instance down. Verifies
+    /// on the way out that the drained graph released every stream ring
+    /// slot (the stream rings are part of the tenant, but a leaked
+    /// BUSY/FULL slot would mean a completer raced past retirement — the
+    /// invariant the core's in-order retirement protocol exists to
+    /// protect).
     ///
     /// Returns the tenant's final stats. A failed graph is torn down too,
     /// but reported as [`ServeError::GraphFailed`].
@@ -862,20 +897,7 @@ impl Runtime {
             let _st = tenant.core.admit.lock();
             tenant.draining.store(true, Ordering::SeqCst);
         }
-        {
-            let mut gate = tenant.clock.gate.lock();
-            loop {
-                if tenant.failure.lock().is_some() {
-                    break;
-                }
-                let total = tenant.core.total.load(Ordering::SeqCst);
-                let completed = tenant.core.completed.load(Ordering::SeqCst);
-                if completed >= total {
-                    break;
-                }
-                tenant.clock.cv.wait(&mut gate);
-            }
-        }
+        tenant.wait_retired();
         drained(&tenant.core);
         // Teardown: unregister first so new submits/stats see a consistent
         // "gone" state, then verify resource release.
@@ -1129,6 +1151,49 @@ mod tests {
             rt.inject(id, "nope", Event::new("flip")),
             Err(ServeError::UnknownQueue("nope".into()))
         );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn wait_retired_leaves_the_tenant_live_and_returns_on_failure() {
+        let rt = Runtime::new(RuntimeConfig::new(2));
+        let id = rt
+            .spawn(&pipeline_spec(), SpawnOpts::new("pipe").pipeline_depth(3))
+            .unwrap();
+        assert_eq!(
+            rt.wait_retired(id).unwrap().completed,
+            0,
+            "nothing to wait for"
+        );
+        assert_eq!(rt.submit(id, 10).unwrap(), 10);
+        let stats = rt.wait_retired(id).unwrap();
+        assert_eq!((stats.inflight, stats.completed), (0, 10));
+        // The tenant is still live: it accepts and retires more frames,
+        // and a drain still tears it down.
+        assert_eq!(rt.submit(id, 5).unwrap(), 5);
+        let stats = rt.wait_retired(id).unwrap();
+        assert_eq!((stats.inflight, stats.completed), (0, 15));
+        assert_eq!(rt.submit(id, 3).unwrap(), 3);
+        assert_eq!(rt.drain(id).unwrap().completed, 18);
+        assert_eq!(rt.graph_count(), 0);
+
+        // A tenant whose component panics never retires its frames; the
+        // wait returns once it failed.
+        let bad = rt
+            .spawn(
+                &GraphSpec::seq(vec![
+                    leaf("src", &[], &["a"], 1),
+                    crate::graph::testutil::panicking_leaf("boom", &["a"], &[]),
+                ]),
+                SpawnOpts::new("bad"),
+            )
+            .unwrap();
+        rt.submit(bad, 2).unwrap();
+        assert!(matches!(
+            rt.wait_retired(bad),
+            Err(ServeError::GraphFailed(_))
+        ));
+        assert!(matches!(rt.drain(bad), Err(ServeError::GraphFailed(_))));
         rt.shutdown();
     }
 

@@ -111,13 +111,8 @@ fn main() {
     };
 
     let (events, clock) = if let Some(app) = args.app {
-        let mut cfg = match args.scale {
-            Scale::Small => AppConfig::small(app),
-            Scale::Paper => AppConfig::paper(app),
-        };
-        if let Some(frames) = args.frames {
-            cfg = cfg.frames(frames);
-        }
+        let cfg = AppConfig::at(app, args.scale);
+        let cfg = args.frames.map_or(cfg, |frames| cfg.frames(frames));
         let (_, recorder) = run_sim_traced(cfg, args.cores);
         (recorder.events(), Clock::VirtualCycles)
     } else {

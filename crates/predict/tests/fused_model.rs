@@ -18,13 +18,10 @@ fn fused_jpip_never_rates_more_expensive() {
     let cfg = AppConfig::small(App::Jpip1).frames(4);
     // Calibrate each variant from its own single-core simulation — the
     // paper's "measure once, explore analytically" workflow.
-    let unfused_profile = experiment::run_sim(cfg, 1);
-    let fused_profile = experiment::run_sim_fused(cfg, 1);
-    let db_unfused = CostDb::from_profile(&unfused_profile);
-    let db_fused = CostDb::from_profile(&fused_profile);
-
-    let unfused = experiment::build_isolated(cfg);
-    let fused = experiment::build_isolated_fused(cfg);
+    let unfused = experiment::build(cfg);
+    let fused = experiment::build_fused(cfg);
+    let db_unfused = CostDb::from_profile(&experiment::sim_built(&unfused, cfg.frames, 1));
+    let db_fused = CostDb::from_profile(&experiment::sim_built(&fused, cfg.frames, 1));
 
     let pcfg = PredictConfig::new(1, cfg.frames);
     let pu = predict(&unfused.spec, &db_unfused, &pcfg);
@@ -63,7 +60,7 @@ fn fused_class_rates_via_class_default_when_uncalibrated() {
     // sensibly through the class-default fallback — the planner path for
     // variants that exist only as candidates.
     let cfg = AppConfig::small(App::Jpip1).frames(4);
-    let fused = experiment::build_isolated_fused(cfg);
+    let fused = experiment::build_fused(cfg);
     let mut db = CostDb::new().with_default(10.0);
     db.set_class("jpeg_decode_idct", 50_000.0);
     let pcfg = PredictConfig::new(4, cfg.frames);

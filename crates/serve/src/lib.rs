@@ -34,7 +34,7 @@ pub use telemetry::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apps::experiment::{build_isolated, App, AppConfig, Built, Scale};
+    use apps::experiment::{build, App, AppConfig, Built, Scale};
     use std::time::{Duration, Instant};
 
     /// A server on an ephemeral loopback port.
@@ -88,13 +88,15 @@ mod tests {
                 .expect("spawn");
             assert_eq!(rt.submit(id, FRAMES).expect("submit"), FRAMES);
             assert_eq!(rt.drain(id).expect("drain").completed, FRAMES);
-            (0..built.capture_ports)
-                .map(|port| built.assets.captured(built.capture, port).len() as u64)
+            let outputs = built.outputs();
+            outputs
+                .iter()
+                .map(|port| port.len() as u64)
                 .collect::<Vec<_>>()
         };
         let served = server::wire_build(App::Pip1, Scale::Small);
         assert_eq!(run(&served), [0, 0, 0], "a served graph kept frames");
-        let in_process = build_isolated(AppConfig {
+        let in_process = build(AppConfig {
             app: App::Pip1,
             scale: Scale::Small,
             frames: 0,

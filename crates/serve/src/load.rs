@@ -15,11 +15,9 @@
 //! frame latency (per-tenant histograms merged exactly — same
 //! power-of-two buckets).
 
-use crate::server::await_progress;
 use adapt::{run_scenario, Action, Quality, ScenarioReport, ScenarioSpec};
-use apps::experiment::{
-    build_isolated, build_isolated_adaptive, reconfig_handle, App, AppConfig, Built, Scale,
-};
+use apps::experiment::{build, build_adaptive, reconfig_handle, App, AppConfig, Built, Scale};
+use apps::output::{digest_ports, Digest, Ports};
 use hinch::trace::metrics::Histogram;
 use hinch::{Event, GraphId, GraphStats, Runtime, RuntimeConfig, SpawnOpts};
 use rand::rngs::StdRng;
@@ -154,7 +152,7 @@ pub fn run_open_loop(cfg: &LoadConfig) -> LoadReport {
     let ids: Vec<GraphId> = (0..cfg.graphs)
         .map(|i| {
             let app = cfg.mix[i % cfg.mix.len()];
-            let built = build_isolated(AppConfig {
+            let built = build(AppConfig {
                 app,
                 scale: cfg.scale,
                 frames: 0,
@@ -253,56 +251,14 @@ pub struct ReplayReport {
     pub rebuilds: u64,
     /// Reconfigurations the runtime observed across all incarnations.
     pub reconfigs: u64,
-    /// FNV-1a/64 over every captured output frame, per incarnation in
-    /// retirement order — byte-determinism fingerprint of the replay.
-    pub output_digest: String,
+    /// Every incarnation's captured output, in spawn order (a rebuild
+    /// starts a new incarnation, whose source restarts at frame 0).
+    pub outputs: Vec<Ports>,
+    /// [`digest_ports`] over the ports of every incarnation in turn —
+    /// byte-determinism fingerprint of the replay.
+    pub output_digest: Digest,
     pub completed: u64,
     pub latency_p99_ns: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
-
-/// Fold one incarnation's captured outputs into the digest (structure
-/// before content, so a missing frame can never alias a shifted one).
-fn fold_outputs(mut h: u64, built: &Built) -> u64 {
-    h = fnv_u64(h, built.capture_ports as u64);
-    for p in 0..built.capture_ports {
-        let frames = built.assets.captured(built.capture, p);
-        h = fnv_u64(h, frames.len() as u64);
-        for f in &frames {
-            h = fnv_u64(h, f.len() as u64);
-            h = fnv_bytes(h, f);
-        }
-    }
-    h
-}
-
-/// Wait until nothing of `id` is in flight, looking again only when the
-/// runtime has made progress (a retirement, for one) — not spinning a
-/// core on stats snapshots next to the workers being waited for.
-fn wait_quiescent(rt: &Runtime, id: GraphId) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let seen = rt.progress();
-        let s = rt.stats(id).expect("replay stats");
-        if s.inflight == 0 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "replay never quiesced: {s:?}");
-        await_progress(rt, seen, || false);
-    }
 }
 
 /// Replay the scenario's decision schedule against the real runtime.
@@ -323,7 +279,7 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
 
     let runtime = Runtime::new(RuntimeConfig::new(cfg.workers));
     let spawn = |slices: usize, depth: usize| -> (Built, GraphId) {
-        let built = build_isolated_adaptive(
+        let built = build_adaptive(
             AppConfig {
                 app,
                 scale: cfg.scenario.scale,
@@ -366,10 +322,12 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
 
     let mut toggles = 0u64;
     let mut rebuilds = 0u64;
-    let mut reconfigs = 0u64;
-    let mut completed = 0u64;
-    let mut digest = FNV_OFFSET;
+    let mut outputs = Vec::new();
     let mut retired: Vec<GraphStats> = Vec::new();
+    let mut retire = |id: GraphId, built: &Built| {
+        retired.push(runtime.drain(id).expect("replay drain"));
+        outputs.push(built.outputs());
+    };
     let mut done = 0u64;
 
     for d in scenario
@@ -382,7 +340,7 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
             assert_eq!(runtime.submit(id, n).expect("replay submit"), n);
             done = d.after_frames;
         }
-        wait_quiescent(&runtime, id);
+        runtime.wait_retired(id).expect("replay wait");
         match d.action {
             Action::Hold => {}
             // The next rebuild's `config_after` carries the cumulative
@@ -393,11 +351,7 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
             }
             Action::Resize { .. } | Action::StepDepth { .. } => {
                 current = d.config_after;
-                let stats = runtime.drain(id).expect("replay drain");
-                reconfigs += stats.reconfigs;
-                completed += stats.completed;
-                digest = fold_outputs(digest, &built);
-                retired.push(stats);
+                retire(id, &built);
                 rebuilds += 1;
                 (built, id) = spawn(current.slices, current.pipeline_depth);
                 live_quality = Quality::Degraded;
@@ -409,11 +363,7 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
         let n = frames - done;
         assert_eq!(runtime.submit(id, n).expect("replay submit"), n);
     }
-    let stats = runtime.drain(id).expect("replay drain");
-    reconfigs += stats.reconfigs;
-    completed += stats.completed;
-    digest = fold_outputs(digest, &built);
-    retired.push(stats);
+    retire(id, &built);
     runtime.shutdown();
 
     ReplayReport {
@@ -421,9 +371,10 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
         frames,
         toggles,
         rebuilds,
-        reconfigs,
-        output_digest: format!("{digest:016x}"),
-        completed,
+        reconfigs: retired.iter().map(|s| s.reconfigs).sum(),
+        output_digest: digest_ports(&outputs.concat()),
+        outputs,
+        completed: retired.iter().map(|s| s.completed).sum(),
         latency_p99_ns: fleet_latency(&retired).quantile(0.99),
     }
 }

@@ -8,11 +8,12 @@
 //!
 //! Graph specs come from the paper's application corpus
 //! ([`apps::experiment::App`]): a `Spawn` request names an app id
-//! (`pip1`, `jpip2`, `blur35`, …) and the server builds an *isolated*
-//! instance — inputs shared refcount-only with the process-wide cache,
-//! outputs private — so any number of instances of the same app serve
-//! concurrently. Nothing over the wire can read a served graph's frames
-//! back, so its sinks discard them ([`wire_build`]).
+//! (`pip1`, `jpip2`, `blur35`, …) and the server builds an instance the
+//! way every [`apps::experiment`] build is made — inputs shared
+//! refcount-only with the process-wide cache, outputs its own — so any
+//! number of instances of the same app serve concurrently. Nothing over
+//! the wire can read a served graph's frames back, so its sinks discard
+//! them ([`wire_build`]).
 
 use crate::protocol::{
     begin_frame, send_frame, size_body, Request, Response, WireDiagnostic, ALL_GRAPHS,
@@ -24,8 +25,7 @@ use adapt::{
 };
 use analyze::{AnalyzeOptions, Diagnostics, Severity};
 use apps::experiment::{
-    build_isolated_discarding, default_slices, reconfig_handle, App, AppConfig, Built,
-    ReconfigHandle, Scale,
+    build_discarding, default_slices, reconfig_handle, App, AppConfig, Built, ReconfigHandle, Scale,
 };
 use apps::registry::{registry, AppAssets};
 use hinch::{Event, GraphId, GraphStats, Runtime, RuntimeConfig, ServeError, SpawnOpts};
@@ -73,7 +73,7 @@ pub(crate) fn await_progress(rt: &Runtime, seen: u64, stop: impl Fn() -> bool) {
 /// input: no opcode reads frames back, and a graph lives until its client
 /// drains it, so captured output would only ever grow.
 pub(crate) fn wire_build(app: App, scale: Scale) -> Built {
-    build_isolated_discarding(AppConfig {
+    build_discarding(AppConfig {
         app,
         scale,
         frames: 0, // frames are streamed in via Submit

@@ -63,7 +63,6 @@ fn main() {
     let mut first = 0u64;
     for cores in [1usize, 3, 6, 9] {
         let app = build(&cfg).unwrap();
-        app.assets.clear_captures();
         let mut m = Machine::with_cores(cores);
         let sim = run_sim(&app.elaborated.spec, &RunConfig::new(8), &mut m).unwrap();
         if cores == 1 {

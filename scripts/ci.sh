@@ -6,12 +6,13 @@
 #
 # Mirrors what the repository expects of every change:
 #   1. cargo fmt --check      — no unformatted code
-#   2. cargo clippy -D warnings (workspace, all targets), then three grep
+#   2. cargo clippy -D warnings (workspace, all targets), then four grep
 #      lints (engine and stream-slot sync goes through hinch::sync;
 #      nothing points at a deleted recorder, knob, measurement path,
 #      executor, trace summary, source copy or process-global simulated
 #      address allocator; only trace::metrics knows the latency
-#      histogram's bucket layout)
+#      histogram's bucket layout; only apps::output knows the FNV
+#      constants of the output digest)
 #      and the schedcheck model suite under --cfg hinch_model (engine
 #      protocols and their counters, the stream slot ring)
 #   3. tier-1 verify: cargo build --release && cargo test -q — includes
@@ -104,8 +105,15 @@ echo "facade lint: clean"
 # `bucket_counts`, `counts_from_nonzero`, `quantile_from_counts`,
 # `cumulative_from_counts`, `cumulative_buckets`, `merge_latencies`,
 # `latency_buckets`), the live analyzer's partial sample copy
-# (`GraphDelta`), the tracker's per-iteration DAG (`dag_of`) and the PiP
-# trace example (`trace_pip`) are gone
+# (`GraphDelta`), the tracker's per-iteration DAG (`dag_of`), the PiP
+# trace example (`trace_pip`), the shared-capture builds and their
+# private twins (`build_isolated`, `build_isolated_sliced`,
+# `build_isolated_discarding`, `build_isolated_adaptive`,
+# `build_isolated_fused`, `run_sim_fused`), the corpus run lock and
+# whole-asset caches (`run_lock`, `mosaic_assets`, `telescope_assets`),
+# serve's second output digest (`fold_outputs`), the polling quiescence
+# waits (`wait_quiescent`) and the non-JPiP fused arms (`fusion is
+# JPiP-only`) are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
 # engine/sim the one sequential engine, the pools' counters the one
 # live source, a source publishes a view of its
@@ -113,9 +121,10 @@ echo "facade lint: clean"
 # a composite and a reader materialises it whole, the IDCT is fixed point
 # with one AVX2 twin, XA001 is decided on the spec, replication is
 # expanded once, a recorded latency distribution is one
-# `trace::metrics::Histogram` value): no code, doc or script may still
-# point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b|nonzero_buckets|bucket_counts|counts_from_nonzero|quantile_from_counts|cumulative_from_counts|cumulative_buckets|merge_latencies|latency_buckets|GraphDelta|dag_of|trace_pip' \
+# `trace::metrics::Histogram` value, a built app owns its outputs and
+# apps::output digests them, Runtime::wait_retired is the one quiescence
+# wait): no code, doc or script may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b|nonzero_buckets|bucket_counts|counts_from_nonzero|quantile_from_counts|cumulative_from_counts|cumulative_buckets|merge_latencies|latency_buckets|GraphDelta|dag_of|trace_pip|build_isolated|run_sim_fused|run_lock|mosaic_assets|telescope_assets|fold_outputs|wait_quiescent|fusion is JPiP-only' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2
@@ -130,6 +139,13 @@ if grep -rn 'LOG_BUCKETS' --exclude=ci.sh crates src tests examples docs scripts
     exit 1
 fi
 echo "histogram-layout lint: clean"
+# One output digest: the FNV constants live in apps::output alone.
+if grep -rn 'FNV_OFFSET' --exclude=ci.sh crates src tests examples docs scripts README.md \
+    DESIGN.md EXPERIMENTS.md | grep -v '^crates/apps/src/output.rs:'; then
+    echo "FNV_OFFSET named outside crates/apps/src/output.rs: digest outputs with digest_ports" >&2
+    exit 1
+fi
+echo "output-digest lint: clean"
 
 echo "== schedcheck (model-checked engine protocols) =="
 # Seeded, bounded exploration of the engine's sync protocols under

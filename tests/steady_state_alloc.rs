@@ -29,7 +29,7 @@
 //! they like), nor a reconfiguration building its DAG, nor the test
 //! harness is in it.
 
-use apps::experiment::{build_isolated, build_isolated_discarding, App, AppConfig};
+use apps::experiment::{build, build_discarding, App, AppConfig};
 use apps::mosaic::{self, MosaicConfig};
 use apps::AppAssets;
 use hinch::graph::{ComponentFactory, GraphSpec};
@@ -40,7 +40,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Allocations of at least this many bytes are payloads. 192 is the
 /// smallest pixel buffer of the PiP graphs at `Scale::Small` (the 16×12
@@ -147,17 +146,13 @@ fn marked(spec: GraphSpec, from: u64) -> GraphSpec {
     }
 }
 
-/// Submit `frames` more frames and wait until `completed` have retired.
+/// Submit `frames` more frames and wait until they have retired.
 fn run_frames(rt: &Runtime, id: hinch::GraphId, frames: u64, completed: &mut u64) {
     *completed += frames;
-    let deadline = Instant::now() + Duration::from_secs(30);
     let mut offered = 0;
-    while offered < frames || rt.stats(id).unwrap().completed < *completed {
-        if offered < frames {
-            offered += rt.submit(id, frames - offered).unwrap();
-        }
-        assert!(Instant::now() < deadline, "frames did not retire");
-        std::thread::yield_now();
+    while offered < frames {
+        offered += rt.submit(id, frames - offered).unwrap();
+        rt.wait_retired(id).unwrap();
     }
 }
 
@@ -166,12 +161,7 @@ fn steady_state_frames_allocate_no_payload() {
     let apps = [App::Pip1, App::Pip2, App::Pip12, App::Blur3, App::Jpip1];
     let mut graphs: Vec<(&str, GraphSpec)> = apps
         .iter()
-        .map(|app| {
-            (
-                app.id(),
-                build_isolated_discarding(AppConfig::small(*app)).spec,
-            )
-        })
+        .map(|app| (app.id(), build_discarding(AppConfig::small(*app)).spec))
         .collect();
     // blends stacked four deep over one screen: composites carry up to
     // four overlays
@@ -234,10 +224,10 @@ fn steady_state_frames_allocate_no_payload() {
 /// process-wide and `cargo test` would interleave two.
 fn second_capturing_run_allocates_no_payload() {
     for app in [App::Pip1, App::Pip2, App::Pip12, App::Jpip1] {
-        let built = build_isolated(AppConfig::small(app));
+        let built = build(AppConfig::small(app));
         // Every `run_native` instantiates the graph anew; counted from
         // frame 0, ring slots and all.
-        let spec = marked(built.spec, 0);
+        let spec = marked(built.spec.clone(), 0);
         // At depth > 1 a reconfiguration lands on a schedule-dependent
         // frame: two PiP-12 runs could record different overlay counts.
         let depth = if app.static_counterparts().is_empty() {
@@ -246,11 +236,6 @@ fn second_capturing_run_allocates_no_payload() {
             1
         };
         let cfg = RunConfig::new(FRAMES).pipeline_depth(depth).workers(2);
-        let captured = || -> Vec<_> {
-            (0..built.capture_ports)
-                .map(|p| built.assets.captured(built.capture, p))
-                .collect()
-        };
 
         run_native(&spec, &cfg).unwrap();
         let growing = PAYLOAD_ALLOCS.swap(0, Ordering::SeqCst);
@@ -258,7 +243,7 @@ fn second_capturing_run_allocates_no_payload() {
             growing >= 1,
             "{app:?}: the first run's capture buffers grew without the counter seeing it"
         );
-        let first = captured();
+        let first = built.outputs();
 
         built.assets.clear_captures();
         run_native(&spec, &cfg).unwrap();
@@ -273,7 +258,7 @@ fn second_capturing_run_allocates_no_payload() {
             LAST_SIZE.load(Ordering::Relaxed)
         );
         assert!(
-            captured() == first,
+            built.outputs() == first,
             "{app:?}: the second run captured other frames"
         );
     }
