@@ -343,15 +343,12 @@ pub fn registry(assets: &Arc<AppAssets>) -> ComponentRegistry {
 
     reg.register("injector", |p| {
         let payloads = parse_payloads(p.str_or("payloads", "0"));
-        Box::new(
-            Injector::with_payloads(
-                p.queue("events"),
-                p.str("event").to_string(),
-                p.int("every") as u64,
-                payloads,
-            )
-            .lead(p.int_or("lead", 0) as u64),
-        )
+        Box::new(Injector::with_payloads(
+            p.queue("events"),
+            p.str("event").to_string(),
+            p.int("every") as u64,
+            payloads,
+        ))
     });
 
     reg

@@ -107,31 +107,6 @@ impl ConfApp {
     pub fn parse(s: &str) -> Option<ConfApp> {
         ALL.into_iter().find(|a| a.id() == s)
     }
-
-    /// Does this application reconfigure itself mid-run? Reconfigurable
-    /// apps are schedule-independent only at pipeline depth 1; at deeper
-    /// pipelines the *toggle boundary* legitimately depends on when the
-    /// manager entry polls the event (see `matrix`).
-    pub fn is_reconfig(self) -> bool {
-        matches!(
-            self,
-            ConfApp::Experiment(App::Pip12 | App::Jpip12 | App::Blur35)
-        )
-    }
-
-    /// The static applications a reconfigurable run must decompose into:
-    /// each output frame of PiP-12 is byte-identical to that frame of
-    /// either PiP-1 or PiP-2, and so on (empty for static apps).
-    pub fn counterparts(self) -> Vec<ConfApp> {
-        match self {
-            ConfApp::Experiment(a) => a
-                .static_counterparts()
-                .iter()
-                .map(|&c| ConfApp::Experiment(c))
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
 }
 
 /// A run's report plus its collected output.
@@ -215,26 +190,39 @@ fn build(app: ConfApp, frames: u64) -> Instance {
 }
 
 /// Run `app` on the oracle: the simulator's loop on a free one-core
-/// machine, one iteration in flight, in program order.
+/// machine, one iteration in flight, in program order, at the default
+/// pipeline depth (which only sets where events land; the apps' outputs
+/// do not depend on it).
 pub fn run_reference(app: ConfApp, frames: u64) -> Result<RunOutcome<SimReport>, HinchError> {
-    let mut runs = run_reference_runs(app, frames, 1)?;
+    run_reference_at(app, frames, RunConfig::new(frames).pipeline_depth)
+}
+
+/// [`run_reference`] at pipeline depth `depth`.
+pub fn run_reference_at(
+    app: ConfApp,
+    frames: u64,
+    depth: usize,
+) -> Result<RunOutcome<SimReport>, HinchError> {
+    let mut runs = run_reference_runs(app, frames, depth, 1)?;
     Ok(runs.pop().expect("one run"))
 }
 
-/// [`run_reference`] `runs` times over one build of `app`, each run on
+/// [`run_reference_at`] `runs` times over one build of `app`, each run on
 /// cleared captures. Every run after the first instantiates a spec whose
 /// streams have run before (`hinch::stream`, "The ring outlives the
 /// instance").
 pub fn run_reference_runs(
     app: ConfApp,
     frames: u64,
+    depth: usize,
     runs: usize,
 ) -> Result<Vec<RunOutcome<SimReport>>, HinchError> {
     let instance = build(app, frames);
+    let cfg = RunConfig::new(frames).pipeline_depth(depth);
     (0..runs)
         .map(|_| {
             instance.clear();
-            let report = hinch_run_reference(instance.spec(), &RunConfig::new(frames))?;
+            let report = hinch_run_reference(instance.spec(), &cfg)?;
             Ok(RunOutcome {
                 report,
                 output: instance.collect(),
@@ -322,14 +310,6 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), ALL.len());
         assert_eq!(ConfApp::parse("nope"), None);
-    }
-
-    #[test]
-    fn reconfig_apps_have_two_counterparts() {
-        for app in ALL {
-            let n = app.counterparts().len();
-            assert_eq!(n, if app.is_reconfig() { 2 } else { 0 }, "{}", app.id());
-        }
     }
 
     #[test]

@@ -28,9 +28,8 @@ fn divergence_json(d: &Divergence, cfg: &MatrixConfig) -> String {
 }
 
 fn app_json(a: &AppSummary, cfg: &MatrixConfig) -> String {
-    let digests: Vec<String> = a.sim_digests.iter().map(|d| d.to_string()).collect();
     format!(
-        "{{\"app\":\"{}\",\"divergences\":{},\"native_runs\":{},\"oracle\":{{\"digest\":\"{}\",\"iterations\":{},\"jobs\":{},\"reconfigs\":{}}},\"sim_digests\":{},\"sim_runs\":{}}}",
+        "{{\"app\":\"{}\",\"divergences\":{},\"native_runs\":{},\"oracle\":{{\"digest\":\"{}\",\"iterations\":{},\"jobs\":{},\"reconfigs\":{}}},\"sim_runs\":{}}}",
         a.app,
         json_list(&a.divergences, |d| divergence_json(d, cfg)),
         a.native_runs,
@@ -38,7 +37,6 @@ fn app_json(a: &AppSummary, cfg: &MatrixConfig) -> String {
         a.oracle_iterations,
         a.oracle_jobs,
         a.oracle_reconfigs,
-        json_list(&digests, |d| format!("\"{d}\"")),
         a.sim_runs,
     )
 }
@@ -88,14 +86,8 @@ pub fn render_human(s: &MatrixSummary) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<10} oracle {}  sim {:>3} runs ({} digest{})  native {} runs  {}",
-            a.app,
-            a.oracle_digest,
-            a.sim_runs,
-            a.sim_digests.len(),
-            if a.sim_digests.len() == 1 { "" } else { "s" },
-            a.native_runs,
-            verdict,
+            "  {:<10} oracle {}  sim {:>3} runs  native {} runs  {}",
+            a.app, a.oracle_digest, a.sim_runs, a.native_runs, verdict,
         );
     }
     let divergences: Vec<&Divergence> = s.divergences().collect();
@@ -129,7 +121,6 @@ pub fn render_human(s: &MatrixSummary) -> String {
 mod tests {
     use super::*;
     use crate::fingerprint::Digest;
-    use std::collections::BTreeSet;
 
     fn tiny_summary() -> MatrixSummary {
         let config = MatrixConfig {
@@ -152,7 +143,6 @@ mod tests {
                 oracle_reconfigs: 0,
                 sim_runs: 4,
                 native_runs: 0,
-                sim_digests: BTreeSet::from([Digest(0xab)]),
                 divergences: vec![],
             }],
             total_runs: 5,

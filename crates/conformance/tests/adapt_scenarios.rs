@@ -67,12 +67,11 @@ fn scenario_is_admissible(spec: ScenarioSpec, max_frames: u64) {
         seed
     );
 
-    let variants: Vec<Ports> = ConfApp::parse(app.id())
-        .expect("corpus app")
-        .counterparts()
+    let variants: Vec<Ports> = app
+        .static_counterparts()
         .iter()
         .map(|&c| {
-            corpus::run_reference(c, frames)
+            corpus::run_reference(ConfApp::Experiment(c), frames)
                 .unwrap_or_else(|e| panic!("counterpart {}: {e}", c.id()))
                 .output
         })

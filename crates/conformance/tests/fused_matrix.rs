@@ -32,14 +32,8 @@ fn fused_jpip_matrix_is_fingerprint_equal_to_reference() {
     let summary = run_matrix(&cfg);
     let failures: Vec<String> = summary.divergences().map(|d| format!("{d:?}")).collect();
     assert!(failures.is_empty(), "fused matrix diverged:\n{failures:#?}");
+    // No divergence: every run of the sweep equalled its app's oracle.
     for app in &summary.apps {
-        // Static fused apps: one digest across the whole schedule sweep.
-        assert_eq!(
-            app.sim_digests.len(),
-            1,
-            "{}: schedule-dependent output",
-            app.app
-        );
         assert!(app.sim_runs > 0 && app.native_runs > 0);
     }
 }

@@ -11,7 +11,8 @@
 //! BLESS_FIXTURES=1 cargo test -p conformance --test oracle_corpus
 //! ```
 
-use conformance::corpus::{self, ALL};
+use apps::experiment::App;
+use conformance::corpus::{self, ConfApp, ALL};
 use std::fmt::Write as _;
 
 const FIXTURE: &str = concat!(
@@ -29,7 +30,7 @@ const FRAMES: u64 = 14;
 fn every_corpus_oracle_matches_golden_snapshot() {
     let mut text = String::new();
     for app in ALL {
-        let runs = corpus::run_reference_runs(app, FRAMES, 2).expect("oracle runs the app");
+        let runs = corpus::run_reference_runs(app, FRAMES, 5, 2).expect("oracle runs the app");
         let lines: Vec<String> = runs
             .iter()
             .map(|run| {
@@ -62,4 +63,39 @@ fn every_corpus_oracle_matches_golden_snapshot() {
         "oracle runs diverged from the golden snapshot; if the change is \
          intentional, regenerate with BLESS_FIXTURES=1"
     );
+}
+
+/// A reconfigurable app's oracle interleaves its two static counterparts
+/// on a fixed 12-frame period: frame k is the first counterpart's frame k
+/// when k / 12 is even and the second's when it is odd, at every pipeline
+/// depth the oracle takes (the matrix then holds every engine to it).
+#[test]
+fn reconfigurable_oracles_switch_on_every_twelfth_frame() {
+    let frames = 60;
+    for app in App::RECONFIG {
+        let halves: Vec<_> = app
+            .static_counterparts()
+            .iter()
+            .map(|&c| {
+                corpus::run_reference(ConfApp::Experiment(c), frames)
+                    .expect("counterpart runs")
+                    .output
+            })
+            .collect();
+        for depth in [1, 2, 5] {
+            let run = corpus::run_reference_at(ConfApp::Experiment(app), frames, depth)
+                .expect("oracle runs the app");
+            assert_eq!(run.report.reconfigs, 4, "{} depth {depth}", app.id());
+            for (p, port) in run.output.iter().enumerate() {
+                assert_eq!(port.len() as u64, frames);
+                for (k, frame) in port.iter().enumerate() {
+                    assert!(
+                        *frame == halves[(k / 12) % 2][p][k],
+                        "{} depth {depth}: port {p} frame {k} is off the 12-frame period",
+                        app.id()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -18,9 +18,10 @@
 //! frames), and optionally over the *wire* — a canceling `flip,flip`
 //! pair injected at a quiescent point, which must leave the output
 //! untouched while still driving a full quiesce/re-flatten cycle
-//! (`reconfigs` grows). PiP-12 runs at pipeline depth 1: a
-//! reconfigurable app's toggle boundary is schedule-independent only
-//! there (see `conformance::matrix`); the static apps run at depths 2–5.
+//! (`reconfigs` grows). Every tenant runs at a random pipeline depth: a
+//! reconfiguration lands on an iteration the spec, the events and the
+//! depth fix (`hinch::event`), so PiP-12's output is schedule-independent
+//! at every depth, like the static apps'.
 
 use apps::experiment::{build, App, AppConfig};
 use conformance::corpus::{self, ConfApp};
@@ -65,14 +66,17 @@ fn static_plan() -> impl Strategy<Value = TenantPlan> {
 }
 
 fn reconfig_plan() -> impl Strategy<Value = TenantPlan> {
-    // ≥13 frames so the internal injector flips at least once.
-    (13u64..20, 1u64..4, proptest::bool::ANY).prop_map(|(frames, chunk, wire_flip)| TenantPlan {
-        app: App::Pip12,
-        frames,
-        depth: 1,
-        chunk,
-        wire_flip,
-    })
+    // ≥13 frames so the internal injector's first flip, landing on frame
+    // 12, applies.
+    (13u64..20, 1usize..6, 1u64..4, proptest::bool::ANY).prop_map(
+        |(frames, depth, chunk, wire_flip)| TenantPlan {
+            app: App::Pip12,
+            frames,
+            depth,
+            chunk,
+            wire_flip,
+        },
+    )
 }
 
 /// Reference digests, cached per (app, frames) — the oracle is
@@ -130,6 +134,7 @@ proptest! {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             let mut all_done = true;
+            let mut accepted = 0;
             for (id, _, plan, submitted) in tenants.iter_mut() {
                 if *submitted >= plan.frames {
                     continue;
@@ -141,14 +146,26 @@ proptest! {
                     flipped = true;
                 }
                 let want = plan.chunk.min(plan.frames - *submitted);
-                *submitted += rt.submit(*id, want).expect("submit");
+                let n = rt.submit(*id, want).expect("submit");
+                *submitted += n;
+                accepted += n;
                 all_done &= *submitted >= plan.frames;
             }
             if all_done {
                 break;
             }
             prop_assert!(Instant::now() < deadline, "fleet submit stalled");
-            std::thread::yield_now();
+            // Nothing accepted: every unfinished tenant's backlog is full.
+            // Sleep until the runtime makes progress (a frame retires),
+            // bounded so that a retirement racing this read costs one
+            // short wait.
+            if accepted == 0 {
+                let seen = rt.progress();
+                let until = Instant::now() + Duration::from_millis(5);
+                while rt.progress() == seen && Instant::now() < until {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
         }
 
         // Drain per graph and fingerprint against the oracle.

@@ -234,6 +234,7 @@ impl Params {
 /// Everything a component can see while it runs.
 pub struct RunCtx<'a> {
     pub(crate) iter: u64,
+    depth: usize,
     pub(crate) inputs: &'a [Arc<Stream>],
     pub(crate) outputs: &'a [Arc<Stream>],
     pub(crate) meter: &'a mut dyn Meter,
@@ -250,15 +251,30 @@ impl<'a> RunCtx<'a> {
     ) -> Self {
         Self {
             iter,
+            depth: 1,
             inputs,
             outputs,
             meter,
         }
     }
 
+    /// Run inside a pipeline of `depth` iterations (1 unless set: a
+    /// context built outside an engine has no pipeline).
+    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
+        self.depth = depth;
+        self
+    }
+
     /// The current iteration number (0-based).
     pub fn iteration(&self) -> u64 {
         self.iter
+    }
+
+    /// The run's pipeline depth *d*: an event this job sends is due at
+    /// iteration `iteration() + d`, and a reconfiguration it causes lands
+    /// at `iteration() + 2d` (see [`crate::event`]).
+    pub fn pipeline_depth(&self) -> usize {
+        self.depth
     }
 
     pub fn num_inputs(&self) -> usize {

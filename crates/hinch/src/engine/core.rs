@@ -32,8 +32,9 @@
 //! The same argument orders [`crate::stream::Stream::clear`] at
 //! retirement against the ring-slot writers of iteration `j + depth`.
 
-use super::{apply_plans, exec_manager_entry, PreparedReconfig};
+use super::{apply_plans, exec_manager_entry, next_landing, take_landing, PreparedReconfig};
 use crate::component::RunCtx;
+use crate::event::Stamp;
 use crate::graph::flatten::{Dag, JobKind};
 use crate::graph::instance::{InstanceGraph, LeafRt};
 use crate::meter::NullMeter;
@@ -101,7 +102,11 @@ impl Window {
 /// Cold state under the admit lock: reconfiguration plans, the in-order
 /// retirement queue, and version bookkeeping.
 pub(super) struct AdmitState {
+    /// Plans found by manager entries, each landing at its own iteration.
     pending: Vec<PreparedReconfig>,
+    /// Admission has stopped at `GraphCore::halt_at` and the pipeline is
+    /// draining (the trace's quiesce window is open).
+    draining: bool,
     /// Retirements detected out of order (worker A may finish iteration
     /// `j+1`'s last job and grab the lock before worker B processes `j`).
     /// They are *applied* strictly in iteration order — stream-ring and
@@ -133,7 +138,9 @@ pub(super) struct GraphCore {
     pub(super) admitted: AtomicU64,
     /// Retired iterations (processed in order).
     pub(super) completed: AtomicU64,
-    pub(super) halted: AtomicBool,
+    /// The least landing iteration of a pending plan (`u64::MAX`: none).
+    /// Admission stops short of it; written under the admit lock.
+    pub(super) halt_at: AtomicU64,
     pub(super) aborted: AtomicBool,
     pub(super) jobs_executed: AtomicU64,
     /// Iterations requested so far; the runtime grows it per accepted
@@ -170,13 +177,14 @@ impl GraphCore {
             window_version: AtomicU64::new(0),
             admitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            halted: AtomicBool::new(false),
+            halt_at: AtomicU64::new(u64::MAX),
             aborted: AtomicBool::new(false),
             jobs_executed: AtomicU64::new(0),
             total: AtomicU64::new(0),
             depth,
             admit: Mutex::new(AdmitState {
                 pending: Vec::new(),
+                draining: false,
                 pending_retires: Vec::new(),
                 version: 0,
                 reconfigs: 0,
@@ -204,18 +212,19 @@ impl GraphCore {
     }
 
     /// Classify what an idle worker is blocked on, from the atomic
-    /// counters: a drain window means quiesce; every requested iteration
-    /// admitted means the graph is tailing off; a full pipeline means
-    /// admission backpressure; otherwise a dependency has yet to complete.
+    /// counters: every requested iteration admitted means the graph is
+    /// tailing off; admission stopped at a landing iteration means
+    /// quiesce; a full pipeline means admission backpressure; otherwise a
+    /// dependency has yet to complete.
     pub(super) fn wait_cause(&self) -> StallCause {
         // Load order matters: `completed` first, so the subtraction below
         // cannot see a `completed` newer than `admitted`.
         let completed = self.completed.load(Ordering::SeqCst);
         let admitted = self.admitted.load(Ordering::SeqCst);
-        if self.halted.load(Ordering::SeqCst) {
-            StallCause::Quiesce
-        } else if admitted >= self.total.load(Ordering::SeqCst) {
+        if admitted >= self.total.load(Ordering::SeqCst) {
             StallCause::JobQueueEmpty
+        } else if admitted >= self.halt_at.load(Ordering::SeqCst) {
+            StallCause::Quiesce
         } else if admitted.saturating_sub(completed) >= self.depth {
             StallCause::Backpressure
         } else {
@@ -281,17 +290,42 @@ impl GraphCore {
         }
     }
 
-    /// Admit as many iterations as the pipeline depth allows, pushing the
-    /// readied source jobs into `ready`. Under the admit lock. At steady
-    /// state nothing is readied — every admitted job still waits on its
-    /// self-dependency and becomes ready through a completer instead.
-    pub(super) fn admit_more(&self, window: &Window, ready: &mut Vec<JobRef>) {
+    /// Admit as many iterations as the pipeline depth allows, up to the
+    /// halt iteration, pushing the readied source jobs into `ready`. Under
+    /// the admit lock. At steady state nothing is readied — every admitted
+    /// job still waits on its self-dependency and becomes ready through a
+    /// completer instead.
+    fn admit_more(&self, st: &mut AdmitState, window: &Window, ready: &mut Vec<JobRef>) {
         let completed = self.completed.load(Ordering::Relaxed);
         let total = self.total.load(Ordering::Relaxed);
+        let halt_at = self.halt_at.load(Ordering::Relaxed);
         let mut admitted = self.admitted.load(Ordering::Relaxed);
-        while admitted < total && admitted - completed < self.depth {
+        while admitted < total.min(halt_at) && admitted - completed < self.depth {
             self.admit_one(window, admitted, ready);
             admitted += 1;
+        }
+        // The drain window opens when the halt, and nothing else, keeps
+        // the next iteration out.
+        let draining = admitted == halt_at && admitted < total && admitted - completed < self.depth;
+        if draining && !st.draining {
+            st.draining = true;
+            if let Some(sink) = &self.trace {
+                sink.record(TraceEvent::QuiesceBegin { at: self.now() });
+            }
+        }
+    }
+
+    /// Move admission on after `completed` or `total` grew: resume at a
+    /// quiescent landing iteration that is to run, else admit more into
+    /// the current `window`. Under the admit lock.
+    pub(super) fn advance(&self, st: &mut AdmitState, window: &Window, seeded: &mut Vec<JobRef>) {
+        let completed = self.completed.load(Ordering::Relaxed);
+        if completed == self.halt_at.load(Ordering::Relaxed)
+            && completed < self.total.load(Ordering::Relaxed)
+        {
+            self.quiesce_resume(st, seeded);
+        } else {
+            self.admit_more(st, window, seeded);
         }
     }
 
@@ -369,18 +403,13 @@ impl GraphCore {
                 });
             }
         }
-        if self.halted.load(Ordering::SeqCst) {
-            if self.completed.load(Ordering::Relaxed) == self.admitted.load(Ordering::Relaxed) {
-                self.quiesce_resume(st, seeded);
-            }
-        } else {
-            self.admit_more(&window, seeded);
-        }
+        self.advance(st, &window, seeded);
     }
 
-    /// The pipeline is quiescent and halted: apply pending plans (or
-    /// resume as-is), install the new window, and re-open admission. Under
-    /// the admit lock — this is the *only* place the window is replaced.
+    /// The pipeline is quiescent at the halt iteration: apply the plans
+    /// landing there, install the new window, and re-open admission up to
+    /// the next landing iteration. Under the admit lock — this is the
+    /// *only* place the window is replaced.
     fn quiesce_resume(&self, st: &mut AdmitState, seeded: &mut Vec<JobRef>) {
         // SAFETY: admit lock held.
         let old = unsafe { self.load_window() };
@@ -391,40 +420,39 @@ impl GraphCore {
             e.0 += leaf.jobs.swap(0, Ordering::Relaxed);
             e.1 += leaf.busy_ns.swap(0, Ordering::Relaxed);
         }
-        let plans = std::mem::take(&mut st.pending);
         let start = self.admitted.load(Ordering::Relaxed);
-        let (dag, applied) = if plans.is_empty() {
-            // halted but no plans (defensive): resume with the same dag
-            (old.dag.clone(), None)
-        } else {
-            st.version += 1;
-            let outcome = apply_plans(&self.inst, plans, st.version);
-            st.reconfigs += outcome.applied;
-            (outcome.dag, Some((outcome.applied, outcome.grafted)))
-        };
-        let window = Arc::new(Window::new(dag, start, self.depth as usize));
+        let plans = take_landing(&mut st.pending, start);
+        st.version += 1;
+        let outcome = apply_plans(&self.inst, plans, st.version);
+        st.reconfigs += outcome.applied;
+        let window = Arc::new(Window::new(outcome.dag, start, self.depth as usize));
         // SAFETY: quiescent — no in-flight job references the old window,
         // and workers only reload after popping a job published after this
         // store (the queue hand-off carries the happens-before).
         self.window.with_mut(|p| unsafe { *p = window.clone() });
         self.window_version.fetch_add(1, Ordering::Release);
-        self.halted.store(false, Ordering::SeqCst);
+        let next = next_landing(&st.pending).unwrap_or(u64::MAX);
+        self.halt_at.store(next, Ordering::SeqCst);
         if let Some(sink) = &self.trace {
             let at = self.now();
-            if let Some((applied, grafted)) = applied {
-                sink.record(TraceEvent::ReconfigApplied {
-                    plans: applied,
-                    grafted: grafted as u64,
-                    at,
-                });
-                sink.record(TraceEvent::DagSwap {
-                    version: st.version,
-                    at,
-                });
+            // A graph that ran out of frames right before the landing
+            // iteration resumes from a submit, with no drain to open.
+            if !st.draining {
+                sink.record(TraceEvent::QuiesceBegin { at });
             }
+            sink.record(TraceEvent::ReconfigApplied {
+                plans: outcome.applied,
+                grafted: outcome.grafted as u64,
+                at,
+            });
+            sink.record(TraceEvent::DagSwap {
+                version: st.version,
+                at,
+            });
             sink.record(TraceEvent::QuiesceEnd { at });
         }
-        self.admit_more(&window, seeded);
+        st.draining = false;
+        self.admit_more(st, &window, seeded);
     }
 
     /// Run one job against its window and feed the completion back.
@@ -439,12 +467,17 @@ impl GraphCore {
         started: Instant,
         ready: &mut Vec<JobRef>,
     ) -> (Option<u64>, Duration) {
+        let stamp = Stamp {
+            due: job.iter + self.depth,
+            sender: job.idx,
+        };
         let busy = match &window.dag.jobs[job.idx as usize].kind {
             JobKind::Comp(leaf) => {
                 let mut meter = NullMeter;
-                let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter);
+                let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter)
+                    .with_pipeline_depth(self.depth as usize);
                 {
-                    let _node = crate::sharedbuf::enter_node_shared(leaf.tag.clone());
+                    let _job = crate::sharedbuf::enter_job(Some(leaf.tag.clone()), stamp);
                     // See `LeafRt::comp`: the self-dependency makes
                     // contention here a scheduler bug, not a wait.
                     leaf.comp
@@ -478,8 +511,10 @@ impl GraphCore {
                 // per manager per iteration, consulting/extending plans.
                 let start = self.trace.as_ref().map(|_| self.now());
                 let mut st = self.admit.lock();
-                let (plan, cost) = exec_manager_entry(mgr, &self.inst.streams, &st.pending);
-                let newly_halted = plan.is_some() && !self.halted.load(Ordering::SeqCst);
+                let (plan, cost) = {
+                    let _job = crate::sharedbuf::enter_job(None, stamp);
+                    exec_manager_entry(mgr, &self.inst.streams, &st.pending, job, self.depth)
+                };
                 if let Some(sink) = &self.trace {
                     let end = self.now();
                     sink.record(TraceEvent::JobSpan {
@@ -497,13 +532,16 @@ impl GraphCore {
                         events: cost.events as u64,
                         at: end,
                     });
-                    if newly_halted {
-                        sink.record(TraceEvent::QuiesceBegin { at: end });
-                    }
                 }
                 if let Some(plan) = plan {
+                    // Never behind the watermark: this iteration is in
+                    // flight, so at most `depth` past it are admitted.
+                    let lands = plan.lands;
+                    debug_assert!(lands >= self.admitted.load(Ordering::Relaxed));
+                    if lands < self.halt_at.load(Ordering::Relaxed) {
+                        self.halt_at.store(lands, Ordering::SeqCst);
+                    }
                     st.pending.push(plan);
-                    self.halted.store(true, Ordering::SeqCst);
                 }
                 started.elapsed()
             }

@@ -43,7 +43,7 @@ use crate::event::Event;
 use crate::graph::flatten::{flatten, Dag};
 use crate::graph::instance::{InstanceGraph, ManagerRt, Node, OptCell, StreamTable};
 use crate::manager::EventAction;
-use crate::sched::SchedPolicy;
+use crate::sched::{JobRef, SchedPolicy};
 use std::sync::Arc;
 
 /// Cost model for run-time-system operations, in cycles. Only the
@@ -194,6 +194,26 @@ pub(crate) struct PreparedReconfig {
     pub mgr: Arc<ManagerRt>,
     pub toggles: Vec<ToggleOp>,
     pub broadcasts: Vec<(String, i64)>,
+    /// The iteration the plan takes effect at: the entry's iteration + *d*.
+    pub lands: u64,
+    /// The entry job's DAG index (orders plans landing together).
+    pub entry: u32,
+}
+
+/// The least landing iteration among `pending` plans: where admission
+/// halts next.
+pub(crate) fn next_landing(pending: &[PreparedReconfig]) -> Option<u64> {
+    pending.iter().map(|p| p.lands).min()
+}
+
+/// Remove the plans landing at `at` from `pending`, in manager-entry order.
+pub(crate) fn take_landing(pending: &mut Vec<PreparedReconfig>, at: u64) -> Vec<PreparedReconfig> {
+    let (mut landing, rest): (Vec<_>, Vec<_>) = std::mem::take(pending)
+        .into_iter()
+        .partition(|p| p.lands == at);
+    *pending = rest;
+    landing.sort_by_key(|p| p.entry);
+    landing
 }
 
 /// Cost-relevant counters from one manager-entry invocation.
@@ -204,17 +224,29 @@ pub(crate) struct EntryCost {
     pub events: usize,
 }
 
-/// Execute the entry invocation of a manager: poll the queue, run the
-/// matching rules. Topology-changing actions produce a `PreparedReconfig`;
-/// `pending` (plans already queued) is consulted so that a toggle decision
-/// accounts for not-yet-applied plans.
+/// Execute the entry invocation of a manager, job `job` of a run with
+/// pipeline depth `depth`: take the events due at its iteration, run the
+/// matching rules. Topology-changing actions produce a `PreparedReconfig`
+/// that lands at `job.iter + depth`; `pending` (plans already queued) is
+/// consulted so that a toggle decision accounts for not-yet-applied plans.
+/// The caller runs it inside the job's [`crate::sharedbuf::enter_job`]
+/// guard, so a forwarded event is stamped like any other send of the job.
 pub(crate) fn exec_manager_entry(
     mgr: &Arc<ManagerRt>,
     streams: &StreamTable,
     pending: &[PreparedReconfig],
+    job: JobRef,
+    depth: u64,
 ) -> (Option<PreparedReconfig>, EntryCost) {
     let mut cost = EntryCost::default();
-    let events: Vec<Event> = mgr.queue.drain();
+    // Model-mode fault regression: with the fault armed, the entry also
+    // takes the events due one iteration later, which some schedules
+    // have sent and others not (see sync::faults).
+    #[cfg(hinch_model)]
+    let due = job.iter + crate::sync::faults::entry_takes_next_due() as u64;
+    #[cfg(not(hinch_model))]
+    let due = job.iter;
+    let events: Vec<Event> = mgr.queue.take_due(due);
     cost.events = events.len();
     if events.is_empty() {
         return (None, cost);
@@ -291,6 +323,8 @@ pub(crate) fn exec_manager_entry(
                 mgr: mgr.clone(),
                 toggles,
                 broadcasts,
+                lands: job.iter + depth,
+                entry: job.idx,
             }),
             cost,
         )
@@ -308,8 +342,9 @@ pub(crate) struct ApplyOutcome {
     pub broadcast_targets: usize,
 }
 
-/// Apply queued plans against the instance tree and re-flatten. Must only
-/// run while the pipeline is quiescent.
+/// Apply the plans landing at one iteration ([`take_landing`]) against
+/// the instance tree and re-flatten. Must only run while the pipeline is
+/// quiescent.
 pub(crate) fn apply_plans(
     inst: &InstanceGraph,
     plans: Vec<PreparedReconfig>,

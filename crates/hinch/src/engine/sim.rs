@@ -10,22 +10,26 @@
 //! dispatch overhead of the run-time system when more than one core is in
 //! use (with one core all synchronization is disabled, paper §4.2).
 //!
-//! Reconfigurations follow the quiesce protocol of the tracker; the
-//! quiescent window contributes `resync_base + resync_per_component ×
-//! grafted` cycles to a *barrier time* before which no later iteration may
-//! start.
+//! Reconfigurations follow the quiesce protocol of the tracker: a plan
+//! found by the manager entry of iteration *i* lands at *i + d*
+//! (`crate::event`), admission stops there, and the quiescent window
+//! contributes `resync_base + resync_per_component × grafted` cycles to a
+//! *barrier time* before which no later iteration may start.
 //!
 //! [`run_reference`], the oracle, is the same loop on a free one-core
 //! machine ([`NullPlatform`]), one iteration in flight, taking the ready
 //! job earliest in *program order* (lowest DAG job index). It ignores
-//! `cfg.pipeline_depth` and `cfg.sched` and honours `cfg.iterations`,
-//! `cfg.trace` and the reconfiguration protocol: at depth 1 every
-//! retirement is a quiescent point, so a plan applies at the next
-//! iteration boundary. Its `cycles` are the free machine's charge count.
+//! `cfg.sched`, keeps one iteration in flight whatever the depth, and
+//! takes *d* from `cfg.pipeline_depth`: events and reconfigurations land
+//! on the same iterations as in every engine at that depth. Its `cycles`
+//! are the free machine's charge count.
 
-use super::{apply_plans, exec_manager_entry, PreparedReconfig, RunConfig};
+use super::{
+    apply_plans, exec_manager_entry, next_landing, take_landing, PreparedReconfig, RunConfig,
+};
 use crate::component::RunCtx;
 use crate::error::HinchError;
+use crate::event::Stamp;
 use crate::graph::flatten::{flatten, JobKind};
 use crate::graph::instance::instantiate_graph_sized;
 use crate::graph::GraphSpec;
@@ -111,13 +115,14 @@ pub fn run_reference(spec: &GraphSpec, cfg: &RunConfig) -> Result<SimReport, Hin
     })
 }
 
-/// The loop behind both entry points: `depth` iterations in flight on
-/// `platform`, ready jobs ordered by `key(job, readiness sequence)`.
+/// The loop behind both entry points: `in_flight` iterations in flight on
+/// `platform`, ready jobs ordered by `key(job, readiness sequence)`,
+/// events and reconfigurations landing `cfg.pipeline_depth` iterations on.
 fn simulate(
     spec: &GraphSpec,
     cfg: &RunConfig,
     platform: &mut dyn Platform,
-    depth: usize,
+    in_flight: usize,
     key: impl Fn(JobRef, u64) -> (u64, u64),
 ) -> Result<SimReport, HinchError> {
     spec.validate()?;
@@ -130,10 +135,10 @@ fn simulate(
         ));
     }
 
-    let inst = instantiate_graph_sized(spec, depth);
+    let inst = instantiate_graph_sized(spec, in_flight);
     let mut version = 0u64;
     let dag = Arc::new(flatten(&inst.root, &inst.streams, version));
-    let mut tracker = Tracker::new(dag, depth, cfg.iterations);
+    let mut tracker = Tracker::new(dag, in_flight, cfg.iterations);
 
     let mut core_free = vec![0u64; cores];
     let mut core_busy = vec![0u64; cores];
@@ -145,9 +150,10 @@ fn simulate(
     let mut clock = 0u64;
     let mut reconfigs = 0u64;
     let mut pending_plans: Vec<PreparedReconfig> = Vec::new();
-    // Quiesce windows (drain begin → resync barrier), kept engine-side so
-    // idle time inside a window is attributed to the quiesce even when the
-    // stalled job itself was gated on something else.
+    // Quiesce windows (admission stopped at a landing iteration → resync
+    // barrier), kept engine-side so idle time inside a window is
+    // attributed to the quiesce even when the stalled job itself was gated
+    // on something else.
     let mut open_quiesce: Option<u64> = None;
     let mut quiesce_windows: Vec<(u64, u64)> = Vec::new();
     let mut per_node: std::collections::HashMap<String, crate::report::NodeProfile> =
@@ -197,17 +203,15 @@ fn simulate(
 
                     let kind = tracker.kind(t.job);
                     let stats_before = cfg.trace.as_ref().map(|_| platform.stats());
-                    let was_halted = tracker.is_halted();
 
                     // Execute on the host *now*; dependencies are complete.
                     platform.begin_job(core);
                     let plan =
                         exec_job(&tracker, t.job, platform, cfg, &inst, &pending_plans, start)?;
                     let cycles = platform.end_job();
-                    let halting = plan.is_some();
                     if let Some(plan) = plan {
+                        tracker.halt(plan.lands);
                         pending_plans.push(plan);
-                        tracker.halt();
                     }
 
                     // The core sat idle from its last job's end until this
@@ -250,14 +254,6 @@ fn simulate(
                                 mem_cycles: delta.mem_cycles,
                             }),
                         });
-                    }
-                    // The drain window opens when the entry job that
-                    // produced the plan finishes.
-                    if halting && !was_halted {
-                        open_quiesce = Some(end);
-                        if let Some(sink) = &cfg.trace {
-                            sink.record(TraceEvent::QuiesceBegin { at: end });
-                        }
                     }
                     seq += 1;
                     running.push(Reverse(Completion {
@@ -317,40 +313,47 @@ fn simulate(
             }
         }
 
+        // The drain window opens when admission stops at a landing
+        // iteration: the first retirement that would have admitted it.
+        if open_quiesce.is_none() && tracker.draining() {
+            open_quiesce = Some(clock);
+            if let Some(sink) = &cfg.trace {
+                sink.record(TraceEvent::QuiesceBegin { at: clock });
+            }
+        }
+
         if effect == Effect::Quiescent {
-            let plans = std::mem::take(&mut pending_plans);
-            if !plans.is_empty() {
-                version += 1;
-                let outcome = apply_plans(&inst, plans, version);
-                reconfigs += outcome.applied;
-                let cost = cfg.overhead.resync_base
-                    + cfg.overhead.resync_per_component * outcome.grafted as u64
-                    + cfg.overhead.broadcast_per_component * outcome.broadcast_targets as u64;
-                let mut resumed = Vec::new();
-                tracker.resume_with(outcome.dag, &mut resumed);
-                barrier = clock + cost;
-                let begin = open_quiesce.take().unwrap_or(clock);
-                quiesce_windows.push((begin, barrier));
-                for job in resumed {
-                    seq += 1;
-                    ready_q.push(Reverse(ReadyJob {
-                        key: key(job, seq),
-                        time: barrier,
-                        seq,
-                        job,
-                        gate: StallCause::Quiesce,
-                    }));
-                }
-                if let Some(sink) = &cfg.trace {
-                    sink.record(TraceEvent::ReconfigApplied {
-                        plans: outcome.applied,
-                        grafted: outcome.grafted as u64,
-                        at: clock,
-                    });
-                    sink.record(TraceEvent::DagSwap { version, at: clock });
-                    // The resync barrier closes the Fig. 10 window.
-                    sink.record(TraceEvent::QuiesceEnd { at: barrier });
-                }
+            let plans = take_landing(&mut pending_plans, tracker.completed_iterations());
+            version += 1;
+            let outcome = apply_plans(&inst, plans, version);
+            reconfigs += outcome.applied;
+            let cost = cfg.overhead.resync_base
+                + cfg.overhead.resync_per_component * outcome.grafted as u64
+                + cfg.overhead.broadcast_per_component * outcome.broadcast_targets as u64;
+            let mut resumed = Vec::new();
+            tracker.resume_with(outcome.dag, next_landing(&pending_plans), &mut resumed);
+            barrier = clock + cost;
+            let begin = open_quiesce.take().expect("a drain precedes quiescence");
+            quiesce_windows.push((begin, barrier));
+            for job in resumed {
+                seq += 1;
+                ready_q.push(Reverse(ReadyJob {
+                    key: key(job, seq),
+                    time: barrier,
+                    seq,
+                    job,
+                    gate: StallCause::Quiesce,
+                }));
+            }
+            if let Some(sink) = &cfg.trace {
+                sink.record(TraceEvent::ReconfigApplied {
+                    plans: outcome.applied,
+                    grafted: outcome.grafted as u64,
+                    at: clock,
+                });
+                sink.record(TraceEvent::DagSwap { version, at: clock });
+                // The resync barrier closes the Fig. 10 window.
+                sink.record(TraceEvent::QuiesceEnd { at: barrier });
             }
         }
         if let Some(sink) = &cfg.trace {
@@ -363,13 +366,12 @@ fn simulate(
         }
     }
 
-    debug_assert!(tracker.finished() || tracker.is_halted());
+    // A plan landing at or past the last iteration never applies, so the
+    // run always ends with admission open and no window.
+    debug_assert!(tracker.finished() && open_quiesce.is_none());
     let makespan = core_free.iter().copied().max().unwrap_or(clock).max(clock);
-    // Close a window the run ended inside of, then attribute each core's
-    // trailing idle tail (queue drained — nothing left to run).
-    if let Some(begin) = open_quiesce.take() {
-        quiesce_windows.push((begin, makespan));
-    }
+    // Attribute each core's trailing idle tail (queue drained — nothing
+    // left to run).
     for (core, &free) in core_free.iter().enumerate() {
         attribute_gap(
             core,
@@ -452,8 +454,8 @@ fn attribute_gap(
 
 /// Execute one job on the host, charging its costs to `platform`.
 /// Returns a reconfiguration plan when a manager entry produced one (the
-/// caller halts the tracker). `at` is the job's virtual start time, used
-/// to timestamp event-poll trace events. A shared-buffer lease conflict
+/// caller halts the tracker at its landing iteration). `at` is the job's
+/// virtual start time, used to timestamp event-poll trace events. A shared-buffer lease conflict
 /// becomes a structured [`HinchError::LeaseConflict`]; other component
 /// panics propagate.
 #[allow(clippy::too_many_arguments)]
@@ -466,12 +468,18 @@ fn exec_job(
     pending: &[PreparedReconfig],
     at: u64,
 ) -> Result<Option<PreparedReconfig>, HinchError> {
+    let depth = cfg.pipeline_depth;
+    let stamp = Stamp {
+        due: job.iter + depth as u64,
+        sender: job.idx,
+    };
     match tracker.kind(job) {
         JobKind::Comp(leaf) => {
             let mut meter = PlatformMeter::new(platform);
-            let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter);
+            let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter)
+                .with_pipeline_depth(depth);
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _node = crate::sharedbuf::enter_node_shared(leaf.tag.clone());
+                let _job = crate::sharedbuf::enter_job(Some(leaf.tag.clone()), stamp);
                 // See `LeafRt::comp`: the self-dependency makes contention
                 // here a scheduler bug, not a wait.
                 leaf.comp
@@ -488,7 +496,10 @@ fn exec_job(
             Ok(None)
         }
         JobKind::MgrEntry(mgr) => {
-            let (plan, cost) = exec_manager_entry(&mgr, &inst.streams, pending);
+            let (plan, cost) = {
+                let _job = crate::sharedbuf::enter_job(None, stamp);
+                exec_manager_entry(&mgr, &inst.streams, pending, job, depth as u64)
+            };
             platform.charge(
                 cfg.overhead.event_poll + cfg.overhead.create_component * cost.created as u64,
             );
@@ -731,7 +742,7 @@ mod tests {
         let g = flip_graph(true);
         let rec = std::sync::Arc::new(trace::Recorder::new(trace::Clock::VirtualCycles));
         let mut p = NullPlatform::new(2);
-        let cfg = RunConfig::new(12).trace(rec.sink());
+        let cfg = RunConfig::new(12).pipeline_depth(2).trace(rec.sink());
         let r = run_sim(&g, &cfg, &mut p).unwrap();
         assert_eq!(r.reconfigs, 1);
         let quiesce_stalled: u64 = rec
@@ -769,14 +780,15 @@ mod tests {
 
     #[test]
     fn reconfiguration_charges_resync_and_drains() {
+        let cfg = RunConfig::new(12).pipeline_depth(2);
         let mut p = NullPlatform::new(2);
-        let r = run_sim(&flip_graph(true), &RunConfig::new(12), &mut p).unwrap();
+        let r = run_sim(&flip_graph(true), &cfg, &mut p).unwrap();
         assert_eq!(r.iterations, 12);
         assert_eq!(r.reconfigs, 1);
 
         // the same app without the toggle is faster (drain + resync cost)
         let mut p2 = NullPlatform::new(2);
-        let r2 = run_sim(&flip_graph(false), &RunConfig::new(12), &mut p2).unwrap();
+        let r2 = run_sim(&flip_graph(false), &cfg, &mut p2).unwrap();
         assert!(
             r.cycles > r2.cycles,
             "{} should exceed {}",
@@ -799,7 +811,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_ignores_pipeline_depth() {
+    fn reference_keeps_one_iteration_in_flight_at_any_depth() {
         let g = GraphSpec::seq(vec![leaf("a", &[], &["s"], 0), leaf("b", &["s"], &[], 0)]);
         let run = |depth| {
             let r = run_reference(&g, &RunConfig::new(5).pipeline_depth(depth)).unwrap();
@@ -848,13 +860,27 @@ mod tests {
         assert_eq!(schedule(&g, 1), ["+0", "p0", "q0", "r0", "-0"]);
     }
 
+    /// The flip sent in iteration 2 is due at 2 + d, and the plan that
+    /// entry finds lands at 2 + 2d, on every engine at depth d: the sim at
+    /// any core count and policy agrees with the oracle.
     #[test]
-    fn reference_reconfigures_at_the_next_iteration_boundary() {
-        // flip sent in iteration 2, polled by the entry of iteration 3,
-        // applied when iteration 3 retires: `extra` runs in 4..8.
-        let r = run_reference(&flip_graph(true), &RunConfig::new(8)).unwrap();
-        assert_eq!((r.iterations, r.reconfigs), (8, 1));
-        assert_eq!(r.per_node["extra"].jobs, 4);
+    fn reconfigurations_land_two_depths_after_the_send() {
+        for depth in [1, 2, 3] {
+            let cfg = RunConfig::new(10).pipeline_depth(depth);
+            let r = run_reference(&flip_graph(true), &cfg).unwrap();
+            assert_eq!((r.iterations, r.reconfigs), (10, 1), "depth {depth}");
+            let extra = 10 - (2 + 2 * depth as u64);
+            assert_eq!(r.per_node["extra"].jobs, extra, "depth {depth}");
+            for (cores, policy) in [(1, SchedPolicy::Default), (3, SchedPolicy::Shuffle(5))] {
+                let mut p = NullPlatform::new(cores);
+                let s = run_sim(&flip_graph(true), &cfg.clone().sched(policy), &mut p).unwrap();
+                assert_eq!(s.reconfigs, 1);
+                assert_eq!(s.per_node["extra"].jobs, extra, "depth {depth}");
+            }
+        }
+        // Landing at or past the last iteration, a plan never applies.
+        let r = run_reference(&flip_graph(true), &RunConfig::new(6).pipeline_depth(2)).unwrap();
+        assert_eq!(r.reconfigs, 0);
     }
 
     #[test]

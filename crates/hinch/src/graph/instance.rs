@@ -75,7 +75,7 @@ pub struct LeafRt {
     pub id: NodeId,
     pub name: String,
     /// `name` as a shared string, cloned refcount-only per job to tag the
-    /// executing thread (see [`crate::sharedbuf::enter_node_shared`]).
+    /// executing thread (see [`crate::sharedbuf::enter_job`]).
     pub tag: Arc<str>,
     pub class: String,
     pub inputs: Vec<Arc<Stream>>,

@@ -3,18 +3,18 @@
 //! A manager wraps a subgraph. It is invoked twice per iteration — at the
 //! *entrance* of its subgraph (before the subgraph is scheduled) and at the
 //! *exit* (after the whole subgraph completed the iteration). At the
-//! entrance it polls its event queue and executes the matching
-//! [`EventRule`]s. Rules can enable/disable/toggle `option` subgraphs,
-//! forward events to other queues, or broadcast a reconfiguration request
-//! to every component in the managed subgraph.
+//! entrance it takes the events due at its iteration (`crate::event`) and
+//! executes the matching [`EventRule`]s. Rules can enable/disable/toggle
+//! `option` subgraphs, forward events to other queues, or broadcast a
+//! reconfiguration request to every component in the managed subgraph.
 //!
-//! Topology-changing actions *halt* the subgraph: the engine stops
-//! admitting iterations, lets the in-flight ones drain (quiesce), applies
-//! the change, resynchronizes the new components and resumes. Components of
-//! options being enabled are created already when the event is detected —
-//! while the subgraph is still active — so only grafting and
-//! synchronization remain for the quiescent window (the paper's
-//! reconfiguration-time optimization).
+//! Topology-changing actions *halt* the subgraph *d* iterations later
+//! (*d* the pipeline depth): the engine admits up to that iteration, lets
+//! the in-flight ones drain (quiesce), applies the change, resynchronizes
+//! the new components and resumes. Components of options being enabled
+//! are created already when the event is detected — while the subgraph is
+//! still active — so only grafting and synchronization remain for the
+//! quiescent window (the paper's reconfiguration-time optimization).
 
 use crate::event::EventQueue;
 

@@ -22,10 +22,11 @@
 //!   after all its ancestors, so that is every job. Iterations retire in
 //!   order, since each sink waits for itself in the iteration before.
 //!
-//! Reconfiguration support: [`Tracker::halt`] stops admission; when the
-//! last in-flight iteration retires the tracker reports quiescence, the
-//! engine mutates the instance tree, and [`Tracker::resume_with`] installs
-//! the re-flattened DAG. Two DAG versions are therefore never in flight
+//! Reconfiguration support: [`Tracker::halt`] names the iteration a
+//! reconfiguration lands at. Admission runs up to it and stops; when the
+//! iteration before it retires the tracker reports quiescence, the engine
+//! mutates the instance tree, and [`Tracker::resume_with`] installs the
+//! re-flattened DAG. Two DAG versions are therefore never in flight
 //! together, and the first iteration after a swap owes nothing to the
 //! retired one before it.
 
@@ -130,9 +131,9 @@ pub enum Effect {
     None,
     /// An iteration retired.
     Retired,
-    /// An iteration retired *and* the tracker is halted with nothing in
-    /// flight — the engine must apply pending reconfigurations now and
-    /// call [`Tracker::resume_with`].
+    /// An iteration retired *and* the next one is the halt iteration,
+    /// with nothing in flight — the engine must apply the reconfigurations
+    /// landing there now and call [`Tracker::resume_with`].
     Quiescent,
 }
 
@@ -145,7 +146,9 @@ pub struct Tracker {
     total: u64,
     /// Iterations retired — also the oldest iteration in flight.
     completed: u64,
-    halted: bool,
+    /// The iteration a pending reconfiguration lands at: admission stops
+    /// short of it.
+    halt_at: Option<u64>,
     jobs_executed: u64,
 }
 
@@ -157,7 +160,7 @@ impl Tracker {
             depth: pipeline_depth.max(1),
             total: total_iterations,
             completed: 0,
-            halted: false,
+            halt_at: None,
             jobs_executed: 0,
         }
     }
@@ -181,8 +184,12 @@ impl Tracker {
         self.completed + self.done.len() as u64
     }
 
-    pub fn is_halted(&self) -> bool {
-        self.halted
+    /// Is the halt iteration, and nothing else, keeping the next
+    /// iteration out? From the first retirement that would have admitted
+    /// it until quiescence: the drain of a reconfiguration.
+    pub fn draining(&self) -> bool {
+        let next = self.next_admit();
+        self.halt_at == Some(next) && next < self.total && self.done.len() < self.depth
     }
 
     /// All iterations done?
@@ -206,7 +213,8 @@ impl Tracker {
     /// Admit as many iterations as the pipeline depth allows, appending the
     /// immediately-ready jobs to `ready` in index order.
     pub fn admit(&mut self, ready: &mut Vec<JobRef>) {
-        while !self.halted && self.next_admit() < self.total && self.done.len() < self.depth {
+        let limit = self.halt_at.map_or(self.total, |h| h.min(self.total));
+        while self.next_admit() < limit && self.done.len() < self.depth {
             let iter = self.next_admit();
             self.done.push_back(vec![false; self.dag.jobs.len()]);
             for idx in 0..self.dag.jobs.len() {
@@ -225,18 +233,22 @@ impl Tracker {
         self.dag.jobs[job.idx as usize].kind.clone()
     }
 
-    /// Stop admitting new iterations (a reconfiguration is pending).
-    pub fn halt(&mut self) {
-        self.halted = true;
+    /// A reconfiguration lands at iteration `at`: admit nothing from
+    /// there on until it is applied. `at` is never behind the admitted
+    /// watermark; the earliest of several pending halts wins.
+    pub fn halt(&mut self, at: u64) {
+        debug_assert!(at >= self.next_admit(), "halt behind the watermark");
+        self.halt_at = Some(self.halt_at.map_or(at, |h| h.min(at)));
     }
 
-    /// Install a new DAG after a reconfiguration and resume admission.
+    /// Install a new DAG after a reconfiguration and resume admission up
+    /// to `next_halt`, the next pending landing iteration.
     ///
     /// Must only be called when quiescent (`in_flight == 0`).
-    pub fn resume_with(&mut self, dag: Arc<Dag>, ready: &mut Vec<JobRef>) {
+    pub fn resume_with(&mut self, dag: Arc<Dag>, next_halt: Option<u64>, ready: &mut Vec<JobRef>) {
         assert!(self.done.is_empty(), "resume_with requires quiescence");
         self.dag = dag;
-        self.halted = false;
+        self.halt_at = next_halt;
         self.admit(ready);
     }
 
@@ -281,12 +293,9 @@ impl Tracker {
             s.clear(job.iter);
         }
         self.completed += 1;
-        if self.halted {
-            if self.done.is_empty() {
-                Effect::Quiescent
-            } else {
-                Effect::Retired
-            }
+        if self.halt_at == Some(self.completed) && self.completed < self.total {
+            debug_assert!(self.done.is_empty());
+            Effect::Quiescent
         } else {
             self.admit(ready);
             Effect::Retired
@@ -426,20 +435,21 @@ mod tests {
     }
 
     #[test]
-    fn halt_stops_admission_and_reports_quiescence() {
-        let (mut t, dag) = make_tracker(1, 4);
+    fn halt_admits_up_to_its_iteration_and_reports_quiescence() {
+        let (mut t, dag) = make_tracker(2, 6);
         let mut ready = Vec::new();
         t.admit(&mut ready);
-        t.halt();
+        t.halt(3);
         let mut effects = Vec::new();
         while let Some(job) = ready.pop() {
             effects.push(t.complete(job, &mut ready));
+            assert!(t.next_admit() <= 3, "nothing admitted from the halt on");
         }
         assert_eq!(*effects.last().unwrap(), Effect::Quiescent);
-        assert_eq!(t.completed_iterations(), 1);
+        assert_eq!(t.completed_iterations(), 3);
         assert!(!t.finished());
         // resume with the same dag; the rest of the iterations run
-        t.resume_with(dag, &mut ready);
+        t.resume_with(dag, None, &mut ready);
         while let Some(job) = ready.pop() {
             t.complete(job, &mut ready);
         }
@@ -452,7 +462,7 @@ mod tests {
         let (mut t, dag) = make_tracker(2, 4);
         let mut ready = Vec::new();
         t.admit(&mut ready);
-        t.resume_with(dag, &mut ready);
+        t.resume_with(dag, None, &mut ready);
     }
 
     #[test]

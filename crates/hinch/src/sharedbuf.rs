@@ -23,6 +23,7 @@
 //! and a `ReadLease` only observes elements no writer can touch, so no data
 //! race is possible. Leases release their interval on `Drop`.
 
+use crate::event::Stamp;
 use crate::meter::{AccessKind, MemAccess, SimBuf};
 use parking_lot::Mutex;
 use std::cell::{RefCell, UnsafeCell};
@@ -83,37 +84,40 @@ impl fmt::Display for LeaseConflict {
 }
 
 thread_local! {
-    /// Name of the graph node the current thread is executing, set by the
-    /// engines around component runs so lease conflicts can name their
-    /// parties. `Arc<str>` so that tagging a job and capturing the holder
-    /// of a lease are refcount clones, not per-job string allocations.
-    static CURRENT_NODE: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
+    /// The job the current thread is executing, set by the engines around
+    /// each job: the graph node's name, so lease conflicts can name their
+    /// parties, and the [`Stamp`] its event sends carry. `Arc<str>` so
+    /// that tagging a job and capturing the holder of a lease are refcount
+    /// clones, not per-job string allocations.
+    static CURRENT_JOB: RefCell<JobTag> = const { RefCell::new((None, None)) };
 }
 
-/// Tag the current thread as executing graph node `name` until the guard
-/// drops. Used by the engines; nesting restores the previous tag.
-pub fn enter_node(name: &str) -> NodeGuard {
-    enter_node_shared(Arc::from(name))
-}
+/// A job's node name and send stamp (see `CURRENT_JOB`).
+type JobTag = (Option<Arc<str>>, Option<Stamp>);
 
-/// Allocation-free variant of [`enter_node`]: the engines pass the leaf's
-/// pre-built shared tag (`LeafRt::tag`), so the per-job cost is two
-/// refcount bumps.
-pub fn enter_node_shared(name: Arc<str>) -> NodeGuard {
-    let prev = CURRENT_NODE.with(|c| c.replace(Some(name)));
-    NodeGuard(prev)
+/// Tag the current thread as running one job until the guard drops: the
+/// engines pass the leaf's pre-built shared tag (`LeafRt::tag`; `None` for
+/// a manager job) and the stamp of the events the job sends, so the
+/// per-job cost is two refcount bumps. Nesting restores the previous tag.
+pub fn enter_job(node: Option<Arc<str>>, stamp: Stamp) -> NodeGuard {
+    NodeGuard(CURRENT_JOB.with(|c| c.replace((node, Some(stamp)))))
 }
 
 fn current_node() -> Option<Arc<str>> {
-    CURRENT_NODE.with(|c| c.borrow().clone())
+    CURRENT_JOB.with(|c| c.borrow().0.clone())
 }
 
-/// Restores the previous node tag on drop (see [`enter_node`]).
-pub struct NodeGuard(Option<Arc<str>>);
+/// The send stamp of the job the current thread runs, if any.
+pub(crate) fn current_stamp() -> Option<Stamp> {
+    CURRENT_JOB.with(|c| c.borrow().1)
+}
+
+/// Restores the previous job tag on drop (see [`enter_job`]).
+pub struct NodeGuard(JobTag);
 
 impl Drop for NodeGuard {
     fn drop(&mut self) {
-        CURRENT_NODE.with(|c| *c.borrow_mut() = self.0.take());
+        CURRENT_JOB.with(|c| *c.borrow_mut() = std::mem::take(&mut self.0));
     }
 }
 
@@ -531,9 +535,9 @@ mod tests {
     fn overlapping_writes_panic_with_structured_conflict() {
         let buf = RegionBuf::<u8>::new("b", 10);
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = enter_node("main/first");
+            let _g = enter_job(Some("main/first".into()), Stamp::NOW);
             let _a = buf.lease_write(0..6);
-            let _g2 = enter_node("main/second");
+            let _g2 = enter_job(Some("main/second".into()), Stamp::NOW);
             let _b = buf.lease_write(5..10);
         }))
         .expect_err("overlap must panic");
@@ -581,9 +585,9 @@ mod tests {
 
     #[test]
     fn node_guard_nests_and_restores() {
-        let _outer = enter_node("outer");
+        let _outer = enter_job(Some("outer".into()), Stamp::NOW);
         {
-            let _inner = enter_node("inner");
+            let _inner = enter_job(Some("inner".into()), Stamp::NOW);
             assert_eq!(current_node().as_deref(), Some("inner"));
         }
         assert_eq!(current_node().as_deref(), Some("outer"));

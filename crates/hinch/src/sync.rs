@@ -112,6 +112,12 @@ pub mod faults {
     /// teardown.
     static DRAIN_SKIPS_ADMISSION_CLOSE: AtomicBool = AtomicBool::new(false);
 
+    /// Break the landing rule (`crate::event`): a manager entry of
+    /// iteration *i* also takes the events due at *i + 1*. Whether those
+    /// have been sent when the entry runs depends on the schedule, so the
+    /// iteration a reconfiguration lands on does too.
+    static ENTRY_TAKES_NEXT_DUE: AtomicBool = AtomicBool::new(false);
+
     pub fn set_throttled_submit_wake(on: bool) {
         THROTTLED_SUBMIT_WAKE.store(on, Ordering::SeqCst);
     }
@@ -126,5 +132,13 @@ pub mod faults {
 
     pub fn drain_skips_admission_close() -> bool {
         DRAIN_SKIPS_ADMISSION_CLOSE.load(Ordering::SeqCst)
+    }
+
+    pub fn set_entry_takes_next_due(on: bool) {
+        ENTRY_TAKES_NEXT_DUE.store(on, Ordering::SeqCst);
+    }
+
+    pub fn entry_takes_next_due() -> bool {
+        ENTRY_TAKES_NEXT_DUE.load(Ordering::SeqCst)
     }
 }

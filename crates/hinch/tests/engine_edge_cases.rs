@@ -486,46 +486,45 @@ fn option_iterations(log: &Log) -> Vec<u64> {
         .collect()
 }
 
-/// A reconfiguration event raised *on the final iteration* either applies
-/// in the run's very last quiescent window (nothing runs after it) or —
-/// when sent by the last iteration itself — is simply never polled. Both
-/// must terminate cleanly on every engine.
+/// Reconfiguration events near the end of a run. At depth 1 an event
+/// sent in iteration *i* is taken by the entry of *i + 1* and lands at
+/// *i + 2*: sent at 3 of 6 it lands on the final iteration; sent at 4 its
+/// plan would land at 6, past the run, and never applies; sent by the
+/// final iteration it is never taken. All must agree and terminate
+/// cleanly on every engine.
 #[test]
 fn reconfig_event_on_the_final_iteration() {
     use hinch::engine::run_reference;
-    // Sent at iteration 4 of 6 → polled by the entry of iteration 5 (the
-    // final one, depth 1): the plan applies after the final retirement,
-    // so the option flips but its body never executes.
     let cfg = RunConfig::new(6).pipeline_depth(1);
-    let (g, log) = toggle_graph(vec![4], 1);
-    let r = run_reference(&g, &cfg).unwrap();
-    assert_eq!((r.iterations, r.reconfigs), (6, 1));
-    assert!(option_iterations(&log).is_empty(), "nothing runs after it");
+    for (sent, reconfigs, ran) in [(3, 1, vec![5]), (4, 0, vec![]), (5, 0, vec![])] {
+        let (g, log) = toggle_graph(vec![sent], 1);
+        let r = run_reference(&g, &cfg).unwrap();
+        assert_eq!(
+            (r.iterations, r.reconfigs),
+            (6, reconfigs),
+            "sent at {sent}"
+        );
+        assert_eq!(option_iterations(&log), ran, "sent at {sent}");
 
-    let (g, log) = toggle_graph(vec![4], 1);
-    let mut p = NullPlatform::new(2);
-    let r = run_sim(&g, &cfg, &mut p).unwrap();
-    assert_eq!((r.iterations, r.reconfigs), (6, 1));
-    assert!(option_iterations(&log).is_empty());
+        let (g, log) = toggle_graph(vec![sent], 1);
+        let mut p = NullPlatform::new(2);
+        let r = run_sim(&g, &cfg, &mut p).unwrap();
+        assert_eq!(
+            (r.iterations, r.reconfigs),
+            (6, reconfigs),
+            "sim, sent at {sent}"
+        );
+        assert_eq!(option_iterations(&log), ran, "sim, sent at {sent}");
 
-    let (g, log) = toggle_graph(vec![4], 1);
-    let r = run_native(&g, &cfg.clone().workers(2)).unwrap();
-    assert_eq!((r.iterations, r.reconfigs), (6, 1));
-    assert!(option_iterations(&log).is_empty());
-    // Sent by the final iteration itself → no entry left to poll it: the
-    // run terminates with the event still queued and no reconfiguration.
-    let cfg = RunConfig::new(6).pipeline_depth(1);
-    let (g, log) = toggle_graph(vec![5], 1);
-    let r = run_reference(&g, &cfg).unwrap();
-    assert_eq!((r.iterations, r.reconfigs), (6, 0));
-    assert!(option_iterations(&log).is_empty());
-    let (g, _) = toggle_graph(vec![5], 1);
-    let mut p = NullPlatform::new(2);
-    let r = run_sim(&g, &cfg, &mut p).unwrap();
-    assert_eq!((r.iterations, r.reconfigs), (6, 0));
-    let (g, _) = toggle_graph(vec![5], 1);
-    let r = run_native(&g, &cfg.workers(2)).unwrap();
-    assert_eq!((r.iterations, r.reconfigs), (6, 0));
+        let (g, log) = toggle_graph(vec![sent], 1);
+        let r = run_native(&g, &cfg.clone().workers(2)).unwrap();
+        assert_eq!(
+            (r.iterations, r.reconfigs),
+            (6, reconfigs),
+            "native, sent at {sent}"
+        );
+        assert_eq!(option_iterations(&log), ran, "native, sent at {sent}");
+    }
 }
 
 /// Back-to-back option switches with zero completed iterations between

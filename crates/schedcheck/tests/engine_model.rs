@@ -7,9 +7,10 @@
 //! modeled primitives, so the explorer controls each interleaving and the
 //! vector clocks check every `ModelCell` slot access.
 //!
-//! The two `pr6_*` tests are pinned regressions for the races fixed in
-//! PR 6: each arms a fault flag (`hinch::sync::faults`) that re-introduces
-//! the original bug, and asserts the model checker finds it within the
+//! The two `pr6_*` tests are pinned regressions for two fixed serving
+//! races, and `early_event_take_is_caught` pins the landing rule of
+//! `hinch::event`: each arms a fault flag (`hinch::sync::faults`) that
+//! re-introduces a bug, and asserts the model checker finds it within the
 //! smoke iteration budget — with a replayable seed — while the unfaulted
 //! protocol explores clean.
 //!
@@ -22,8 +23,8 @@ use hinch::engine::pool::{EventCount, Injector, LocalQueue};
 use hinch::graph::{factory, ComponentSpec, GraphSpec};
 use hinch::sync::faults;
 use hinch::{
-    run_native, Component, Event, EventAction, EventQueue, ManagerSpec, Params, RunConfig, RunCtx,
-    Runtime, RuntimeConfig, SpawnOpts,
+    run_native, run_reference, Component, Event, EventAction, EventQueue, ManagerSpec, Params,
+    RunConfig, RunCtx, Runtime, RuntimeConfig, SpawnOpts,
 };
 use schedcheck::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use schedcheck::{env_iters, Config, Strategy};
@@ -45,6 +46,7 @@ impl Drop for FaultReset {
     fn drop(&mut self) {
         faults::set_throttled_submit_wake(false);
         faults::set_drain_skips_admission_close(false);
+        faults::set_entry_takes_next_due(false);
     }
 }
 
@@ -368,5 +370,134 @@ fn pr6_drain_admission_race_is_caught() {
     faults::set_drain_skips_admission_close(false);
     schedcheck::explore(&cfg, scenario).unwrap_or_else(|f| {
         panic!("fixed protocol must explore clean, got: {f}");
+    });
+}
+
+/// Sends `go` to its queue in every iteration.
+struct Ping(EventQueue);
+impl Component for Ping {
+    fn class(&self) -> &'static str {
+        "ping"
+    }
+    fn run(&mut self, _ctx: &mut RunCtx<'_>) {
+        self.0.send(Event::new("go"));
+    }
+}
+
+/// Logs the iterations it runs in.
+struct Probe(Arc<StdMutex<Vec<u64>>>);
+impl Component for Probe {
+    fn class(&self) -> &'static str {
+        "probe"
+    }
+    fn run(&mut self, ctx: &mut RunCtx<'_>) {
+        self.0.lock().unwrap().push(ctx.iteration());
+    }
+}
+
+/// The iterations the option body runs in, over `frames` frames of
+/// `manager { ping; option extra { probe } }` whose manager toggles
+/// `extra` on every `go`: every iteration from 2d on reconfigures.
+fn probe_iterations(frames: u64, cfg: &RunConfig, native: bool) -> Vec<u64> {
+    let queue = EventQueue::new("mq");
+    let log = Arc::new(StdMutex::new(Vec::new()));
+    let ping = {
+        let queue = queue.clone();
+        factory(
+            move |_p: &Params| -> Box<dyn Component> { Box::new(Ping(queue.clone())) },
+            Params::new(),
+        )
+    };
+    let probe = {
+        let log = log.clone();
+        factory(
+            move |_p: &Params| -> Box<dyn Component> { Box::new(Probe(log.clone())) },
+            Params::new(),
+        )
+    };
+    let mgr = ManagerSpec::new("m", queue).on("go", vec![EventAction::Toggle("extra".into())]);
+    let spec = GraphSpec::managed(
+        mgr,
+        GraphSpec::seq(vec![
+            GraphSpec::leaf(ComponentSpec::new("png", "ping", ping)),
+            GraphSpec::option(
+                "extra",
+                false,
+                GraphSpec::leaf(ComponentSpec::new("x", "probe", probe)),
+            ),
+        ]),
+    );
+    let report = if native {
+        run_native(&spec, cfg).map(|r| r.iterations)
+    } else {
+        run_reference(&spec, cfg).map(|r| r.iterations)
+    };
+    assert_eq!(report.expect("the run completes"), frames);
+    let ran = log.lock().unwrap().clone();
+    ran
+}
+
+/// Native runs of the ping graph, each held to `run_reference` at its
+/// depth: the option runs in exactly the oracle's iterations.
+fn landing_scenario(workers: usize, depth: usize) -> impl Fn() {
+    let frames = 2 * depth as u64 + 2;
+    move || {
+        let cfg = RunConfig::new(frames).pipeline_depth(depth);
+        let want = probe_iterations(frames, &cfg, false);
+        let got = probe_iterations(frames, &cfg.clone().workers(workers), true);
+        assert_eq!(
+            got, want,
+            "{workers} workers, depth {depth}: option ran off the oracle's iterations"
+        );
+    }
+}
+
+/// The landing rule on every explored schedule: a reconfiguration found
+/// by the entry of iteration i lands at i + d, at 2 and 3 workers and
+/// depths 1 to 3.
+#[test]
+fn reconfigurations_land_where_the_reference_puts_them() {
+    let _serial = runtime_lock();
+    for workers in [2, 3] {
+        for depth in 1..=3 {
+            let cfg = Config::default()
+                .iterations(env_iters(96))
+                .seed(0x1A4D ^ (workers * 8 + depth) as u64)
+                .strategy(Strategy::Mixed);
+            schedcheck::explore(&cfg, landing_scenario(workers, depth))
+                .unwrap_or_else(|f| panic!("{workers} workers, depth {depth}: {f}"));
+        }
+    }
+}
+
+/// Pinned regression for the landing rule: with the fault armed a manager
+/// entry also takes the events due one iteration later. At depth 2 the
+/// ping of iteration i - 1 has sent its event before entry i on some
+/// schedules and not on others, so the option runs off the oracle's
+/// iterations — which the model must find, with a replayable seed.
+#[test]
+fn early_event_take_is_caught() {
+    let _serial = runtime_lock();
+    let _reset = FaultReset;
+    let scenario = landing_scenario(2, 2);
+    let cfg = Config::default()
+        .iterations(env_iters(96).max(96))
+        .seed(0xEA21)
+        .strategy(Strategy::Mixed);
+
+    faults::set_entry_takes_next_due(true);
+    let failure = schedcheck::explore(&cfg, &scenario)
+        .expect_err("model checker must catch an entry taking events early");
+    assert!(
+        failure.message.contains("off the oracle's iterations"),
+        "expected the landing assert, got: {failure}"
+    );
+    let replayed = schedcheck::replay(&cfg, failure.seed, &scenario)
+        .expect_err("recorded seed must reproduce the failure");
+    assert_eq!(replayed.message, failure.message);
+
+    faults::set_entry_takes_next_due(false);
+    schedcheck::explore(&cfg, &scenario).unwrap_or_else(|f| {
+        panic!("the landing rule must explore clean, got: {f}");
     });
 }

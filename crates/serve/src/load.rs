@@ -268,9 +268,10 @@ pub struct ReplayReport {
 /// quiescence, then actuates exactly what the controller decided: a
 /// quality toggle becomes a manager-queue event (the graph keeps
 /// running), a resize or depth step becomes a drain + respawn at the new
-/// configuration. Because every actuation lands at a quiescent,
-/// frame-exact boundary, the captured outputs — and hence
-/// `output_digest` — are a pure function of the scenario spec.
+/// configuration. A toggle injected at boundary *b* lands on frame
+/// *b + d* (`Runtime::inject`), a respawn at *b* itself, so the captured
+/// outputs — and hence `output_digest` — are a pure function of the
+/// scenario spec.
 pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
     let scenario = run_scenario(&cfg.scenario);
     let frames = scenario.arrivals.min(cfg.max_frames);

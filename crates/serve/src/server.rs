@@ -178,8 +178,8 @@ fn admit(diags: &Diagnostics) -> Result<(), Refusal> {
 /// The live controller holds *quality-only* authority: its candidate
 /// lattice is pinned to the graph's spawned slice count and depth, so
 /// every relief/recovery move is a quality toggle — actuated as a
-/// manager-queue event via [`Runtime::inject`], which the graph applies
-/// at its next quiescent point. Slice / depth moves need a drain +
+/// manager-queue event via [`Runtime::inject`], which lands *d* frames
+/// after the graph's admitted watermark. Slice / depth moves need a drain +
 /// respawn (a new graph id) and live in the scenario harness
 /// (`adapt::scenario`, `serve::load::run_burst_replay`) instead.
 struct SloGov {
@@ -424,7 +424,7 @@ impl Inner {
     /// One controller tick for every attached governor, fed from the
     /// rolling telemetry window closed by the latest sample. Quality
     /// toggles are actuated as manager-queue events ([`Runtime::inject`]
-    /// applies them at the graph's next quiescent point); governors
+    /// lands them *d* frames after the admitted watermark); governors
     /// whose graph has been drained are reaped.
     pub(crate) fn adapt_tick(&self) {
         let mut govs = self.adapt.lock().unwrap();

@@ -112,8 +112,12 @@ echo "facade lint: clean"
 # `build_isolated_fused`, `run_sim_fused`), the corpus run lock and
 # whole-asset caches (`run_lock`, `mosaic_assets`, `telescope_assets`),
 # serve's second output digest (`fold_outputs`), the polling quiescence
-# waits (`wait_quiescent`) and the non-JPiP fused arms (`fusion is
-# JPiP-only`) are gone
+# waits (`wait_quiescent`), the non-JPiP fused arms (`fusion is
+# JPiP-only`), and the workarounds of a schedule-dependent landing
+# iteration — the matrix's per-app admissibility mode and counterpart
+# runs (`is_reconfig`, `fn counterparts`), the per-app digest set and its
+# caveat (`sim_digests`, `legitimately show more`) and the injector's
+# hand-tuned lead (`name="lead"`, `.lead(`) — are gone
 # (benchmark/ is the one perf ledger, insight the one trace analysis,
 # engine/sim the one sequential engine, the pools' counters the one
 # live source, a source publishes a view of its
@@ -123,8 +127,9 @@ echo "facade lint: clean"
 # expanded once, a recorded latency distribution is one
 # `trace::metrics::Histogram` value, a built app owns its outputs and
 # apps::output digests them, Runtime::wait_retired is the one quiescence
-# wait): no code, doc or script may still point at them.
-if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b|nonzero_buckets|bucket_counts|counts_from_nonzero|quantile_from_counts|cumulative_from_counts|cumulative_buckets|merge_latencies|latency_buckets|GraphDelta|dag_of|trace_pip|build_isolated|run_sim_fused|run_lock|mosaic_assets|telescope_assets|fold_outputs|wait_quiescent|fusion is JPiP-only' \
+# wait, a reconfiguration lands on a fixed iteration): no code, doc or
+# script may still point at them.
+if grep -rnE 'EngineMetrics|LabeledMetrics|ring_capacity|scripts/bench\.sh|BENCH_(insight|native|serve)\.json|hinch-serve bench|cargo bench|criterion_(group|main)|--bench |paper-figures.*--insight|RefReport|engine::reference|utilization_summary|renew_from_pixels|SIM_BRK|sim_alloc|renew_for_overwrite_at|PlaneRead::Materialised|idct_to_pixels_sse2|cos_t_table|RingEvent|RingSet|trace::ring|ring_model|DEFAULT_RING_CAPACITY|hinch_live_ring_|graph::introspect|expand_copies|ComposeFn|legacy_uncomposed_slices|legacy-slices|cross_check_expansion|downscale_rows_sse2|new_stream_table\b|nonzero_buckets|bucket_counts|counts_from_nonzero|quantile_from_counts|cumulative_from_counts|cumulative_buckets|merge_latencies|latency_buckets|GraphDelta|dag_of|trace_pip|build_isolated|run_sim_fused|run_lock|mosaic_assets|telescope_assets|fold_outputs|wait_quiescent|fusion is JPiP-only|is_reconfig|fn counterparts|sim_digests|name="lead"|\.lead\(|legitimately show more' \
     --exclude=ci.sh crates src tests examples docs scripts README.md DESIGN.md EXPERIMENTS.md \
     vendor/README.md; then
     echo "dangling reference to a deleted recorder, knob, measurement path, executor, summary or copy" >&2

@@ -228,14 +228,7 @@ fn second_capturing_run_allocates_no_payload() {
         // Every `run_native` instantiates the graph anew; counted from
         // frame 0, ring slots and all.
         let spec = marked(built.spec.clone(), 0);
-        // At depth > 1 a reconfiguration lands on a schedule-dependent
-        // frame: two PiP-12 runs could record different overlay counts.
-        let depth = if app.static_counterparts().is_empty() {
-            DEPTH
-        } else {
-            1
-        };
-        let cfg = RunConfig::new(FRAMES).pipeline_depth(depth).workers(2);
+        let cfg = RunConfig::new(FRAMES).pipeline_depth(DEPTH).workers(2);
 
         run_native(&spec, &cfg).unwrap();
         let growing = PAYLOAD_ALLOCS.swap(0, Ordering::SeqCst);

@@ -234,34 +234,29 @@ fn manager_toggles_option_from_component_events() {
             .collect()
     };
 
-    // The toggle semantics, on the oracle: one iteration in flight, in
-    // program order. Iteration i's manager entry polls exactly the `go`
-    // of iteration i-1's ping, so from iteration 1 on every entry plans a
-    // toggle, applied when its iteration retires: the option is on in
-    // the even iterations from 2.
-    let log: Log = Arc::new(Mutex::new(Vec::new()));
-    let report = run_reference(&compile(&log).spec, &RunConfig::new(20)).unwrap();
-    assert_eq!(
-        report.reconfigs, 19,
-        "one toggle per iteration after the first"
-    );
-    let on: Vec<String> = (2..20).step_by(2).map(|i| format!("x=7@{i}")).collect();
-    assert_eq!(probes(&log), on);
+    // Ping's `go` of iteration j is due at j + d; the entry of that
+    // iteration takes it and the toggle lands at j + 2d. From iteration 2d
+    // on, every iteration flips the option: it is on in 2d, 2d + 2, ...
+    // The oracle (one iteration in flight, program order) says so at every
+    // depth, and so does every native schedule at that depth.
+    let frames = 20u64;
+    for depth in [1usize, 5] {
+        let want: Vec<String> = (2 * depth as u64..frames)
+            .step_by(2)
+            .map(|i| format!("x=7@{i}"))
+            .collect();
+        let cfg = RunConfig::new(frames).pipeline_depth(depth);
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let report = run_reference(&compile(&log).spec, &cfg).unwrap();
+        assert_eq!(report.reconfigs, frames - 2 * depth as u64, "depth {depth}");
+        assert_eq!(probes(&log), want, "reference, depth {depth}");
 
-    // Natively, with several iterations in flight, two `go`s can meet in
-    // one manager entry and cancel (see `reconfigurable_apps_match_static_
-    // halves` in end_to_end.rs), so how often the option is on depends on
-    // the schedule. What every valid schedule satisfies: iteration 0's
-    // entry polls nothing, and an entry at iteration 5 or later (depth 5:
-    // admitted after iteration 0 retired) finds ping 0's `go` unless an
-    // earlier one took it — so at least one toggle is applied.
-    let log: Log = Arc::new(Mutex::new(Vec::new()));
-    let report = run_native(&compile(&log).spec, &RunConfig::new(20).workers(2)).unwrap();
-    assert_eq!(report.iterations, 20);
-    assert!(report.reconfigs >= 1, "ping 0's go is always polled");
-    let seen = probes(&log);
-    assert!(!seen.contains(&"x=7@0".to_string()), "off in iteration 0");
-    assert!(seen.iter().all(|e| e.starts_with("x=7@")), "{seen:?}");
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let report = run_native(&compile(&log).spec, &cfg.clone().workers(2)).unwrap();
+        assert_eq!(report.iterations, frames);
+        assert_eq!(report.reconfigs, frames - 2 * depth as u64, "depth {depth}");
+        assert_eq!(probes(&log), want, "native, depth {depth}");
+    }
 }
 
 #[test]
