@@ -218,6 +218,38 @@ mod tests {
         handle.join().expect("server thread");
     }
 
+    /// A component that panics while a reconfiguration applies fails its
+    /// graph, not the server — also when the `Submit` that offers the
+    /// landing frame applies the plan on the server's own thread.
+    #[test]
+    fn a_refused_reconfiguration_fails_only_its_graph() {
+        let (addr, handle) = serve(2, Scale::Small);
+        let mut c = Client::connect(addr).expect("connect");
+        let g = c.spawn("blur35", 2, 16).expect("spawn");
+        let await_completed = |c: &mut Client, n: u64| {
+            let want = format!("\"completed\":{n},");
+            while !c.stats(g).expect("stats").contains(&want) {}
+        };
+        assert_eq!(c.submit(g, 2).expect("submit"), 2);
+        await_completed(&mut c, 2);
+        // Stamped due at frame 2, the broadcast lands at frame 4; Blur
+        // accepts kernel sizes 3 and 5 only.
+        c.inject(g, "mq", "switch", 7).expect("inject");
+        assert_eq!(c.submit(g, 2).expect("submit"), 2);
+        await_completed(&mut c, 4);
+        // The graph waits at frame 4: this submit applies the plan.
+        assert!(matches!(c.submit(g, 1), Err(ClientError::Server(_))));
+        assert!(matches!(c.drain(g), Err(ClientError::Server(_))));
+        // The server keeps serving.
+        let ok = c.spawn("pip1", 2, 8).expect("spawn");
+        assert_eq!(c.submit(ok, 3).expect("submit"), 3);
+        let drained = c.drain(ok).expect("drain");
+        assert!(drained.contains("\"completed\":3,"), "{drained}");
+        c.shutdown().expect("shutdown");
+        drop(c);
+        handle.join().expect("server thread");
+    }
+
     /// The static-analysis admission gate, end-to-end: an unsound XSPCL
     /// document shipped over the wire comes back as a structured
     /// rejection with its `XA0xx` diagnostics; a sound document naming a
